@@ -13,6 +13,11 @@ Supported interchange formats:
   column, most significant bit first, zero padded.
 * edge list - UTF-8 text, ``#`` comment lines, a header line ``n m`` and
   then ``m`` lines ``u v`` with 0-based endpoints.
+
+Both parsers reject an order above ``MAX_INPUT_ORDER`` with a
+:class:`FormatError` before allocating anything for it: the all-pairs
+distance table of a graph holds n^2 entries, so a header such as
+``1000000000 0`` would otherwise ask for terabytes.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ class FormatError(GraphError):
 class DisconnectedGraphError(GraphError):
     """An operation that presumes connectivity met a disconnected graph."""
 
+
+# Largest order the graph6 and edge-list parsers accept (4.2M distance
+# entries, about 34 MB of distance table).
+MAX_INPUT_ORDER = 2048
 
 # Above this order the per-vertex bitmasks get too wide to be a win and the
 # BFS falls back to queue-based traversal.
@@ -118,6 +127,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _check_input_order(n: int) -> None:
+    if n > MAX_INPUT_ORDER:
+        raise FormatError(
+            f"graph order {n} exceeds the input bound of {MAX_INPUT_ORDER}"
+        )
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -159,6 +175,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise FormatError(f"expected header 'n m', got {lines[0]!r}") from None
+    _check_input_order(n)
     if len(lines) - 1 != m:
         raise FormatError(f"header declares {m} edges, found {len(lines) - 1}")
     edges = []
@@ -206,6 +223,7 @@ def parse_graph6(text: str) -> Graph:
         pos = 8
         if n < 258048:
             raise FormatError("non-canonical graph6 order field")
+    _check_input_order(n)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(vals) - pos != nbytes:

@@ -107,18 +107,6 @@ def universal_vertices(g: Graph) -> tuple[int, ...]:
     return tuple(v for v, b in enumerate(g.bits) if b.bit_count() == target)
 
 
-def nonuniversal_edge_count(g: Graph, n_universal: int) -> int:
-    """Edges of the subgraph induced by the non-universal vertices.
-
-    Every edge either joins two universal vertices, a universal to a
-    non-universal one, or lies inside the non-universal part; subtracting the
-    first two exactly counts the third.
-    """
-    n = g.n
-    k = n_universal
-    return g.m - k * (k - 1) // 2 - k * (n - k)
-
-
 CSV_HEADER = (
     "n,m,diam,rad,W,E1,E2,totecc,xic,nprime,"
     "avd_num,avd_den,avt_num,avt_den,self_centered"

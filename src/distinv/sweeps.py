@@ -34,6 +34,7 @@ a result.  Parallel execution forks, so it is POSIX-only.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 
@@ -505,28 +506,39 @@ def _fold_chunk_entry(i):
     return _fold_chunk(spec, chunks[i], fold, zero)
 
 
+def _pool_size(workers: int, chunks: int) -> int:
+    """Processes to fork: no more than asked for, chunks to run, or CPUs."""
+    return max(1, min(workers, chunks, os.cpu_count() or 1))
+
+
 def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     """Fold a function over every graph of a sweep.
 
     ``fold(acc, graph) -> acc`` runs within a chunk, ``combine(acc, acc) ->
     acc`` merges chunk results in deterministic chunk order, ``zero()`` makes
     a fresh accumulator.  Returns ``(acc, SweepSummary)``.  With ``workers >
-    1`` chunks run in forked processes; the callables are inherited through
-    the fork, so anything defined at call time works, but side effects stay
-    in the children.
+    1`` chunks run in forked processes, at most one per chunk and per CPU;
+    the callables are inherited through the fork, so anything defined at
+    call time works, but side effects stay in the children.
     """
     spec.validate()
     start = time.perf_counter()
     chunks = _chunks(spec, max(1, workers))
-    if workers <= 1 or len(chunks) <= 1:
+    procs = _pool_size(workers, len(chunks))
+    if procs <= 1:
         partials = [_fold_chunk(spec, c, fold, zero) for c in chunks]
     else:
         global _FORK_CTX
         _FORK_CTX = (spec, fold, zero, chunks)
         try:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                partials = pool.map(_fold_chunk_entry, range(len(chunks)))
+            with ctx.Pool(procs) as pool:
+                # one chunk per task: chunk sizes grow steeply with the order,
+                # so batching neighbours would load the last worker with the
+                # largest ones
+                partials = pool.map(
+                    _fold_chunk_entry, range(len(chunks)), chunksize=1
+                )
         finally:
             _FORK_CTX = None
     acc = zero()

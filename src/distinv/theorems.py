@@ -1,20 +1,34 @@
 """Executable comparison claims and the sweep-driven counterexample hunter.
 
 Every claim in the catalog is a hypothesis -> conclusion predicate over
-exact integers and rationals; a claim with a tight non-strict bound also
-reports its equality cases so "equality iff shape" statements are checked in
-both directions.  Claims carry short opaque ids (``P2.1``, ``T2.3``,
+exact integers; a claim with a tight non-strict bound also reports its
+equality cases so "equality iff shape" statements are checked in both
+directions.  Claims carry short opaque ids (``P2.1``, ``T2.3``,
 ``C2.8i``, ...) used by the CLI and the reports.
 
-Unary claims (one graph in, one verdict out) are registered in
-``UNARY_CHECKS`` and can be driven in bulk by :func:`hunt`; the pendant and
-product claims take explicit extra arguments and are exercised by dedicated
-generators instead.
+The unary claims (one graph in, one verdict out) form one table,
+``CLAIMS``, keyed by id.  Each :class:`Claim` row is that claim's only
+definition:
+
+* ``predicate(g, rep, dist) -> (hypothesis_met, conclusion_held, equality)``
+  over the exact :class:`InvariantReport` integers (``conclusion_held`` is
+  ``None`` when the hypothesis fails; its docstring is the claim statement);
+* ``fields``, the report values a verdict's detail carries;
+* for T2.3, T3.3 and L4.1, ``extra(g, rep, dist, hypothesis_met)``, the
+  derived values the detail adds (branch, disjunct, gap counts).
+
+:func:`hunt` computes distances and the report once per graph, calls the
+predicates in a plain loop and builds a detailed :class:`TheoremVerdict`
+only for a counterexample.  The public ``check_p21`` ... ``check_l41``
+(also ``UNARY_CHECKS``, by id) are thin wrappers that build one graph's
+verdict from the same row.  The pendant and product claims take explicit
+extra arguments and are exercised by dedicated generators instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .families import attach_pendant_paths_at, attach_pendants_at, cartesian_product
 from .graphs import (
@@ -96,8 +110,39 @@ def _gid(g, graph_id):
     return emit_graph6(g) if graph_id is None else graph_id
 
 
-def _is_complete(rep: InvariantReport) -> bool:
-    return rep.m == rep.n * (rep.n - 1) // 2
+# detail key -> InvariantReport attribute
+_FIELDS = {
+    "n": "n",
+    "m": "m",
+    "diam": "diam",
+    "W": "wiener",
+    "E1": "e1",
+    "E2": "e2",
+    "nprime": "n_universal",
+}
+
+
+@dataclass(frozen=True, slots=True)
+class Claim:
+    """One row of the unary claim table (see the module docstring)."""
+
+    theorem_id: str
+    predicate: Callable
+    fields: tuple[str, ...]
+    extra: Callable | None = None
+
+    def verdict(self, g, rep, dist, graph_id=None, detail=True) -> TheoremVerdict:
+        hyp, held, eq = self.predicate(g, rep, dist)
+        info = None
+        if detail:
+            graph_id = _gid(g, graph_id)
+            info = {key: getattr(rep, _FIELDS[key]) for key in self.fields}
+            if self.extra is not None:
+                info.update(self.extra(g, rep, dist, hyp))
+        return TheoremVerdict(self.theorem_id, hyp, held, eq, graph_id, info)
+
+
+_UNMET = (False, None, False)
 
 
 def _is_cycle(g: Graph, rep: InvariantReport) -> bool:
@@ -113,46 +158,47 @@ def _is_tree(rep: InvariantReport) -> bool:
     return rep.m == rep.n - 1
 
 
+def _gprime_edge_count(rep: InvariantReport) -> int:
+    # edges inside the non-universal part, by subtracting the edge classes
+    # incident to universal vertices
+    np_ = rep.n_universal
+    return rep.m - np_ * (np_ - 1) // 2 - np_ * (rep.n - np_)
+
+
 # ---------------------------------------------------------------------------
 # unary claims
 
 
-def check_p21(g, rep=None, dist=None, graph_id=None, detail=True):
+def _p21(g, rep, dist):
     """Self-centered non-complete: E2 >= E1, equality exactly on cycles."""
-    rep, dist = _prep(g, rep, dist)
-    hyp = rep.self_centered and not _is_complete(rep)
-    concl = None
-    eq = False
-    if hyp:
-        eq = rep.e2 == rep.e1
-        concl = rep.e2 >= rep.e1 and eq == _is_cycle(g, rep)
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "m": rep.m, "E1": rep.e1, "E2": rep.e2}
-    return TheoremVerdict("P2.1", hyp, concl, eq, graph_id, info)
+    if not rep.self_centered or rep.m == rep.n * (rep.n - 1) // 2:
+        return _UNMET
+    eq = rep.e2 == rep.e1
+    return True, rep.e2 >= rep.e1 and eq == _is_cycle(g, rep), eq
 
 
-def check_c22(g, rep=None, dist=None, graph_id=None, detail=True):
+def _c22(g, rep, dist):
     """Self-centered with diameter 2: E2 >= E1, equality exactly on the
     4- and 5-cycles."""
-    rep, dist = _prep(g, rep, dist)
-    hyp = rep.self_centered and rep.diam == 2
-    concl = None
-    eq = False
-    if hyp:
-        eq = rep.e2 == rep.e1
-        concl = rep.e2 >= rep.e1 and eq == (
-            _is_cycle(g, rep) and rep.n in (4, 5)
-        )
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "m": rep.m, "E1": rep.e1, "E2": rep.e2}
-    return TheoremVerdict("C2.2", hyp, concl, eq, graph_id, info)
+    if not rep.self_centered or rep.diam != 2:
+        return _UNMET
+    eq = rep.e2 == rep.e1
+    return True, rep.e2 >= rep.e1 and eq == (_is_cycle(g, rep) and rep.n in (4, 5)), eq
 
 
-def check_t23(g, rep=None, dist=None, graph_id=None, detail=True):
+def _t23_branch(rep):
+    np_ = rep.n_universal
+    if np_ >= 3:
+        return "i"
+    x = _gprime_edge_count(rep)
+    if np_ == 2 and x > 0:
+        return "ii"
+    if np_ == 1 and 4 * x > 2 * rep.n - 1:
+        return "iii"
+    return "otherwise"
+
+
+def _t23(g, rep, dist):
     """Non-self-centered diameter-2 classification of E1 vs E2.
 
     E1 < E2 exactly when (i) n' >= 3, or (ii) n' = 2 with an edge among the
@@ -161,244 +207,193 @@ def check_t23(g, rep=None, dist=None, graph_id=None, detail=True):
     E2 - E1 = 2(n'-2)(n-n') + n'(n'-3)/2 + 4x with x the non-universal edge
     count, and a tie is never allowed.
     """
-    rep, dist = _prep(g, rep, dist)
     n = rep.n
-    hyp = rep.diam == 2 and not rep.self_centered and n >= 3
-    concl = None
-    branch = None
-    if hyp:
-        np_ = rep.n_universal
-        x = _gprime_edge_count(rep)
-        if np_ >= 3:
-            branch = "i"
-        elif np_ == 2 and x > 0:
-            branch = "ii"
-        elif np_ == 1 and 4 * x > 2 * n - 1:
-            branch = "iii"
-        else:
-            branch = "otherwise"
-        predicted = (
-            rep.e1 < rep.e2 if branch != "otherwise" else rep.e1 > rep.e2
-        )
-        identity = 2 * (rep.e2 - rep.e1) == 4 * (np_ - 2) * (n - np_) + np_ * (
-            np_ - 3
-        ) + 8 * x
-        concl = predicted and rep.e1 != rep.e2 and identity
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {
-            "n": n,
-            "m": rep.m,
-            "nprime": rep.n_universal,
-            "E1": rep.e1,
-            "E2": rep.e2,
-            "branch": branch,
-        }
-    return TheoremVerdict("T2.3", hyp, concl, False, graph_id, info)
+    if rep.diam != 2 or rep.self_centered or n < 3:
+        return _UNMET
+    np_ = rep.n_universal
+    e1, e2 = rep.e1, rep.e2
+    predicted = e1 > e2 if _t23_branch(rep) == "otherwise" else e1 < e2
+    identity = 2 * (e2 - e1) == 4 * (np_ - 2) * (n - np_) + np_ * (
+        np_ - 3
+    ) + 8 * _gprime_edge_count(rep)
+    return True, predicted and e1 != e2 and identity, False
 
 
-def check_p24(g, rep=None, dist=None, graph_id=None, detail=True):
+def _t23_detail(g, rep, dist, hyp):
+    return {"branch": _t23_branch(rep) if hyp else None}
+
+
+def _p24(g, rep, dist):
     """Diameter 2: W = n(n-1) - m."""
-    rep, dist = _prep(g, rep, dist)
-    hyp = rep.diam == 2 and rep.n >= 3
-    concl = rep.wiener == rep.n * (rep.n - 1) - rep.m if hyp else None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "m": rep.m, "W": rep.wiener}
-    return TheoremVerdict("P2.4", hyp, concl, False, graph_id, info)
+    if rep.diam != 2 or rep.n < 3:
+        return _UNMET
+    return True, rep.wiener == rep.n * (rep.n - 1) - rep.m, False
 
 
-def check_t25(g, rep=None, dist=None, graph_id=None, detail=True):
+def _t25(g, rep, dist):
     """Diameter 2 with n >= 9: W > E1."""
-    rep, dist = _prep(g, rep, dist)
-    hyp = rep.diam == 2 and rep.n >= 9
-    concl = rep.wiener > rep.e1 if hyp else None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "W": rep.wiener, "E1": rep.e1}
-    return TheoremVerdict("T2.5", hyp, concl, False, graph_id, info)
+    if rep.diam != 2 or rep.n < 9:
+        return _UNMET
+    return True, rep.wiener > rep.e1, False
 
 
-def check_p26(g, rep=None, dist=None, graph_id=None, detail=True):
+def _p26(g, rep, dist):
     """Self-centered diameter 2: W > E1 iff m < n(n-5), and
     W > E2 iff m < n(n-1)/5."""
-    rep, dist = _prep(g, rep, dist)
-    hyp = rep.self_centered and rep.diam == 2
-    concl = None
-    if hyp:
-        n, m = rep.n, rep.m
-        concl = ((rep.wiener > rep.e1) == (m < n * (n - 5))) and (
-            (rep.wiener > rep.e2) == (5 * m < n * (n - 1))
-        )
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "m": rep.m, "W": rep.wiener, "E1": rep.e1, "E2": rep.e2}
-    return TheoremVerdict("P2.6", hyp, concl, False, graph_id, info)
+    if not rep.self_centered or rep.diam != 2:
+        return _UNMET
+    n, m, w = rep.n, rep.m, rep.wiener
+    return True, (w > rep.e1) == (m < n * (n - 5)) and (w > rep.e2) == (
+        5 * m < n * (n - 1)
+    ), False
 
 
-def check_t27(g, rep=None, dist=None, graph_id=None, detail=True):
+def _t27(g, rep, dist):
     """Diameter 2 with more than (n-1)/2 universal vertices: E2 > W."""
-    rep, dist = _prep(g, rep, dist)
-    hyp = rep.diam == 2 and rep.n >= 3 and 2 * rep.n_universal > rep.n - 1
-    concl = rep.e2 > rep.wiener if hyp else None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "nprime": rep.n_universal, "W": rep.wiener, "E2": rep.e2}
-    return TheoremVerdict("T2.7", hyp, concl, False, graph_id, info)
+    if rep.diam != 2 or rep.n < 3 or 2 * rep.n_universal <= rep.n - 1:
+        return _UNMET
+    return True, rep.e2 > rep.wiener, False
 
 
-def _gprime_edge_count(rep: InvariantReport) -> int:
-    # edges inside the non-universal part, by subtracting the edge classes
-    # incident to universal vertices
+def _c28_margin(rep):
+    # None outside the C2.8 gate (diameter 2, 0 < n' <= (n-1)/2); else the
+    # sign of avd(G') - (2/5)(n-1-2n'), cross-multiplied as
+    # 5x - (n-n')(n-1-2n')
     np_ = rep.n_universal
-    return rep.m - np_ * (np_ - 1) // 2 - np_ * (rep.n - np_)
-
-
-def _c28_gate(rep):
-    np_ = rep.n_universal
-    if not (rep.diam == 2 and rep.n >= 3 and 0 < np_ and 2 * np_ <= rep.n - 1):
+    if rep.diam != 2 or rep.n < 3 or np_ == 0 or 2 * np_ > rep.n - 1:
         return None
-    x = _gprime_edge_count(rep)
-    # avd(G') vs (2/5)(n-1-2n'), cross-multiplied: 5x vs (n-n')(n-1-2n')
-    return 5 * x, (rep.n - np_) * (rep.n - 1 - 2 * np_), x
+    return 5 * _gprime_edge_count(rep) - (rep.n - np_) * (rep.n - 1 - 2 * np_)
 
 
-def check_c28i(g, rep=None, dist=None, graph_id=None, detail=True):
+def _c28i(g, rep, dist):
     """Diameter 2, 0 < n' <= (n-1)/2, avd(G') above (2/5)(n-1-2n'): E2 > W."""
-    rep, dist = _prep(g, rep, dist)
-    gate = _c28_gate(rep)
-    hyp = gate is not None and gate[0] > gate[1]
-    concl = rep.e2 > rep.wiener if hyp else None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "nprime": rep.n_universal, "W": rep.wiener, "E2": rep.e2}
-    return TheoremVerdict("C2.8i", hyp, concl, False, graph_id, info)
+    margin = _c28_margin(rep)
+    if margin is None or margin <= 0:
+        return _UNMET
+    return True, rep.e2 > rep.wiener, False
 
 
-def check_c28ii(g, rep=None, dist=None, graph_id=None, detail=True):
+def _c28ii(g, rep, dist):
     """Diameter 2, 0 < n' <= (n-1)/2, avd(G') below (2/5)(n-1-2n'): E2 < W."""
-    rep, dist = _prep(g, rep, dist)
-    gate = _c28_gate(rep)
-    hyp = gate is not None and gate[0] < gate[1]
-    concl = rep.e2 < rep.wiener if hyp else None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "nprime": rep.n_universal, "W": rep.wiener, "E2": rep.e2}
-    return TheoremVerdict("C2.8ii", hyp, concl, False, graph_id, info)
+    margin = _c28_margin(rep)
+    if margin is None or margin >= 0:
+        return _UNMET
+    return True, rep.e2 < rep.wiener, False
+
+
+def _t31(g, rep, dist):
+    """Trees with d(d-1) <= n-1: E2 <= W, equality only for the 3-path."""
+    d = rep.diam
+    if not _is_tree(rep) or rep.n < 3 or d * (d - 1) > rep.n - 1:
+        return _UNMET
+    eq = rep.e2 == rep.wiener
+    return True, rep.e2 <= rep.wiener and eq == (rep.n == 3 and d == 2), eq
+
+
+def _t32(g, rep, dist):
+    """Trees with n > 3 and 3*diam >= 2n: W < E1."""
+    if not _is_tree(rep) or rep.n <= 3 or 3 * rep.diam < 2 * rep.n:
+        return _UNMET
+    return True, rep.wiener < rep.e1, False
+
+
+def _t33(g, rep, dist):
+    """Trees with n > 8: W > E1 holds for the tree or for its complement."""
+    if not _is_tree(rep) or rep.n <= 8:
+        return _UNMET
+    if rep.wiener > rep.e1:
+        return True, True, False
+    crep = full_report(complement(g))
+    return True, crep.wiener > crep.e1, False
+
+
+def _t33_detail(g, rep, dist, hyp):
+    if not hyp:
+        return {}
+    if rep.wiener > rep.e1:
+        return {"disjunct": "tree"}
+    crep = full_report(complement(g))
+    return {"disjunct": "complement", "W_comp": crep.wiener, "E1_comp": crep.e1}
+
+
+def _l41(g, rep, dist):
+    """Every vertex satisfies totecc - ecc(v) >= Tr(v), with equality exactly
+    when all other vertices' eccentricities equal their distance from v."""
+    total = rep.total_ecc
+    held = True
+    eq = False
+    for v in range(rep.n):
+        gap = transmission_gap(dist, v, total)
+        if gap == 0:
+            eq = True
+        if gap < 0 or (gap == 0) != transmission_gap_equality_holds(dist, v):
+            held = False
+    return True, held, eq
+
+
+def _l41_detail(g, rep, dist, hyp):
+    gaps = [transmission_gap(dist, v, rep.total_ecc) for v in range(rep.n)]
+    return {"min_gap": min(gaps), "zero_gap_vertices": gaps.count(0)}
+
+
+CLAIMS = {
+    c.theorem_id: c
+    for c in (
+        Claim("P2.1", _p21, ("n", "m", "E1", "E2")),
+        Claim("C2.2", _c22, ("n", "m", "E1", "E2")),
+        Claim("T2.3", _t23, ("n", "m", "nprime", "E1", "E2"), _t23_detail),
+        Claim("P2.4", _p24, ("n", "m", "W")),
+        Claim("T2.5", _t25, ("n", "W", "E1")),
+        Claim("P2.6", _p26, ("n", "m", "W", "E1", "E2")),
+        Claim("T2.7", _t27, ("n", "nprime", "W", "E2")),
+        Claim("C2.8i", _c28i, ("n", "nprime", "W", "E2")),
+        Claim("C2.8ii", _c28ii, ("n", "nprime", "W", "E2")),
+        Claim("T3.1", _t31, ("n", "diam", "W", "E2")),
+        Claim("T3.2", _t32, ("n", "diam", "W", "E1")),
+        Claim("T3.3", _t33, ("n", "W", "E1"), _t33_detail),
+        Claim("L4.1", _l41, ("n",), _l41_detail),
+    )
+}
+
+ALL_UNARY_IDS = tuple(CLAIMS)
+
+
+def _checker(claim: Claim):
+    def check(g, rep=None, dist=None, graph_id=None, detail=True):
+        rep, dist = _prep(g, rep, dist)
+        return claim.verdict(g, rep, dist, graph_id, detail)
+
+    check.__name__ = check.__qualname__ = "check_" + claim.theorem_id.lower().replace(
+        ".", ""
+    )
+    check.__doc__ = claim.predicate.__doc__
+    return check
+
+
+UNARY_CHECKS = {tid: _checker(claim) for tid, claim in CLAIMS.items()}
+
+check_p21 = UNARY_CHECKS["P2.1"]
+check_c22 = UNARY_CHECKS["C2.2"]
+check_t23 = UNARY_CHECKS["T2.3"]
+check_p24 = UNARY_CHECKS["P2.4"]
+check_t25 = UNARY_CHECKS["T2.5"]
+check_p26 = UNARY_CHECKS["P2.6"]
+check_t27 = UNARY_CHECKS["T2.7"]
+check_c28i = UNARY_CHECKS["C2.8i"]
+check_c28ii = UNARY_CHECKS["C2.8ii"]
+check_t31 = UNARY_CHECKS["T3.1"]
+check_t32 = UNARY_CHECKS["T3.2"]
+check_t33 = UNARY_CHECKS["T3.3"]
+check_l41 = UNARY_CHECKS["L4.1"]
 
 
 def check_t27_c28(g, rep=None, dist=None, graph_id=None, detail=True):
     """The three diameter-2 E2-vs-W sub-verdicts as a tuple."""
     rep, dist = _prep(g, rep, dist)
-    return (
-        check_t27(g, rep, dist, graph_id, detail),
-        check_c28i(g, rep, dist, graph_id, detail),
-        check_c28ii(g, rep, dist, graph_id, detail),
+    return tuple(
+        CLAIMS[tid].verdict(g, rep, dist, graph_id, detail)
+        for tid in ("T2.7", "C2.8i", "C2.8ii")
     )
-
-
-def check_t31(g, rep=None, dist=None, graph_id=None, detail=True):
-    """Trees with d(d-1) <= n-1: E2 <= W, equality only for the 3-path."""
-    rep, dist = _prep(g, rep, dist)
-    d = rep.diam
-    hyp = _is_tree(rep) and rep.n >= 3 and d * (d - 1) <= rep.n - 1
-    concl = None
-    eq = False
-    if hyp:
-        eq = rep.e2 == rep.wiener
-        concl = rep.e2 <= rep.wiener and eq == (rep.n == 3 and d == 2)
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "diam": d, "W": rep.wiener, "E2": rep.e2}
-    return TheoremVerdict("T3.1", hyp, concl, eq, graph_id, info)
-
-
-def check_t32(g, rep=None, dist=None, graph_id=None, detail=True):
-    """Trees with n > 3 and 3*diam >= 2n: W < E1."""
-    rep, dist = _prep(g, rep, dist)
-    hyp = _is_tree(rep) and rep.n > 3 and 3 * rep.diam >= 2 * rep.n
-    concl = rep.wiener < rep.e1 if hyp else None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": rep.n, "diam": rep.diam, "W": rep.wiener, "E1": rep.e1}
-    return TheoremVerdict("T3.2", hyp, concl, False, graph_id, info)
-
-
-def check_t33(g, rep=None, dist=None, graph_id=None, detail=True):
-    """Trees with n > 8: W > E1 holds for the tree or for its complement."""
-    rep, dist = _prep(g, rep, dist)
-    hyp = _is_tree(rep) and rep.n > 8
-    concl = None
-    info = {"n": rep.n, "W": rep.wiener, "E1": rep.e1} if detail else None
-    if hyp:
-        if rep.wiener > rep.e1:
-            concl = True
-            if detail:
-                info["disjunct"] = "tree"
-        else:
-            crep = full_report(complement(g))
-            concl = crep.wiener > crep.e1
-            if detail:
-                info["disjunct"] = "complement"
-                info["W_comp"] = crep.wiener
-                info["E1_comp"] = crep.e1
-    if detail:
-        graph_id = _gid(g, graph_id)
-    return TheoremVerdict("T3.3", hyp, concl, False, graph_id, info)
-
-
-def check_l41(g, rep=None, dist=None, graph_id=None, detail=True):
-    """Every vertex satisfies totecc - ecc(v) >= Tr(v), with equality exactly
-    when all other vertices' eccentricities equal their distance from v."""
-    rep, dist = _prep(g, rep, dist)
-    n = rep.n
-    ok = True
-    eq = False
-    min_gap = None
-    zero_count = 0
-    for v in range(n):
-        gap = transmission_gap(dist, v)
-        cond = transmission_gap_equality_holds(dist, v)
-        if gap < 0 or (gap == 0) != cond:
-            ok = False
-        if gap == 0:
-            eq = True
-            zero_count += 1
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": n, "min_gap": min_gap, "zero_gap_vertices": zero_count}
-    return TheoremVerdict("L4.1", True, ok, eq, graph_id, info)
-
-
-UNARY_CHECKS = {
-    "P2.1": check_p21,
-    "C2.2": check_c22,
-    "T2.3": check_t23,
-    "P2.4": check_p24,
-    "T2.5": check_t25,
-    "P2.6": check_p26,
-    "T2.7": check_t27,
-    "C2.8i": check_c28i,
-    "C2.8ii": check_c28ii,
-    "T3.1": check_t31,
-    "T3.2": check_t32,
-    "T3.3": check_t33,
-    "L4.1": check_l41,
-}
-
-ALL_UNARY_IDS = tuple(UNARY_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -632,56 +627,49 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
     """
     ids = list(theorem_ids)
     for tid in ids:
-        if tid not in UNARY_CHECKS:
+        if tid not in CLAIMS:
             raise GraphError(f"unknown or non-unary theorem id {tid!r}")
-    checks = [(tid, UNARY_CHECKS[tid]) for tid in ids]
+    claims = [CLAIMS[tid] for tid in ids]
+    predicates = list(enumerate(c.predicate for c in claims))
 
     def zero():
-        return {tid: [0, 0, [], set()] for tid in ids}
+        # per claim: hypothesis hits, counterexample verdicts, equality graph6
+        return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
     def fold(acc, g):
         dist = all_pairs_distances(g)
         rep = full_report(g, dist)
+        hits, cexs, eqs = acc
         g6 = None
-        for tid, fn in checks:
-            verdict = fn(g, rep=rep, dist=dist, detail=False)
-            slot = acc[tid]
-            slot[0] += 1
-            bad = False
-            if verdict.hypothesis_met:
-                slot[1] += 1
-                bad = not verdict.conclusion_held
-            if bad or verdict.equality:
-                if g6 is None:
-                    g6 = emit_graph6(g)
-                if bad:
-                    slot[2].append(fn(g, rep=rep, dist=dist, graph_id=g6))
-                if verdict.equality:
-                    slot[3].add(g6)
+        for i, predicate in predicates:
+            hyp, held, eq = predicate(g, rep, dist)
+            if hyp:
+                hits[i] += 1
+                if not held:
+                    g6 = g6 or emit_graph6(g)
+                    cexs[i].append(claims[i].verdict(g, rep, dist, g6))
+            if eq:
+                g6 = g6 or emit_graph6(g)
+                eqs[i].add(g6)
         return acc
 
     def combine(a, b):
-        for tid, slot in b.items():
-            mine = a[tid]
-            mine[0] += slot[0]
-            mine[1] += slot[1]
-            mine[2].extend(slot[2])
-            mine[3] |= slot[3]
+        for i in range(len(ids)):
+            a[0][i] += b[0][i]
+            a[1][i].extend(b[1][i])
+            a[2][i] |= b[2][i]
         return a
 
-    acc, _summary = fold_sweep(spec, fold, combine, zero, workers=workers)
-    reports = []
-    for tid in ids:
-        visited, hits, cexs, eqs = acc[tid]
-        reports.append(
-            CheckReport(
-                theorem_id=tid,
-                graphs_visited=visited,
-                hypothesis_hits=hits,
-                counterexamples=tuple(
-                    sorted(cexs, key=lambda v: (v.graph_id or "", v.theorem_id))
-                ),
-                equality_cases=tuple(sorted(eqs)),
-            )
+    (hits, cexs, eqs), summary = fold_sweep(spec, fold, combine, zero, workers=workers)
+    return [
+        CheckReport(
+            theorem_id=tid,
+            graphs_visited=summary.visited,
+            hypothesis_hits=hits[i],
+            counterexamples=tuple(
+                sorted(cexs[i], key=lambda v: (v.graph_id or "", v.theorem_id))
+            ),
+            equality_cases=tuple(sorted(eqs[i])),
         )
-    return reports
+        for i, tid in enumerate(ids)
+    ]

@@ -44,24 +44,13 @@ def is_ud_pair(g: Graph, dist: DistanceData, u: int, v: int) -> bool:
 
     The pair must be diametrical; anything else is an input error.
     """
-    n = dist.n
-    d = dist.dist
-    if u == v or d[u * n + v] != dist.diam:
+    if u == v or dist.dist[u * dist.n + v] != dist.diam:
         raise GraphError(f"({u},{v}) is not a diametrical pair")
-    ecc = dist.ecc
-    for w in range(n):
-        if w == u or w == v:
-            continue
-        base = w * n
-        du = d[base + u]
-        dv = d[base + v]
-        if (du if du > dv else dv) != ecc[w]:
-            return False
-    return True
+    return _ud_witness(dist, u, v) is None
 
 
-def _ud_witness(dist: DistanceData, u: int, v: int) -> int:
-    """First vertex proving the pair is not UD."""
+def _ud_witness(dist: DistanceData, u: int, v: int) -> int | None:
+    """First vertex proving the pair is not UD, or None when it is UD."""
     n = dist.n
     d = dist.dist
     ecc = dist.ecc
@@ -73,7 +62,7 @@ def _ud_witness(dist: DistanceData, u: int, v: int) -> int:
         dv = d[base + v]
         if (du if du > dv else dv) != ecc[w]:
             return w
-    raise GraphError("no witness: pair is universally diametrical")
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,27 +93,30 @@ def find_ud_certificate(g: Graph, dist: DistanceData | None = None) -> UdCertifi
         return UdCertificate(is_ud=True, pair=None, diam=0)
     failures = []
     for u, v in diametrical_pairs(dist):
-        if is_ud_pair(g, dist, u, v):
+        witness = _ud_witness(dist, u, v)
+        if witness is None:
             return UdCertificate(is_ud=True, pair=(u, v), diam=dist.diam)
-        failures.append(((u, v), _ud_witness(dist, u, v)))
+        failures.append(((u, v), witness))
     return UdCertificate(
         is_ud=False, pair=None, diam=dist.diam, failures=tuple(failures)
     )
 
 
-def transmission_gap(dist: DistanceData, v: int) -> int:
+def transmission_gap(dist: DistanceData, v: int, total_ecc: int | None = None) -> int:
     """Total eccentricity minus ``ecc(v)`` minus ``Tr(v)``.
 
     Nonnegative on every connected graph; zero exactly when every other
-    vertex ``u`` has ``ecc(u) == d(v, u)``.
+    vertex ``u`` has ``ecc(u) == d(v, u)``.  Pass ``total_ecc`` (the sum of
+    all eccentricities) when scanning every vertex, to sum it only once.
     """
-    return sum(dist.ecc) - dist.ecc[v] - dist.tr[v]
+    if total_ecc is None:
+        total_ecc = sum(dist.ecc)
+    return total_ecc - dist.ecc[v] - dist.tr[v]
 
 
 def transmission_gap_equality_holds(dist: DistanceData, v: int) -> bool:
     """The stated zero-gap condition, checked directly from distances."""
     n = dist.n
-    base = v * n
-    d = dist.dist
-    ecc = dist.ecc
-    return all(ecc[u] == d[base + u] for u in range(n) if u != v)
+    row = list(dist.dist[v * n : (v + 1) * n])
+    row[v] = dist.ecc[v]  # v itself is exempt
+    return row == dist.ecc

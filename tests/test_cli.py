@@ -57,6 +57,20 @@ class TestInvariantsCommand:
         assert "error:" in err
         assert len(out.strip().splitlines()) == 2  # header + the good row
 
+    def test_huge_order_header_exit_2(self, capsys, tmp_path, monkeypatch):
+        # the order bound must trip before the parser builds any graph
+        from distinv import graphs as graphs_mod
+
+        def refuse(n, edges):
+            raise AssertionError(f"allocated a graph of order {n}")
+
+        monkeypatch.setattr(graphs_mod, "from_edge_list", refuse)
+        f = tmp_path / "huge.edges"
+        f.write_text("1000000000 0\n")
+        code, out, err = run_cli(capsys, "invariants", str(f))
+        assert code == 2
+        assert "exceeds the input bound" in err
+
     def test_disconnected_graph_record(self, capsys, tmp_path):
         f = tmp_path / "disc.edges"
         f.write_text("4 2\n0 1\n2 3\n")

@@ -128,6 +128,35 @@ class TestEdgeListFormat:
             parse_edge_list(text)
 
 
+class TestInputOrderBound:
+    @staticmethod
+    def _graph6_header(n):
+        return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+
+    def test_edge_list_header_rejected_before_allocation(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError(f"allocated a graph of order {n}")
+
+        monkeypatch.setattr(graphs_mod, "from_edge_list", refuse)
+        with pytest.raises(FormatError, match="exceeds the input bound"):
+            parse_edge_list("1000000000 0\n")
+
+    def test_graph6_header_rejected_before_length_check(self):
+        with pytest.raises(FormatError, match="exceeds the input bound"):
+            parse_graph6(self._graph6_header(10**9))
+
+    def test_bound_is_inclusive(self):
+        limit = graphs_mod.MAX_INPUT_ORDER
+        assert parse_edge_list(f"{limit} 1\n0 {limit - 1}\n").n == limit
+        with pytest.raises(FormatError, match="exceeds the input bound"):
+            parse_edge_list(f"{limit + 1} 0\n")
+        edgeless = Graph._raw(limit, [0] * limit)
+        assert parse_graph6(emit_graph6(edgeless)) == edgeless
+        too_big = emit_graph6(Graph._raw(limit + 1, [0] * (limit + 1)))
+        with pytest.raises(FormatError, match="exceeds the input bound"):
+            parse_graph6(too_big)
+
+
 class TestDistances:
     def test_p4(self):
         d = all_pairs_distances(path(4))

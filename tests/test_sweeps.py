@@ -18,7 +18,8 @@ from distinv import (
     run_sweep,
     sample_diameter2_graphs,
 )
-from distinv.sweeps import _stream_key, mix64, rand64
+from distinv import sweeps as sweeps_mod
+from distinv.sweeps import _pool_size, _stream_key, mix64, rand64
 
 from oracles import tree_canonical_form
 
@@ -250,3 +251,57 @@ class TestParallelDeterminism:
         acc1, _ = self._collect(spec, 1)
         acc4, _ = self._collect(spec, 4)
         assert acc1 == acc4
+
+
+class TestPoolBound:
+    """The pool size is a pure function; nothing here starts a process."""
+
+    @pytest.mark.parametrize(
+        "workers, chunks, cpus, expected",
+        [
+            (1, 10, 8, 1),
+            (4, 40, 8, 4),
+            (8, 3, 8, 3),
+            (10**9, 10**6, 2, 2),
+            (2, 40, None, 1),  # cpu count unknown
+            (0, 5, 2, 1),
+            (3, 0, 2, 1),
+        ],
+    )
+    def test_pool_size(self, monkeypatch, workers, chunks, cpus, expected):
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: cpus)
+        assert _pool_size(workers, chunks) == expected
+
+    def test_fold_sweep_dispatches_one_chunk_per_task(self, monkeypatch):
+        seen = {}
+
+        class InlinePool:
+            def __init__(self, processes):
+                seen["processes"] = processes
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=None):
+                seen["chunksize"] = chunksize
+                return [fn(i) for i in items]
+
+        class InlineContext:
+            Pool = InlinePool
+
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            sweeps_mod.multiprocessing, "get_context", lambda method: InlineContext
+        )
+        count, summary = fold_sweep(
+            SweepSpec("connected_graphs", 3, 4),
+            lambda acc, g: acc + 1,
+            lambda a, b: a + b,
+            int,
+            workers=10**6,
+        )
+        assert count == summary.visited == 4 + 38
+        assert seen == {"processes": 2, "chunksize": 1}

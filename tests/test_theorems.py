@@ -27,7 +27,7 @@ from distinv import (
     star,
     thm29_construction,
 )
-from distinv.sweeps import enumerate_connected_graphs
+from distinv.sweeps import enumerate_connected_graphs, iter_sweep, parse_sweep_spec
 from distinv.theorems import (
     ALL_UNARY_IDS,
     check_c22,
@@ -452,3 +452,89 @@ class TestHunt:
         assert rep.csv_row() == "T3.1,1,1,0,1"
         blob = rep.to_json_dict()
         assert blob["equality_count"] == 1 and blob["counterexample_count"] == 0
+
+
+PUBLIC_CHECKS = {
+    "P2.1": check_p21,
+    "C2.2": check_c22,
+    "T2.3": check_t23,
+    "P2.4": check_p24,
+    "T2.5": check_t25,
+    "P2.6": check_p26,
+    "T2.7": check_t27,
+    "C2.8i": check_c28i,
+    "C2.8ii": check_c28ii,
+    "T3.1": check_t31,
+    "T3.2": check_t32,
+    "T3.3": check_t33,
+    "L4.1": check_l41,
+}
+
+
+def reference_hunt(spec):
+    """Every public check_* with full detail on every graph, counted here."""
+    visited = 0
+    hits = dict.fromkeys(ALL_UNARY_IDS, 0)
+    cexs = {tid: [] for tid in ALL_UNARY_IDS}
+    eqs = {tid: set() for tid in ALL_UNARY_IDS}
+    for g in iter_sweep(spec):
+        visited += 1
+        dist = all_pairs_distances(g)
+        rep = full_report(g, dist)
+        for tid, check in PUBLIC_CHECKS.items():
+            v = check(g, rep=rep, dist=dist, detail=True)
+            assert v.theorem_id == tid
+            if v.hypothesis_met:
+                hits[tid] += 1
+                if not v.conclusion_held:
+                    cexs[tid].append(v)
+            else:
+                assert v.conclusion_held is None and not v.equality
+            if v.equality:
+                eqs[tid].add(v.graph_id)
+    return visited, hits, cexs, eqs
+
+
+class TestTableHuntMatchesPublicChecks:
+    """hunt evaluates the claim table inline and builds verdicts only for
+    hits; the public check_* wrappers build a full verdict every time.  Both
+    must agree on every count, counterexample and equality case."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["connected:3..6", "trees:2..12", "diam2:n=9..10,count=150,seed=9001"],
+    )
+    def test_same_reports(self, text):
+        spec = parse_sweep_spec(text)
+        visited, hits, cexs, eqs = reference_hunt(spec)
+        reports = hunt(spec, ALL_UNARY_IDS)
+        assert [r.theorem_id for r in reports] == list(ALL_UNARY_IDS)
+        for r in reports:
+            tid = r.theorem_id
+            assert r.graphs_visited == visited, tid
+            assert r.hypothesis_hits == hits[tid], tid
+            assert list(r.counterexamples) == sorted(
+                cexs[tid], key=lambda v: v.graph_id
+            ), tid
+            assert r.equality_cases == tuple(sorted(eqs[tid])), tid
+
+    def test_t33_counterexample_detail_from_both_paths(self):
+        spec = parse_sweep_spec("trees:9..9")
+        (rep,) = hunt(spec, ["T3.3"])
+        (from_hunt,) = rep.counterexamples
+        _, _, cexs, _ = reference_hunt(spec)
+        (from_check,) = cexs["T3.3"]
+        assert from_hunt.graph_id == from_check.graph_id == "HkaCCA?"
+        assert from_hunt.detail == from_check.detail == {
+            "n": 9,
+            "W": 70,
+            "E1": 71,
+            "disjunct": "complement",
+            "W_comp": 45,
+            "E1_comp": 46,
+        }
+
+    def test_wrappers_keep_their_names(self):
+        for tid, check in PUBLIC_CHECKS.items():
+            assert check.__name__ == "check_" + tid.lower().replace(".", "")
+            assert check.__doc__
