@@ -11,7 +11,9 @@ Three sweep targets feed the predicate checkers:
   (2 <= n <= 18), generated through canonical level sequences with a
   constant-amortized-time successor rule.
 * ``diameter2_graphs`` - random connected graphs of diameter exactly 2 by
-  rejection sampling from G(n, p), p cycling over {0.3, 0.5, 0.7}.
+  rejection sampling from G(n, p).  Attempts cycle p over {0.3, 0.5, 0.7},
+  samples do not: ``diam2:n=9..12,count=2000,seed=5`` keeps 8 of 2,901
+  p = 0.3 attempts, 1,973 of 5,561 at 0.5 and 6,019 of 6,252 at 0.7.
 
 Randomness is a pure counter-based function so streams are reproducible
 across runs, worker counts, and reimplementations:
@@ -25,6 +27,10 @@ Sample ``i``, attempt ``j`` draws pair ``e`` from counter
 ``(i * 2^21 + j) * 2^13 + e``; the pair is an edge iff
 ``rand64 < floor(p_num * 2^64 / p_den)`` for the attempt's probability
 ``p = cycle[(i + j) mod 3]``.
+
+An attempt runs mix64 on all of its pairs at once, pair ``e`` in the
+128-bit lane ``e`` of one int: shifts are masked to each lane's low 64 bits
+and products stay below 2^128, so no lane spills into the next.
 
 Sweeps partition into chunks (edge-mask ranges, tree-ordinal residues,
 sample-index ranges) that merge associatively, so worker count never changes
@@ -47,6 +53,7 @@ _MIX_B = 0x94D049BB133111EB
 
 _DIAM2_P = ((3, 10), (5, 10), (7, 10))
 _DIAM2_THRESH = tuple((num << 64) // den for num, den in _DIAM2_P)
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
 _MAX_ATTEMPTS = 10**6
 _SAMPLER_MAX_N = 128
 
@@ -93,10 +100,6 @@ def enumerate_connected_graphs(n: int):
 
 
 def _connected_graphs_range(n, lo, hi):
-    if n == 1:
-        if lo <= 0 < hi:
-            yield Graph._raw(1, (0,))
-        return
     pairs = [(u, v) for v in range(1, n) for u in range(v)]
     uidx = [u for u, _ in pairs]
     vidx = [v for _, v in pairs]
@@ -232,58 +235,71 @@ def sample_diameter2_graphs(n: int, count: int, seed: int):
         raise SweepError(f"diameter-2 sampling supports n <= {_SAMPLER_MAX_N}")
     if count < 1:
         raise SweepError(f"sample count must be >= 1, got {count}")
+    yield from _diam2_stream(seed, n, 0, count)
+
+
+def _diam2_stream(seed, n, lo, hi):
     key = _stream_key(seed, n)
-    for index in range(count):
-        yield _diam2_graph(key, n, index)
+    lanes = _pair_lanes(n)
+    for index in range(lo, hi):
+        for attempt in range(_MAX_ATTEMPTS):
+            start = (key + (((index << 21) | attempt) << 13) * _GOLDEN) & _M64
+            rows = _bernoulli_rows(n, lanes, start, (index + attempt) % 3)
+            if _connected_diam2(rows, n):
+                yield Graph._raw(n, rows)
+                break
+        else:
+            raise SweepError("sampling stalled")
 
 
-def _diam2_graph(key, n, index):
-    for attempt in range(_MAX_ATTEMPTS):
-        thresh = _DIAM2_THRESH[(index + attempt) % 3]
-        base = ((index << 21) | attempt) << 13
-        rows = _bernoulli_rows(key, n, base, thresh)
-        if _connected_diam2(rows, n):
-            return Graph._raw(n, rows)
-    raise SweepError("sampling stalled")
+def _pair_lanes(n):
+    # lanes of 1, of 2^64 - 1, of e * golden, and per p of 2^64 + threshold - 1,
+    # built per stream and not cached: at n = 128 they take 780 kB
+    pairs = n * (n - 1) // 2
+    ones = int.from_bytes((1).to_bytes(16, "little") * pairs, "little")
+    steps = b"".join((e * _GOLDEN & _M64).to_bytes(16, "little") for e in range(pairs))
+    limits = tuple(ones * ((1 << 64) + t - 1) for t in _DIAM2_THRESH)
+    return ones, ones * _M64, int.from_bytes(steps, "little"), limits
 
 
-def _bernoulli_rows(key, n, counter, thresh):
+def _bernoulli_rows(n, lanes, start, p_index):
+    # lane e: x = mix64(start + e * golden); limit - x lies in [threshold,
+    # 2^64 + threshold), so its bit 64, alone in its byte, is x < threshold
+    ones, low64, steps, limits = lanes
+    x = (steps + start * ones) & low64
+    x ^= (x >> 30) & low64
+    x = (x * _MIX_A) & low64
+    x ^= (x >> 27) & low64
+    x = (x * _MIX_B) & low64
+    x ^= (x >> 31) & low64
+    hits = (limits[p_index] - x).to_bytes(16 * (n * (n - 1) // 2), "big")[7::16]
+    edges = int(hits.translate(_BINARY), 2)
     rows = [0] * n
     for v in range(1, n):
+        col = edges & ((1 << v) - 1)
+        edges >>= v
+        rows[v] = col
         vb = 1 << v
-        rowv = rows[v]
-        for u in range(v):
-            x = (key + counter * _GOLDEN) & _M64
-            counter += 1
-            x ^= x >> 30
-            x = (x * _MIX_A) & _M64
-            x ^= x >> 27
-            x = (x * _MIX_B) & _M64
-            x ^= x >> 31
-            if x < thresh:
-                rows[u] |= vb
-                rowv |= 1 << u
-        rows[v] = rowv
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= vb
+            col ^= low
     return rows
 
 
 def _connected_diam2(rows, n):
+    # diameter 2: some pair is apart and every such pair has a common neighbour
     full = (1 << n) - 1
-    is_complete = True
-    for v in range(n):
-        b = rows[v]
-        closed = b | (1 << v)
-        if closed == full:
-            continue
-        is_complete = False
-        reach = closed
-        while b:
-            low = b & -b
-            reach |= rows[low.bit_length() - 1]
-            b ^= low
-        if reach != full:
-            return False
-    return not is_complete
+    some_apart = 0
+    for v, rv in enumerate(rows):
+        apart = full & ~(rv | ((2 << v) - 1))
+        some_apart |= apart
+        while apart:
+            low = apart & -apart
+            if not rv & rows[low.bit_length() - 1]:
+                return False
+            apart ^= low
+    return some_apart != 0
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +311,13 @@ def _filter_self_centered(g: Graph) -> bool:
     return d.diam == d.rad
 
 
-def _filter_non_self_centered(g: Graph) -> bool:
-    d = all_pairs_distances(g)
-    return d.diam != d.rad
-
-
 def _filter_min_degree_2(g: Graph) -> bool:
     return g.min_degree() >= 2
 
 
 FILTERS = {
     "self_centered": _filter_self_centered,
-    "non_self_centered": _filter_non_self_centered,
+    "non_self_centered": lambda g: not _filter_self_centered(g),
     "min_degree_2": _filter_min_degree_2,
 }
 
@@ -448,20 +459,16 @@ class SweepSummary:
 def _chunks(spec: SweepSpec, parts: int):
     out = []
     for n in range(spec.n_min, spec.n_max + 1):
+        if spec.target == "trees":
+            out.extend(("mod", n, r, parts) for r in range(parts))
+            continue
         if spec.target == "connected_graphs":
-            total = 1 << (n * (n - 1) // 2)
-            step = -(-total // parts)
-            for lo in range(0, total, step):
-                out.append(("mask", n, lo, min(lo + step, total)))
-        elif spec.target == "trees":
-            k = parts
-            for r in range(k):
-                out.append(("mod", n, r, k))
+            kind, total = "mask", 1 << (n * (n - 1) // 2)
         else:
-            total = spec.sample_count
-            step = -(-total // parts)
-            for lo in range(0, total, step):
-                out.append(("range", n, lo, min(lo + step, total)))
+            kind, total = "range", spec.sample_count
+        step = -(-total // parts)
+        for lo in range(0, total, step):
+            out.append((kind, n, lo, min(lo + step, total)))
     return out
 
 
@@ -474,9 +481,7 @@ def _iter_chunk(spec: SweepSpec, chunk):
             if i % b == a:
                 yield t
     else:
-        key = _stream_key(spec.seed, n)
-        for index in range(a, b):
-            yield _diam2_graph(key, n, index)
+        yield from _diam2_stream(spec.seed, n, a, b)
 
 
 def _fold_chunk(spec, chunk, fold, zero):
@@ -498,11 +503,14 @@ def _fold_chunk(spec, chunk, fold, zero):
     return acc, visited, filtered
 
 
-_FORK_CTX = None
+def _start_fold_worker(*job):
+    # runs in each forked worker, whose job arrived through the fork unpickled
+    global _fold_job
+    _fold_job = job
 
 
 def _fold_chunk_entry(i):
-    spec, fold, zero, chunks = _FORK_CTX
+    spec, fold, zero, chunks = _fold_job
     return _fold_chunk(spec, chunks[i], fold, zero)
 
 
@@ -516,31 +524,23 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
 
     ``fold(acc, graph) -> acc`` runs within a chunk, ``combine(acc, acc) ->
     acc`` merges chunk results in deterministic chunk order, ``zero()`` makes
-    a fresh accumulator.  Returns ``(acc, SweepSummary)``.  With ``workers >
-    1`` chunks run in forked processes, at most one per chunk and per CPU;
-    the callables are inherited through the fork, so anything defined at
-    call time works, but side effects stay in the children.
+    a fresh accumulator.  Returns ``(acc, SweepSummary)``.  Each order is cut
+    into at most min(workers, CPUs) chunks, which run in forked processes if
+    there are several; the callables are inherited through the fork, so
+    anything defined at call time works, but side effects stay in the children.
     """
     spec.validate()
     start = time.perf_counter()
-    chunks = _chunks(spec, max(1, workers))
+    chunks = _chunks(spec, max(1, min(workers, os.cpu_count() or 1)))
     procs = _pool_size(workers, len(chunks))
     if procs <= 1:
         partials = [_fold_chunk(spec, c, fold, zero) for c in chunks]
     else:
-        global _FORK_CTX
-        _FORK_CTX = (spec, fold, zero, chunks)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(procs) as pool:
-                # one chunk per task: chunk sizes grow steeply with the order,
-                # so batching neighbours would load the last worker with the
-                # largest ones
-                partials = pool.map(
-                    _fold_chunk_entry, range(len(chunks)), chunksize=1
-                )
-        finally:
-            _FORK_CTX = None
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(procs, _start_fold_worker, (spec, fold, zero, chunks)) as pool:
+            # one chunk per task: chunk sizes grow steeply with the order, so
+            # batching neighbours would load the last worker with the largest
+            partials = pool.map(_fold_chunk_entry, range(len(chunks)), chunksize=1)
     acc = zero()
     visited = 0
     filtered = 0

@@ -3,7 +3,8 @@
 Nothing here shares code with the package's BFS path: distances come from
 Floyd-Warshall over an adjacency matrix, the Wiener index from a plain
 double loop over pairs, and tree isomorphism from bottom-up subtree
-encodings rooted at the center.
+encodings rooted at the center.  The diameter-2 sampler's reference draws
+one vertex pair per scalar mix64 call.
 """
 
 from __future__ import annotations
@@ -102,3 +103,52 @@ def petersen() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return from_edge_list(10, outer + spokes + inner)
+
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1FE4E57B
+_MIX_B = 0x94D049BB133111EB
+
+
+def mix64(x: int) -> int:
+    """The SplitMix64 finalizer, one scalar value at a time."""
+    x &= _M64
+    x ^= x >> 30
+    x = (x * _MIX_A) & _M64
+    x ^= x >> 27
+    x = (x * _MIX_B) & _M64
+    return x ^ (x >> 31)
+
+
+def unmix64(y: int) -> int:
+    """The x with mix64(x) == y: each step of mix64 is a bijection of 64 bits."""
+
+    def unshift(v, s):
+        x = v
+        for _ in range(64 // s):
+            x = v ^ (x >> s)
+        return x
+
+    x = unshift(y, 31)
+    x = (x * pow(_MIX_B, -1, 1 << 64)) & _M64
+    x = unshift(x, 27)
+    x = (x * pow(_MIX_A, -1, 1 << 64)) & _M64
+    return unshift(x, 30)
+
+
+def bernoulli_rows(key: int, n: int, counter: int, thresh: int) -> list[int]:
+    """Adjacency rows of one sampler attempt, drawn one vertex pair at a time.
+
+    Pair ``e`` of the graph6 column order (0,1), (0,2), (1,2), (0,3), ... is
+    an edge iff ``mix64(key + (counter + e) * golden) < thresh``: the scalar
+    reference for the packed-lane kernel of ``distinv.sweeps``.
+    """
+    rows = [0] * n
+    for v in range(1, n):
+        for u in range(v):
+            if mix64(key + counter * _GOLDEN) < thresh:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            counter += 1
+    return rows

@@ -1,5 +1,7 @@
 """Enumeration counts, sampler reproducibility, and the parallel fold."""
 
+import hashlib
+
 import pytest
 
 import networkx as nx
@@ -12,16 +14,29 @@ from distinv import (
     enumerate_connected_graphs,
     enumerate_trees,
     fold_sweep,
+    from_edge_list,
     full_report,
+    is_connected,
     iter_sweep,
     parse_sweep_spec,
     run_sweep,
     sample_diameter2_graphs,
 )
 from distinv import sweeps as sweeps_mod
-from distinv.sweeps import _pool_size, _stream_key, mix64, rand64
+from distinv.sweeps import (
+    _DIAM2_THRESH,
+    _GOLDEN,
+    _M64,
+    _bernoulli_rows,
+    _connected_diam2,
+    _pair_lanes,
+    _pool_size,
+    _stream_key,
+    mix64,
+    rand64,
+)
 
-from oracles import tree_canonical_form
+from oracles import bernoulli_rows, tree_canonical_form, unmix64
 
 # labeled connected graphs and free trees, by order
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -109,6 +124,79 @@ class TestDiameter2Sampler:
             list(sample_diameter2_graphs(9, 0, 0))
         with pytest.raises(SweepError):
             list(sample_diameter2_graphs(129, 5, 0))
+
+
+class TestPackedSampler:
+    """The packed-lane kernel against the scalar per-pair reference."""
+
+    @staticmethod
+    def _both(key, n, lanes, index, attempt):
+        base = ((index << 21) | attempt) << 13
+        k = (index + attempt) % 3
+        packed = _bernoulli_rows(n, lanes, (key + base * _GOLDEN) & _M64, k)
+        return packed, bernoulli_rows(key, n, base, _DIAM2_THRESH[k])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 12, 13, 40])
+    def test_rows_match_scalar_reference(self, n):
+        lanes = _pair_lanes(n)
+        for seed in (0, 5, 9001):
+            key = _stream_key(seed, n)
+            for index in range(60):
+                for attempt in range(4):
+                    packed, scalar = self._both(key, n, lanes, index, attempt)
+                    assert packed == scalar, (seed, index, attempt)
+
+    def test_largest_order_matches_scalar_reference(self):
+        # 8,128 pairs: the closest the pair index comes to its 2^13 field
+        packed, scalar = self._both(_stream_key(7, 128), 128, _pair_lanes(128), 5, 1)
+        assert packed == scalar and any(packed)
+
+    @pytest.mark.parametrize("n", [3, 128])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_compare_at_threshold_boundaries(self, n, k):
+        # start chosen so the first or the last lane holds exactly x
+        lanes = _pair_lanes(n)
+        thresh = _DIAM2_THRESH[k]
+        last = n * (n - 1) // 2 - 1
+        u, v = n - 2, n - 1  # the last pair of the column order
+        for x in (0, thresh - 1, thresh, _M64):
+            for lane, (a, b) in ((0, (0, 1)), (last, (u, v))):
+                start = (unmix64(x) - lane * _GOLDEN) & _M64
+                rows = _bernoulli_rows(n, lanes, start, k)
+                assert mix64(start + lane * _GOLDEN) == x
+                assert bool(rows[a] >> b & 1) == (x < thresh), (x, lane)
+                assert rows == bernoulli_rows(start, n, 0, thresh)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_diameter2_test_matches_bfs(self, n):
+        pairs = [(u, v) for v in range(1, n) for u in range(v)]
+        for mask in range(1 << len(pairs)):
+            g = from_edge_list(n, [p for e, p in enumerate(pairs) if mask >> e & 1])
+            want = is_connected(g) and all_pairs_distances(g).diam == 2
+            assert _connected_diam2(list(g.bits), n) == want, mask
+
+    @pytest.mark.parametrize(
+        "text, digest",
+        [
+            (
+                "diam2:n=9..12,count=2000,seed=9001",
+                "45a9a0898b09e0b00725a7ecb06f2ae7fbe64d505b76da85d4595475a93daefe",
+            ),
+            (
+                "diam2:n=3..8,count=300,seed=5",
+                "387ed10874c644d8c0ee6bbce20daba642279d97b3076674296b4ba23b282452",
+            ),
+            (
+                "diam2:n=40,count=20,seed=1",
+                "3e916dec140f537778bfb96ca01d2469b310396bda99947e8081fe00c0f16442",
+            ),
+        ],
+    )
+    def test_documented_stream_pinned(self, text, digest):
+        # the diam2: stream is a contract; digests of the scalar sampler's output
+        spec = parse_sweep_spec(text)
+        stream = "".join(emit_graph6(g) + "\n" for g in iter_sweep(spec))
+        assert hashlib.sha256(stream.encode()).hexdigest() == digest
 
 
 class TestPrngContract:
@@ -252,6 +340,15 @@ class TestParallelDeterminism:
         acc4, _ = self._collect(spec, 4)
         assert acc1 == acc4
 
+    def test_fold_leaves_no_context_on_the_module(self, monkeypatch):
+        # the job reaches forked workers through the pool's initializer only
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
+        before = dict(vars(sweeps_mod))
+        acc, summary = self._collect(SweepSpec("trees", 2, 9), 2)
+        assert len(acc) == summary.visited == 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47
+        assert dict(vars(sweeps_mod)) == before
+        assert not hasattr(sweeps_mod, "_fold_job")
+
 
 class TestPoolBound:
     """The pool size is a pure function; nothing here starts a process."""
@@ -272,12 +369,15 @@ class TestPoolBound:
         monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: cpus)
         assert _pool_size(workers, chunks) == expected
 
-    def test_fold_sweep_dispatches_one_chunk_per_task(self, monkeypatch):
-        seen = {}
+    @staticmethod
+    def _inline_pool(monkeypatch, seen):
+        """Run the fork branch of fold_sweep in this process, on 2 CPUs."""
 
         class InlinePool:
-            def __init__(self, processes):
+            def __init__(self, processes, initializer, initargs):
                 seen["processes"] = processes
+                seen["module"] = dict(vars(sweeps_mod))
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -287,6 +387,7 @@ class TestPoolBound:
 
             def map(self, fn, items, chunksize=None):
                 seen["chunksize"] = chunksize
+                seen["tasks"] = len(items)
                 return [fn(i) for i in items]
 
         class InlineContext:
@@ -296,6 +397,13 @@ class TestPoolBound:
         monkeypatch.setattr(
             sweeps_mod.multiprocessing, "get_context", lambda method: InlineContext
         )
+        # the initializer runs in this process: remove what it sets afterwards
+        monkeypatch.setattr(sweeps_mod, "_fold_job", None, raising=False)
+
+    def test_fold_sweep_dispatches_one_chunk_per_task(self, monkeypatch):
+        seen = {}
+        self._inline_pool(monkeypatch, seen)
+        module_before = dict(vars(sweeps_mod))
         count, summary = fold_sweep(
             SweepSpec("connected_graphs", 3, 4),
             lambda acc, g: acc + 1,
@@ -304,4 +412,29 @@ class TestPoolBound:
             workers=10**6,
         )
         assert count == summary.visited == 4 + 38
-        assert seen == {"processes": 2, "chunksize": 1}
+        # the parent hands the job to the pool without storing it anywhere
+        assert seen.pop("module") == module_before
+        assert seen == {"processes": 2, "chunksize": 1, "tasks": 4}
+
+    def test_chunks_capped_by_cpu_count_before_they_are_built(self, monkeypatch):
+        seen = {}
+        self._inline_pool(monkeypatch, seen)
+        built = []
+        real_chunks = sweeps_mod._chunks
+
+        def chunks(spec, parts):
+            # fail before building a chunk per requested worker
+            assert parts <= 2, parts
+            built.append(parts)
+            return real_chunks(spec, parts)
+
+        monkeypatch.setattr(sweeps_mod, "_chunks", chunks)
+        count, summary = fold_sweep(
+            SweepSpec("trees", 2, 3),
+            lambda acc, g: acc + 1,
+            lambda a, b: a + b,
+            int,
+            workers=10**9,
+        )
+        assert count == summary.visited == 2
+        assert built == [2] and seen["processes"] == 2 and seen["tasks"] == 4
