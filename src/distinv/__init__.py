@@ -23,18 +23,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .invariants import (
-    CSV_HEADER,
-    InvariantReport,
-    eccentric_connectivity,
-    full_report,
-    total_eccentricity,
-    universal_vertices,
-    wiener,
-    wiener_tree_edgecut,
-    zagreb_ecc_1,
-    zagreb_ecc_2,
-)
+from .invariants import CSV_HEADER, InvariantReport, full_report, wiener_tree_edgecut
 from .families import (
     FamilyError,
     FamilySpec,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, all_pairs_distances
-from .invariants import universal_vertices, wiener, zagreb_ecc_2
+from .graphs import Graph, GraphError
+from .invariants import full_report
 
 
 class FamilyError(GraphError):
@@ -185,13 +185,12 @@ def thm29_construction(n: int, n_prime: int) -> Graph:
         drop(part[s - 1], part[0])
     g = Graph._raw(n, rows)
 
-    dist = all_pairs_distances(g)
-    uni = universal_vertices(g)
-    if len(uni) != n_prime or dist.diam != 2:
+    rep = full_report(g)
+    if rep.n_universal != n_prime or rep.diam != 2:
         raise FamilyError(
-            f"construction broke its contract: n'={len(uni)}, diam={dist.diam}"
+            f"construction broke its contract: n'={rep.n_universal}, diam={rep.diam}"
         )
-    if zagreb_ecc_2(g, dist) <= wiener(g, dist):
+    if rep.e2 <= rep.wiener:
         raise FamilyError("construction broke its contract: E2 <= W")
     return g
 

@@ -22,7 +22,6 @@ distance table of a graph holds n^2 entries, so a header such as
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 
@@ -41,10 +40,6 @@ class DisconnectedGraphError(GraphError):
 # Largest order the graph6 and edge-list parsers accept (4.2M distance
 # entries, about 34 MB of distance table).
 MAX_INPUT_ORDER = 2048
-
-# Above this order the per-vertex bitmasks get too wide to be a win and the
-# BFS falls back to queue-based traversal.
-_BITMASK_LIMIT = 1024
 
 
 class Graph:
@@ -280,7 +275,7 @@ def emit_graph6(g: Graph) -> str:
 class DistanceData:
     """All-pairs hop distances plus the per-vertex metrics derived from them.
 
-    ``dist`` is a flat row-major array (``dist[u*n + v]``), ``ecc[v]`` the
+    ``dist`` is a flat row-major list (``dist[u*n + v]``), ``ecc[v]`` the
     eccentricity, ``tr[v]`` the transmission (sum of distances from ``v``),
     ``diam``/``rad`` the maximum/minimum eccentricity.
     """
@@ -311,8 +306,6 @@ def all_pairs_distances(g: Graph) -> DistanceData:
     n = g.n
     if n == 0:
         return DistanceData(0, [], [], [], 0, 0)
-    if n > _BITMASK_LIMIT:
-        return _all_pairs_queue(g)
     bits = g.bits
     full = (1 << n) - 1
     dist = [0] * (n * n)
@@ -357,49 +350,12 @@ def all_pairs_distances(g: Graph) -> DistanceData:
     return DistanceData(n, dist, ecc, tr, max(ecc), min(ecc))
 
 
-def _all_pairs_queue(g: Graph) -> DistanceData:
-    from array import array
-
-    n = g.n
-    adj = g.adjacency
-    dist = array("i", bytes(4 * n * n))
-    ecc = [0] * n
-    tr = [0] * n
-    unvisited = array("b", bytes(n))
-    for s in range(n):
-        base = s * n
-        visited = array("b", unvisited)
-        visited[s] = 1
-        q = deque((s,))
-        count = 1
-        far = 0
-        total = 0
-        while q:
-            u = q.popleft()
-            du = dist[base + u] + 1
-            for w in adj[u]:
-                if not visited[w]:
-                    visited[w] = 1
-                    dist[base + w] = du
-                    total += du
-                    count += 1
-                    q.append(w)
-            far = du - 1
-        if count != n:
-            raise DisconnectedGraphError("graph is disconnected")
-        ecc[s] = far
-        tr[s] = total
-    return DistanceData(n, dist, ecc, tr, max(ecc), min(ecc))
-
-
 def is_connected(g: Graph) -> bool:
     """True when one BFS from vertex 0 reaches everything; K1 and the empty
     graph count as connected."""
     n = g.n
     if n <= 1:
         return True
-    if n > _BITMASK_LIMIT:
-        return _is_connected_queue(g)
     bits = g.bits
     full = (1 << n) - 1
     seen = 1
@@ -416,22 +372,6 @@ def is_connected(g: Graph) -> bool:
         if seen == full:
             return True
     return False
-
-
-def _is_connected_queue(g: Graph) -> bool:
-    adj = g.adjacency
-    seen = bytearray(g.n)
-    seen[0] = 1
-    q = deque((0,))
-    count = 1
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                q.append(w)
-    return count == g.n
 
 
 def complement(g: Graph) -> Graph:

@@ -16,19 +16,6 @@ from fractions import Fraction
 from .graphs import DistanceData, Graph, GraphError, all_pairs_distances, is_connected
 
 
-def wiener(g: Graph, dist: DistanceData | None = None) -> int:
-    """Sum of distances over unordered vertex pairs.
-
-    Computed as half the total transmission; the total is checked to be even.
-    """
-    if dist is None:
-        dist = all_pairs_distances(g)
-    total = sum(dist.tr)
-    if total % 2:
-        raise GraphError("transmission total is odd; distance data corrupt")
-    return total // 2
-
-
 def wiener_tree_edgecut(t: Graph) -> int:
     """Wiener index of a tree via the edge-cut identity.
 
@@ -57,54 +44,6 @@ def wiener_tree_edgecut(t: Graph) -> int:
         size[parent[u]] += size[u]
         total += size[u] * (n - size[u])
     return total
-
-
-def zagreb_ecc_1(g: Graph, dist: DistanceData | None = None) -> int:
-    """First Zagreb eccentricity index: sum of squared eccentricities."""
-    if dist is None:
-        dist = all_pairs_distances(g)
-    return sum(e * e for e in dist.ecc)
-
-
-def zagreb_ecc_2(g: Graph, dist: DistanceData | None = None) -> int:
-    """Second Zagreb eccentricity index: sum over edges of the endpoint
-    eccentricity product."""
-    if dist is None:
-        dist = all_pairs_distances(g)
-    ecc = dist.ecc
-    bits = g.bits
-    total = 0
-    for u in range(g.n):
-        rest = bits[u] >> (u + 1)
-        if not rest:
-            continue
-        eu = ecc[u]
-        v = u + 1
-        while rest:
-            low = rest & -rest
-            total += eu * ecc[v + low.bit_length() - 1]
-            rest ^= low
-    return total
-
-
-def total_eccentricity(dist: DistanceData) -> int:
-    """Sum of all vertex eccentricities."""
-    return sum(dist.ecc)
-
-
-def eccentric_connectivity(g: Graph, dist: DistanceData | None = None) -> int:
-    """Eccentric connectivity index: sum over vertices of degree times
-    eccentricity."""
-    if dist is None:
-        dist = all_pairs_distances(g)
-    ecc = dist.ecc
-    return sum(b.bit_count() * ecc[v] for v, b in enumerate(g.bits))
-
-
-def universal_vertices(g: Graph) -> tuple[int, ...]:
-    """Vertices adjacent to every other vertex, ascending."""
-    target = g.n - 1
-    return tuple(v for v, b in enumerate(g.bits) if b.bit_count() == target)
 
 
 CSV_HEADER = (
@@ -174,7 +113,8 @@ class InvariantReport:
 
 
 def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
-    """Compute every invariant of a connected graph in one pass."""
+    """Compute every invariant of a connected graph in one pass; this is the
+    package's only definition of each of them."""
     if g.n < 1:
         raise GraphError("invariant report needs at least one vertex")
     if dist is None:
@@ -186,6 +126,17 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
     if total % 2:
         raise GraphError("transmission total is odd; distance data corrupt")
     w = total // 2
+    bits = g.bits
+    e2 = 0
+    for u in range(n):
+        # each edge once, from its lower endpoint
+        rest = bits[u] >> (u + 1)
+        eu = ecc[u]
+        v = u + 1
+        while rest:
+            low = rest & -rest
+            e2 += eu * ecc[v + low.bit_length() - 1]
+            rest ^= low
     return InvariantReport(
         n=n,
         m=m,
@@ -193,10 +144,10 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
         rad=dist.rad,
         wiener=w,
         e1=sum(e * e for e in ecc),
-        e2=zagreb_ecc_2(g, dist),
+        e2=e2,
         total_ecc=sum(ecc),
-        ecc_connectivity=sum(b.bit_count() * ecc[v] for v, b in enumerate(g.bits)),
-        n_universal=sum(1 for b in g.bits if b.bit_count() == n - 1),
+        ecc_connectivity=sum(b.bit_count() * ecc[v] for v, b in enumerate(bits)),
+        n_universal=sum(1 for b in bits if b.bit_count() == n - 1),
         avd=Fraction(2 * m, n),
         avt=Fraction(2 * w, n),
         self_centered=dist.diam == dist.rad,

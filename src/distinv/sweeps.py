@@ -331,7 +331,6 @@ class SweepSpec:
     target: str
     n_min: int
     n_max: int
-    mode: str = "exhaustive"
     sample_count: int = 0
     seed: int = 0
     filter_name: str | None = None
@@ -344,18 +343,12 @@ class SweepSpec:
         if self.filter_name is not None and self.filter_name not in FILTERS:
             raise SweepError(f"unknown filter {self.filter_name!r}")
         if self.target == "connected_graphs":
-            if self.mode != "exhaustive":
-                raise SweepError("connected_graphs sweeps are exhaustive")
             if not 1 <= self.n_min or self.n_max > CONNECTED_MAX_N:
                 raise SweepError("exhaustive connected sweep needs 1 <= n <= 8")
         elif self.target == "trees":
-            if self.mode != "exhaustive":
-                raise SweepError("tree sweeps are exhaustive")
             if not TREE_MIN_N <= self.n_min or self.n_max > TREE_MAX_N:
                 raise SweepError("exhaustive tree sweep needs 2 <= n <= 18")
         else:
-            if self.mode != "random":
-                raise SweepError("diameter2_graphs sweeps are random")
             if self.sample_count < 1:
                 raise SweepError("random sweep needs sample_count >= 1")
             if self.n_min < 3 or self.n_max > _SAMPLER_MAX_N:
@@ -387,7 +380,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         n_min, n_max = _parse_range(parts[0], text)
         filter_name = _parse_filter(parts[1:], text)
         target = "trees" if head == "trees" else "connected_graphs"
-        spec = SweepSpec(target, n_min, n_max, "exhaustive", filter_name=filter_name)
+        spec = SweepSpec(target, n_min, n_max, filter_name=filter_name)
     elif head == "diam2":
         kv = {}
         extras = []
@@ -414,7 +407,6 @@ def parse_sweep_spec(text: str) -> SweepSpec:
             "diameter2_graphs",
             n_min,
             n_max,
-            "random",
             sample_count=count,
             seed=seed,
             filter_name=_parse_filter(extras, text),

@@ -22,7 +22,8 @@ predicates in a plain loop and builds a detailed :class:`TheoremVerdict`
 only for a counterexample.  The public ``check_p21`` ... ``check_l41``
 (also ``UNARY_CHECKS``, by id) are thin wrappers that build one graph's
 verdict from the same row.  The pendant and product claims take explicit
-extra arguments and are exercised by dedicated generators instead.
+extra arguments, are exercised by dedicated generators instead, and all
+return through ``_verdict``.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ def _prep(g, rep, dist):
     return rep, dist
 
 
-def _gid(g, graph_id):
-    return emit_graph6(g) if graph_id is None else graph_id
+def _gid(graph_id, *graphs):
+    # a caller's id wins; otherwise the graph6 of each graph, space separated
+    return " ".join(map(emit_graph6, graphs)) if graph_id is None else graph_id
 
 
 # detail key -> InvariantReport attribute
@@ -135,7 +137,7 @@ class Claim:
         hyp, held, eq = self.predicate(g, rep, dist)
         info = None
         if detail:
-            graph_id = _gid(g, graph_id)
+            graph_id = _gid(graph_id, g)
             info = {key: getattr(rep, _FIELDS[key]) for key in self.fields}
             if self.extra is not None:
                 info.update(self.extra(g, rep, dist, hyp))
@@ -387,17 +389,16 @@ check_t33 = UNARY_CHECKS["T3.3"]
 check_l41 = UNARY_CHECKS["L4.1"]
 
 
-def check_t27_c28(g, rep=None, dist=None, graph_id=None, detail=True):
-    """The three diameter-2 E2-vs-W sub-verdicts as a tuple."""
-    rep, dist = _prep(g, rep, dist)
-    return tuple(
-        CLAIMS[tid].verdict(g, rep, dist, graph_id, detail)
-        for tid in ("T2.7", "C2.8i", "C2.8ii")
-    )
-
-
 # ---------------------------------------------------------------------------
 # pendant-growth claims
+
+
+def _verdict(theorem_id, hyp, concl, info, detail, graph_id, *graphs):
+    # a pendant or product verdict; without detail, ``info`` is dropped and
+    # the caller's graph_id is kept as given
+    if not detail:
+        return TheoremVerdict(theorem_id, hyp, concl, False, graph_id)
+    return TheoremVerdict(theorem_id, hyp, concl, False, _gid(graph_id, *graphs), info)
 
 
 def _pendant_growth_rate(d: int) -> int:
@@ -415,27 +416,16 @@ def check_t42(g, u, v, rep=None, dist=None, graph_id=None, detail=True):
     ud = is_ud_pair(g, dist, u, v)
     hyp = ud and _pendant_growth_rate(d) >= n and rep.e1 > rep.wiener
     concl = None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": n, "diam": d, "ud_pair": ud, "E1": rep.e1, "W": rep.wiener}
+    info = {"n": n, "diam": d, "ud_pair": ud, "E1": rep.e1, "W": rep.wiener}
     if hyp:
-        grown = attach_pendants_at(g, u, v)
-        grep = full_report(grown)
+        grep = full_report(attach_pendants_at(g, u, v))
         e1_expected = rep.e1 + 2 * rep.total_ecc + n + 2 * (d + 2) ** 2
         w_expected = rep.wiener + dist.tr[u] + dist.tr[v] + 2 * n + d + 2
         identities = grep.e1 == e1_expected and grep.wiener == w_expected
         concl = grep.e1 > grep.wiener and identities
-        if detail:
-            info.update(
-                {
-                    "E1_grown": grep.e1,
-                    "W_grown": grep.wiener,
-                    "E1_expected": e1_expected,
-                    "W_expected": w_expected,
-                }
-            )
-    return TheoremVerdict("T4.2", hyp, concl, False, graph_id, info)
+        info.update(E1_grown=grep.e1, W_grown=grep.wiener,
+                    E1_expected=e1_expected, W_expected=w_expected)
+    return _verdict("T4.2", hyp, concl, info, detail, graph_id, g)
 
 
 def check_t43(g, u, v, rep=None, dist=None, graph_id=None, detail=True):
@@ -453,26 +443,13 @@ def check_t43(g, u, v, rep=None, dist=None, graph_id=None, detail=True):
         and rep.e2 > rep.e1
     )
     concl = None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": n, "m": rep.m, "diam": d, "ud_pair": ud,
-                "E1": rep.e1, "E2": rep.e2}
+    info = {"n": n, "m": rep.m, "diam": d, "ud_pair": ud, "E1": rep.e1, "E2": rep.e2}
     if hyp:
-        grown = attach_pendants_at(g, u, v)
-        grep = full_report(grown)
+        grep = full_report(attach_pendants_at(g, u, v))
         e2_expected = 2 * (d + 2) * (d + 1) + rep.e2 + rep.m + rep.ecc_connectivity
-        identity = grep.e2 == e2_expected
-        concl = grep.e2 > grep.e1 and identity
-        if detail:
-            info.update(
-                {
-                    "E1_grown": grep.e1,
-                    "E2_grown": grep.e2,
-                    "E2_expected": e2_expected,
-                }
-            )
-    return TheoremVerdict("T4.3", hyp, concl, False, graph_id, info)
+        concl = grep.e2 > grep.e1 and grep.e2 == e2_expected
+        info.update(E1_grown=grep.e1, E2_grown=grep.e2, E2_expected=e2_expected)
+    return _verdict("T4.3", hyp, concl, info, detail, graph_id, g)
 
 
 def check_c44(g, u, v, length, rep=None, dist=None, graph_id=None, detail=True):
@@ -494,10 +471,7 @@ def check_c44(g, u, v, length, rep=None, dist=None, graph_id=None, detail=True):
         rep.e1 > rep.wiener
     )
     concl = None
-    info = None
-    if detail:
-        graph_id = _gid(g, graph_id)
-        info = {"n": n, "diam": d, "length": length, "ud_pair": ud}
+    info = {"n": n, "diam": d, "length": length, "ud_pair": ud}
     if hyp:
         grown = attach_pendant_paths_at(g, u, v, length)
         grep = full_report(grown)
@@ -512,23 +486,12 @@ def check_c44(g, u, v, length, rep=None, dist=None, graph_id=None, detail=True):
             cur = attach_pendants_at(cur, cu, cv)
             cu, cv = cur.n - 2, cur.n - 1
         concl = grep.e1 > grep.wiener and cur == grown and steps_ok
-        if detail:
-            info.update(
-                {
-                    "E1_grown": grep.e1,
-                    "W_grown": grep.wiener,
-                    "steps_gated": steps_gated,
-                }
-            )
-    return TheoremVerdict("C4.4", hyp, concl, False, graph_id, info)
+        info.update(E1_grown=grep.e1, W_grown=grep.wiener, steps_gated=steps_gated)
+    return _verdict("C4.4", hyp, concl, info, detail, graph_id, g)
 
 
 # ---------------------------------------------------------------------------
 # product claims
-
-
-def _pair_id(g, h):
-    return f"{emit_graph6(g)} {emit_graph6(h)}"
 
 
 def check_product_identities(g, h, detail=True):
@@ -555,19 +518,9 @@ def check_product_identities(g, h, detail=True):
     concl = (
         rp.e1 == e1_expected and rp.e2 == e2_expected and rp.wiener == w_expected
     )
-    info = None
-    if detail:
-        info = {
-            "E1": rp.e1,
-            "E1_expected": e1_expected,
-            "E2": rp.e2,
-            "E2_expected": e2_expected,
-            "W": rp.wiener,
-            "W_expected": w_expected,
-        }
-    return TheoremVerdict(
-        "L5.1/L5.3", True, concl, False, _pair_id(g, h) if detail else None, info
-    )
+    info = {"E1": rp.e1, "E1_expected": e1_expected, "E2": rp.e2,
+            "E2_expected": e2_expected, "W": rp.wiener, "W_expected": w_expected}
+    return _verdict("L5.1/L5.3", True, concl, info, detail, None, g, h)
 
 
 def check_t52(g, h, detail=True):
@@ -576,16 +529,12 @@ def check_t52(g, h, detail=True):
     rg = full_report(g)
     rh = full_report(h)
     hyp = rg.wiener >= rg.e1 and rh.wiener >= rh.e1 and max(g.n, h.n) > 2
-    concl = None
-    info = None
+    concl = info = None
     if hyp:
         rp = full_report(cartesian_product(g, h))
         concl = rp.wiener > rp.e1
-        if detail:
-            info = {"W": rp.wiener, "E1": rp.e1}
-    return TheoremVerdict(
-        "T5.2", hyp, concl, False, _pair_id(g, h) if detail else None, info
-    )
+        info = {"W": rp.wiener, "E1": rp.e1}
+    return _verdict("T5.2", hyp, concl, info, detail, None, g, h)
 
 
 def check_t54(g, h, detail=True):
@@ -603,16 +552,12 @@ def check_t54(g, h, detail=True):
         and rg.wiener > 2 * dg * dg * dh * g.n
         and rh.wiener > 2 * dh * dh * dg * h.n
     )
-    concl = None
-    info = None
+    concl = info = None
     if hyp:
         rp = full_report(cartesian_product(g, h))
         concl = rp.wiener > rp.e2
-        if detail:
-            info = {"W": rp.wiener, "E2": rp.e2}
-    return TheoremVerdict(
-        "T5.4", hyp, concl, False, _pair_id(g, h) if detail else None, info
-    )
+        info = {"W": rp.wiener, "E2": rp.e2}
+    return _verdict("T5.4", hyp, concl, info, detail, None, g, h)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,6 @@ def transmission_gap(dist: DistanceData, v: int, total_ecc: int | None = None) -
 def transmission_gap_equality_holds(dist: DistanceData, v: int) -> bool:
     """The stated zero-gap condition, checked directly from distances."""
     n = dist.n
-    row = list(dist.dist[v * n : (v + 1) * n])
+    row = dist.dist[v * n : (v + 1) * n]  # a slice of a list is a copy
     row[v] = dist.ecc[v]  # v itself is exempt
     return row == dist.ecc

@@ -45,11 +45,7 @@ from distinv import (
     sample_diameter2_graphs,
     star,
     thm29_construction,
-    universal_vertices,
-    wiener,
     wiener_tree_edgecut,
-    zagreb_ecc_1,
-    zagreb_ecc_2,
 )
 from distinv.sweeps import enumerate_trees
 from distinv.theorems import check_l41
@@ -119,7 +115,7 @@ def unary_hunt():
 @pytest.fixture(scope="module")
 def diam2_hunt_w1():
     spec = SweepSpec(
-        "diameter2_graphs", 9, 12, "random", sample_count=DIAM2_COUNT, seed=DIAM2_SEED
+        "diameter2_graphs", 9, 12, sample_count=DIAM2_COUNT, seed=DIAM2_SEED
     )
     start = time.perf_counter()
     reports = hunt(spec, SAMPLED_IDS)
@@ -129,7 +125,7 @@ def diam2_hunt_w1():
 @pytest.fixture(scope="module")
 def diam2_hunt_w8():
     spec = SweepSpec(
-        "diameter2_graphs", 9, 12, "random", sample_count=DIAM2_COUNT, seed=DIAM2_SEED
+        "diameter2_graphs", 9, 12, sample_count=DIAM2_COUNT, seed=DIAM2_SEED
     )
     return hunt(spec, SAMPLED_IDS, workers=8)
 
@@ -159,16 +155,14 @@ def tree33_hunt_w8():
 def test_criterion_01_closed_form_golden_values():
     start = time.perf_counter()
     for n in range(3, 11):
-        g = complete(n)
-        d = all_pairs_distances(g)
-        assert zagreb_ecc_1(g, d) == n
-        assert zagreb_ecc_2(g, d) == n * (n - 1) // 2 == wiener(g, d)
+        r = full_report(complete(n))
+        assert r.e1 == n
+        assert r.e2 == n * (n - 1) // 2 == r.wiener
     for n in range(3, 21):
-        g = cycle(n)
-        d = all_pairs_distances(g)
+        r = full_report(cycle(n))
         want = n * (n // 2) ** 2
-        assert zagreb_ecc_1(g, d) == want
-        assert zagreb_ecc_2(g, d) == want
+        assert r.e1 == want
+        assert r.e2 == want
     assert time.perf_counter() - start < 1.0
 
 
@@ -187,7 +181,7 @@ def test_criterion_03_tree_edgecut_identity():
     total = 0
     for n in range(2, 13):
         for t in enumerate_trees(n):
-            assert wiener_tree_edgecut(t) == wiener(t)
+            assert wiener_tree_edgecut(t) == full_report(t).wiener
             total += 1
     assert total == 986
     assert time.perf_counter() - start < 10.0
@@ -479,7 +473,8 @@ def test_criterion_12_thm29_construction_grid():
         for n_prime in range(1, n - 1):
             g = thm29_construction(n, n_prime)
             rep = full_report(g)
-            assert len(universal_vertices(g)) == n_prime
+            assert sum(1 for v in range(n) if g.degree(v) == n - 1) == n_prime
+            assert rep.n_universal == n_prime
             assert rep.diam == 2
             assert rep.e2 > rep.wiener
 

@@ -22,7 +22,6 @@ from distinv import (
     path,
     star,
     thm29_construction,
-    universal_vertices,
 )
 from distinv.ud import eccentric_set, find_ud_certificate, is_ud_pair
 
@@ -255,7 +254,8 @@ class TestThm29Construction:
         for n, npr in [(9, 5), (10, 1), (12, 10), (9, 1)]:
             g = thm29_construction(n, npr)
             r = full_report(g)
-            assert len(universal_vertices(g)) == npr
+            assert sum(1 for v in range(n) if g.degree(v) == n - 1) == npr
+            assert r.n_universal == npr
             assert r.diam == 2
             assert r.e2 > r.wiener
 
@@ -264,7 +264,7 @@ class TestThm29Construction:
         from fractions import Fraction
 
         g = thm29_construction(10, 1)
-        part = [v for v in range(10) if v not in universal_vertices(g)]
+        part = [v for v in range(10) if g.degree(v) != 9]
         from distinv import induced_subgraph
 
         sub = induced_subgraph(g, part)

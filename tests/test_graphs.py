@@ -194,16 +194,6 @@ class TestDistances:
                 ecc, tr = ecc_tr_by_rows(rows)
                 assert list(d.ecc) == ecc and list(d.tr) == tr
 
-    def test_queue_path_matches_bitmask_path(self, monkeypatch):
-        rng = random.Random(99)
-        graphs = [random_connected_graph(rng, rng.randint(2, 24), 0.2) for _ in range(40)]
-        reference = [all_pairs_distances(g) for g in graphs]
-        monkeypatch.setattr(graphs_mod, "_BITMASK_LIMIT", 1)
-        for g, ref in zip(graphs, reference):
-            d = all_pairs_distances(g)
-            assert list(d.dist) == list(ref.dist)
-            assert list(d.ecc) == list(ref.ecc) and list(d.tr) == list(ref.tr)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12), st.random_module())
     def test_distance_data_invariants(self, n, rnd):

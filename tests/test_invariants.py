@@ -1,24 +1,19 @@
-"""Scalar invariants against closed forms and brute-force oracles."""
+"""Scalar invariants against closed forms, brute-force oracles and networkx."""
 
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distinv import (
     GraphError,
-    all_pairs_distances,
-    eccentric_connectivity,
+    emit_graph6,
     from_edge_list,
     full_report,
-    total_eccentricity,
-    universal_vertices,
-    wiener,
     wiener_tree_edgecut,
-    zagreb_ecc_1,
-    zagreb_ecc_2,
 )
 from distinv.families import complete, cycle, path, star
 from distinv.sweeps import enumerate_connected_graphs, enumerate_trees
@@ -26,28 +21,32 @@ from distinv.sweeps import enumerate_connected_graphs, enumerate_trees
 from oracles import random_connected_graph, wiener_by_pairs
 
 
+def universal(g):
+    return tuple(v for v in range(g.n) if g.degree(v) == g.n - 1)
+
+
 class TestWiener:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_complete(self, n):
-        assert wiener(complete(n)) == n * (n - 1) // 2
+        assert full_report(complete(n)).wiener == n * (n - 1) // 2
 
     def test_star_5(self):
         g = star(5)
-        assert wiener(g) == 16 == g.n * (g.n - 1) - g.m
+        assert full_report(g).wiener == 16 == g.n * (g.n - 1) - g.m
 
     def test_p4(self):
-        assert wiener(path(4)) == 10
+        assert full_report(path(4)).wiener == 10
 
     def test_equals_pairwise_sum_exhaustive(self):
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
-                assert wiener(g) == wiener_by_pairs(g)
+                assert full_report(g).wiener == wiener_by_pairs(g)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 14), st.random_module())
     def test_equals_pairwise_sum_random(self, n, rnd):
         g = random_connected_graph(random.Random(rnd.seed), n, 0.3)
-        assert wiener(g) == wiener_by_pairs(g)
+        assert full_report(g).wiener == wiener_by_pairs(g)
 
 
 class TestWienerTreeEdgecut:
@@ -55,7 +54,7 @@ class TestWienerTreeEdgecut:
         assert wiener_tree_edgecut(path(3)) == 4
 
     def test_p4(self):
-        assert wiener_tree_edgecut(path(4)) == 10 == wiener(path(4))
+        assert wiener_tree_edgecut(path(4)) == 10 == full_report(path(4)).wiener
 
     def test_star(self):
         assert wiener_tree_edgecut(star(5)) == 16
@@ -66,7 +65,7 @@ class TestWienerTreeEdgecut:
     def test_all_trees_up_to_9(self):
         for n in range(2, 10):
             for t in enumerate_trees(n):
-                assert wiener_tree_edgecut(t) == wiener(t)
+                assert wiener_tree_edgecut(t) == full_report(t).wiener
 
     def test_rejects_cycle(self):
         with pytest.raises(GraphError, match="not a tree"):
@@ -81,44 +80,45 @@ class TestWienerTreeEdgecut:
 class TestZagrebEccentricity:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_complete_golden(self, n):
-        g = complete(n)
-        assert zagreb_ecc_1(g) == n
-        assert zagreb_ecc_2(g) == n * (n - 1) // 2
+        r = full_report(complete(n))
+        assert r.e1 == n
+        assert r.e2 == n * (n - 1) // 2
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_cycle_golden(self, n):
-        g = cycle(n)
+        r = full_report(cycle(n))
         want = n * (n // 2) ** 2
-        assert zagreb_ecc_1(g) == want
-        assert zagreb_ecc_2(g) == want
+        assert r.e1 == want
+        assert r.e2 == want
 
     def test_star_diam2_formula(self):
         # one universal vertex: E1 = 4n - 3n'
-        g = star(5)
-        assert zagreb_ecc_1(g) == 4 * 5 - 3 * 1 == 17
-        assert zagreb_ecc_2(g) == 8
+        r = full_report(star(5))
+        assert r.e1 == 4 * 5 - 3 * 1 == 17
+        assert r.e2 == 8
 
     def test_two_universal_vertices_formula(self):
         # K2 joined to three isolated vertices: n'=2, x=0
         g = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-        assert universal_vertices(g) == (0, 1)
-        assert zagreb_ecc_1(g) == 14
-        assert zagreb_ecc_2(g) == 13
+        r = full_report(g)
+        assert universal(g) == (0, 1) and r.n_universal == 2
+        assert r.e1 == 14
+        assert r.e2 == 13
 
     def test_c5_equality(self):
-        g = cycle(5)
-        assert zagreb_ecc_1(g) == zagreb_ecc_2(g) == 20
+        r = full_report(cycle(5))
+        assert r.e1 == r.e2 == 20
 
 
 class TestOtherInvariants:
     def test_total_eccentricity(self):
-        assert total_eccentricity(all_pairs_distances(cycle(6))) == 18
-        assert total_eccentricity(all_pairs_distances(path(4))) == 10
-        assert total_eccentricity(all_pairs_distances(complete(1))) == 0
+        assert full_report(cycle(6)).total_ecc == 18
+        assert full_report(path(4)).total_ecc == 10
+        assert full_report(complete(1)).total_ecc == 0
 
     def test_eccentric_connectivity(self):
-        assert eccentric_connectivity(cycle(4)) == 16
-        assert eccentric_connectivity(path(3)) == 6
+        assert full_report(cycle(4)).ecc_connectivity == 16
+        assert full_report(path(3)).ecc_connectivity == 6
 
     def test_xic_lower_bound_min_degree_2(self):
         # min degree >= 2 forces xic >= 2 * total eccentricity
@@ -126,13 +126,13 @@ class TestOtherInvariants:
             for g in enumerate_connected_graphs(n):
                 if g.min_degree() < 2:
                     continue
-                d = all_pairs_distances(g)
-                assert eccentric_connectivity(g, d) >= 2 * total_eccentricity(d)
+                r = full_report(g)
+                assert r.ecc_connectivity >= 2 * r.total_ecc
 
     def test_universal_vertices(self):
-        assert universal_vertices(star(5)) == (0,)
-        assert universal_vertices(cycle(4)) == ()
-        assert universal_vertices(complete(5)) == (0, 1, 2, 3, 4)
+        for g, want in ((star(5), (0,)), (cycle(4), ()), (complete(5), (0, 1, 2, 3, 4))):
+            assert universal(g) == want
+            assert full_report(g).n_universal == len(want)
 
 
 class TestFullReport:
@@ -177,6 +177,40 @@ class TestFullReport:
 
         d = full_report(path(3)).to_json_dict()
         assert list(d) == CSV_HEADER.split(",")
+
+
+def nx_report(g):
+    """Every integer field of the report, from networkx and the definitions."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    ecc = nx.eccentricity(h)
+    return {
+        "wiener": int(nx.wiener_index(h)),
+        "e1": sum(e * e for e in ecc.values()),
+        "e2": sum(ecc[u] * ecc[v] for u, v in h.edges()),
+        "total_ecc": sum(ecc.values()),
+        "ecc_connectivity": sum(h.degree(v) * ecc[v] for v in h),
+        "n_universal": sum(1 for v in h if h.degree(v) == g.n - 1),
+        "diam": nx.diameter(h, e=ecc),
+        "rad": nx.radius(h, e=ecc),
+    }
+
+
+class TestFullReportAgainstNetworkx:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_connected_labeled_graph(self, n):
+        for g in enumerate_connected_graphs(n):
+            r = full_report(g)
+            want = nx_report(g)
+            assert {k: getattr(r, k) for k in want} == want, emit_graph6(g)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_tree(self, n):
+        for t in enumerate_trees(n):
+            r = full_report(t)
+            want = nx_report(t)
+            assert {k: getattr(r, k) for k in want} == want, emit_graph6(t)
 
 
 class TestRationalComparisons:

@@ -283,7 +283,7 @@ class TestRunSweep:
 
     def test_random_sweep_visits_count(self):
         spec = SweepSpec(
-            "diameter2_graphs", 9, 10, "random", sample_count=10, seed=3
+            "diameter2_graphs", 9, 10, sample_count=10, seed=3
         )
         assert run_sweep(spec, lambda g: None).visited == 20
 
@@ -324,7 +324,7 @@ class TestParallelDeterminism:
         [
             SweepSpec("trees", 2, 10),
             SweepSpec("connected_graphs", 3, 5),
-            SweepSpec("diameter2_graphs", 9, 10, "random", sample_count=40, seed=5),
+            SweepSpec("diameter2_graphs", 9, 10, sample_count=40, seed=5),
         ],
         ids=["trees", "connected", "diam2"],
     )
@@ -335,7 +335,7 @@ class TestParallelDeterminism:
         assert (s1.visited, s1.filtered) == (s3.visited, s3.filtered)
 
     def test_chunked_streams_concatenate_in_order(self):
-        spec = SweepSpec("diameter2_graphs", 9, 9, "random", sample_count=30, seed=5)
+        spec = SweepSpec("diameter2_graphs", 9, 9, sample_count=30, seed=5)
         acc1, _ = self._collect(spec, 1)
         acc4, _ = self._collect(spec, 4)
         assert acc1 == acc4

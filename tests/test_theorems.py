@@ -40,7 +40,6 @@ from distinv.theorems import (
     check_t23,
     check_t25,
     check_t27,
-    check_t27_c28,
     check_t31,
     check_t32,
     check_t33,
@@ -185,7 +184,7 @@ class TestT27C28:
             6,
             [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3)],
         )
-        t27, c28i, c28ii = check_t27_c28(g)
+        t27, c28i, c28ii = check_t27(g), check_c28i(g), check_c28ii(g)
         assert not t27.hypothesis_met
         assert not c28i.hypothesis_met and not c28ii.hypothesis_met
 

@@ -181,19 +181,3 @@ class TestTransmissionGap:
                     gap = transmission_gap(d, v)
                     assert gap >= 0
                     assert (gap == 0) == transmission_gap_equality_holds(d, v)
-
-    def test_equality_check_on_queue_distances(self, monkeypatch):
-        # above the bitmask limit distances live in an array, not a list;
-        # the zero-gap check must read both alike
-        from distinv import graphs as graphs_mod
-
-        graphs = [star(5), path(4), complete(4), cycle(5)]
-        expected = [
-            [transmission_gap_equality_holds(all_pairs_distances(g), v) for v in range(g.n)]
-            for g in graphs
-        ]
-        monkeypatch.setattr(graphs_mod, "_BITMASK_LIMIT", 1)
-        for g, want in zip(graphs, expected):
-            d = all_pairs_distances(g)
-            assert not isinstance(d.dist, list)
-            assert [transmission_gap_equality_holds(d, v) for v in range(g.n)] == want
