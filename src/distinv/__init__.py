@@ -51,7 +51,6 @@ from .sweeps import (
     fold_sweep,
     iter_sweep,
     parse_sweep_spec,
-    run_sweep,
     sample_diameter2_graphs,
 )
 from .ud import (

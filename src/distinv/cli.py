@@ -20,13 +20,12 @@ import sys
 from . import __version__
 from .families import build_family, parse_family_spec
 from .graphs import (
-    Graph,
     GraphError,
     emit_graph6,
     parse_edge_list,
     parse_graph6,
 )
-from .invariants import CSV_HEADER, full_report
+from .invariants import CSV_HEADER, InvariantReport, full_report
 from .sweeps import SweepError, iter_sweep, parse_sweep_spec
 from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, hunt
 from .ud import find_ud_certificate
@@ -112,26 +111,31 @@ def _read_graphs(files):
                     yield f"{label}:{i}", exc
 
 
-def _cmd_invariants(args, out) -> int:
+def _per_graph(files, out, compute, render) -> int:
+    """One output line per input graph; an input or compute error goes to
+    stderr, the loop goes on, and the exit code becomes 2."""
     failed = False
-    if args.format == "csv":
-        print(CSV_HEADER, file=out)
-    for label, item in _read_graphs(args.files):
-        if isinstance(item, GraphError):
-            print(f"error: {label}: {item}", file=sys.stderr)
-            failed = True
-            continue
+    for label, item in _read_graphs(files):
         try:
-            rep = full_report(item)
+            if isinstance(item, GraphError):
+                raise item
+            print(render(compute(item)), file=out)
         except GraphError as exc:
             print(f"error: {label}: {exc}", file=sys.stderr)
             failed = True
-            continue
-        if args.format == "csv":
-            print(rep.csv_row(), file=out)
-        else:
-            print(json.dumps(rep.to_json_dict(), sort_keys=True), file=out)
     return 2 if failed else 0
+
+
+def _json_line(record) -> str:
+    return json.dumps(record.to_json_dict(), sort_keys=True)
+
+
+def _cmd_invariants(args, out) -> int:
+    render = _json_line
+    if args.format == "csv":
+        print(CSV_HEADER, file=out)
+        render = InvariantReport.csv_row
+    return _per_graph(args.files, out, full_report, render)
 
 
 def _cmd_family(args, out) -> int:
@@ -140,21 +144,23 @@ def _cmd_family(args, out) -> int:
     return 0
 
 
-def _cmd_enumerate(args, out) -> int:
-    spec = parse_sweep_spec(args.sweep)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+def _sweep_spec(text, seed):
+    # the spec as parsed, with ``--seed`` overriding its seed
+    spec = parse_sweep_spec(text)
+    if seed is not None:
+        spec = dataclasses.replace(spec, seed=seed)
         spec.validate()
-    for g in iter_sweep(spec):
+    return spec
+
+
+def _cmd_enumerate(args, out) -> int:
+    for g in iter_sweep(_sweep_spec(args.sweep, args.seed)):
         print(emit_graph6(g), file=out)
     return 0
 
 
 def _cmd_verify(args, out) -> int:
-    spec = parse_sweep_spec(args.sweep)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-        spec.validate()
+    spec = _sweep_spec(args.sweep, args.seed)
     token = args.theorems.strip()
     ids = list(ALL_UNARY_IDS) if token == "all-unary" else [
         t.strip() for t in token.split(",") if t.strip()
@@ -187,20 +193,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_ud(args, out) -> int:
-    failed = False
-    for label, item in _read_graphs(args.files):
-        if isinstance(item, GraphError):
-            print(f"error: {label}: {item}", file=sys.stderr)
-            failed = True
-            continue
-        try:
-            cert = find_ud_certificate(item)
-        except GraphError as exc:
-            print(f"error: {label}: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        print(json.dumps(cert.to_json_dict(), sort_keys=True), file=out)
-    return 2 if failed else 0
+    return _per_graph(args.files, out, find_ud_certificate, _json_line)
 
 
 _COMMANDS = {

@@ -96,9 +96,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.bits[u] >> v) & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as pairs ``(u, v)`` with ``u < v``."""
         for u, b in enumerate(self.bits):

@@ -34,11 +34,16 @@ and products stay below 2^128, so no lane spills into the next.
 
 Sweeps partition into chunks (edge-mask ranges, tree-ordinal residues,
 sample-index ranges) that merge associatively, so worker count never changes
-a result.  Parallel execution forks, so it is POSIX-only.
+a result.  A chunk is one order and one stream of graphs, filtered and
+counted in one place; every walk over a sweep reads these streams (the
+enumerators above are ``iter_sweep`` over one order, and ``fold_sweep``
+states the contract), and ``SweepSpec.validate`` is the only bound check.
+Parallel execution forks, so it is POSIX-only.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import time
@@ -66,7 +71,7 @@ class SweepError(GraphError):
 
 
 class SweepVisitError(SweepError):
-    """A visitor raised; the message carries the offending graph's graph6."""
+    """A fold raised; the message carries the graph6 of the graph in hand."""
 
 
 def mix64(x: int) -> int:
@@ -94,9 +99,7 @@ def _stream_key(seed: int, n: int) -> int:
 
 def enumerate_connected_graphs(n: int):
     """Every connected simple graph on n labeled vertices, exactly once."""
-    if not 1 <= n <= CONNECTED_MAX_N:
-        raise SweepError(f"exhaustive bound exceeded: need 1 <= n <= 8, got {n}")
-    return _connected_graphs_range(n, 0, 1 << (n * (n - 1) // 2))
+    return iter_sweep(SweepSpec("connected_graphs", n, n))
 
 
 def _connected_graphs_range(n, lo, hi):
@@ -138,9 +141,7 @@ def enumerate_trees(n: int):
     lexicographic order, keeping exactly the height-balanced rootings that
     represent each free tree once.
     """
-    if not TREE_MIN_N <= n <= TREE_MAX_N:
-        raise SweepError(f"tree enumeration needs 2 <= n <= 18, got {n}")
-    return _tree_stream(n)
+    return iter_sweep(SweepSpec("trees", n, n))
 
 
 def _tree_stream(n):
@@ -229,13 +230,9 @@ def _tree_from_levels(levels):
 
 def sample_diameter2_graphs(n: int, count: int, seed: int):
     """``count`` connected diameter-2 graphs of order n, seeded."""
-    if n < 3:
-        raise SweepError(f"diameter-2 sampling needs n >= 3, got {n}")
-    if n > _SAMPLER_MAX_N:
-        raise SweepError(f"diameter-2 sampling supports n <= {_SAMPLER_MAX_N}")
-    if count < 1:
-        raise SweepError(f"sample count must be >= 1, got {count}")
-    yield from _diam2_stream(seed, n, 0, count)
+    return iter_sweep(
+        SweepSpec("diameter2_graphs", n, n, sample_count=count, seed=seed)
+    )
 
 
 def _diam2_stream(seed, n, lo, hi):
@@ -311,14 +308,10 @@ def _filter_self_centered(g: Graph) -> bool:
     return d.diam == d.rad
 
 
-def _filter_min_degree_2(g: Graph) -> bool:
-    return g.min_degree() >= 2
-
-
 FILTERS = {
     "self_centered": _filter_self_centered,
     "non_self_centered": lambda g: not _filter_self_centered(g),
-    "min_degree_2": _filter_min_degree_2,
+    "min_degree_2": lambda g: g.min_degree() >= 2,
 }
 
 _TARGETS = ("connected_graphs", "trees", "diameter2_graphs")
@@ -464,35 +457,47 @@ def _chunks(spec: SweepSpec, parts: int):
     return out
 
 
-def _iter_chunk(spec: SweepSpec, chunk):
+class _Tally:
+    """What one chunk's stream handed out, dropped and raised."""
+
+    visited = filtered = 0
+    last = error = None
+
+
+def _iter_chunk(spec: SweepSpec, chunk, tally: _Tally):
+    # one chunk's graphs, all of one order, with the sweep's filter applied
     kind, n, a, b = chunk
     if kind == "mask":
-        yield from _connected_graphs_range(n, a, b)
+        source = _connected_graphs_range(n, a, b)
     elif kind == "mod":
-        for i, t in enumerate(_tree_stream(n)):
-            if i % b == a:
-                yield t
+        source = itertools.islice(_tree_stream(n), a, None, b)
     else:
-        yield from _diam2_stream(spec.seed, n, a, b)
+        source = _diam2_stream(spec.seed, n, a, b)
+    flt = FILTERS[spec.filter_name] if spec.filter_name else None
+    try:
+        for g in source:
+            if flt is not None and not flt(g):
+                tally.filtered += 1
+                continue
+            tally.visited += 1
+            tally.last = g
+            yield g
+    except Exception as exc:  # the stream's own error, not the fold's
+        tally.error = exc
+        raise
 
 
 def _fold_chunk(spec, chunk, fold, zero):
+    tally = _Tally()
     acc = zero()
-    flt = FILTERS[spec.filter_name] if spec.filter_name else None
-    visited = 0
-    filtered = 0
-    for g in _iter_chunk(spec, chunk):
-        if flt is not None and not flt(g):
-            filtered += 1
-            continue
-        try:
-            acc = fold(acc, g)
-        except Exception as exc:
-            raise SweepVisitError(
-                f"visitor failed on {emit_graph6(g)}: {exc!r}"
-            ) from exc
-        visited += 1
-    return acc, visited, filtered
+    try:
+        acc = fold(acc, _iter_chunk(spec, chunk, tally))
+    except Exception as exc:
+        if exc is tally.error:
+            raise
+        where = "no graph yet" if tally.last is None else emit_graph6(tally.last)
+        raise SweepVisitError(f"visitor failed on {where}: {exc!r}") from exc
+    return acc, tally.visited, tally.filtered
 
 
 def _start_fold_worker(*job):
@@ -512,14 +517,27 @@ def _pool_size(workers: int, chunks: int) -> int:
 
 
 def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
-    """Fold a function over every graph of a sweep.
+    """Fold a function over every graph of a sweep, one chunk at a time.
 
-    ``fold(acc, graph) -> acc`` runs within a chunk, ``combine(acc, acc) ->
-    acc`` merges chunk results in deterministic chunk order, ``zero()`` makes
-    a fresh accumulator.  Returns ``(acc, SweepSummary)``.  Each order is cut
-    into at most min(workers, CPUs) chunks, which run in forked processes if
-    there are several; the callables are inherited through the fork, so
-    anything defined at call time works, but side effects stay in the children.
+    ``fold(acc, graphs) -> acc`` is called once per chunk with a fresh
+    ``zero()`` and that chunk's stream; ``combine(acc, acc) -> acc`` merges
+    chunk results in deterministic chunk order.  Returns
+    ``(acc, SweepSummary)``.  The contract:
+
+    * ``graphs`` is an iterator, never a list: a chunk can hold 2^28 masks;
+    * every graph in one call has the same order;
+    * the summary counts the graphs the stream handed out, so the fold must
+      exhaust it;
+    * if the fold raises, the error becomes
+      ``SweepVisitError("visitor failed on <graph6>: <exc!r>")``, naming the
+      graph the stream handed out last (``no graph yet`` before the first);
+    * an error the stream raises itself, such as
+      ``SweepError("sampling stalled")``, propagates unwrapped.
+
+    Each order is cut into at most min(workers, CPUs) chunks, which run in
+    forked processes if there are several; the callables are inherited
+    through the fork, so anything defined at call time works, but side
+    effects stay in the children.
     """
     spec.validate()
     start = time.perf_counter()
@@ -544,27 +562,9 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
 
 
 def iter_sweep(spec: SweepSpec):
-    """All graphs of a sweep in canonical order, filter applied."""
+    """All graphs of a sweep in canonical order, filter applied; the spec is
+    validated when iteration starts."""
     spec.validate()
-    flt = FILTERS[spec.filter_name] if spec.filter_name else None
+    tally = _Tally()
     for chunk in _chunks(spec, 1):
-        for g in _iter_chunk(spec, chunk):
-            if flt is None or flt(g):
-                yield g
-
-
-def run_sweep(spec: SweepSpec, visitor, *, workers: int = 1) -> SweepSummary:
-    """Apply ``visitor`` to every sweep graph and return merged counts.
-
-    In parallel mode the visitor runs in forked workers, so its side effects
-    are not visible to the caller; use :func:`fold_sweep` to gather results.
-    """
-
-    def fold(acc, g):
-        visitor(g)
-        return acc
-
-    _, summary = fold_sweep(
-        spec, fold, lambda a, _b: a, lambda: None, workers=workers
-    )
-    return summary
+        yield from _iter_chunk(spec, chunk, tally)

@@ -411,6 +411,11 @@ def check_t42(g, u, v, rep=None, dist=None, graph_id=None, detail=True):
     pair vertex preserves E1 > W, and the exact growth bookkeeping
     (E1 grows by 2*totecc + n + 2(d+2)^2, W by Tr(u)+Tr(v)+2n+d+2) holds."""
     rep, dist = _prep(g, rep, dist)
+    return _t42(g, u, v, rep, dist, None, graph_id, detail)
+
+
+def _t42(g, u, v, rep, dist, grep, graph_id=None, detail=True):
+    # check_t42 given the grown graph's report, or None to build it if gated
     n = rep.n
     d = rep.diam
     ud = is_ud_pair(g, dist, u, v)
@@ -418,7 +423,8 @@ def check_t42(g, u, v, rep=None, dist=None, graph_id=None, detail=True):
     concl = None
     info = {"n": n, "diam": d, "ud_pair": ud, "E1": rep.e1, "W": rep.wiener}
     if hyp:
-        grep = full_report(attach_pendants_at(g, u, v))
+        if grep is None:
+            grep = full_report(attach_pendants_at(g, u, v))
         e1_expected = rep.e1 + 2 * rep.total_ecc + n + 2 * (d + 2) ** 2
         w_expected = rep.wiener + dist.tr[u] + dist.tr[v] + 2 * n + d + 2
         identities = grep.e1 == e1_expected and grep.wiener == w_expected
@@ -474,17 +480,19 @@ def check_c44(g, u, v, length, rep=None, dist=None, graph_id=None, detail=True):
     info = {"n": n, "diam": d, "length": length, "ud_pair": ud}
     if hyp:
         grown = attach_pendant_paths_at(g, u, v, length)
-        grep = full_report(grown)
-        cur, cu, cv = g, u, v
+        # each step's grown graph is the next step's input: one BFS per graph
+        cur, cu, cv, crep, cdist = g, u, v, rep, dist
         steps_gated = 0
         steps_ok = True
         for _ in range(length):
-            step = check_t42(cur, cu, cv, detail=False)
+            nxt = attach_pendants_at(cur, cu, cv)
+            nrep, ndist = _prep(nxt, None, None)
+            step = _t42(cur, cu, cv, crep, cdist, nrep, detail=False)
             if step.hypothesis_met:
                 steps_gated += 1
                 steps_ok = steps_ok and bool(step.conclusion_held)
-            cur = attach_pendants_at(cur, cu, cv)
-            cu, cv = cur.n - 2, cur.n - 1
+            cur, cu, cv, crep, cdist = nxt, nxt.n - 2, nxt.n - 1, nrep, ndist
+        grep = crep if cur == grown else full_report(grown)
         concl = grep.e1 > grep.wiener and cur == grown and steps_ok
         info.update(E1_grown=grep.e1, W_grown=grep.wiener, steps_gated=steps_gated)
     return _verdict("C4.4", hyp, concl, info, detail, graph_id, g)
@@ -581,21 +589,22 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         # per claim: hypothesis hits, counterexample verdicts, equality graph6
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
-    def fold(acc, g):
-        dist = all_pairs_distances(g)
-        rep = full_report(g, dist)
+    def fold(acc, graphs):
         hits, cexs, eqs = acc
-        g6 = None
-        for i, predicate in predicates:
-            hyp, held, eq = predicate(g, rep, dist)
-            if hyp:
-                hits[i] += 1
-                if not held:
+        for g in graphs:
+            dist = all_pairs_distances(g)
+            rep = full_report(g, dist)
+            g6 = None
+            for i, predicate in predicates:
+                hyp, held, eq = predicate(g, rep, dist)
+                if hyp:
+                    hits[i] += 1
+                    if not held:
+                        g6 = g6 or emit_graph6(g)
+                        cexs[i].append(claims[i].verdict(g, rep, dist, g6))
+                if eq:
                     g6 = g6 or emit_graph6(g)
-                    cexs[i].append(claims[i].verdict(g, rep, dist, g6))
-            if eq:
-                g6 = g6 or emit_graph6(g)
-                eqs[i].add(g6)
+                    eqs[i].add(g6)
         return acc
 
     def combine(a, b):

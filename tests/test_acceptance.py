@@ -65,13 +65,14 @@ SAMPLED_IDS = ("T2.5", "T2.7", "C2.8i", "C2.8ii", "P2.4")
 TREE_IDS = ("T3.1", "T3.2", "L4.1")
 
 
-def _oracle_fold(acc, g):
-    rows = floyd_warshall(g)
-    d = all_pairs_distances(g)
-    ok = all(d.row(v) == rows[v] for v in range(g.n))
-    ok = ok and d.ecc == [max(r) for r in rows] and d.tr == [sum(r) for r in rows]
-    acc[0] += 1
-    acc[1] += 0 if ok else 1
+def _oracle_fold(acc, graphs):
+    for g in graphs:
+        rows = floyd_warshall(g)
+        d = all_pairs_distances(g)
+        ok = all(d.row(v) == rows[v] for v in range(g.n))
+        ok = ok and d.ecc == [max(r) for r in rows] and d.tr == [sum(r) for r in rows]
+        acc[0] += 1
+        acc[1] += 0 if ok else 1
     return acc
 
 
@@ -482,13 +483,14 @@ def test_criterion_12_thm29_construction_grid():
 def test_supporting_xic_lower_bound_n7():
     # min degree >= 2 forces eccentric connectivity >= twice total
     # eccentricity; smaller orders are covered by the unit suite
-    def fold(bad, g):
-        if g.min_degree() >= 2:
-            d = all_pairs_distances(g)
-            ecc = d.ecc
-            xic = sum(b.bit_count() * ecc[v] for v, b in enumerate(g.bits))
-            if xic < 2 * sum(ecc):
-                return bad + 1
+    def fold(bad, graphs):
+        for g in graphs:
+            if g.min_degree() >= 2:
+                d = all_pairs_distances(g)
+                ecc = d.ecc
+                xic = sum(b.bit_count() * ecc[v] for v, b in enumerate(g.bits))
+                if xic < 2 * sum(ecc):
+                    bad += 1
         return bad
 
     bad, _ = fold_sweep(
@@ -499,8 +501,8 @@ def test_supporting_xic_lower_bound_n7():
 
 def test_supporting_graph6_round_trip_full_n7():
     # codec identity over the same corpus the distance oracle covers
-    def fold(bad, g):
-        return bad + (0 if parse_graph6(emit_graph6(g)) == g else 1)
+    def fold(bad, graphs):
+        return bad + sum(parse_graph6(emit_graph6(g)) != g for g in graphs)
 
     for n in (6, 7):
         bad, summary = fold_sweep(

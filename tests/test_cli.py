@@ -1,8 +1,11 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from distinv import parse_graph6
 from distinv.cli import main
@@ -214,6 +217,85 @@ class TestOutputAndPackaging:
         )
         assert proc.returncode == 0
         assert parse_graph6(proc.stdout.strip()).n == 4
+
+
+DIAM2 = "diam2:n=9..10,count=200,seed=5"
+DIAM2_IDS = "T2.3,P2.4,T2.5,P2.6,T2.7,C2.8i,C2.8ii"
+
+# SHA-256 of stdout, stderr and exit code, each followed by a NUL byte; an
+# argument "{ingest}" stands for a file holding the graph6 lines of DIAM2 and
+# of trees:2..9, then a malformed line and a disconnected graph ("{good}" is
+# the same file without those two lines)
+GOLDEN = {
+    "verify-connected-json": (
+        ["verify", "--sweep", "connected:3..6", "--theorems", "all-unary",
+         "--format", "json", "--verbose"],
+        "848eccfb13253a2d73ab5da16297bba46d385c9693f68be8c9a3a57ba3099085",
+    ),
+    "verify-trees-exit-1": (
+        ["verify", "--sweep", "trees:2..12", "--theorems", "T3.1,T3.2,T3.3,L4.1"],
+        "db0bcc94f29668059c057a30c8752023be1f44e367fe081fddbad19e0eb50540",
+    ),
+    "verify-diam2-w1": (
+        ["verify", "--sweep", DIAM2, "--theorems", DIAM2_IDS, "--workers", "1"],
+        "8877899e178512b8de528fcd1f912ecf3ebe5f6dc9db962142b59b4ee1b18985",
+    ),
+    "verify-diam2-w2": (
+        ["verify", "--sweep", DIAM2, "--theorems", DIAM2_IDS, "--workers", "2"],
+        "8877899e178512b8de528fcd1f912ecf3ebe5f6dc9db962142b59b4ee1b18985",
+    ),
+    "enumerate-diam2": (
+        ["enumerate", DIAM2],
+        "dd3e1e9cbb77ca7e0dbf6067246b7143871b0a9acbb746fb00831e2f083ccbc4",
+    ),
+    "invariants-csv": (
+        ["invariants", "{good}"],
+        "855dbb7723ee6f11bc009576a776bf2669bd618cb8521f9adc73039ce8d0194b",
+    ),
+    "invariants-json": (
+        ["invariants", "--format", "json", "{good}"],
+        "c3c7d547118673430f2bfc8c2254db16657f8fb1414f6b6f755c5df7a92ff5be",
+    ),
+    "ud": (
+        ["ud", "{good}"],
+        "b881afd3ce08aa18e8aed98b51c8a413141be2fecf121082bd8a465bec85bcec",
+    ),
+    "invariants-bad-lines": (
+        ["invariants", "{ingest}"],
+        "165765a85afe5969514c28d8bec876afae05bbbbfa4e6cffb44d3c15edeac9f2",
+    ),
+    "ud-bad-lines": (
+        ["ud", "{ingest}"],
+        "5b51468f2481d8980090d1b8e72fa9bc257f09aaf99030e5fb589c9d811ee8cc",
+    ),
+    "verify-bad-spec": (
+        ["verify", "--sweep", "connected:0..9", "--theorems", "P2.1"],
+        "becc70c701bbfa8f14fc54770f6e9689c4644a6079ac11554a4c7764bff1cbe3",
+    ),
+}
+
+
+def _digest(code, out, err):
+    h = hashlib.sha256()
+    for part in (out, err, str(code)):
+        h.update(part.encode() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(capsys, monkeypatch, tmp_path, name):
+    argv, digest = GOLDEN[name]
+    if "{good}" in argv or "{ingest}" in argv:
+        # relative names, so the error labels on stderr do not vary
+        monkeypatch.chdir(tmp_path)
+        lines = []
+        for spec in (DIAM2, "trees:2..9"):
+            assert main(["enumerate", spec]) == 0
+            lines.append(capsys.readouterr().out)
+        (tmp_path / "good.g6").write_text("".join(lines))
+        (tmp_path / "ingest.g6").write_text("".join(lines) + "!!!bogus!!!\nCK\n")
+        argv = [{"{good}": "good.g6", "{ingest}": "ingest.g6"}.get(a, a) for a in argv]
+    assert _digest(*run_cli(capsys, *argv)) == digest
 
 
 class _FakeStdin:

@@ -1,6 +1,7 @@
 """Enumeration counts, sampler reproducibility, and the parallel fold."""
 
 import hashlib
+import operator
 
 import pytest
 
@@ -19,15 +20,16 @@ from distinv import (
     is_connected,
     iter_sweep,
     parse_sweep_spec,
-    run_sweep,
     sample_diameter2_graphs,
 )
 from distinv import sweeps as sweeps_mod
 from distinv.sweeps import (
+    SweepVisitError,
     _DIAM2_THRESH,
     _GOLDEN,
     _M64,
     _bernoulli_rows,
+    _chunks,
     _connected_diam2,
     _pair_lanes,
     _pool_size,
@@ -46,6 +48,14 @@ TREE_COUNTS = {
 }
 
 
+def _count(acc, graphs):
+    return acc + sum(1 for _ in graphs)
+
+
+def _graph6_list(acc, graphs):
+    return acc + [emit_graph6(g) for g in graphs]
+
+
 class TestConnectedEnumeration:
     @pytest.mark.parametrize("n,count", sorted(CONNECTED_COUNTS.items()))
     def test_counts(self, n, count):
@@ -60,7 +70,7 @@ class TestConnectedEnumeration:
 
     @pytest.mark.parametrize("n", [0, 9])
     def test_bounds(self, n):
-        with pytest.raises(SweepError, match="exhaustive bound"):
+        with pytest.raises(SweepError, match="exhaustive connected sweep needs"):
             list(enumerate_connected_graphs(n))
 
 
@@ -265,59 +275,119 @@ class TestSweepSpecParsing:
 
 
 class TestRunSweep:
+    """Sweep counts and fold errors, through the stream fold."""
+
     def test_tree_sweep_visits_986(self):
         spec = SweepSpec("trees", 2, 12)
-        summary = run_sweep(spec, lambda g: None)
-        assert summary.visited == 986 and summary.filtered == 0
+        count, summary = fold_sweep(spec, _count, operator.add, int)
+        assert count == summary.visited == 986 and summary.filtered == 0
 
     def test_filter_count_matches_direct_loop(self):
         spec = SweepSpec("connected_graphs", 5, 5, filter_name="self_centered")
-        summary = run_sweep(spec, lambda g: None)
+        count, summary = fold_sweep(spec, _count, operator.add, int)
         direct = 0
         for g in enumerate_connected_graphs(5):
             d = all_pairs_distances(g)
             if d.diam == d.rad:
                 direct += 1
-        assert summary.visited == direct
+        assert count == summary.visited == direct
         assert summary.visited + summary.filtered == 728
 
     def test_random_sweep_visits_count(self):
         spec = SweepSpec(
             "diameter2_graphs", 9, 10, sample_count=10, seed=3
         )
-        assert run_sweep(spec, lambda g: None).visited == 20
+        count, summary = fold_sweep(spec, _count, operator.add, int)
+        assert count == summary.visited == 20
 
     def test_visitor_error_carries_graph6(self):
-        from distinv.sweeps import SweepVisitError
+        spec = SweepSpec("trees", 6, 6)
+        third = emit_graph6(list(iter_sweep(spec))[2])
 
-        def boom(g):
-            raise ValueError("nope")
+        def boom(acc, graphs):
+            for i, _g in enumerate(graphs):
+                if i == 2:
+                    raise ValueError("nope")
+            return acc
 
-        with pytest.raises(SweepVisitError, match=r"visitor failed on "):
-            run_sweep(SweepSpec("trees", 4, 4), boom)
+        with pytest.raises(SweepVisitError) as info:
+            fold_sweep(spec, boom, operator.add, int)
+        assert str(info.value) == f"visitor failed on {third}: ValueError('nope')"
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_iter_sweep_order_matches_fold(self):
         spec = SweepSpec("trees", 2, 8)
         direct = [emit_graph6(g) for g in iter_sweep(spec)]
-        folded, summary = fold_sweep(
-            spec,
-            lambda acc, g: acc + [emit_graph6(g)],
-            lambda a, b: a + b,
-            list,
-        )
+        folded, summary = fold_sweep(spec, _graph6_list, operator.add, list)
         assert direct == folded and summary.visited == len(direct)
+
+
+class TestStreamContract:
+    """fold_sweep calls the fold once per chunk with that chunk's stream."""
+
+    SPECS = [
+        SweepSpec("trees", 2, 9),
+        SweepSpec("connected_graphs", 1, 5, filter_name="self_centered"),
+        SweepSpec("diameter2_graphs", 9, 10, sample_count=7, seed=5),
+    ]
+
+    @staticmethod
+    def _record(calls):
+        def fold(acc, graphs):
+            orders = set()
+            count = 0
+            for g in graphs:
+                orders.add(g.n)
+                count += 1
+            calls.append((type(graphs), iter(graphs) is graphs, orders))
+            return acc + count
+
+        return fold
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_one_call_per_chunk_with_an_iterator_of_one_order(
+        self, spec, workers, monkeypatch
+    ):
+        # 2 workers split each order in 2 chunks, run by the in-process pool
+        if workers > 1:
+            TestPoolBound._inline_pool(monkeypatch, {})
+        calls = []
+        count, summary = fold_sweep(
+            spec, self._record(calls), operator.add, int, workers=workers
+        )
+        assert len(calls) == len(_chunks(spec, workers))
+        for kind, is_iterator, orders in calls:
+            assert kind is not list and is_iterator and len(orders) <= 1
+        assert count == summary.visited
+
+    def test_summary_counts_what_the_stream_handed_out(self):
+        def two(acc, graphs):
+            next(graphs), next(graphs)
+            return acc
+
+        _, summary = fold_sweep(SweepSpec("trees", 6, 6), two, operator.add, int)
+        assert summary.visited == 2
+
+    def test_error_before_the_first_graph(self):
+        def boom(acc, graphs):
+            raise ValueError("early")
+
+        with pytest.raises(SweepVisitError, match=r"on no graph yet: ValueError"):
+            fold_sweep(SweepSpec("trees", 4, 4), boom, operator.add, int)
+
+    def test_stream_error_propagates_unwrapped(self, monkeypatch):
+        monkeypatch.setattr(sweeps_mod, "_MAX_ATTEMPTS", 0)
+        spec = SweepSpec("diameter2_graphs", 9, 9, sample_count=3, seed=5)
+        with pytest.raises(SweepError, match="sampling stalled") as info:
+            fold_sweep(spec, _count, operator.add, int)
+        assert type(info.value) is SweepError
 
 
 class TestParallelDeterminism:
     @staticmethod
     def _collect(spec, workers):
-        return fold_sweep(
-            spec,
-            lambda acc, g: acc + [emit_graph6(g)],
-            lambda a, b: a + b,
-            list,
-            workers=workers,
-        )
+        return fold_sweep(spec, _graph6_list, operator.add, list, workers=workers)
 
     @pytest.mark.parametrize(
         "spec",
@@ -406,8 +476,8 @@ class TestPoolBound:
         module_before = dict(vars(sweeps_mod))
         count, summary = fold_sweep(
             SweepSpec("connected_graphs", 3, 4),
-            lambda acc, g: acc + 1,
-            lambda a, b: a + b,
+            _count,
+            operator.add,
             int,
             workers=10**6,
         )
@@ -431,8 +501,8 @@ class TestPoolBound:
         monkeypatch.setattr(sweeps_mod, "_chunks", chunks)
         count, summary = fold_sweep(
             SweepSpec("trees", 2, 3),
-            lambda acc, g: acc + 1,
-            lambda a, b: a + b,
+            _count,
+            operator.add,
             int,
             workers=10**9,
         )

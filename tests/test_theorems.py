@@ -363,6 +363,37 @@ class TestC44:
         with pytest.raises(GraphError):
             check_c44(path(6), 0, 5, 0)
 
+    @pytest.mark.parametrize("length, calls", [(1, 2), (2, 3), (3, 4), (5, 6)])
+    def test_one_bfs_per_graph_of_the_iteration(self, monkeypatch, length, calls):
+        # P6 and its L grown graphs, each searched once
+        from distinv import invariants, theorems
+
+        seen = []
+        real = theorems.all_pairs_distances
+
+        def counted(g):
+            seen.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(theorems, "all_pairs_distances", counted)
+        monkeypatch.setattr(invariants, "all_pairs_distances", counted)
+        v = check_c44(path(6), 0, 5, length)
+        assert v.hypothesis_met and v.conclusion_held
+        assert len(seen) == calls
+        assert sorted(seen) == [6 + 2 * i for i in range(length + 1)]
+
+    def test_detail_reports_the_directly_built_graph(self, monkeypatch):
+        # when the iteration and the direct construction disagree, the
+        # verdict fails and its detail describes the direct construction
+        from distinv import theorems
+
+        other = path(12)
+        monkeypatch.setattr(theorems, "attach_pendant_paths_at", lambda *a: other)
+        v = check_c44(a_k(1), 4, 5, 2)
+        assert v.hypothesis_met and v.conclusion_held is False
+        rep = full_report(other)
+        assert (v.detail["E1_grown"], v.detail["W_grown"]) == (rep.e1, rep.wiener)
+
 
 class TestProducts:
     def test_p2_square_identities(self):
