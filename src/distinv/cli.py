@@ -3,7 +3,11 @@
 Commands: ``invariants`` (report rows for input graphs), ``family`` (emit a
 constructed family as graph6), ``enumerate`` (emit a sweep as graph6),
 ``verify`` (run claim checks over a sweep), ``ud`` (UD certificates for
-input graphs).
+input graphs).  Every command takes ``--output FILE``; ``--format``,
+``--workers``, ``--seed`` and ``--verbose`` go only to the commands that read
+them (``invariants --format``, ``enumerate --seed``, and all four on
+``verify``), so any other option is a usage error.  ``--seed`` overrides the
+seed of a ``diam2:`` sweep and is an error on any other sweep.
 
 Exit codes: 0 success, 1 a claim check found a counterexample, 2 usage or
 input error.  Output is byte-identical for identical inputs, seed and
@@ -31,18 +35,17 @@ from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, hunt
 from .ud import find_ud_certificate
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    common.add_argument("--workers", type=int, default=1, help="parallel workers")
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for random sweeps"
-    )
-    common.add_argument("--output", default=None, help="write output to a file")
-    common.add_argument("--verbose", action="store_true")
+# add_argument keywords of the options only some commands read; each command
+# names the ones its handler reads, so no command accepts an option it ignores
+_OPTIONS = {
+    "--format": {"choices": ("csv", "json"), "default": "csv", "help": "output format"},
+    "--workers": {"type": int, "default": 1, "help": "parallel workers"},
+    "--seed": {"type": int, "default": None, "help": "seed of a diam2: sweep"},
+    "--verbose": {"action": "store_true", "help": "list equality cases on stderr"},
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distinv",
         description="Exact distance-based graph invariants and claim checks.",
@@ -50,18 +53,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "invariants", parents=[common], help="invariant report per input graph"
-    )
+    def command(name, help, *options):
+        p = sub.add_parser(name, help=help)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.add_argument("--output", default=None, help="write output to a file")
+        return p
+
+    p = command("invariants", "invariant report per input graph", "--format")
     p.add_argument("files", nargs="*", help="graph6 or edge-list files (default stdin)")
 
-    p = sub.add_parser("family", parents=[common], help="emit a graph family")
+    p = command("family", "emit a graph family")
     p.add_argument("spec", help="e.g. path:7, ak:3, cartesian(path:3,cycle:5)")
 
-    p = sub.add_parser("enumerate", parents=[common], help="emit a sweep as graph6")
+    p = command("enumerate", "emit a sweep as graph6", "--seed")
     p.add_argument("sweep", help="e.g. trees:2..12, connected:3..7")
 
-    p = sub.add_parser("verify", parents=[common], help="check claims over a sweep")
+    p = command(
+        "verify", "check claims over a sweep",
+        "--format", "--workers", "--seed", "--verbose",
+    )
     p.add_argument("--sweep", required=True, help="sweep spec")
     p.add_argument(
         "--theorems",
@@ -69,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated claim ids, or all-unary",
     )
 
-    p = sub.add_parser("ud", parents=[common], help="UD certificate per input graph")
+    p = command("ud", "UD certificate per input graph")
     p.add_argument("files", nargs="*", help="graph6 or edge-list files (default stdin)")
     return parser
 
@@ -145,9 +156,11 @@ def _cmd_family(args, out) -> int:
 
 
 def _sweep_spec(text, seed):
-    # the spec as parsed, with ``--seed`` overriding its seed
+    # the spec as parsed, with ``--seed`` overriding a diam2: sweep's seed
     spec = parse_sweep_spec(text)
     if seed is not None:
+        if spec.target != "diameter2_graphs":
+            raise SweepError(f"--seed applies only to a diam2: sweep, not {text!r}")
         spec = dataclasses.replace(spec, seed=seed)
         spec.validate()
     return spec
@@ -165,7 +178,7 @@ def _cmd_verify(args, out) -> int:
     ids = list(ALL_UNARY_IDS) if token == "all-unary" else [
         t.strip() for t in token.split(",") if t.strip()
     ]
-    reports = hunt(spec, ids, workers=max(1, args.workers))
+    reports = hunt(spec, ids, workers=args.workers)
     if args.format == "csv":
         print(CHECK_CSV_HEADER, file=out)
         for rep in reports:

@@ -350,25 +350,24 @@ def all_pairs_distances(g: Graph) -> DistanceData:
 def is_connected(g: Graph) -> bool:
     """True when one BFS from vertex 0 reaches everything; K1 and the empty
     graph count as connected."""
-    n = g.n
-    if n <= 1:
-        return True
-    bits = g.bits
-    full = (1 << n) - 1
-    seen = 1
-    frontier = 1
-    while frontier:
+    return g.n == 0 or _rows_connected(g.bits)
+
+
+def _rows_connected(rows) -> bool:
+    # one bitset BFS from vertex 0 over neighbor rows (at least one row)
+    full = (1 << len(rows)) - 1
+    seen = 1 | rows[0]
+    frontier = rows[0]
+    while frontier and seen != full:
         nxt = 0
         f = frontier
         while f:
             low = f & -f
-            nxt |= bits[low.bit_length() - 1]
+            nxt |= rows[low.bit_length() - 1]
             f ^= low
         frontier = nxt & ~seen
         seen |= frontier
-        if seen == full:
-            return True
-    return False
+    return seen == full
 
 
 def complement(g: Graph) -> Graph:

@@ -66,11 +66,20 @@ class InvariantReport:
     total_ecc: int
     ecc_connectivity: int
     n_universal: int
-    avd: Fraction
-    avt: Fraction
     self_centered: bool
 
+    @property
+    def avd(self) -> Fraction:
+        """Average degree 2m/n."""
+        return Fraction(2 * self.m, self.n)
+
+    @property
+    def avt(self) -> Fraction:
+        """Average transmission 2W/n."""
+        return Fraction(2 * self.wiener, self.n)
+
     def csv_row(self) -> str:
+        avd, avt = self.avd, self.avt
         return ",".join(
             str(x)
             for x in (
@@ -84,15 +93,16 @@ class InvariantReport:
                 self.total_ecc,
                 self.ecc_connectivity,
                 self.n_universal,
-                self.avd.numerator,
-                self.avd.denominator,
-                self.avt.numerator,
-                self.avt.denominator,
+                avd.numerator,
+                avd.denominator,
+                avt.numerator,
+                avt.denominator,
                 "true" if self.self_centered else "false",
             )
         )
 
     def to_json_dict(self) -> dict:
+        avd, avt = self.avd, self.avt
         return {
             "n": self.n,
             "m": self.m,
@@ -104,10 +114,10 @@ class InvariantReport:
             "totecc": self.total_ecc,
             "xic": self.ecc_connectivity,
             "nprime": self.n_universal,
-            "avd_num": self.avd.numerator,
-            "avd_den": self.avd.denominator,
-            "avt_num": self.avt.numerator,
-            "avt_den": self.avt.denominator,
+            "avd_num": avd.numerator,
+            "avd_den": avd.denominator,
+            "avt_num": avt.numerator,
+            "avt_den": avt.denominator,
             "self_centered": self.self_centered,
         }
 
@@ -148,7 +158,5 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
         total_ecc=sum(ecc),
         ecc_connectivity=sum(b.bit_count() * ecc[v] for v, b in enumerate(bits)),
         n_universal=sum(1 for b in bits if b.bit_count() == n - 1),
-        avd=Fraction(2 * m, n),
-        avt=Fraction(2 * w, n),
         self_centered=dist.diam == dist.rad,
     )

@@ -49,7 +49,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, all_pairs_distances, emit_graph6
+from .graphs import Graph, GraphError, _rows_connected, all_pairs_distances, emit_graph6
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -108,7 +108,6 @@ def _connected_graphs_range(n, lo, hi):
     vidx = [v for _, v in pairs]
     ubit = [1 << u for u, _ in pairs]
     vbit = [1 << v for _, v in pairs]
-    full = (1 << n) - 1
     raw = Graph._raw
     for mask in range(lo, hi):
         rows = [0] * n
@@ -119,18 +118,7 @@ def _connected_graphs_range(n, lo, hi):
             rows[uidx[e]] |= vbit[e]
             rows[vidx[e]] |= ubit[e]
             mm ^= low
-        seen = 1 | rows[0]
-        frontier = rows[0]
-        while frontier and seen != full:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= rows[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen == full:
+        if _rows_connected(rows):
             yield raw(n, rows)
 
 

@@ -13,7 +13,8 @@ definition:
 * ``predicate(g, rep, dist) -> (hypothesis_met, conclusion_held, equality)``
   over the exact :class:`InvariantReport` integers (``conclusion_held`` is
   ``None`` when the hypothesis fails; its docstring is the claim statement);
-* ``fields``, the report values a verdict's detail carries;
+* ``fields``, the report values a verdict's detail carries, named as in
+  :meth:`InvariantReport.to_json_dict`;
 * for T2.3, T3.3 and L4.1, ``extra(g, rep, dist, hypothesis_met)``, the
   derived values the detail adds (branch, disjunct, gap counts).
 
@@ -21,14 +22,15 @@ definition:
 predicates in a plain loop and builds a detailed :class:`TheoremVerdict`
 only for a counterexample.  The public ``check_p21`` ... ``check_l41``
 (also ``UNARY_CHECKS``, by id) are thin wrappers that build one graph's
-verdict from the same row.  The pendant and product claims take explicit
-extra arguments, are exercised by dedicated generators instead, and all
-return through ``_verdict``.
+verdict from the same row; ``detail=False`` leaves a verdict's graph6 id
+and detail unset.  The pendant and product claims take explicit extra
+arguments, are exercised by dedicated generators instead, and their verdicts
+always carry the graph6 id and the detail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .families import attach_pendant_paths_at, attach_pendants_at, cartesian_product
@@ -56,14 +58,7 @@ class TheoremVerdict:
     detail: dict | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "hypothesis_met": self.hypothesis_met,
-            "conclusion_held": self.conclusion_held,
-            "equality": self.equality,
-            "graph_id": self.graph_id,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 CHECK_CSV_HEADER = (
@@ -107,21 +102,9 @@ def _prep(g, rep, dist):
     return rep, dist
 
 
-def _gid(graph_id, *graphs):
-    # a caller's id wins; otherwise the graph6 of each graph, space separated
-    return " ".join(map(emit_graph6, graphs)) if graph_id is None else graph_id
-
-
-# detail key -> InvariantReport attribute
-_FIELDS = {
-    "n": "n",
-    "m": "m",
-    "diam": "diam",
-    "W": "wiener",
-    "E1": "e1",
-    "E2": "e2",
-    "nprime": "n_universal",
-}
+def _gid(*graphs):
+    # a verdict's graph id: the graph6 of each graph, space separated
+    return " ".join(map(emit_graph6, graphs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,15 +116,15 @@ class Claim:
     fields: tuple[str, ...]
     extra: Callable | None = None
 
-    def verdict(self, g, rep, dist, graph_id=None, detail=True) -> TheoremVerdict:
+    def verdict(self, g, rep, dist, detail=True) -> TheoremVerdict:
         hyp, held, eq = self.predicate(g, rep, dist)
-        info = None
-        if detail:
-            graph_id = _gid(graph_id, g)
-            info = {key: getattr(rep, _FIELDS[key]) for key in self.fields}
-            if self.extra is not None:
-                info.update(self.extra(g, rep, dist, hyp))
-        return TheoremVerdict(self.theorem_id, hyp, held, eq, graph_id, info)
+        if not detail:
+            return TheoremVerdict(self.theorem_id, hyp, held, eq)
+        row = rep.to_json_dict()
+        info = {key: row[key] for key in self.fields}
+        if self.extra is not None:
+            info.update(self.extra(g, rep, dist, hyp))
+        return TheoremVerdict(self.theorem_id, hyp, held, eq, _gid(g), info)
 
 
 _UNMET = (False, None, False)
@@ -361,9 +344,9 @@ ALL_UNARY_IDS = tuple(CLAIMS)
 
 
 def _checker(claim: Claim):
-    def check(g, rep=None, dist=None, graph_id=None, detail=True):
+    def check(g, rep=None, dist=None, detail=True):
         rep, dist = _prep(g, rep, dist)
-        return claim.verdict(g, rep, dist, graph_id, detail)
+        return claim.verdict(g, rep, dist, detail)
 
     check.__name__ = check.__qualname__ = "check_" + claim.theorem_id.lower().replace(
         ".", ""
@@ -393,29 +376,23 @@ check_l41 = UNARY_CHECKS["L4.1"]
 # pendant-growth claims
 
 
-def _verdict(theorem_id, hyp, concl, info, detail, graph_id, *graphs):
-    # a pendant or product verdict; without detail, ``info`` is dropped and
-    # the caller's graph_id is kept as given
-    if not detail:
-        return TheoremVerdict(theorem_id, hyp, concl, False, graph_id)
-    return TheoremVerdict(theorem_id, hyp, concl, False, _gid(graph_id, *graphs), info)
-
-
 def _pendant_growth_rate(d: int) -> int:
     # the quadratic margin 2d^2 + 9d + 6 that gates pendant growth
     return 2 * d * d + 9 * d + 6
 
 
-def check_t42(g, u, v, rep=None, dist=None, graph_id=None, detail=True):
+def check_t42(g, u, v, rep=None, dist=None):
     """UD pair with 2d^2+9d+6 >= n and E1 > W: attaching one pendant at each
     pair vertex preserves E1 > W, and the exact growth bookkeeping
     (E1 grows by 2*totecc + n + 2(d+2)^2, W by Tr(u)+Tr(v)+2n+d+2) holds."""
     rep, dist = _prep(g, rep, dist)
-    return _t42(g, u, v, rep, dist, None, graph_id, detail)
+    hyp, concl, info = _t42(g, u, v, rep, dist, None)
+    return TheoremVerdict("T4.2", hyp, concl, False, _gid(g), info)
 
 
-def _t42(g, u, v, rep, dist, grep, graph_id=None, detail=True):
-    # check_t42 given the grown graph's report, or None to build it if gated
+def _t42(g, u, v, rep, dist, grep):
+    # check_t42's (hypothesis, conclusion, detail), given the grown graph's
+    # report, or None to build it if gated
     n = rep.n
     d = rep.diam
     ud = is_ud_pair(g, dist, u, v)
@@ -431,10 +408,10 @@ def _t42(g, u, v, rep, dist, grep, graph_id=None, detail=True):
         concl = grep.e1 > grep.wiener and identities
         info.update(E1_grown=grep.e1, W_grown=grep.wiener,
                     E1_expected=e1_expected, W_expected=w_expected)
-    return _verdict("T4.2", hyp, concl, info, detail, graph_id, g)
+    return hyp, concl, info
 
 
-def check_t43(g, u, v, rep=None, dist=None, graph_id=None, detail=True):
+def check_t43(g, u, v, rep=None, dist=None):
     """UD pair with m >= n+2d+4, min degree >= 2 and E2 > E1: the pendant
     growth preserves E2 > E1, and E2 grows by exactly
     2(d+2)(d+1) + m + xic."""
@@ -455,10 +432,10 @@ def check_t43(g, u, v, rep=None, dist=None, graph_id=None, detail=True):
         e2_expected = 2 * (d + 2) * (d + 1) + rep.e2 + rep.m + rep.ecc_connectivity
         concl = grep.e2 > grep.e1 and grep.e2 == e2_expected
         info.update(E1_grown=grep.e1, E2_grown=grep.e2, E2_expected=e2_expected)
-    return _verdict("T4.3", hyp, concl, info, detail, graph_id, g)
+    return TheoremVerdict("T4.3", hyp, concl, False, _gid(g), info)
 
 
-def check_c44(g, u, v, length, rep=None, dist=None, graph_id=None, detail=True):
+def check_c44(g, u, v, length, rep=None, dist=None):
     """UD pair with 2(d+2L-2)^2+9(d+2L-2)+6 >= n+2L-2 and E1 > W: attaching a
     pendant path of length L at each pair vertex preserves E1 > W.
 
@@ -487,22 +464,22 @@ def check_c44(g, u, v, length, rep=None, dist=None, graph_id=None, detail=True):
         for _ in range(length):
             nxt = attach_pendants_at(cur, cu, cv)
             nrep, ndist = _prep(nxt, None, None)
-            step = _t42(cur, cu, cv, crep, cdist, nrep, detail=False)
-            if step.hypothesis_met:
+            step_hyp, step_held, _ = _t42(cur, cu, cv, crep, cdist, nrep)
+            if step_hyp:
                 steps_gated += 1
-                steps_ok = steps_ok and bool(step.conclusion_held)
+                steps_ok = steps_ok and bool(step_held)
             cur, cu, cv, crep, cdist = nxt, nxt.n - 2, nxt.n - 1, nrep, ndist
         grep = crep if cur == grown else full_report(grown)
         concl = grep.e1 > grep.wiener and cur == grown and steps_ok
         info.update(E1_grown=grep.e1, W_grown=grep.wiener, steps_gated=steps_gated)
-    return _verdict("C4.4", hyp, concl, info, detail, graph_id, g)
+    return TheoremVerdict("C4.4", hyp, concl, False, _gid(g), info)
 
 
 # ---------------------------------------------------------------------------
 # product claims
 
 
-def check_product_identities(g, h, detail=True):
+def check_product_identities(g, h):
     """Closed forms on the box product against direct BFS:
     E1 = n(H)E1(G) + n(G)E1(H) + 2 totecc(G) totecc(H),
     E2 = m(H)E1(G) + n(H)E2(G) + m(G)E1(H) + n(G)E2(H)
@@ -528,10 +505,10 @@ def check_product_identities(g, h, detail=True):
     )
     info = {"E1": rp.e1, "E1_expected": e1_expected, "E2": rp.e2,
             "E2_expected": e2_expected, "W": rp.wiener, "W_expected": w_expected}
-    return _verdict("L5.1/L5.3", True, concl, info, detail, None, g, h)
+    return TheoremVerdict("L5.1/L5.3", True, concl, False, _gid(g, h), info)
 
 
-def check_t52(g, h, detail=True):
+def check_t52(g, h):
     """Factors with W >= E1 and a factor of order > 2: the box product
     satisfies W > E1 strictly."""
     rg = full_report(g)
@@ -542,10 +519,10 @@ def check_t52(g, h, detail=True):
         rp = full_report(cartesian_product(g, h))
         concl = rp.wiener > rp.e1
         info = {"W": rp.wiener, "E1": rp.e1}
-    return _verdict("T5.2", hyp, concl, info, detail, None, g, h)
+    return TheoremVerdict("T5.2", hyp, concl, False, _gid(g, h), info)
 
 
-def check_t54(g, h, detail=True):
+def check_t54(g, h):
     """Factors with W >= max(E1, E2) and average transmission above
     4*d_G^2*d_H (resp. 4*d_H^2*d_G): the box product satisfies W > E2."""
     rg = full_report(g)
@@ -565,7 +542,7 @@ def check_t54(g, h, detail=True):
         rp = full_report(cartesian_product(g, h))
         concl = rp.wiener > rp.e2
         info = {"W": rp.wiener, "E2": rp.e2}
-    return _verdict("T5.4", hyp, concl, info, detail, None, g, h)
+    return TheoremVerdict("T5.4", hyp, concl, False, _gid(g, h), info)
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +577,7 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
                 if hyp:
                     hits[i] += 1
                     if not held:
-                        g6 = g6 or emit_graph6(g)
-                        cexs[i].append(claims[i].verdict(g, rep, dist, g6))
+                        cexs[i].append(claims[i].verdict(g, rep, dist))
                 if eq:
                     g6 = g6 or emit_graph6(g)
                     eqs[i].add(g6)
@@ -620,9 +596,7 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
             theorem_id=tid,
             graphs_visited=summary.visited,
             hypothesis_hits=hits[i],
-            counterexamples=tuple(
-                sorted(cexs[i], key=lambda v: (v.graph_id or "", v.theorem_id))
-            ),
+            counterexamples=tuple(sorted(cexs[i], key=lambda v: v.graph_id)),
             equality_cases=tuple(sorted(eqs[i])),
         )
         for i, tid in enumerate(ids)

@@ -438,7 +438,7 @@ def test_criterion_10_product_identities():
     for a in PRODUCT_GRID.values():
         for b in PRODUCT_GRID.values():
             assert a.n * b.n <= 75
-            v = check_product_identities(a, b, detail=False)
+            v = check_product_identities(a, b)
             assert v.conclusion_held
             checked += 1
     assert checked == 64
@@ -456,11 +456,11 @@ def test_criterion_11_product_inequalities():
         for nb, b in factors.items():
             if (na in extras or nb in extras) and na != nb:
                 continue  # the extra factors pair only with themselves
-            v = check_t52(a, b, detail=False)
+            v = check_t52(a, b)
             if v.hypothesis_met:
                 t52_hits.add((na, nb))
                 assert v.conclusion_held, (na, nb)
-            w = check_t54(a, b, detail=False)
+            w = check_t54(a, b)
             if w.hypothesis_met:
                 t54_hits.add((na, nb))
                 assert w.conclusion_held, (na, nb)

@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 from distinv import parse_graph6
-from distinv.cli import main
+from distinv.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +218,85 @@ class TestOutputAndPackaging:
         )
         assert proc.returncode == 0
         assert parse_graph6(proc.stdout.strip()).n == 4
+
+
+# every option string each command accepts; an option a command's handler
+# does not read must not come back
+OPTIONS = {
+    "invariants": ["--format", "--output"],
+    "family": ["--output"],
+    "enumerate": ["--seed", "--output"],
+    "verify": ["--format", "--workers", "--seed", "--verbose", "--output",
+               "--sweep", "--theorems"],
+    "ud": ["--output"],
+}
+
+# (command, option, value) for each option a command does not read
+REMOVED = [
+    ("invariants", "--workers", "2"),
+    ("invariants", "--seed", "3"),
+    ("invariants", "--verbose", None),
+    ("family", "--format", "json"),
+    ("family", "--workers", "2"),
+    ("family", "--seed", "3"),
+    ("family", "--verbose", None),
+    ("enumerate", "--format", "json"),
+    ("enumerate", "--workers", "2"),
+    ("enumerate", "--verbose", None),
+    ("ud", "--format", "csv"),
+    ("ud", "--workers", "2"),
+    ("ud", "--seed", "3"),
+    ("ud", "--verbose", None),
+]
+
+
+class TestOptionSurface:
+    def test_each_command_declares_only_the_options_it_reads(self):
+        (sub,) = [
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]  # fmt: skip
+        got = {
+            name: sorted(
+                s for a in p._actions for s in a.option_strings
+                if s not in ("-h", "--help")
+            )  # fmt: skip
+            for name, p in sub.choices.items()
+        }
+        assert got == {name: sorted(opts) for name, opts in OPTIONS.items()}
+
+    @pytest.mark.parametrize("command,option,value", REMOVED)
+    def test_unread_option_exit_2(self, capsys, tmp_path, command, option, value):
+        f = tmp_path / "g.g6"
+        f.write_text("A_\n")
+        target = {"family": "path:4", "enumerate": "trees:2..4"}.get(command, str(f))
+        argv = [command, option, *([value] if value else []), target]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--seed", "3", "trees:2..5"],
+            ["enumerate", "--seed", "0", "connected:3..4"],
+            ["verify", "--seed", "1", "--sweep", "trees:2..4", "--theorems", "T3.1"],
+        ],
+    )
+    def test_seed_on_unseeded_sweep_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --seed ")
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_run_one(self, capsys, workers):
+        args = ["verify", "--sweep", "trees:2..9", "--theorems", "T3.1,L4.1"]
+        code1, out1, _ = run_cli(capsys, *args, "--workers", "1")
+        code2, out2, _ = run_cli(capsys, *args, "--workers", workers)
+        assert code1 == code2 == 0 and out1 == out2
 
 
 DIAM2 = "diam2:n=9..10,count=200,seed=5"
