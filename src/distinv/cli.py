@@ -7,7 +7,9 @@ input graphs).  Every command takes ``--output FILE``; ``--format``,
 ``--workers``, ``--seed`` and ``--verbose`` go only to the commands that read
 them (``invariants --format``, ``enumerate --seed``, and all four on
 ``verify``), so any other option is a usage error.  ``--seed`` overrides the
-seed of a ``diam2:`` sweep and is an error on any other sweep.
+seed of a ``diam2:`` sweep and is an error on any other sweep.  The
+``--output`` file is opened at the first write, so a command that exits 2
+before writing leaves an existing file as it was.
 
 Exit codes: 0 success, 1 a claim check found a counterexample, 2 usage or
 input error.  Output is byte-identical for identical inputs, seed and
@@ -218,21 +220,38 @@ _COMMANDS = {
 }
 
 
+class _OutputFile:
+    """The ``--output`` file, opened (and so truncated) at the first write:
+    a command that fails before writing leaves an existing file untouched."""
+
+    def __init__(self, path):
+        self._path = path
+        self._fh = None
+
+    def write(self, text):
+        if self._fh is None:
+            self._fh = open(self._path, "w", encoding="utf-8")
+        return self._fh.write(text)
+
+    def close(self, create: bool) -> None:
+        # create: a command that succeeded without printing leaves a file
+        if create or self._fh is not None:
+            self.write("")
+            self._fh.close()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = sys.stdout
-    opened = None
-    if args.output:
-        opened = open(args.output, "w", encoding="utf-8")
-        out = opened
+    out = _OutputFile(args.output) if args.output else sys.stdout
+    code = 2
     try:
-        return _COMMANDS[args.command](args, out)
+        code = _COMMANDS[args.command](args, out)
     except (GraphError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
-        if opened is not None:
-            opened.close()
+        if out is not sys.stdout:
+            out.close(create=code != 2)
+    return code
 
 
 def entry() -> None:

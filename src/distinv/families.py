@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, from_edge_list
 from .invariants import full_report
 
 
@@ -62,8 +62,7 @@ def double_star(a: int, b: int) -> Graph:
     edges = [(0, 1)]
     edges += [(0, k) for k in range(2, 2 + a)]
     edges += [(1, k) for k in range(2 + a, n)]
-    g = Graph(n, edges)
-    return g
+    return from_edge_list(n, edges)
 
 
 def hypercube(d: int) -> Graph:
@@ -90,7 +89,7 @@ def a_k(k: int) -> Graph:
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
     edges += [(0, 4 + i) for i in range(k)]
     edges += [(2, 4 + k + i) for i in range(k)]
-    return Graph(n, edges)
+    return from_edge_list(n, edges)
 
 
 def figure1() -> Graph:
@@ -101,7 +100,7 @@ def figure1() -> Graph:
     edges += [(4, 13), (5, 13), (6, 13)]
     edges += [(7, 14), (8, 14), (9, 14)]
     edges += [(10, 15), (11, 15)]
-    return Graph(16, edges)
+    return from_edge_list(16, edges)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

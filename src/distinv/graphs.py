@@ -53,13 +53,6 @@ class Graph:
 
     __slots__ = ("n", "bits", "_adj", "_m")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        other = from_edge_list(n, edges)
-        self.n = other.n
-        self.bits = other.bits
-        self._adj = None
-        self._m = None
-
     @classmethod
     def _raw(cls, n: int, bits: Sequence[int]) -> "Graph":
         g = object.__new__(cls)
@@ -222,22 +215,10 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError(
             f"graph6 data for n={n} needs {nbytes} bytes, got {len(vals) - pos}"
         )
-    stream = 0
-    for code in vals[pos:]:
-        stream = (stream << 6) | code
-    pad = 6 * nbytes - nbits
-    if pad and stream & ((1 << pad) - 1):
+    data = "".join(format(code, "06b") for code in vals[pos:])
+    if "1" in data[nbits:]:
         raise FormatError("nonzero graph6 padding bits")
-    stream >>= pad
-    rows = [0] * n
-    bitpos = nbits
-    for v in range(1, n):
-        for u in range(v):
-            bitpos -= 1
-            if (stream >> bitpos) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph._raw(n, rows)
+    return Graph._raw(n, _rows_from_pairs(n, int(data[:nbits][::-1] or "0", 2)))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -251,22 +232,37 @@ def emit_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         head = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    bits = g.bits
-    out = [head]
-    acc = 0
-    width = 0
+    nbits = n * (n - 1) // 2
+    # pair 0 first, behind a sentinel bit that keeps the leading zeros
+    data = format(_pairs_from_rows(g.bits) | (1 << nbits), "b")[:0:-1]
+    data += "0" * (-nbits % 6)
+    return head + "".join(chr(int(data[i : i + 6], 2) + 63) for i in range(0, nbits, 6))
+
+
+def _rows_from_pairs(n: int, pairs: int) -> list[int]:
+    """Neighbor rows of the order-n graph whose edge (u, v), u < v, is bit
+    ``v(v-1)/2 + u`` of ``pairs``: the column-major pair order (0,1), (0,2),
+    (1,2), (0,3), ... of graph6.  This and :func:`_pairs_from_rows` are the
+    package's one definition of that order."""
+    rows = [0] * n
     for v in range(1, n):
-        col = bits[v]
-        for u in range(v):
-            acc = (acc << 1) | ((col >> u) & 1)
-            width += 1
-            if width == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                width = 0
-    if width:
-        out.append(chr((acc << (6 - width)) + 63))
-    return "".join(out)
+        col = pairs & ((1 << v) - 1)
+        pairs >>= v
+        rows[v] = col
+        vb = 1 << v
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= vb
+            col ^= low
+    return rows
+
+
+def _pairs_from_rows(rows: Sequence[int]) -> int:
+    """Inverse of :func:`_rows_from_pairs`: column v is ``rows[v]`` below v."""
+    pairs = 0
+    for v in range(len(rows) - 1, 0, -1):
+        pairs = (pairs << v) | (rows[v] & ((1 << v) - 1))
+    return pairs
 
 
 class DistanceData:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .graphs import DistanceData, Graph, GraphError, all_pairs_distances, is_connected
 
@@ -46,10 +47,26 @@ def wiener_tree_edgecut(t: Graph) -> int:
     return total
 
 
-CSV_HEADER = (
-    "n,m,diam,rad,W,E1,E2,totecc,xic,nprime,"
-    "avd_num,avd_den,avt_num,avt_den,self_centered"
+# (CSV and JSON column, report attribute), in output order
+_COLUMNS = (
+    ("n", "n"),
+    ("m", "m"),
+    ("diam", "diam"),
+    ("rad", "rad"),
+    ("W", "wiener"),
+    ("E1", "e1"),
+    ("E2", "e2"),
+    ("totecc", "total_ecc"),
+    ("xic", "ecc_connectivity"),
+    ("nprime", "n_universal"),
+    ("avd_num", "avd.numerator"),
+    ("avd_den", "avd.denominator"),
+    ("avt_num", "avt.numerator"),
+    ("avt_den", "avt.denominator"),
+    ("self_centered", "self_centered"),
 )
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
+_column_values = attrgetter(*(attr for _, attr in _COLUMNS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,47 +96,13 @@ class InvariantReport:
         return Fraction(2 * self.wiener, self.n)
 
     def csv_row(self) -> str:
-        avd, avt = self.avd, self.avt
         return ",".join(
-            str(x)
-            for x in (
-                self.n,
-                self.m,
-                self.diam,
-                self.rad,
-                self.wiener,
-                self.e1,
-                self.e2,
-                self.total_ecc,
-                self.ecc_connectivity,
-                self.n_universal,
-                avd.numerator,
-                avd.denominator,
-                avt.numerator,
-                avt.denominator,
-                "true" if self.self_centered else "false",
-            )
+            ("true" if x else "false") if isinstance(x, bool) else str(x)
+            for x in _column_values(self)
         )
 
     def to_json_dict(self) -> dict:
-        avd, avt = self.avd, self.avt
-        return {
-            "n": self.n,
-            "m": self.m,
-            "diam": self.diam,
-            "rad": self.rad,
-            "W": self.wiener,
-            "E1": self.e1,
-            "E2": self.e2,
-            "totecc": self.total_ecc,
-            "xic": self.ecc_connectivity,
-            "nprime": self.n_universal,
-            "avd_num": avd.numerator,
-            "avd_den": avd.denominator,
-            "avt_num": avt.numerator,
-            "avt_den": avt.denominator,
-            "self_centered": self.self_centered,
-        }
+        return {name: x for (name, _), x in zip(_COLUMNS, _column_values(self))}
 
 
 def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:

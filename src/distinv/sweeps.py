@@ -4,9 +4,9 @@ Three sweep targets feed the predicate checkers:
 
 * ``connected_graphs`` - every labeled simple connected graph on n vertices,
   by scanning all 2^(n(n-1)/2) edge subsets (n <= 8; n = 8 is allowed but
-  slow).  Edge subset bit ``e`` corresponds to the ``e``-th pair in the
-  column-major order (0,1), (0,2), (1,2), (0,3), ... - the same order as the
-  graph6 bit stream.
+  slow).  An edge subset is a pair mask decoded by
+  ``graphs._rows_from_pairs``, the one definition of the pair order, which
+  the sampler and graph6 share.
 * ``trees`` - one representative per isomorphism class of free trees
   (2 <= n <= 18), generated through canonical level sequences with a
   constant-amortized-time successor rule.
@@ -49,7 +49,14 @@ import os
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _rows_connected, all_pairs_distances, emit_graph6
+from .graphs import (
+    Graph,
+    GraphError,
+    _rows_connected,
+    _rows_from_pairs,
+    all_pairs_distances,
+    emit_graph6,
+)
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -103,21 +110,9 @@ def enumerate_connected_graphs(n: int):
 
 
 def _connected_graphs_range(n, lo, hi):
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    uidx = [u for u, _ in pairs]
-    vidx = [v for _, v in pairs]
-    ubit = [1 << u for u, _ in pairs]
-    vbit = [1 << v for _, v in pairs]
     raw = Graph._raw
     for mask in range(lo, hi):
-        rows = [0] * n
-        mm = mask
-        while mm:
-            low = mm & -mm
-            e = low.bit_length() - 1
-            rows[uidx[e]] |= vbit[e]
-            rows[vidx[e]] |= ubit[e]
-            mm ^= low
+        rows = _rows_from_pairs(n, mask)
         if _rows_connected(rows):
             yield raw(n, rows)
 
@@ -258,18 +253,7 @@ def _bernoulli_rows(n, lanes, start, p_index):
     x = (x * _MIX_B) & low64
     x ^= (x >> 31) & low64
     hits = (limits[p_index] - x).to_bytes(16 * (n * (n - 1) // 2), "big")[7::16]
-    edges = int(hits.translate(_BINARY), 2)
-    rows = [0] * n
-    for v in range(1, n):
-        col = edges & ((1 << v) - 1)
-        edges >>= v
-        rows[v] = col
-        vb = 1 << v
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= vb
-            col ^= low
-    return rows
+    return _rows_from_pairs(n, int(hits.translate(_BINARY), 2))
 
 
 def _connected_diam2(rows, n):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from distinv import parse_graph6
+from distinv import emit_graph6, from_edge_list, parse_graph6
 from distinv.cli import _build_parser, main
 
 
@@ -185,7 +185,7 @@ class TestUdCommand:
         assert rec["is_ud"] and rec["pair"] == [0, 4] and rec["diam"] == 4
 
     def test_figure1_pair(self, capsys, tmp_path, data_dir):
-        from distinv import emit_graph6, figure1
+        from distinv import figure1
 
         f = tmp_path / "f.g6"
         f.write_text(emit_graph6(figure1()) + "\n")
@@ -210,6 +210,27 @@ class TestOutputAndPackaging:
         )
         assert code == 0 and out == ""
         assert target.read_text().startswith("theorem_id,")
+
+    @pytest.mark.parametrize(
+        "argv,code,left",
+        [
+            (["enumerate", "bogus:3"], 2, "kept\n"),
+            (["family", "nope:3"], 2, "kept\n"),
+            (["verify", "--sweep", "bogus:3", "--theorems", "T3.1"], 2, "kept\n"),
+            (["verify", "--sweep", "trees:3..4", "--theorems", "T9.9"], 2, "kept\n"),
+            # a command that succeeds without printing still truncates
+            (["enumerate", "connected:1..1,filter=min_degree_2"], 0, ""),
+        ],
+        ids=["enumerate", "family", "verify-sweep", "verify-claim", "empty-success"],
+    )
+    def test_output_file_untouched_until_first_write(
+        self, capsys, tmp_path, argv, code, left
+    ):
+        target = tmp_path / "o.txt"
+        target.write_text("kept\n")
+        got, out, err = run_cli(capsys, argv[0], "--output", str(target), *argv[1:])
+        assert got == code and out == ""
+        assert target.read_text() == left
 
     def test_console_script(self, tmp_path):
         proc = subprocess.run(
@@ -305,7 +326,8 @@ DIAM2_IDS = "T2.3,P2.4,T2.5,P2.6,T2.7,C2.8i,C2.8ii"
 # SHA-256 of stdout, stderr and exit code, each followed by a NUL byte; an
 # argument "{ingest}" stands for a file holding the graph6 lines of DIAM2 and
 # of trees:2..9, then a malformed line and a disconnected graph ("{good}" is
-# the same file without those two lines)
+# the same file without those two lines); "{dense}" stands for a file holding
+# the graph6 line of a dense order-100 graph and a line with a padding bit set
 GOLDEN = {
     "verify-connected-json": (
         ["verify", "--sweep", "connected:3..6", "--theorems", "all-unary",
@@ -352,6 +374,18 @@ GOLDEN = {
         ["verify", "--sweep", "connected:0..9", "--theorems", "P2.1"],
         "becc70c701bbfa8f14fc54770f6e9689c4644a6079ac11554a4c7764bff1cbe3",
     ),
+    "enumerate-connected": (
+        ["enumerate", "connected:1..6"],
+        "6c29dfb7ab0f7345c1ab70721dc5ae50a9b6a7f35ca64fe0e1d4a615fcf97eea",
+    ),
+    "family-hypercube-7": (
+        ["family", "hypercube:7"],
+        "ba9b2e365b6117174320e493cefaa85d7844f2022000f74713d35c9b49b4b263",
+    ),
+    "invariants-dense-padding": (
+        ["invariants", "{dense}"],
+        "559e660b2f37b418aeae70c1d6e1d1e6c6c5cb2ccdf6e7b16709ac1395d1b6ea",
+    ),
 }
 
 
@@ -374,7 +408,14 @@ def test_golden_digest(capsys, monkeypatch, tmp_path, name):
             lines.append(capsys.readouterr().out)
         (tmp_path / "good.g6").write_text("".join(lines))
         (tmp_path / "ingest.g6").write_text("".join(lines) + "!!!bogus!!!\nCK\n")
-        argv = [{"{good}": "good.g6", "{ingest}": "ingest.g6"}.get(a, a) for a in argv]
+    if "{dense}" in argv:
+        monkeypatch.chdir(tmp_path)
+        dense = from_edge_list(
+            100, [(u, v) for v in range(100) for u in range(v) if (u * v + u + v) % 5]
+        )
+        (tmp_path / "dense.g6").write_text(emit_graph6(dense) + "\nA`\n")
+    names = {"{good}": "good.g6", "{ingest}": "ingest.g6", "{dense}": "dense.g6"}
+    argv = [names.get(a, a) for a in argv]
     assert _digest(*run_cli(capsys, *argv)) == digest
 
 

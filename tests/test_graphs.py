@@ -1,6 +1,7 @@
 """Graph construction, graph6 codec, and distance data."""
 
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -98,14 +99,18 @@ class TestGraph6:
             assert parse_graph6(emit_graph6(g)) == g
 
     def test_cross_check_networkx_decoder(self):
+        # orders 1..100 cover both header forms; networkx decodes our lines
+        # and we decode networkx's
         rng = random.Random(7)
-        for _ in range(100):
-            n = rng.randint(1, 10)
-            g = random_graph(rng, n, 0.4)
-            line = emit_graph6(g)
-            other = nx.from_graph6_bytes(line.encode())
+        for n in range(1, 101):
+            g = random_graph(rng, n, rng.choice([0.1, 0.4, 0.9]))
+            other = nx.from_graph6_bytes(emit_graph6(g).encode())
             assert other.number_of_nodes() == g.n
             assert sorted(tuple(sorted(e)) for e in other.edges()) == sorted(g.edges())
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            assert parse_graph6(nx.to_graph6_bytes(h, header=False).decode()) == g
 
     def test_long_order_header(self):
         g = path(70)
@@ -152,6 +157,11 @@ class TestInputOrderBound:
             parse_edge_list(f"{limit + 1} 0\n")
         edgeless = Graph._raw(limit, [0] * limit)
         assert parse_graph6(emit_graph6(edgeless)) == edgeless
+        # every pair bit set: a codec quadratic in the pair count takes minutes
+        dense = complete(limit)
+        start = time.perf_counter()
+        assert parse_graph6(emit_graph6(dense)) == dense
+        assert time.perf_counter() - start < 15
         too_big = emit_graph6(Graph._raw(limit + 1, [0] * (limit + 1)))
         with pytest.raises(FormatError, match="exceeds the input bound"):
             parse_graph6(too_big)
