@@ -9,7 +9,8 @@ them (``invariants --format``, ``enumerate --seed``, and all four on
 ``verify``), so any other option is a usage error.  ``--seed`` overrides the
 seed of a ``diam2:`` sweep and is an error on any other sweep.  The
 ``--output`` file is opened at the first write, so a command that exits 2
-before writing leaves an existing file as it was.
+before writing leaves an existing file as it was; a file that cannot be
+opened is an error (exit 2).
 
 Exit codes: 0 success, 1 a claim check found a counterexample, 2 usage or
 input error.  Output is byte-identical for identical inputs, seed and
@@ -220,6 +221,10 @@ _COMMANDS = {
 }
 
 
+class _OutputError(Exception):
+    """The ``--output`` file cannot be opened."""
+
+
 class _OutputFile:
     """The ``--output`` file, opened (and so truncated) at the first write:
     a command that fails before writing leaves an existing file untouched."""
@@ -230,7 +235,10 @@ class _OutputFile:
 
     def write(self, text):
         if self._fh is None:
-            self._fh = open(self._path, "w", encoding="utf-8")
+            try:
+                self._fh = open(self._path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise _OutputError(f"cannot open output file: {exc}") from exc
         return self._fh.write(text)
 
     def close(self, create: bool) -> None:
@@ -245,12 +253,14 @@ def main(argv=None) -> int:
     out = _OutputFile(args.output) if args.output else sys.stdout
     code = 2
     try:
-        code = _COMMANDS[args.command](args, out)
-    except (GraphError, SweepError) as exc:
+        try:
+            code = _COMMANDS[args.command](args, out)
+        finally:
+            if out is not sys.stdout:
+                out.close(create=code != 2)
+    except (GraphError, SweepError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    finally:
-        if out is not sys.stdout:
-            out.close(create=code != 2)
+        code = 2
     return code
 
 

@@ -6,15 +6,28 @@ exact at the boundary cases where they matter.  Rational values (average
 degree, average transmission) are :class:`fractions.Fraction`, which stores a
 reduced numerator/denominator pair and compares by integer cross
 multiplication.
+
+:func:`full_report` is the single-graph definition of every invariant.
+:func:`lane_reports` is a fast path for a block of graphs of one order
+n <= 15, one graph per 16-bit lane of a Python int; its reports are checked
+field by field against :func:`full_report` in the tests.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .graphs import DistanceData, Graph, GraphError, all_pairs_distances, is_connected
+from .graphs import (
+    DisconnectedGraphError,
+    DistanceData,
+    Graph,
+    GraphError,
+    all_pairs_distances,
+    is_connected,
+)
 
 
 def wiener_tree_edgecut(t: Graph) -> int:
@@ -107,7 +120,7 @@ class InvariantReport:
 
 def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
     """Compute every invariant of a connected graph in one pass; this is the
-    package's only definition of each of them."""
+    single-graph definition of each of them."""
     if g.n < 1:
         raise GraphError("invariant report needs at least one vertex")
     if dist is None:
@@ -143,3 +156,134 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
         n_universal=sum(1 for b in bits if b.bit_count() == n - 1),
         self_centered=dist.diam == dist.rad,
     )
+
+
+# One graph per 16-bit lane.  n <= 15 leaves bit 15 of every lane free, which
+# the nonzero test and the biased gap need, and keeps every lane sum below
+# 2^16 (the largest, 2*E2, is at most 2 * 105 * 14^2).
+LANE_BITS = 16
+LANE_MAX_N = LANE_BITS - 1
+_LANE = (1 << LANE_BITS) - 1
+_HIGH = 1 << (LANE_BITS - 1)
+
+
+def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, bool]]]:
+    """Every graph's report and its L4.1 triple ``(hypothesis, held,
+    equality)``, for a non-empty block of graphs of one order 1 <= n <= 15.
+
+    Graph k sits in lane k: ``rows[u]`` holds row u of every graph.  One BFS
+    per source vertex runs in every lane at once, and every value is counted
+    from its levels ``F_d(s)``: ecc(s) is the number of non-empty levels,
+    Tr(s) is the sum of d * |F_d(s)|, and E1 sums 2d - 1 over the non-empty
+    levels, which telescopes to ecc(s)^2.  The threshold sets
+    H_a = {u : ecc(u) >= a} give the rest: with C(u) = sum_a |N(u) & H_a|,
+    the sum of ecc over u's neighbours, xic = sum_u C(u),
+    2 * E2 = sum_a sum_{u in H_a} C(u), diam = #{a : H_a nonempty} and
+    rad = #{a : H_a = V}.  L4.1's zero-gap condition holds at v exactly when
+    every level F_d(v) lies in H_d minus H_(d+1).
+
+    Raises ``DisconnectedGraphError`` if a graph is disconnected.
+    """
+    k = len(graphs)
+    n = graphs[0].n
+    if not 1 <= n <= LANE_MAX_N or any(g.n != n for g in graphs):
+        raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
+    fmt = f"<{k}H"
+    ones = int.from_bytes(b"\x01\x00" * k, "little")
+    full = ones * ((1 << n) - 1)
+    low15 = ones * (_HIGH - 1)
+    m55, m33, m0f, m1f = ones * 0x5555, ones * 0x3333, ones * 0x0F0F, ones * 0x1F
+
+    def nonzero(x):
+        # 1 in each lane of x that is not zero; lanes must be below 2^15
+        return ((x + low15) >> 15) & ones
+
+    def popcount(x):
+        x -= (x >> 1) & m55
+        x = (x & m33) + ((x >> 2) & m33)
+        x = (x + (x >> 4)) & m0f
+        return (x + (x >> 8)) & m1f
+
+    rows = [
+        int.from_bytes(struct.pack(fmt, *col), "little")
+        for col in zip(*(g.bits for g in graphs))
+    ]
+    levels = []  # levels[s][d - 1] = F_d(s)
+    ecc = []
+    tr = []
+    at_least = [0]  # at_least[a] = H_a, for a >= 1
+    e1 = 0
+    for s in range(n):
+        front = seen = ones << s
+        own = []
+        ecc_s = tr_s = 0
+        for d in range(1, n):  # no eccentricity exceeds n - 1
+            nxt = 0
+            for u in range(n):
+                lit = (front >> u) & ones  # lanes whose frontier holds u
+                if lit:
+                    nxt |= rows[u] & (lit * _LANE)
+            nxt &= full ^ seen
+            if not nxt:
+                break
+            seen |= nxt
+            reached = nonzero(nxt)
+            ecc_s += reached
+            e1 += (2 * d - 1) * reached
+            tr_s += d * popcount(nxt)
+            if d == len(at_least):
+                at_least.append(0)
+            at_least[d] |= reached << s
+            own.append(nxt)
+            front = nxt
+        if s == 0 and seen != full:
+            raise DisconnectedGraphError("graph is disconnected")
+        levels.append(own)
+        ecc.append(ecc_s)
+        tr.append(tr_s)
+    at_least[0] = full
+    at_least.append(0)
+    depth = len(at_least) - 2  # the largest eccentricity in any lane
+
+    diam = rad = 0
+    for a in range(1, depth + 1):
+        diam += nonzero(at_least[a])
+        rad += ones ^ nonzero(full ^ at_least[a])
+    m2 = xic = e2x2 = n_univ = 0
+    for u in range(n):
+        row = rows[u]
+        m2 += popcount(row)
+        n_univ += ones ^ nonzero(row ^ (full ^ (ones << u)))
+        cu = 0
+        for a in range(1, depth + 1):
+            cu += popcount(row & at_least[a])
+        xic += cu
+        for a in range(1, depth + 1):
+            e2x2 += cu & (((at_least[a] >> u) & ones) * _LANE)
+    total = sum(ecc)
+
+    # L4.1: gap(v) = totecc - ecc(v) - Tr(v), biased by 2^15 so no lane
+    # borrows; bit 15 of a lane is then set exactly when its gap is >= 0
+    failed = equal = 0
+    bias = ones * _HIGH
+    for v in range(n):
+        gap = total + bias - ecc[v] - tr[v]
+        nonneg = (gap >> 15) & ones
+        zero = nonneg & (ones ^ nonzero(gap & low15))
+        off = 0
+        for d, level in enumerate(levels[v], start=1):
+            off |= level & ~(at_least[d] ^ at_least[d + 1])
+        failed |= (ones ^ nonneg) | (zero ^ (ones ^ nonzero(off)))
+        equal |= zero
+
+    def unpack(x):
+        return struct.unpack(fmt, x.to_bytes(2 * k, "little"))
+
+    # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
+    columns = (m2 >> 1, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, n_univ)
+    reports = [
+        InvariantReport(n, m, dm, rd, w, ec1, ec2, tot, x, nu, dm == rd)
+        for m, dm, rd, w, ec1, ec2, tot, x, nu in zip(*map(unpack, columns))
+    ]
+    l41 = [(True, not f, e == 1) for f, e in zip(unpack(failed), unpack(equal))]
+    return reports, l41

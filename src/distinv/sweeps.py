@@ -459,16 +459,24 @@ def _iter_chunk(spec: SweepSpec, chunk, tally: _Tally):
         raise
 
 
+def visit_error(g: Graph | None, exc: Exception) -> SweepVisitError:
+    """The error a fold's failure ``exc`` on graph ``g`` becomes (``g`` is
+    None before the first graph); raise it ``from exc``."""
+    where = "no graph yet" if g is None else emit_graph6(g)
+    return SweepVisitError(f"visitor failed on {where}: {exc!r}")
+
+
 def _fold_chunk(spec, chunk, fold, zero):
     tally = _Tally()
     acc = zero()
     try:
         acc = fold(acc, _iter_chunk(spec, chunk, tally))
+    except SweepVisitError:
+        raise  # the fold named the graph in hand itself
     except Exception as exc:
         if exc is tally.error:
             raise
-        where = "no graph yet" if tally.last is None else emit_graph6(tally.last)
-        raise SweepVisitError(f"visitor failed on {where}: {exc!r}") from exc
+        raise visit_error(tally.last, exc) from exc
     return acc, tally.visited, tally.filtered
 
 
@@ -503,6 +511,8 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     * if the fold raises, the error becomes
       ``SweepVisitError("visitor failed on <graph6>: <exc!r>")``, naming the
       graph the stream handed out last (``no graph yet`` before the first);
+      a fold that reads ahead names the graph in hand itself by raising
+      ``visit_error(g, exc)``, which passes through unchanged;
     * an error the stream raises itself, such as
       ``SweepError("sampling stalled")``, propagates unwrapped.
 

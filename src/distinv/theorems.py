@@ -18,9 +18,13 @@ definition:
 * for T2.3, T3.3 and L4.1, ``extra(g, rep, dist, hypothesis_met)``, the
   derived values the detail adds (branch, disjunct, gap counts).
 
-:func:`hunt` computes distances and the report once per graph, calls the
-predicates in a plain loop and builds a detailed :class:`TheoremVerdict`
-only for a counterexample.  The public ``check_p21`` ... ``check_l41``
+:func:`hunt` reads each chunk of a sweep in blocks of ``LANE_BLOCK`` graphs
+and takes each block's reports and L4.1 triples from the lane kernel
+(``invariants.lane_reports``) when the order is at most
+``invariants.LANE_MAX_N``; a larger graph gets one BFS and
+:func:`full_report`.  It calls the predicates in a plain loop and builds a
+detailed :class:`TheoremVerdict` only for a counterexample, from the
+graph's BFS distances.  The public ``check_p21`` ... ``check_l41``
 (also ``UNARY_CHECKS``, by id) are thin wrappers that build one graph's
 verdict from the same row; ``detail=False`` leaves a verdict's graph6 id
 and detail unset.  The pendant and product claims take explicit extra
@@ -31,6 +35,7 @@ always carry the graph6 id and the detail.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Callable
 
 from .families import attach_pendant_paths_at, attach_pendants_at, cartesian_product
@@ -41,8 +46,8 @@ from .graphs import (
     complement,
     emit_graph6,
 )
-from .invariants import InvariantReport, full_report
-from .sweeps import SweepSpec, fold_sweep
+from .invariants import InvariantReport, full_report, lane_reports
+from .sweeps import SweepSpec, fold_sweep, visit_error
 from .ud import is_ud_pair, transmission_gap, transmission_gap_equality_holds
 
 
@@ -549,38 +554,74 @@ def check_t54(g, h):
 # the hunter
 
 
+# graphs per block handed to the lane kernel
+LANE_BLOCK = 1024
+
+
+def _lane_rows(block):
+    """``(graph, report, L4.1 triple)`` for each graph of a block of one
+    order, from the lane kernel.  Report and triple are None where the block
+    takes the per-graph path instead: the kernel rejects orders above
+    ``invariants.LANE_MAX_N``, and a disconnected graph, whose per-graph
+    error then names it."""
+    try:
+        return zip(block, *lane_reports(block))
+    except GraphError:
+        return ((g, None, None) for g in block)
+
+
 def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]:
     """Run the named unary claims over a sweep; one report per claim.
 
     A counterexample is not an error here: it lands in the report with the
-    offending graph6 string and full detail, and the caller decides.
+    offending graph6 string and full detail, and the caller decides.  An
+    error raised on a graph becomes ``SweepVisitError`` naming that graph.
     """
     ids = list(theorem_ids)
     for tid in ids:
         if tid not in CLAIMS:
             raise GraphError(f"unknown or non-unary theorem id {tid!r}")
     claims = [CLAIMS[tid] for tid in ids]
-    predicates = list(enumerate(c.predicate for c in claims))
+    # L4.1 reads distances; on the lane kernel its triple comes with the report
+    predicates = [
+        (i, claim.predicate, tid == "L4.1")
+        for i, (tid, claim) in enumerate(zip(ids, claims))
+    ]
 
     def zero():
         # per claim: hypothesis hits, counterexample verdicts, equality graph6
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
-    def fold(acc, graphs):
+    def visit(acc, g, rep, l41):
         hits, cexs, eqs = acc
-        for g in graphs:
+        dist = None
+        if rep is None:
             dist = all_pairs_distances(g)
             rep = full_report(g, dist)
-            g6 = None
-            for i, predicate in predicates:
+        g6 = None
+        for i, predicate, is_l41 in predicates:
+            if is_l41 and l41 is not None:
+                hyp, held, eq = l41
+            else:
                 hyp, held, eq = predicate(g, rep, dist)
-                if hyp:
-                    hits[i] += 1
-                    if not held:
-                        cexs[i].append(claims[i].verdict(g, rep, dist))
-                if eq:
-                    g6 = g6 or emit_graph6(g)
-                    eqs[i].add(g6)
+            if hyp:
+                hits[i] += 1
+                if not held:
+                    if dist is None:
+                        dist = all_pairs_distances(g)
+                    cexs[i].append(claims[i].verdict(g, rep, dist))
+            if eq:
+                g6 = g6 or emit_graph6(g)
+                eqs[i].add(g6)
+
+    def fold(acc, graphs):
+        for block in iter(lambda: list(islice(graphs, LANE_BLOCK)), []):
+            for g, rep, l41 in _lane_rows(block):
+                try:
+                    visit(acc, g, rep, l41)
+                except Exception as exc:
+                    # the stream has read ahead to the block's end: name g here
+                    raise visit_error(g, exc) from exc
         return acc
 
     def combine(a, b):

@@ -232,6 +232,25 @@ class TestOutputAndPackaging:
         assert got == code and out == ""
         assert target.read_text() == left
 
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["family", "path:3"], "dir"),
+            (["enumerate", "trees:3"], "missing"),
+            # the sweep runs to the end before the first write
+            (["verify", "--sweep", "trees:2..9", "--theorems", "T3.1,L4.1"], "dir"),
+            # a command that succeeds without printing still opens the file
+            (["enumerate", "connected:1..1,filter=min_degree_2"], "missing"),
+        ],
+        ids=["family-dir", "enumerate-missing", "verify-dir", "empty-success-missing"],
+    )
+    def test_unopenable_output_exit_2(self, capsys, tmp_path, argv, where):
+        target = tmp_path if where == "dir" else tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, argv[0], "--output", str(target), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot open output file: ")
+        assert str(target) in err and err.count("\n") == 1
+
     def test_console_script(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "distinv.cli", "family", "path:4"],
@@ -385,6 +404,18 @@ GOLDEN = {
     "invariants-dense-padding": (
         ["invariants", "{dense}"],
         "559e660b2f37b418aeae70c1d6e1d1e6c6c5cb2ccdf6e7b16709ac1395d1b6ea",
+    ),
+    # orders 13..16 straddle the lane kernel's bound n <= 15
+    "verify-diam2-lane-bound": (
+        ["verify", "--sweep", "diam2:n=13..16,count=60,seed=5", "--theorems",
+         "all-unary", "--format", "json", "--verbose"],
+        "c7e2ffd9d3c52a45c5f645b69536e8a997367ac32f76dfdd9b012d9fb0eebdc2",
+    ),
+    # P15 among them: the largest lane sums
+    "verify-trees-15": (
+        ["verify", "--sweep", "trees:15..15", "--theorems", "T3.1,T3.2,L4.1",
+         "--format", "json", "--verbose"],
+        "67a9c2e95c607da7a1c51deaa3dd48f9ab4f5b22b3f5e33dcdab52f6ad168458",
     ),
 }
 

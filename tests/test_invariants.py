@@ -9,14 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distinv import (
+    DisconnectedGraphError,
     GraphError,
+    all_pairs_distances,
     emit_graph6,
     from_edge_list,
     full_report,
     wiener_tree_edgecut,
 )
 from distinv.families import complete, cycle, path, star
-from distinv.sweeps import enumerate_connected_graphs, enumerate_trees
+from distinv.invariants import LANE_MAX_N, lane_reports
+from distinv.sweeps import (
+    _connected_graphs_range,
+    enumerate_connected_graphs,
+    enumerate_trees,
+    iter_sweep,
+    parse_sweep_spec,
+)
+from distinv.theorems import LANE_BLOCK, _l41
 
 from oracles import random_connected_graph, wiener_by_pairs
 
@@ -229,3 +239,80 @@ class TestRationalComparisons:
         # 1 + 1/(2(n-1)) at n=5 and (2/5)(n-1-2n') at n=10, n'=1
         assert Fraction(1) + Fraction(1, 2 * (5 - 1)) == Fraction(9, 8)
         assert Fraction(2, 5) * (10 - 1 - 2 * 1) == Fraction(14, 5)
+
+
+def _sweep(text):
+    return lambda: list(iter_sweep(parse_sweep_spec(text)))
+
+
+# Graph sets for the lane kernel, in sweep order, with their sizes; mixed
+# orders are cut into runs of one order, as hunt's chunks are.
+LANE_SETS = {
+    "connected:1..6": (27476, _sweep("connected:1..6")),
+    # the first 1/16 of the n = 7 masks
+    "connected:7/16": (81968, lambda: list(_connected_graphs_range(7, 0, 1 << 17))),
+    "trees:2..15": (13187, _sweep("trees:2..15")),
+    "diam2:n=9..12,count=2000,seed=9001": (
+        8000, _sweep("diam2:n=9..12,count=2000,seed=9001")
+    ),
+    "diam2:n=3..8,count=300,seed=5": (1800, _sweep("diam2:n=3..8,count=300,seed=5")),
+    "diam2:n=9..12,count=2000,seed=5": (8000, _sweep("diam2:n=9..12,count=2000,seed=5")),
+    # P15 has the largest W, totecc and transmission of any order-15 graph
+    "named": (6, lambda: [
+        complete(1), complete(2), complete(15), cycle(15), path(15), star(15)
+    ]),
+}
+
+
+def _by_lanes(graphs, size):
+    # blocks of at most ``size`` graphs of one order, the last one partial
+    out = []
+    i = 0
+    while i < len(graphs):
+        j = i + 1
+        while j < len(graphs) and j - i < size and graphs[j].n == graphs[i].n:
+            j += 1
+        reports, l41 = lane_reports(graphs[i:j])
+        out.extend(zip(reports, l41))
+        i = j
+    return out
+
+
+class TestLaneReports:
+    """The lane kernel is a fast path; full_report and L4.1's per-graph
+    predicate are the reference for every field and every triple."""
+
+    @pytest.mark.parametrize("name", LANE_SETS)
+    def test_matches_full_report(self, name):
+        count, make = LANE_SETS[name]
+        graphs = make()
+        assert len(graphs) == count
+        expected = []
+        for g in graphs:
+            dist = all_pairs_distances(g)
+            rep = full_report(g, dist)
+            expected.append((rep, _l41(g, rep, dist)))
+        # one graph per block over 81,968 graphs adds nothing the rest miss
+        sizes = (3, LANE_BLOCK) if name == "connected:7/16" else (1, 3, LANE_BLOCK)
+        for size in sizes:
+            got = _by_lanes(graphs, size)
+            assert len(got) == count
+            for g, a, b in zip(graphs, got, expected):
+                assert a == b, (size, emit_graph6(g))
+
+    def test_disconnected_graph_in_a_block_raises(self):
+        block = list(enumerate_connected_graphs(5))[:7]
+        block.insert(4, from_edge_list(5, [(0, 1), (2, 3), (3, 4)]))
+        with pytest.raises(DisconnectedGraphError):
+            lane_reports(block)
+        with pytest.raises(DisconnectedGraphError):
+            lane_reports([from_edge_list(2, [])])
+
+    @pytest.mark.parametrize(
+        "block",
+        [[complete(LANE_MAX_N + 1)], [path(4), path(5)], [from_edge_list(0, [])]],
+        ids=["order-16", "mixed-orders", "order-0"],
+    )
+    def test_outside_the_lane_bound_raises(self, block):
+        with pytest.raises(GraphError, match="lane reports need"):
+            lane_reports(block)

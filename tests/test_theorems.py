@@ -1,5 +1,7 @@
 """Targeted verdicts for every claim checker, plus hunt smoke tests."""
 
+import dataclasses
+
 import pytest
 
 from distinv import (
@@ -27,9 +29,18 @@ from distinv import (
     star,
     thm29_construction,
 )
-from distinv.sweeps import enumerate_connected_graphs, iter_sweep, parse_sweep_spec
+from distinv import sweeps as sweeps_mod
+from distinv import theorems as theorems_mod
+from distinv.graphs import emit_graph6
+from distinv.sweeps import (
+    SweepVisitError,
+    enumerate_connected_graphs,
+    iter_sweep,
+    parse_sweep_spec,
+)
 from distinv.theorems import (
     ALL_UNARY_IDS,
+    CLAIMS,
     check_c22,
     check_c28i,
     check_c28ii,
@@ -568,3 +579,57 @@ class TestTableHuntMatchesPublicChecks:
         for tid, check in PUBLIC_CHECKS.items():
             assert check.__name__ == "check_" + tid.lower().replace(".", "")
             assert check.__doc__
+
+
+class TestHuntNamesTheGraphInHand:
+    """hunt's fold reads a block ahead of the graph it evaluates, so it names
+    that graph itself when a predicate or the per-graph path fails."""
+
+    @pytest.mark.parametrize(
+        "text", ["connected:4..4", "diam2:n=16,count=5,seed=5"], ids=["lanes", "per-graph"]
+    )
+    def test_predicate_error_names_its_graph(self, monkeypatch, text):
+        graphs = list(iter_sweep(parse_sweep_spec(text)))
+        target = graphs[2]
+        claim = CLAIMS["P2.4"]
+
+        def boom(g, rep, dist):
+            if g == target:
+                raise ValueError("nope")
+            return claim.predicate(g, rep, dist)
+
+        monkeypatch.setitem(CLAIMS, "P2.4", dataclasses.replace(claim, predicate=boom))
+        with pytest.raises(SweepVisitError) as info:
+            hunt(parse_sweep_spec(text), ["P2.1", "P2.4", "L4.1"])
+        assert str(info.value) == (
+            f"visitor failed on {emit_graph6(target)}: ValueError('nope')"
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+        assert target != graphs[-1]
+
+    def test_disconnected_graph_named_as_on_the_per_graph_path(self, monkeypatch):
+        connected = list(enumerate_connected_graphs(5))[:9]
+        bad = from_edge_list(5, [(0, 1), (2, 3), (3, 4)])
+        stream = connected[:4] + [bad] + connected[4:]
+        monkeypatch.setattr(sweeps_mod, "_connected_graphs_range", lambda n, a, b: iter(stream))
+        with pytest.raises(SweepVisitError) as info:
+            hunt(SweepSpec("connected_graphs", 5, 5), ["P2.4", "L4.1"])
+        assert str(info.value) == (
+            f"visitor failed on {emit_graph6(bad)}: "
+            "DisconnectedGraphError('graph is disconnected')"
+        )
+
+    def test_kernel_fault_names_the_last_graph_read(self, monkeypatch):
+        # a fault of the kernel itself belongs to no one graph of its block;
+        # fold_sweep's contract names the last graph the stream handed out
+        def broken(block):
+            raise ValueError("lane fault")
+
+        monkeypatch.setattr(theorems_mod, "lane_reports", broken)
+        spec = parse_sweep_spec("connected:4..4")
+        last = list(iter_sweep(spec))[-1]
+        with pytest.raises(SweepVisitError) as info:
+            hunt(spec, ["P2.4"])
+        assert str(info.value) == (
+            f"visitor failed on {emit_graph6(last)}: ValueError('lane fault')"
+        )
