@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, from_edge_list
+from .graphs import MAX_INPUT_ORDER, Graph, GraphError, from_edge_list
 from .invariants import full_report
 
 
@@ -194,14 +194,16 @@ def thm29_construction(n: int, n_prime: int) -> Graph:
     return g
 
 
+# kind -> (constructor, arity, order of the graph it builds); an order may
+# read anything for parameters its constructor rejects
 _SIMPLE_KINDS = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "star": (star, 1),
-    "double_star": (double_star, 2),
-    "hypercube": (hypercube, 1),
-    "ak": (a_k, 1),
+    "path": (path, 1, lambda n: n),
+    "cycle": (cycle, 1, lambda n: n),
+    "complete": (complete, 1, lambda n: n),
+    "star": (star, 1, lambda n: n),
+    "double_star": (double_star, 2, lambda a, b: a + b + 2),
+    "hypercube": (hypercube, 1, lambda d: 1 << d if 0 <= d <= 20 else 0),
+    "ak": (a_k, 1, lambda k: 4 + 2 * k),
 }
 
 _MAX_DEPTH = 4
@@ -296,7 +298,7 @@ def parse_family_spec(text: str, _depth: int = 0) -> FamilySpec:
             raise FamilyError("thm29 takes n= and np=")
         return FamilySpec("thm29", (kv["n"], kv["np"]))
     if name in _SIMPLE_KINDS:
-        _, arity = _SIMPLE_KINDS[name]
+        _, arity, _ = _SIMPLE_KINDS[name]
         params = tuple(_parse_int(p, text) for p in rest.split(",")) if rest else ()
         if len(params) != arity:
             raise FamilyError(f"{name} takes {arity} integer parameter(s)")
@@ -311,10 +313,38 @@ def _parse_int(text: str, context: str) -> int:
         raise FamilyError(f"bad integer {text!r} in family spec {context!r}") from None
 
 
-def build_family(spec: FamilySpec) -> Graph:
-    """Construct the graph a parsed spec describes."""
+def family_order(spec: FamilySpec) -> int:
+    """The order of the graph a parsed spec describes, without building it."""
     if spec.kind in _SIMPLE_KINDS:
-        fn, _ = _SIMPLE_KINDS[spec.kind]
+        _, _, order = _SIMPLE_KINDS[spec.kind]
+        return order(*spec.params)
+    if spec.kind == "figure1":
+        return 16
+    if spec.kind == "thm29":
+        return spec.params[0]
+    if spec.kind == "cartesian":
+        # below 0 only for parameters the constructor rejects
+        a, b = (max(family_order(op), 0) for op in spec.operands)
+        return a * b
+    if spec.kind == "pendant_ud":
+        return family_order(spec.operands[0]) + 2 * spec.params[0]
+    raise FamilyError(f"unknown family kind {spec.kind!r}")
+
+
+def build_family(spec: FamilySpec) -> Graph:
+    """Construct the graph a parsed spec describes.
+
+    A spec whose graph would have more than ``MAX_INPUT_ORDER`` vertices,
+    the largest order the graph parsers read back, is refused before
+    anything is built.
+    """
+    n = family_order(spec)
+    if n > MAX_INPUT_ORDER:
+        raise FamilyError(
+            f"family {spec} has {n} vertices, above the bound of {MAX_INPUT_ORDER}"
+        )
+    if spec.kind in _SIMPLE_KINDS:
+        fn, _, _ = _SIMPLE_KINDS[spec.kind]
         return fn(*spec.params)
     if spec.kind == "figure1":
         return figure1()

@@ -21,7 +21,8 @@ definition:
 :func:`hunt` reads each chunk of a sweep in blocks of ``LANE_BLOCK`` graphs
 and takes each block's reports and L4.1 triples from the lane kernel
 (``invariants.lane_reports``) when the order is at most
-``invariants.LANE_MAX_N``; a larger graph gets one BFS and
+``invariants.LANE_MAX_N``, and the reports of the complements T3.3 needs
+from the kernel as one more block; a larger graph gets one BFS and
 :func:`full_report`.  It calls the predicates in a plain loop and builds a
 detailed :class:`TheoremVerdict` only for a counterexample, from the
 graph's BFS distances.  The public ``check_p21`` ... ``check_l41``
@@ -35,7 +36,7 @@ always carry the graph6 id and the detail.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable
 
 from .families import attach_pendant_paths_at, attach_pendants_at, cartesian_product
@@ -287,20 +288,33 @@ def _t32(g, rep, dist):
     return True, rep.wiener < rep.e1, False
 
 
-def _t33(g, rep, dist):
-    """Trees with n > 8: W > E1 holds for the tree or for its complement."""
+def _t33_disjunct(rep):
+    # None outside T3.3's hypothesis (a tree with n > 8); else the disjunct
+    # that decides it: "tree" when the tree has W > E1, else "complement"
     if not _is_tree(rep) or rep.n <= 8:
+        return None
+    return "tree" if rep.wiener > rep.e1 else "complement"
+
+
+def _t33(g, rep, dist, crep=None):
+    """Trees with n > 8: W > E1 holds for the tree or for its complement.
+
+    ``crep`` is the complement's report where the caller already has it."""
+    disjunct = _t33_disjunct(rep)
+    if disjunct is None:
         return _UNMET
-    if rep.wiener > rep.e1:
+    if disjunct == "tree":
         return True, True, False
-    crep = full_report(complement(g))
+    if crep is None:
+        crep = full_report(complement(g))
     return True, crep.wiener > crep.e1, False
 
 
 def _t33_detail(g, rep, dist, hyp):
-    if not hyp:
+    disjunct = _t33_disjunct(rep)
+    if disjunct is None:
         return {}
-    if rep.wiener > rep.e1:
+    if disjunct == "tree":
         return {"disjunct": "tree"}
     crep = full_report(complement(g))
     return {"disjunct": "complement", "W_comp": crep.wiener, "E1_comp": crep.e1}
@@ -558,16 +572,36 @@ def check_t54(g, h):
 LANE_BLOCK = 1024
 
 
-def _lane_rows(block):
-    """``(graph, report, L4.1 triple)`` for each graph of a block of one
-    order, from the lane kernel.  Report and triple are None where the block
-    takes the per-graph path instead: the kernel rejects orders above
+def _lane_columns(block):
+    """Each graph's report and L4.1 triple, as two lists, for a block of one
+    order from the lane kernel.  Both are all None where the block takes the
+    per-graph path instead: the kernel rejects orders above
     ``invariants.LANE_MAX_N``, and a disconnected graph, whose per-graph
     error then names it."""
     try:
-        return zip(block, *lane_reports(block))
+        return lane_reports(block)
     except GraphError:
-        return ((g, None, None) for g in block)
+        return [None] * len(block), [None] * len(block)
+
+
+def _t33_lane_verdicts(block, reports):
+    """T3.3's verdict for each tree of a block that its complement decides,
+    from the complement's lane report, and None elsewhere.  The complements
+    have the tree's order, so they go through the lanes as one block; where
+    that block takes the per-graph path, or the tree's own report did, the
+    None left makes ``hunt`` call ``_t33``, which builds the complement's
+    report itself."""
+    gated = [
+        i for i, rep in enumerate(reports)
+        if rep is not None and _t33_disjunct(rep) == "complement"
+    ]
+    verdicts = [None] * len(block)
+    if gated:
+        creps, _ = _lane_columns([complement(block[i]) for i in gated])
+        for i, crep in zip(gated, creps):
+            if crep is not None:
+                verdicts[i] = _t33(block[i], reports[i], None, crep=crep)
+    return verdicts
 
 
 def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]:
@@ -582,26 +616,30 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         if tid not in CLAIMS:
             raise GraphError(f"unknown or non-unary theorem id {tid!r}")
     claims = [CLAIMS[tid] for tid in ids]
-    # L4.1 reads distances; on the lane kernel its triple comes with the report
+    # the verdicts the lane path can hand over, by their place in a graph's
+    # ``given`` pair: L4.1's triple comes with the report, and T3.3's from
+    # its complement's lane report
+    given_at = {"L4.1": 0, "T3.3": 1}
     predicates = [
-        (i, claim.predicate, tid == "L4.1")
+        (i, claim.predicate, given_at.get(tid))
         for i, (tid, claim) in enumerate(zip(ids, claims))
     ]
+    t33 = "T3.3" in ids
 
     def zero():
         # per claim: hypothesis hits, counterexample verdicts, equality graph6
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
-    def visit(acc, g, rep, l41):
+    def visit(acc, g, rep, given):
         hits, cexs, eqs = acc
         dist = None
         if rep is None:
             dist = all_pairs_distances(g)
             rep = full_report(g, dist)
         g6 = None
-        for i, predicate, is_l41 in predicates:
-            if is_l41 and l41 is not None:
-                hyp, held, eq = l41
+        for i, predicate, k in predicates:
+            if k is not None and given[k] is not None:
+                hyp, held, eq = given[k]
             else:
                 hyp, held, eq = predicate(g, rep, dist)
             if hyp:
@@ -616,9 +654,16 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
 
     def fold(acc, graphs):
         for block in iter(lambda: list(islice(graphs, LANE_BLOCK)), []):
-            for g, rep, l41 in _lane_rows(block):
+            reports, l41s = _lane_columns(block)
+            # T3.3's hypothesis needs n > 8, so smaller blocks skip the scan
+            t33s = (
+                _t33_lane_verdicts(block, reports)
+                if t33 and block[0].n > 8
+                else repeat(None)
+            )
+            for g, rep, given in zip(block, reports, zip(l41s, t33s)):
                 try:
-                    visit(acc, g, rep, l41)
+                    visit(acc, g, rep, given)
                 except Exception as exc:
                     # the stream has read ahead to the block's end: name g here
                     raise visit_error(g, exc) from exc

@@ -5,11 +5,13 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from distinv import emit_graph6, from_edge_list, parse_graph6
 from distinv.cli import _build_parser, main
+from distinv.graphs import MAX_INPUT_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,33 @@ class TestFamilyCommand:
     def test_bad_spec_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "family", "bogus:3")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "spec,order",
+        [
+            ("thm29:n=100000,np=3", 100000),
+            ("path:100000000", 100000000),
+            ("ak:100000", 200004),
+            ("hypercube:13", 8192),
+            ("cartesian(complete:3000,complete:3000)", 9000000),
+            ("pendant_ud(complete:2047,l=1)", 2049),
+        ],
+    )
+    def test_order_above_input_bound_exit_2(self, capsys, spec, order):
+        # refused from the spec alone: building any of these takes seconds to
+        # hours, or ends in a MemoryError
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "family", spec)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: family {spec} has {order} vertices, "
+            f"above the bound of {MAX_INPUT_ORDER}\n"
+        )
+
+    def test_order_at_input_bound_builds(self, capsys):
+        code, out, err = run_cli(capsys, "family", "hypercube:11")
+        assert code == 0 and parse_graph6(out.strip()).n == MAX_INPUT_ORDER
 
 
 class TestEnumerateCommand:
@@ -416,6 +445,12 @@ GOLDEN = {
         ["verify", "--sweep", "trees:15..15", "--theorems", "T3.1,T3.2,L4.1",
          "--format", "json", "--verbose"],
         "67a9c2e95c607da7a1c51deaa3dd48f9ab4f5b22b3f5e33dcdab52f6ad168458",
+    ),
+    # T3.3's complements: order 15 takes the lanes, order 16 the per-graph path
+    "verify-t33-lane-bound": (
+        ["verify", "--sweep", "trees:15..16", "--theorems", "T3.3",
+         "--format", "json", "--verbose"],
+        "e82f2a3d80d5fa01eb89d127638f4109cbc3b9823fd32dc873b25a86b9e16e18",
     ),
 }
 

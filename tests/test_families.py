@@ -23,6 +23,7 @@ from distinv import (
     star,
     thm29_construction,
 )
+from distinv.families import family_order
 from distinv.ud import eccentric_set, find_ud_certificate, is_ud_pair
 
 from oracles import tree_canonical_form
@@ -295,7 +296,8 @@ class TestFamilySpecParsing:
         ],
     )
     def test_build_sizes(self, text, n):
-        assert build_family(parse_family_spec(text)).n == n
+        spec = parse_family_spec(text)
+        assert build_family(spec).n == family_order(spec) == n
 
     def test_pendant_ud_uses_canonical_pair(self):
         g = build_family(parse_family_spec("pendant_ud(ak:1,l=2)"))

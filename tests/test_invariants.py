@@ -12,6 +12,7 @@ from distinv import (
     DisconnectedGraphError,
     GraphError,
     all_pairs_distances,
+    complement,
     emit_graph6,
     from_edge_list,
     full_report,
@@ -245,6 +246,16 @@ def _sweep(text):
     return lambda: list(iter_sweep(parse_sweep_spec(text)))
 
 
+def _gated_complements(lo, hi):
+    # the complement of each tree of orders lo..hi that has W <= E1
+    out = []
+    for t in iter_sweep(parse_sweep_spec(f"trees:{lo}..{hi}")):
+        rep = full_report(t)
+        if rep.wiener <= rep.e1:
+            out.append(complement(t))
+    return out
+
+
 # Graph sets for the lane kernel, in sweep order, with their sizes; mixed
 # orders are cut into runs of one order, as hunt's chunks are.
 LANE_SETS = {
@@ -257,6 +268,8 @@ LANE_SETS = {
     ),
     "diam2:n=3..8,count=300,seed=5": (1800, _sweep("diam2:n=3..8,count=300,seed=5")),
     "diam2:n=9..12,count=2000,seed=5": (8000, _sweep("diam2:n=9..12,count=2000,seed=5")),
+    # T3.3's complement disjunct: all of diameter 2 but the S(1,6) complement
+    "tree complements 9..15 with W <= E1": (12273, lambda: _gated_complements(9, 15)),
     # P15 has the largest W, totecc and transmission of any order-15 graph
     "named": (6, lambda: [
         complete(1), complete(2), complete(15), cycle(15), path(15), star(15)

@@ -16,6 +16,7 @@ from distinv import (
     check_t43,
     check_t52,
     check_t54,
+    complement,
     complete,
     cycle,
     double_star,
@@ -632,4 +633,69 @@ class TestHuntNamesTheGraphInHand:
             hunt(spec, ["P2.4"])
         assert str(info.value) == (
             f"visitor failed on {emit_graph6(last)}: ValueError('lane fault')"
+        )
+
+
+class TestT33ComplementBlocks:
+    """hunt hands each block's T3.3-gated complements to the lane kernel as
+    one block; a block the kernel rejects falls back to per-graph reports."""
+
+    def _count_reports(self, monkeypatch):
+        calls = []
+        real = theorems_mod.full_report
+
+        def counted(g, dist=None):
+            calls.append(g)
+            return real(g, dist)
+
+        monkeypatch.setattr(theorems_mod, "full_report", counted)
+        return calls
+
+    def test_complements_take_the_lanes(self, monkeypatch):
+        calls = self._count_reports(monkeypatch)
+        (rep,) = hunt(parse_sweep_spec("trees:9..15"), ["T3.3"])
+        assert rep.hypothesis_hits == 13140
+        # only the counterexample's verdict builds its complement per graph
+        assert {emit_graph6(g) for g in calls} == {
+            emit_graph6(complement(parse_graph6("HkaCCA?")))
+        }
+
+    def test_rejected_complement_block_falls_back(self, monkeypatch):
+        spec = parse_sweep_spec("trees:9..11")
+        expected = hunt(spec, ["T3.1", "T3.3", "L4.1"])
+        gated = sum(
+            rep.wiener <= rep.e1 for rep in map(full_report, iter_sweep(spec))
+        )
+        real = theorems_mod.lane_reports
+
+        def trees_only(block):
+            if block[0].m != block[0].n - 1:
+                raise GraphError("no complements in the lanes")
+            return real(block)
+
+        monkeypatch.setattr(theorems_mod, "lane_reports", trees_only)
+        calls = self._count_reports(monkeypatch)
+        assert hunt(spec, ["T3.1", "T3.3", "L4.1"]) == expected
+        # one per gated tree, and two for the counterexample's verdict
+        assert len(calls) == gated + 2
+        assert all(g.m > g.n - 1 for g in calls)
+
+    def test_star_complement_in_the_block_is_named(self, monkeypatch):
+        # a star's complement is disconnected; gate every tree of order > 8 so
+        # that it joins its block's complements, which the kernel then
+        # rejects; the star comes early, so the block reads on past it
+        trees = list(iter_sweep(parse_sweep_spec("trees:9..9")))
+        star9 = next(g for g in trees if max(map(g.degree, range(9))) == 8)
+        trees.remove(star9)
+        trees.insert(2, star9)
+        monkeypatch.setattr(sweeps_mod, "_tree_stream", lambda n: iter(trees))
+        gate = theorems_mod._t33_disjunct
+        monkeypatch.setattr(
+            theorems_mod, "_t33_disjunct", lambda rep: gate(rep) and "complement"
+        )
+        with pytest.raises(SweepVisitError) as info:
+            hunt(SweepSpec("trees", 9, 9), ["T3.3"])
+        assert str(info.value) == (
+            f"visitor failed on {emit_graph6(star9)}: "
+            "DisconnectedGraphError('graph is disconnected')"
         )
