@@ -8,9 +8,10 @@ reduced numerator/denominator pair and compares by integer cross
 multiplication.
 
 :func:`full_report` is the single-graph definition of every invariant.
-:func:`lane_reports` is a fast path for a block of graphs of one order
-n <= 15, one graph per 16-bit lane of a Python int; its reports are checked
-field by field against :func:`full_report` in the tests.
+:func:`lane_reports` is a fast path for a block of graphs of any one order
+n <= 255, one graph per lane of a Python int, the lane 16 to 256 bits wide
+by the order; its reports are checked field by field against
+:func:`full_report` in the tests.
 """
 
 from __future__ import annotations
@@ -158,18 +159,17 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
     )
 
 
-# One graph per 16-bit lane.  n <= 15 leaves bit 15 of every lane free, which
-# the nonzero test and the biased gap need, and keeps every lane sum below
-# 2^16 (the largest, 2*E2, is at most 2 * 105 * 14^2).
-LANE_BITS = 16
-LANE_MAX_N = LANE_BITS - 1
-_LANE = (1 << LANE_BITS) - 1
-_HIGH = 1 << (LANE_BITS - 1)
+# One graph per lane of w = max(16, 1 << n.bit_length()) bits.  Bit w - 1 of
+# every lane is then free, which the nonzero test and the biased gap need, and
+# every lane sum (the largest, 2 * E2, is at most 2 * C(n, 2) * (n - 1)^2) is
+# below 2^w.  The SWAR popcount sums a lane's bytes in its low byte, exact for
+# a count below 2^8, and a lane holds at most n bits: hence n <= 255.
+LANE_MAX_N = 255
 
 
 def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, bool]]]:
     """Every graph's report and its L4.1 triple ``(hypothesis, held,
-    equality)``, for a non-empty block of graphs of one order 1 <= n <= 15.
+    equality)``, for a non-empty block of graphs of one order 1 <= n <= 255.
 
     Graph k sits in lane k: ``rows[u]`` holds row u of every graph.  One BFS
     per source vertex runs in every lane at once, and every value is counted
@@ -188,26 +188,41 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
     n = graphs[0].n
     if not 1 <= n <= LANE_MAX_N or any(g.n != n for g in graphs):
         raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
-    fmt = f"<{k}H"
-    ones = int.from_bytes(b"\x01\x00" * k, "little")
+    width = max(16, 1 << n.bit_length())
+    top = width - 1
+    size = width // 8  # bytes per lane
+    lane = (1 << width) - 1
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
     full = ones * ((1 << n) - 1)
-    low15 = ones * (_HIGH - 1)
-    m55, m33, m0f, m1f = ones * 0x5555, ones * 0x3333, ones * 0x0F0F, ones * 0x1F
+    low = ones * (lane >> 1)
+    # 0x55.., 0x33.. and 0x0F.. over every lane, and each lane's low byte
+    m55, m33, m0f, mff = (ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
+    folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
 
     def nonzero(x):
-        # 1 in each lane of x that is not zero; lanes must be below 2^15
-        return ((x + low15) >> 15) & ones
+        # 1 in each lane of x that is not zero; lanes must be below 2^top
+        return ((x + low) >> top) & ones
 
     def popcount(x):
         x -= (x >> 1) & m55
         x = (x & m33) + ((x >> 2) & m33)
         x = (x + (x >> 4)) & m0f
-        return (x + (x >> 8)) & m1f
+        for shift in folds:
+            x += x >> shift
+        return x & mff
 
-    rows = [
-        int.from_bytes(struct.pack(fmt, *col), "little")
-        for col in zip(*(g.bits for g in graphs))
-    ]
+    # a lane of up to 64 bits is one struct word; a wider lane is unpacked as
+    # its low 64-bit word, which holds every value the kernel returns
+    step = max(1, width // 64)
+    fmt = f"<{k * step}" + {16: "H", 32: "I"}.get(width, "Q")
+    columns = zip(*(g.bits for g in graphs))
+    if step == 1:
+        rows = [int.from_bytes(struct.pack(fmt, *col), "little") for col in columns]
+    else:
+        rows = [
+            int.from_bytes(b"".join(b.to_bytes(size, "little") for b in col), "little")
+            for col in columns
+        ]
     levels = []  # levels[s][d - 1] = F_d(s)
     ecc = []
     tr = []
@@ -222,7 +237,7 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
             for u in range(n):
                 lit = (front >> u) & ones  # lanes whose frontier holds u
                 if lit:
-                    nxt |= rows[u] & (lit * _LANE)
+                    nxt |= rows[u] & (lit * lane)
             nxt &= full ^ seen
             if not nxt:
                 break
@@ -259,17 +274,17 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
             cu += popcount(row & at_least[a])
         xic += cu
         for a in range(1, depth + 1):
-            e2x2 += cu & (((at_least[a] >> u) & ones) * _LANE)
+            e2x2 += cu & (((at_least[a] >> u) & ones) * lane)
     total = sum(ecc)
 
-    # L4.1: gap(v) = totecc - ecc(v) - Tr(v), biased by 2^15 so no lane
-    # borrows; bit 15 of a lane is then set exactly when its gap is >= 0
+    # L4.1: gap(v) = totecc - ecc(v) - Tr(v), biased by 2^top so no lane
+    # borrows; bit top of a lane is then set exactly when its gap is >= 0
     failed = equal = 0
-    bias = ones * _HIGH
+    bias = ones << top
     for v in range(n):
         gap = total + bias - ecc[v] - tr[v]
-        nonneg = (gap >> 15) & ones
-        zero = nonneg & (ones ^ nonzero(gap & low15))
+        nonneg = (gap >> top) & ones
+        zero = nonneg & (ones ^ nonzero(gap & low))
         off = 0
         for d, level in enumerate(levels[v], start=1):
             off |= level & ~(at_least[d] ^ at_least[d + 1])
@@ -277,7 +292,7 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
         equal |= zero
 
     def unpack(x):
-        return struct.unpack(fmt, x.to_bytes(2 * k, "little"))
+        return struct.unpack(fmt, x.to_bytes(size * k, "little"))[::step]
 
     # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
     columns = (m2 >> 1, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, n_univ)

@@ -20,17 +20,16 @@ definition:
 
 :func:`hunt` reads each chunk of a sweep in blocks of ``LANE_BLOCK`` graphs
 and takes each block's reports and L4.1 triples from the lane kernel
-(``invariants.lane_reports``) when the order is at most
-``invariants.LANE_MAX_N``, and the reports of the complements T3.3 needs
-from the kernel as one more block; a larger graph gets one BFS and
-:func:`full_report`.  It calls the predicates in a plain loop and builds a
-detailed :class:`TheoremVerdict` only for a counterexample, from the
-graph's BFS distances.  The public ``check_p21`` ... ``check_l41``
-(also ``UNARY_CHECKS``, by id) are thin wrappers that build one graph's
-verdict from the same row; ``detail=False`` leaves a verdict's graph6 id
-and detail unset.  The pendant and product claims take explicit extra
-arguments, are exercised by dedicated generators instead, and their verdicts
-always carry the graph6 id and the detail.
+(``invariants.lane_reports``, which takes every order a sweep makes), and
+the reports of the complements T3.3 needs from the kernel as one more
+block.  It calls the predicates in a plain loop and builds a detailed
+:class:`TheoremVerdict` only for a counterexample, from the graph's BFS
+distances (and for T3.3 the complement's :func:`full_report`).  The public
+``check_p21`` ... ``check_l41`` (also ``UNARY_CHECKS``, by id) are thin
+wrappers that build one graph's verdict from the same row; ``detail=False``
+leaves a verdict's graph6 id and detail unset.  The pendant and product
+claims take explicit extra arguments, are exercised by dedicated generators
+instead, and their verdicts always carry the graph6 id and the detail.
 """
 
 from __future__ import annotations
@@ -41,11 +40,13 @@ from typing import Callable
 
 from .families import attach_pendant_paths_at, attach_pendants_at, cartesian_product
 from .graphs import (
+    DisconnectedGraphError,
     Graph,
     GraphError,
     all_pairs_distances,
     complement,
     emit_graph6,
+    is_connected,
 )
 from .invariants import InvariantReport, full_report, lane_reports
 from .sweeps import SweepSpec, fold_sweep, visit_error
@@ -122,8 +123,9 @@ class Claim:
     fields: tuple[str, ...]
     extra: Callable | None = None
 
-    def verdict(self, g, rep, dist, detail=True) -> TheoremVerdict:
-        hyp, held, eq = self.predicate(g, rep, dist)
+    def verdict(self, g, rep, dist, result, detail=True) -> TheoremVerdict:
+        """The verdict on ``g`` from the predicate's ``result`` triple."""
+        hyp, held, eq = result
         if not detail:
             return TheoremVerdict(self.theorem_id, hyp, held, eq)
         row = rep.to_json_dict()
@@ -365,7 +367,7 @@ ALL_UNARY_IDS = tuple(CLAIMS)
 def _checker(claim: Claim):
     def check(g, rep=None, dist=None, detail=True):
         rep, dist = _prep(g, rep, dist)
-        return claim.verdict(g, rep, dist, detail)
+        return claim.verdict(g, rep, dist, claim.predicate(g, rep, dist), detail)
 
     check.__name__ = check.__qualname__ = "check_" + claim.theorem_id.lower().replace(
         ".", ""
@@ -572,35 +574,27 @@ def check_t54(g, h):
 LANE_BLOCK = 1024
 
 
-def _lane_columns(block):
-    """Each graph's report and L4.1 triple, as two lists, for a block of one
-    order from the lane kernel.  Both are all None where the block takes the
-    per-graph path instead: the kernel rejects orders above
-    ``invariants.LANE_MAX_N``, and a disconnected graph, whose per-graph
-    error then names it."""
+def _lanes(block, named=None):
+    """``lane_reports(block)``; a disconnected graph in the block becomes
+    ``SweepVisitError`` naming it, or its entry in ``named``."""
     try:
         return lane_reports(block)
-    except GraphError:
-        return [None] * len(block), [None] * len(block)
+    except DisconnectedGraphError as exc:
+        i = next(i for i, g in enumerate(block) if not is_connected(g))
+        raise visit_error((named or block)[i], exc) from exc
 
 
 def _t33_lane_verdicts(block, reports):
     """T3.3's verdict for each tree of a block that its complement decides,
     from the complement's lane report, and None elsewhere.  The complements
-    have the tree's order, so they go through the lanes as one block; where
-    that block takes the per-graph path, or the tree's own report did, the
-    None left makes ``hunt`` call ``_t33``, which builds the complement's
-    report itself."""
-    gated = [
-        i for i, rep in enumerate(reports)
-        if rep is not None and _t33_disjunct(rep) == "complement"
-    ]
+    have the tree's order, so they go through the lanes as one block."""
+    gated = [i for i, rep in enumerate(reports) if _t33_disjunct(rep) == "complement"]
     verdicts = [None] * len(block)
     if gated:
-        creps, _ = _lane_columns([complement(block[i]) for i in gated])
+        trees = [block[i] for i in gated]
+        creps, _ = _lanes([complement(t) for t in trees], trees)
         for i, crep in zip(gated, creps):
-            if crep is not None:
-                verdicts[i] = _t33(block[i], reports[i], None, crep=crep)
+            verdicts[i] = _t33(block[i], reports[i], None, crep=crep)
     return verdicts
 
 
@@ -612,16 +606,18 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
     error raised on a graph becomes ``SweepVisitError`` naming that graph.
     """
     ids = list(theorem_ids)
+    if not ids:
+        raise GraphError("no theorem ids given")
     for tid in ids:
         if tid not in CLAIMS:
             raise GraphError(f"unknown or non-unary theorem id {tid!r}")
     claims = [CLAIMS[tid] for tid in ids]
     # the verdicts the lane path can hand over, by their place in a graph's
-    # ``given`` pair: L4.1's triple comes with the report, and T3.3's from
-    # its complement's lane report
+    # ``given`` triple: L4.1's comes with the report, and T3.3's from its
+    # complement's lane report, or is None; place 2 is always None
     given_at = {"L4.1": 0, "T3.3": 1}
     predicates = [
-        (i, claim.predicate, given_at.get(tid))
+        (i, claim.predicate, given_at.get(tid, 2))
         for i, (tid, claim) in enumerate(zip(ids, claims))
     ]
     t33 = "T3.3" in ids
@@ -632,36 +628,25 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
 
     def visit(acc, g, rep, given):
         hits, cexs, eqs = acc
-        dist = None
-        if rep is None:
-            dist = all_pairs_distances(g)
-            rep = full_report(g, dist)
         g6 = None
         for i, predicate, k in predicates:
-            if k is not None and given[k] is not None:
-                hyp, held, eq = given[k]
-            else:
-                hyp, held, eq = predicate(g, rep, dist)
+            hyp, held, eq = given[k] or predicate(g, rep, None)
             if hyp:
                 hits[i] += 1
                 if not held:
-                    if dist is None:
-                        dist = all_pairs_distances(g)
-                    cexs[i].append(claims[i].verdict(g, rep, dist))
+                    dist = all_pairs_distances(g)
+                    cexs[i].append(claims[i].verdict(g, rep, dist, (hyp, held, eq)))
             if eq:
                 g6 = g6 or emit_graph6(g)
                 eqs[i].add(g6)
 
     def fold(acc, graphs):
         for block in iter(lambda: list(islice(graphs, LANE_BLOCK)), []):
-            reports, l41s = _lane_columns(block)
+            reports, l41s = _lanes(block)
             # T3.3's hypothesis needs n > 8, so smaller blocks skip the scan
-            t33s = (
-                _t33_lane_verdicts(block, reports)
-                if t33 and block[0].n > 8
-                else repeat(None)
-            )
-            for g, rep, given in zip(block, reports, zip(l41s, t33s)):
+            scan = t33 and block[0].n > 8
+            t33s = _t33_lane_verdicts(block, reports) if scan else repeat(None)
+            for g, rep, given in zip(block, reports, zip(l41s, t33s, repeat(None))):
                 try:
                     visit(acc, g, rep, given)
                 except Exception as exc:

@@ -203,6 +203,15 @@ class TestVerifyCommand:
         )
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("token", [",,", " , ", ""])
+    def test_no_theorem_ids_exit_2(self, capsys, token):
+        # nothing to check: no sweep runs and no header is printed
+        code, out, err = run_cli(
+            capsys, "verify", "--sweep", "trees:2..5", "--theorems", token
+        )
+        assert code == 2 and out == ""
+        assert "error: no theorem ids given" in err
+
 
 class TestUdCommand:
     def test_tree_certificate(self, capsys, tmp_path):
@@ -451,6 +460,28 @@ GOLDEN = {
         ["verify", "--sweep", "trees:15..16", "--theorems", "T3.3",
          "--format", "json", "--verbose"],
         "e82f2a3d80d5fa01eb89d127638f4109cbc3b9823fd32dc873b25a86b9e16e18",
+    ),
+    # orders across the lane width bounds 31/32, 63/64 and 127/128
+    "verify-diam2-width-32": (
+        ["verify", "--sweep", "diam2:n=30..33,count=20,seed=5", "--theorems",
+         "all-unary", "--format", "json", "--verbose"],
+        "1422117ad3ecda359127bde744f9fe2450eb1f37117e8ec7266d895b0de5d25e",
+    ),
+    "verify-diam2-width-64": (
+        ["verify", "--sweep", "diam2:n=62..65,count=8,seed=5", "--theorems",
+         "all-unary", "--format", "json", "--verbose"],
+        "f0a8c6440540b9580014f23c76791b034287ca0f36d6529bdd87d816c6f9313d",
+    ),
+    "verify-diam2-width-128": (
+        ["verify", "--sweep", "diam2:n=126..128,count=4,seed=5", "--theorems",
+         "all-unary", "--format", "json", "--verbose"],
+        "90af23af38e0848ab6ad0e76316612734589bfedf91e91deae49153fcd180f96",
+    ),
+    # every tree of order 16, T3.3's complements among them, in 32-bit lanes
+    "verify-trees-16": (
+        ["verify", "--sweep", "trees:16..16", "--theorems", "T3.1,T3.2,T3.3,L4.1",
+         "--format", "json", "--verbose"],
+        "4804921a8bbd14709b310abc8621c9c92578a7f569d1e912acbc356ddf459d08",
     ),
 }
 

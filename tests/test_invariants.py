@@ -256,6 +256,10 @@ def _gated_complements(lo, hi):
     return out
 
 
+# the orders on each side of the lane width bounds: 16/32, 32/64, 64/128,
+# 128/256 bits, and LANE_MAX_N
+WIDTH_BOUNDS = (16, 31, 32, 63, 64, 127, 128, LANE_MAX_N)
+
 # Graph sets for the lane kernel, in sweep order, with their sizes; mixed
 # orders are cut into runs of one order, as hunt's chunks are.
 LANE_SETS = {
@@ -274,7 +278,20 @@ LANE_SETS = {
     "named": (6, lambda: [
         complete(1), complete(2), complete(15), cycle(15), path(15), star(15)
     ]),
+    # 32-bit lanes
+    "trees:16..16": (19320, _sweep("trees:16..16")),
+    # on each side of every lane width bound up to the sampler's n <= 128
+    "diam2 at the width bounds": (140, lambda: [
+        g for n in WIDTH_BOUNDS[:-1]
+        for g in iter_sweep(parse_sweep_spec(f"diam2:n={n},count=20,seed=5"))
+    ]),
+    # P_n has the largest W, totecc and transmission of any order-n graph
+    "named at the width bounds": (32, lambda: [
+        f(n) for n in WIDTH_BOUNDS for f in (complete, cycle, path, star)
+    ]),
 }
+# one graph per block adds nothing the other block sizes miss on these
+_NO_SINGLE_BLOCKS = {"connected:7/16", "trees:16..16"}
 
 
 def _by_lanes(graphs, size):
@@ -305,8 +322,7 @@ class TestLaneReports:
             dist = all_pairs_distances(g)
             rep = full_report(g, dist)
             expected.append((rep, _l41(g, rep, dist)))
-        # one graph per block over 81,968 graphs adds nothing the rest miss
-        sizes = (3, LANE_BLOCK) if name == "connected:7/16" else (1, 3, LANE_BLOCK)
+        sizes = (3, LANE_BLOCK) if name in _NO_SINGLE_BLOCKS else (1, 3, LANE_BLOCK)
         for size in sizes:
             got = _by_lanes(graphs, size)
             assert len(got) == count
@@ -324,7 +340,7 @@ class TestLaneReports:
     @pytest.mark.parametrize(
         "block",
         [[complete(LANE_MAX_N + 1)], [path(4), path(5)], [from_edge_list(0, [])]],
-        ids=["order-16", "mixed-orders", "order-0"],
+        ids=["order-256", "mixed-orders", "order-0"],
     )
     def test_outside_the_lane_bound_raises(self, block):
         with pytest.raises(GraphError, match="lane reports need"):

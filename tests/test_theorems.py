@@ -483,6 +483,27 @@ class TestHunt:
         with pytest.raises(GraphError):
             hunt(SweepSpec("trees", 4, 5), ["T4.2"])
 
+    def test_no_ids_rejected(self):
+        with pytest.raises(GraphError, match="no theorem ids"):
+            hunt(SweepSpec("trees", 4, 5), [])
+
+    def test_no_per_graph_report_above_order_15(self, monkeypatch):
+        # every order a sweep makes goes through the lane kernel: with no
+        # counterexample, hunt runs no BFS and no full_report of its own
+        calls = []
+        for name in ("full_report", "all_pairs_distances"):
+            real = getattr(theorems_mod, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(theorems_mod, name, counted)
+        reports = hunt(parse_sweep_spec("trees:16..16"), ["T3.1", "T3.2", "L4.1"])
+        assert [r.graphs_visited for r in reports] == [19320] * 3
+        assert all(r.counterexamples == () for r in reports)
+        assert calls == []
+
     def test_worker_count_does_not_change_reports(self):
         spec = SweepSpec("trees", 2, 9)
         a = hunt(spec, ["T3.1", "T3.2", "L4.1"])
@@ -584,10 +605,13 @@ class TestTableHuntMatchesPublicChecks:
 
 class TestHuntNamesTheGraphInHand:
     """hunt's fold reads a block ahead of the graph it evaluates, so it names
-    that graph itself when a predicate or the per-graph path fails."""
+    that graph itself when a predicate fails, and the graph the kernel finds
+    disconnected."""
 
     @pytest.mark.parametrize(
-        "text", ["connected:4..4", "diam2:n=16,count=5,seed=5"], ids=["lanes", "per-graph"]
+        "text",
+        ["connected:4..4", "diam2:n=16,count=5,seed=5"],
+        ids=["lanes", "lanes-order-16"],
     )
     def test_predicate_error_names_its_graph(self, monkeypatch, text):
         graphs = list(iter_sweep(parse_sweep_spec(text)))
@@ -638,7 +662,7 @@ class TestHuntNamesTheGraphInHand:
 
 class TestT33ComplementBlocks:
     """hunt hands each block's T3.3-gated complements to the lane kernel as
-    one block; a block the kernel rejects falls back to per-graph reports."""
+    one block."""
 
     def _count_reports(self, monkeypatch):
         calls = []
@@ -655,30 +679,11 @@ class TestT33ComplementBlocks:
         calls = self._count_reports(monkeypatch)
         (rep,) = hunt(parse_sweep_spec("trees:9..15"), ["T3.3"])
         assert rep.hypothesis_hits == 13140
-        # only the counterexample's verdict builds its complement per graph
-        assert {emit_graph6(g) for g in calls} == {
+        # only the counterexample's verdict builds its complement per graph,
+        # and once
+        assert [emit_graph6(g) for g in calls] == [
             emit_graph6(complement(parse_graph6("HkaCCA?")))
-        }
-
-    def test_rejected_complement_block_falls_back(self, monkeypatch):
-        spec = parse_sweep_spec("trees:9..11")
-        expected = hunt(spec, ["T3.1", "T3.3", "L4.1"])
-        gated = sum(
-            rep.wiener <= rep.e1 for rep in map(full_report, iter_sweep(spec))
-        )
-        real = theorems_mod.lane_reports
-
-        def trees_only(block):
-            if block[0].m != block[0].n - 1:
-                raise GraphError("no complements in the lanes")
-            return real(block)
-
-        monkeypatch.setattr(theorems_mod, "lane_reports", trees_only)
-        calls = self._count_reports(monkeypatch)
-        assert hunt(spec, ["T3.1", "T3.3", "L4.1"]) == expected
-        # one per gated tree, and two for the counterexample's verdict
-        assert len(calls) == gated + 2
-        assert all(g.m > g.n - 1 for g in calls)
+        ]
 
     def test_star_complement_in_the_block_is_named(self, monkeypatch):
         # a star's complement is disconnected; gate every tree of order > 8 so
