@@ -443,7 +443,7 @@ GOLDEN = {
         ["invariants", "{dense}"],
         "559e660b2f37b418aeae70c1d6e1d1e6c6c5cb2ccdf6e7b16709ac1395d1b6ea",
     ),
-    # orders 13..16 straddle the lane kernel's bound n <= 15
+    # orders 13..16 straddle the 16/32-bit lane width bound
     "verify-diam2-lane-bound": (
         ["verify", "--sweep", "diam2:n=13..16,count=60,seed=5", "--theorems",
          "all-unary", "--format", "json", "--verbose"],
@@ -455,7 +455,7 @@ GOLDEN = {
          "--format", "json", "--verbose"],
         "67a9c2e95c607da7a1c51deaa3dd48f9ab4f5b22b3f5e33dcdab52f6ad168458",
     ),
-    # T3.3's complements: order 15 takes the lanes, order 16 the per-graph path
+    # T3.3's complements in 16-bit lanes at order 15 and 32-bit lanes at 16
     "verify-t33-lane-bound": (
         ["verify", "--sweep", "trees:15..16", "--theorems", "T3.3",
          "--format", "json", "--verbose"],
