@@ -12,6 +12,17 @@ seed of a ``diam2:`` sweep and is an error on any other sweep.  The
 before writing leaves an existing file as it was; a file that cannot be
 opened is an error (exit 2).
 
+``invariants`` and ``ud`` read their input ``LANE_BLOCK`` graphs at a time
+and send each window's graphs of one order through the lane kernel together
+(``lane_reports``, ``lane_eccentric_sets``); rows on stdout and error lines
+on stderr come out in input order.  A graph takes the per-graph path
+(``full_report``, ``find_ud_certificate``) in three cases: it is the only
+graph of its order in the window, its order is 0 or above ``LANE_MAX_N``,
+or it is disconnected.  A disconnected graph gets the per-graph error line,
+and the rest of its order still goes through the lanes.  Only the graphs of
+order 1..``LANE_MAX_N`` wait for the end of their window; every other graph
+and every unreadable line becomes its output or error line as it is read.
+
 Exit codes: 0 success, 1 a claim check found a counterexample, 2 usage or
 input error.  Output is byte-identical for identical inputs, seed and
 format, independent of the worker count.
@@ -27,15 +38,25 @@ import sys
 from . import __version__
 from .families import build_family, parse_family_spec
 from .graphs import (
+    DisconnectedGraphError,
+    Graph,
     GraphError,
     emit_graph6,
+    is_connected,
     parse_edge_list,
     parse_graph6,
 )
-from .invariants import CSV_HEADER, InvariantReport, full_report
+from .invariants import (
+    CSV_HEADER,
+    LANE_MAX_N,
+    InvariantReport,
+    full_report,
+    lane_eccentric_sets,
+    lane_reports,
+)
 from .sweeps import SweepError, iter_sweep, parse_sweep_spec
-from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, hunt
-from .ud import find_ud_certificate
+from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, LANE_BLOCK, hunt
+from .ud import find_ud_certificate, ud_certificate
 
 
 # add_argument keywords of the options only some commands read; each command
@@ -125,18 +146,64 @@ def _read_graphs(files):
                     yield f"{label}:{i}", exc
 
 
-def _per_graph(files, out, compute, render) -> int:
+def _per_graph(files, out, compute, block, render) -> int:
     """One output line per input graph; an input or compute error goes to
-    stderr, the loop goes on, and the exit code becomes 2."""
-    failed = False
-    for label, item in _read_graphs(files):
+    stderr, the loop goes on, and the exit code becomes 2.
+
+    The input is read in windows of ``LANE_BLOCK`` items.  A graph of order
+    1..``LANE_MAX_N`` waits for the end of its window, where ``block`` maps
+    the window's graphs of one order to one value each; every other item is
+    turned into its output line or error as it is read, so no larger graph
+    is held.  ``compute`` takes the graphs of the three per-graph cases in
+    the module docstring one by one.
+    """
+
+    def line(g):
+        # the output line of one graph on the per-graph path, or its error
         try:
-            if isinstance(item, GraphError):
-                raise item
-            print(render(compute(item)), file=out)
+            return render(compute(g))
         except GraphError as exc:
-            print(f"error: {label}: {exc}", file=sys.stderr)
-            failed = True
+            return exc
+
+    def flush(window, by_order) -> bool:
+        # write the window in input order; True when it held an error
+        for idx in by_order.values():
+            if len(idx) < 2:
+                continue
+            graphs = [window[i][1] for i in idx]
+            try:
+                values = block(graphs)
+            except DisconnectedGraphError:
+                idx = [i for i, g in zip(idx, graphs) if is_connected(g)]
+                values = block([window[i][1] for i in idx]) if idx else []
+            for i, value in zip(idx, values):
+                window[i][1] = render(value)
+        failed = False
+        for label, item in window:
+            if isinstance(item, Graph):
+                item = line(item)
+            if isinstance(item, GraphError):
+                print(f"error: {label}: {item}", file=sys.stderr)
+                failed = True
+            else:
+                print(item, file=out)
+        return failed
+
+    failed = False
+    window = []  # [label, output line, error, or a graph waiting for its block]
+    by_order = {}  # order -> the window indices of its waiting graphs
+    for label, item in _read_graphs(files):
+        if isinstance(item, Graph):
+            if 1 <= item.n <= LANE_MAX_N:
+                by_order.setdefault(item.n, []).append(len(window))
+            else:
+                item = line(item)
+        window.append([label, item])
+        if len(window) == LANE_BLOCK:
+            failed |= flush(window, by_order)
+            window, by_order = [], {}
+    if window:
+        failed |= flush(window, by_order)
     return 2 if failed else 0
 
 
@@ -149,7 +216,9 @@ def _cmd_invariants(args, out) -> int:
     if args.format == "csv":
         print(CSV_HEADER, file=out)
         render = InvariantReport.csv_row
-    return _per_graph(args.files, out, full_report, render)
+    return _per_graph(
+        args.files, out, full_report, lambda graphs: lane_reports(graphs)[0], render
+    )
 
 
 def _cmd_family(args, out) -> int:
@@ -209,7 +278,10 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_ud(args, out) -> int:
-    return _per_graph(args.files, out, find_ud_certificate, _json_line)
+    def block(graphs):
+        return [ud_certificate(*es) for es in lane_eccentric_sets(graphs)]
+
+    return _per_graph(args.files, out, find_ud_certificate, block, _json_line)
 
 
 _COMMANDS = {

@@ -178,44 +178,45 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(str(exc)) from None
 
 
+# each graph6 byte '?'..'~' to its six data bits; any other character is
+# left as it is, one character where a byte gives six
+_GRAPH6_BITS = str.maketrans({chr(63 + code): f"{code:06b}" for code in range(64)})
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (trailing newline optional)."""
     s = text.rstrip("\r\n")
     if not s:
         raise FormatError("empty graph6 line")
-    vals = []
-    for ch in s:
-        code = ord(ch) - 63
-        if not 0 <= code <= 63:
-            raise FormatError(f"graph6 byte out of range: {ch!r}")
-        vals.append(code)
-    if vals[0] != 63:
-        n = vals[0]
+    data = s.translate(_GRAPH6_BITS)
+    if len(data) != 6 * len(s):
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise FormatError(f"graph6 byte out of range: {ch!r}")
+    if s[0] != "~":
+        n = ord(s[0]) - 63
         pos = 1
-    elif len(vals) >= 2 and vals[1] != 63:
-        if len(vals) < 4:
+    elif len(s) >= 2 and s[1] != "~":
+        if len(s) < 4:
             raise FormatError("truncated graph6 order field")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        n = int(data[6:24], 2)
         pos = 4
         if n < 63:
             raise FormatError("non-canonical graph6 order field")
     else:
-        if len(vals) < 8:
+        if len(s) < 8:
             raise FormatError("truncated graph6 order field")
-        n = 0
-        for code in vals[2:8]:
-            n = (n << 6) | code
+        n = int(data[12:48], 2)
         pos = 8
         if n < 258048:
             raise FormatError("non-canonical graph6 order field")
     _check_input_order(n)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(vals) - pos != nbytes:
+    if len(s) - pos != nbytes:
         raise FormatError(
-            f"graph6 data for n={n} needs {nbytes} bytes, got {len(vals) - pos}"
+            f"graph6 data for n={n} needs {nbytes} bytes, got {len(s) - pos}"
         )
-    data = "".join(format(code, "06b") for code in vals[pos:])
+    data = data[6 * pos :]
     if "1" in data[nbits:]:
         raise FormatError("nonzero graph6 padding bits")
     return Graph._raw(n, _rows_from_pairs(n, int(data[:nbits][::-1] or "0", 2)))

@@ -11,7 +11,8 @@ multiplication.
 :func:`lane_reports` is a fast path for a block of graphs of any one order
 n <= 255, one graph per lane of a Python int, the lane 16 to 256 bits wide
 by the order; its reports are checked field by field against
-:func:`full_report` in the tests.
+:func:`full_report` in the tests.  :func:`lane_eccentric_sets` reads each
+vertex's eccentricity and eccentric set from the same lane BFS.
 """
 
 from __future__ import annotations
@@ -167,93 +168,133 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
 LANE_MAX_N = 255
 
 
+class _Lanes:
+    """A non-empty block of graphs of one order 1 <= n <= 255, graph k in
+    lane k of a Python int (``rows[u]`` holds row u of every graph), and the
+    levels ``levels[s][d - 1] = F_d(s)`` of one lane-packed BFS per source
+    vertex s, run in every lane at once.
+
+    Raises ``DisconnectedGraphError`` if a graph is disconnected.
+    """
+
+    def __init__(self, graphs):
+        k = len(graphs)
+        n = graphs[0].n
+        if not 1 <= n <= LANE_MAX_N or any(g.n != n for g in graphs):
+            raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
+        width = max(16, 1 << n.bit_length())
+        self.k = k
+        self.n = n
+        self.top = width - 1
+        self.size = size = width // 8  # bytes per lane
+        self.lane = lane = (1 << width) - 1
+        self.ones = ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
+        self.full = full = ones * ((1 << n) - 1)
+        self.low = ones * (lane >> 1)
+        # 0x55.., 0x33.. and 0x0F.. over every lane, and each lane's low byte
+        self._masks = tuple(ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
+        self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
+        # a lane of up to 64 bits is one struct word; a wider one packs from bytes
+        word = {16: "H", 32: "I", 64: "Q"}.get(width)
+        self._fmt = word and f"<{k}{word}"
+        columns = zip(*(g.bits for g in graphs))
+        if word:
+            rows = [int.from_bytes(struct.pack(self._fmt, *col), "little") for col in columns]
+        else:
+            rows = [
+                int.from_bytes(b"".join(b.to_bytes(size, "little") for b in col), "little")
+                for col in columns
+            ]
+        self.rows = rows
+        # (shift, mask) steps that fold the upper half of the lanes onto the
+        # lower half, ending with the union of every lane in lane 0
+        halves = []
+        span = width << (k - 1).bit_length()
+        while span > width:
+            span >>= 1
+            halves.append((span, (1 << span) - 1))
+        self.levels = levels = []
+        for s in range(n):
+            front = seen = ones << s
+            own = []
+            while True:
+                union = front
+                for shift, mask in halves:
+                    union = (union | union >> shift) & mask
+                nxt = 0
+                while union:  # each vertex in some lane's frontier
+                    bit = union & -union
+                    u = bit.bit_length() - 1
+                    nxt |= rows[u] & (((front >> u) & ones) * lane)
+                    union ^= bit
+                nxt &= full ^ seen
+                if not nxt:
+                    break
+                seen |= nxt
+                own.append(nxt)
+                front = nxt
+            if s == 0 and seen != full:
+                raise DisconnectedGraphError("graph is disconnected")
+            levels.append(own)
+
+    def nonzero(self, x):
+        """1 in each lane of x that is not zero; lanes must be below 2^top."""
+        return ((x + self.low) >> self.top) & self.ones
+
+    def popcount(self, x):
+        """Each lane's number of set bits, in that lane."""
+        m55, m33, m0f, mff = self._masks
+        x -= (x >> 1) & m55
+        x = (x & m33) + ((x >> 2) & m33)
+        x = (x + (x >> 4)) & m0f
+        for shift in self._folds:
+            x += x >> shift
+        return x & mff
+
+    def unpack(self, x):
+        """Every lane of x, lane 0 first."""
+        size = self.size
+        data = x.to_bytes(size * self.k, "little")
+        if self._fmt:
+            return struct.unpack(self._fmt, data)
+        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
 def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, bool]]]:
     """Every graph's report and its L4.1 triple ``(hypothesis, held,
     equality)``, for a non-empty block of graphs of one order 1 <= n <= 255.
 
-    Graph k sits in lane k: ``rows[u]`` holds row u of every graph.  One BFS
-    per source vertex runs in every lane at once, and every value is counted
-    from its levels ``F_d(s)``: ecc(s) is the number of non-empty levels,
-    Tr(s) is the sum of d * |F_d(s)|, and E1 sums 2d - 1 over the non-empty
-    levels, which telescopes to ecc(s)^2.  The threshold sets
-    H_a = {u : ecc(u) >= a} give the rest: with C(u) = sum_a |N(u) & H_a|,
-    the sum of ecc over u's neighbours, xic = sum_u C(u),
-    2 * E2 = sum_a sum_{u in H_a} C(u), diam = #{a : H_a nonempty} and
-    rad = #{a : H_a = V}.  L4.1's zero-gap condition holds at v exactly when
-    every level F_d(v) lies in H_d minus H_(d+1).
+    Every value is counted from the lane BFS levels ``F_d(s)``: ecc(s) is the
+    number of non-empty levels, Tr(s) is the sum of d * |F_d(s)|, and E1
+    sums 2d - 1 over the non-empty levels, which telescopes to ecc(s)^2.  The
+    threshold sets H_a = {u : ecc(u) >= a} give the rest: with
+    C(u) = sum_a |N(u) & H_a|, the sum of ecc over u's neighbours,
+    xic = sum_u C(u), 2 * E2 = sum_a sum_{u in H_a} C(u),
+    diam = #{a : H_a nonempty} and rad = #{a : H_a = V}.  L4.1's zero-gap
+    condition holds at v exactly when every level F_d(v) lies in H_d minus
+    H_(d+1).
 
     Raises ``DisconnectedGraphError`` if a graph is disconnected.
     """
-    k = len(graphs)
-    n = graphs[0].n
-    if not 1 <= n <= LANE_MAX_N or any(g.n != n for g in graphs):
-        raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
-    width = max(16, 1 << n.bit_length())
-    top = width - 1
-    size = width // 8  # bytes per lane
-    lane = (1 << width) - 1
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
-    full = ones * ((1 << n) - 1)
-    low = ones * (lane >> 1)
-    # 0x55.., 0x33.. and 0x0F.. over every lane, and each lane's low byte
-    m55, m33, m0f, mff = (ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
-    folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
-
-    def nonzero(x):
-        # 1 in each lane of x that is not zero; lanes must be below 2^top
-        return ((x + low) >> top) & ones
-
-    def popcount(x):
-        x -= (x >> 1) & m55
-        x = (x & m33) + ((x >> 2) & m33)
-        x = (x + (x >> 4)) & m0f
-        for shift in folds:
-            x += x >> shift
-        return x & mff
-
-    # a lane of up to 64 bits is one struct word; a wider lane is unpacked as
-    # its low 64-bit word, which holds every value the kernel returns
-    step = max(1, width // 64)
-    fmt = f"<{k * step}" + {16: "H", 32: "I"}.get(width, "Q")
-    columns = zip(*(g.bits for g in graphs))
-    if step == 1:
-        rows = [int.from_bytes(struct.pack(fmt, *col), "little") for col in columns]
-    else:
-        rows = [
-            int.from_bytes(b"".join(b.to_bytes(size, "little") for b in col), "little")
-            for col in columns
-        ]
-    levels = []  # levels[s][d - 1] = F_d(s)
+    lanes = _Lanes(graphs)
+    n, top, lane, ones, full, low = (
+        lanes.n, lanes.top, lanes.lane, lanes.ones, lanes.full, lanes.low
+    )
+    nonzero, popcount, unpack = lanes.nonzero, lanes.popcount, lanes.unpack
     ecc = []
     tr = []
     at_least = [0]  # at_least[a] = H_a, for a >= 1
     e1 = 0
-    for s in range(n):
-        front = seen = ones << s
-        own = []
+    for s, own in enumerate(lanes.levels):
         ecc_s = tr_s = 0
-        for d in range(1, n):  # no eccentricity exceeds n - 1
-            nxt = 0
-            for u in range(n):
-                lit = (front >> u) & ones  # lanes whose frontier holds u
-                if lit:
-                    nxt |= rows[u] & (lit * lane)
-            nxt &= full ^ seen
-            if not nxt:
-                break
-            seen |= nxt
-            reached = nonzero(nxt)
+        for d, level in enumerate(own, start=1):
+            reached = nonzero(level)
             ecc_s += reached
             e1 += (2 * d - 1) * reached
-            tr_s += d * popcount(nxt)
+            tr_s += d * popcount(level)
             if d == len(at_least):
                 at_least.append(0)
             at_least[d] |= reached << s
-            own.append(nxt)
-            front = nxt
-        if s == 0 and seen != full:
-            raise DisconnectedGraphError("graph is disconnected")
-        levels.append(own)
         ecc.append(ecc_s)
         tr.append(tr_s)
     at_least[0] = full
@@ -265,8 +306,7 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
         diam += nonzero(at_least[a])
         rad += ones ^ nonzero(full ^ at_least[a])
     m2 = xic = e2x2 = n_univ = 0
-    for u in range(n):
-        row = rows[u]
+    for u, row in enumerate(lanes.rows):
         m2 += popcount(row)
         n_univ += ones ^ nonzero(row ^ (full ^ (ones << u)))
         cu = 0
@@ -286,13 +326,10 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
         nonneg = (gap >> top) & ones
         zero = nonneg & (ones ^ nonzero(gap & low))
         off = 0
-        for d, level in enumerate(levels[v], start=1):
+        for d, level in enumerate(lanes.levels[v], start=1):
             off |= level & ~(at_least[d] ^ at_least[d + 1])
         failed |= (ones ^ nonneg) | (zero ^ (ones ^ nonzero(off)))
         equal |= zero
-
-    def unpack(x):
-        return struct.unpack(fmt, x.to_bytes(size * k, "little"))[::step]
 
     # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
     columns = (m2 >> 1, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, n_univ)
@@ -302,3 +339,27 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
     ]
     l41 = [(True, not f, e == 1) for f, e in zip(unpack(failed), unpack(equal))]
     return reports, l41
+
+
+def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every graph's eccentricities and eccentric sets ``(ecc, sets)``, for a
+    non-empty block of graphs of one order 1 <= n <= 255: ``sets[v]`` is the
+    bitmask of the vertices at distance ``ecc[v]`` from v, the last non-empty
+    BFS level from v (v itself in K1).
+
+    Raises ``DisconnectedGraphError`` if a graph is disconnected.
+    """
+    lanes = _Lanes(graphs)
+    nonzero, lane, unpack = lanes.nonzero, lanes.lane, lanes.unpack
+    ecc = []
+    sets = []
+    for s, own in enumerate(lanes.levels):
+        ecc_s = 0
+        last = lanes.ones << s
+        for level in own:
+            reached = nonzero(level)
+            ecc_s += reached
+            last ^= (last ^ level) & (reached * lane)  # a reached lane takes this level
+        ecc.append(unpack(ecc_s))
+        sets.append(unpack(last))
+    return list(zip(zip(*ecc), zip(*sets)))

@@ -5,6 +5,12 @@ vertex ``w`` has ``u`` or ``v`` in its eccentric set, equivalently
 ``max(d(w,u), d(w,v)) == ecc(w)``.  The certificate search scans diametrical
 pairs in lexicographic order so reports are deterministic.
 
+:func:`ud_certificate` is the one scan.  It reads each vertex's
+eccentricity and eccentric set as a bitmask, whether those come from a
+distance table (:func:`find_ud_certificate`, :func:`is_ud_pair`) or from
+the lane kernel (``invariants.lane_eccentric_sets``, which ``distinv ud``
+uses on blocks of graphs of one order).
+
 Degenerate conventions: K2's unique pair is UD vacuously (no third vertex);
 K1 has no vertex pair at all and is reported UD with ``pair=None``.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import DistanceData, Graph, GraphError, all_pairs_distances
+from .graphs import DistanceData, Graph, GraphError, _iter_bits, all_pairs_distances
 
 
 def eccentric_set(dist: DistanceData, v: int) -> tuple[int, ...]:
@@ -46,23 +52,15 @@ def is_ud_pair(g: Graph, dist: DistanceData, u: int, v: int) -> bool:
     """
     if u == v or dist.dist[u * dist.n + v] != dist.diam:
         raise GraphError(f"({u},{v}) is not a diametrical pair")
-    return _ud_witness(dist, u, v) is None
-
-
-def _ud_witness(dist: DistanceData, u: int, v: int) -> int | None:
-    """First vertex proving the pair is not UD, or None when it is UD."""
+    # the scan reads only col[u] and col[v], so each eccentric set is cut
+    # down to u and v: one pass over two columns of the table
     n = dist.n
     d = dist.dist
     ecc = dist.ecc
-    for w in range(n):
-        if w == u or w == v:
-            continue
-        base = w * n
-        du = d[base + u]
-        dv = d[base + v]
-        if (du if du > dv else dv) != ecc[w]:
-            return w
-    return None
+    sets = [
+        (d[w * n + u] == ecc[w]) << u | (d[w * n + v] == ecc[w]) << v for w in range(n)
+    ]
+    return ud_certificate(ecc, sets, [(u, v)]).is_ud
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,21 +83,61 @@ class UdCertificate:
         }
 
 
+def ud_certificate(ecc, sets, pairs=None) -> UdCertificate:
+    """The UD scan over each vertex's eccentricity ``ecc[v]`` and eccentric
+    set ``sets[v]`` (a bitmask), of a connected graph.
+
+    The diametrical pairs are the ``(u, v)``, ``v > u``, with ``ecc[u]`` the
+    diameter and v in ``sets[u]``, in lexicographic order, unless ``pairs``
+    names the pairs to scan.  A pair fails at the lowest vertex w other than
+    u and v with neither in ``sets[w]``, and is UD when there is none.
+    """
+    n = len(ecc)
+    if n == 1:
+        return UdCertificate(is_ud=True, pair=None, diam=0)
+    diam = max(ecc, default=0)
+    full = (1 << n) - 1
+    # col[x] = {w : x in sets[w]}; when the sets hold more than half of all
+    # pairs (K_n, say), the complements are transposed, as they have fewer bits
+    flip = full if 2 * sum(map(int.bit_count, sets)) > n * n else 0
+    col = [0] * n
+    for w, ws in enumerate(sets):
+        bit = 1 << w
+        ws ^= flip
+        while ws:
+            low = ws & -ws
+            col[low.bit_length() - 1] |= bit
+            ws ^= low
+    if flip:
+        col = [full ^ c for c in col]
+    if pairs is None:
+        pairs = (
+            (u, v)
+            for u in range(n)
+            if ecc[u] == diam
+            for v in _iter_bits(sets[u] >> (u + 1) << (u + 1))
+        )
+    failures = []
+    for u, v in pairs:
+        bad = full & ~(col[u] | col[v] | 1 << u | 1 << v)
+        if not bad:
+            return UdCertificate(is_ud=True, pair=(u, v), diam=diam)
+        failures.append(((u, v), (bad & -bad).bit_length() - 1))
+    return UdCertificate(
+        is_ud=False, pair=None, diam=diam, failures=tuple(failures)
+    )
+
+
 def find_ud_certificate(g: Graph, dist: DistanceData | None = None) -> UdCertificate:
     """Scan diametrical pairs in order; first UD pair wins."""
     if dist is None:
         dist = all_pairs_distances(g)
-    if g.n == 1:
-        return UdCertificate(is_ud=True, pair=None, diam=0)
-    failures = []
-    for u, v in diametrical_pairs(dist):
-        witness = _ud_witness(dist, u, v)
-        if witness is None:
-            return UdCertificate(is_ud=True, pair=(u, v), diam=dist.diam)
-        failures.append(((u, v), witness))
-    return UdCertificate(
-        is_ud=False, pair=None, diam=dist.diam, failures=tuple(failures)
-    )
+    return ud_certificate(dist.ecc, _eccentric_masks(dist))
+
+
+def _eccentric_masks(dist: DistanceData) -> list[int]:
+    # every vertex's eccentric set as a bitmask
+    return [sum(1 << u for u in eccentric_set(dist, v)) for v in range(dist.n)]
 
 
 def transmission_gap(dist: DistanceData, v: int, total_ecc: int | None = None) -> int:

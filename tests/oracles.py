@@ -4,14 +4,15 @@ Nothing here shares code with the package's BFS path: distances come from
 Floyd-Warshall over an adjacency matrix, the Wiener index from a plain
 double loop over pairs, and tree isomorphism from bottom-up subtree
 encodings rooted at the center.  The diameter-2 sampler's reference draws
-one vertex pair per scalar mix64 call.
+one vertex pair per scalar mix64 call.  The UD certificate's reference scans
+a distance table pair by pair.
 """
 
 from __future__ import annotations
 
 import random
 
-from distinv import Graph, from_edge_list
+from distinv import Graph, UdCertificate, from_edge_list
 
 INF = 1 << 30
 
@@ -77,6 +78,36 @@ def tree_canonical_form(g: Graph) -> str:
         return enc(centers[0], -1)
     a, b = centers
     return "|".join(sorted((enc(a, b), enc(b, a))))
+
+
+def ud_certificate_by_table(dist) -> UdCertificate:
+    """The UD certificate from a distance table (``DistanceData``): each
+    diametrical pair in lexicographic order, the first UD pair winning, else
+    each pair with the first vertex w that has ``max(d(w,u), d(w,v))`` below
+    ``ecc(w)``; K1 is UD with no pair."""
+    n = dist.n
+    d = dist.dist
+    ecc = dist.ecc
+    if n == 1:
+        return UdCertificate(is_ud=True, pair=None, diam=0)
+    pairs = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if d[u * n + v] == dist.diam
+    ]
+    failures = []
+    for u, v in pairs:
+        witness = None
+        for w in range(n):
+            if w == u or w == v:
+                continue
+            if max(d[w * n + u], d[w * n + v]) != ecc[w]:
+                witness = w
+                break
+        if witness is None:
+            return UdCertificate(is_ud=True, pair=(u, v), diam=dist.diam)
+        failures.append(((u, v), witness))
+    return UdCertificate(
+        is_ud=False, pair=None, diam=dist.diam, failures=tuple(failures)
+    )
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

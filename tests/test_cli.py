@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,8 +11,12 @@ import time
 import pytest
 
 from distinv import emit_graph6, from_edge_list, parse_graph6
+from distinv import cli as cli_mod
 from distinv.cli import _build_parser, main
+from distinv.families import path
 from distinv.graphs import MAX_INPUT_ORDER
+from distinv.invariants import LANE_MAX_N
+from distinv.theorems import LANE_BLOCK
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +242,69 @@ class TestUdCommand:
         code, out, err = run_cli(capsys, "ud", str(f))
         rec = json.loads(out.strip())
         assert rec["is_ud"] is False and len(rec["failures"]) == 3
+
+    @pytest.mark.parametrize("command", ["ud", "invariants"])
+    def test_holds_at_most_one_block_of_graphs(self, monkeypatch, tmp_path, command):
+        # CK is disconnected; every parse is checked against the rows and error lines already
+        # written: the graphs parsed and not yet written never exceed
+        # LANE_BLOCK
+        f = tmp_path / "many.g6"
+        f.write_text("A_\nBw\nCK\n" * LANE_BLOCK)
+        written = _LineCounter()
+        parsed = 0
+
+        def parse(line):
+            nonlocal parsed
+            parsed += 1
+            assert parsed - written.rows <= LANE_BLOCK
+            return parse_graph6(line)
+
+        monkeypatch.setattr(cli_mod, "parse_graph6", parse)
+        monkeypatch.setattr(sys, "stdout", written)
+        monkeypatch.setattr(sys, "stderr", written)
+        assert main([command, str(f)]) == 2
+        assert parsed == 3 * LANE_BLOCK
+        assert written.rows == 3 * LANE_BLOCK + (command == "invariants")
+
+    @pytest.mark.parametrize(
+        "command, compute", [("ud", "find_ud_certificate"), ("invariants", "full_report")]
+    )
+    def test_large_order_is_not_held(self, monkeypatch, tmp_path, command, compute):
+        # a graph above LANE_MAX_N goes through the per-graph path as it is
+        # read: by the next parse it has been computed, so the window keeps
+        # its output line and not the graph
+        f = tmp_path / "big.g6"
+        big = emit_graph6(path(LANE_MAX_N + 1))
+        f.write_text("\n".join(["A_", big, "Bw", big, "A_"]) + "\n")
+        pending = []
+        real_parse, real_compute = parse_graph6, getattr(cli_mod, compute)
+
+        def parse(line):
+            assert not pending
+            g = real_parse(line)
+            if g.n > LANE_MAX_N:
+                pending.append(g)
+            return g
+
+        def run(g, *args):
+            if g.n > LANE_MAX_N:
+                pending.remove(g)
+            return real_compute(g, *args)
+
+        monkeypatch.setattr(cli_mod, "parse_graph6", parse)
+        monkeypatch.setattr(cli_mod, compute, run)
+        assert main([command, str(f)]) == 0
+        assert not pending
+
+
+class _LineCounter:
+    rows = 0
+
+    def write(self, text):
+        self.rows += text.count("\n")
+
+    def flush(self):
+        pass
 
 
 class TestOutputAndPackaging:
@@ -483,6 +551,30 @@ GOLDEN = {
          "--format", "json", "--verbose"],
         "4804921a8bbd14709b310abc8621c9c92578a7f569d1e912acbc356ddf459d08",
     ),
+    # "{mixed}" stands for the files of _write_mixed plus stdin: orders
+    # across every lane width bound, malformed lines among the graphs, a
+    # disconnected graph in a group of its order, orders 0, 1, 2 and 256
+    "invariants-mixed-csv": (
+        ["invariants", "{mixed}", "p3.edges", "-"],
+        "b1c73f725ee95a7635208b5934eb8c8e52a8475a882ffe3fbaf757bef9093ae7",
+    ),
+    "invariants-mixed-json": (
+        ["invariants", "--format", "json", "{mixed}", "p3.edges", "-"],
+        "d24c0bd604cfea3e8eb30563695dd5694f60a5593a810b8475f0780f9a8d55a0",
+    ),
+    "ud-mixed": (
+        ["ud", "{mixed}", "p3.edges", "-"],
+        "1467aacbe4654d0d87779a8e3819c9f392b97a8d520d9f9ff049a16f89e1d8f7",
+    ),
+    # a lone graph of order 255: a group of one
+    "invariants-p255": (
+        ["invariants", "--format", "json", "p255.g6"],
+        "ca66a1ba89ef877b90cbf470a368ff3e50181879be735958da3400ee5ee03a65",
+    ),
+    "ud-p255": (
+        ["ud", "p255.g6"],
+        "a389be2d0587a61c311a6b8c73bacf9a6124b7c6057f491ac25780203f13a1c9",
+    ),
 }
 
 
@@ -511,9 +603,44 @@ def test_golden_digest(capsys, monkeypatch, tmp_path, name):
             100, [(u, v) for v in range(100) for u in range(v) if (u * v + u + v) % 5]
         )
         (tmp_path / "dense.g6").write_text(emit_graph6(dense) + "\nA`\n")
-    names = {"{good}": "good.g6", "{ingest}": "ingest.g6", "{dense}": "dense.g6"}
+    if "{mixed}" in argv or "p255.g6" in argv:
+        monkeypatch.chdir(tmp_path)
+        _write_mixed(capsys, tmp_path)
+        monkeypatch.setattr(sys, "stdin", _FakeStdin("A_\nBw\nCK\nD?{\n"))
+    names = {"{good}": "good.g6", "{ingest}": "ingest.g6", "{dense}": "dense.g6",
+             "{mixed}": "mixed.g6"}
     argv = [names.get(a, a) for a in argv]
     assert _digest(*run_cli(capsys, *argv)) == digest
+
+
+def _write_mixed(capsys, tmp_path):
+    """Write mixed.g6, p255.g6 and p3.edges into ``tmp_path``.
+
+    mixed.g6 is one shuffled file of diam2: samples at orders 15/16, 31/32
+    and 127/128, the trees of orders 2..9, P_255 and C_255, and K_256, with
+    "?", "@" twice and "A_"; two malformed lines and two disconnected
+    graphs (orders 2 and 9, each among graphs of its order) sit in its
+    middle.
+    """
+    lines = []
+    for argv in (
+        ["enumerate", "diam2:n=15..16,count=12,seed=5"],
+        ["enumerate", "diam2:n=31..32,count=4,seed=5"],
+        ["enumerate", "diam2:n=127..128,count=2,seed=5"],
+        ["enumerate", "trees:2..9"],
+        ["family", "cycle:255"],
+        ["family", "complete:256"],
+        ["family", "path:255"],
+    ):
+        assert main(argv) == 0
+        lines.extend(capsys.readouterr().out.split())
+    (tmp_path / "p255.g6").write_text(lines[-1] + "\n")
+    lines += ["?", "@", "@", "A_"]
+    random.Random(12).shuffle(lines)
+    third = len(lines) // 3
+    lines[third:third] = ["!!!bogus!!!", "H??????", "D?}", "A?"]
+    (tmp_path / "mixed.g6").write_text("\n".join(lines) + "\n")
+    (tmp_path / "p3.edges").write_text("# path\n3 2\n0 1\n1 2\n")
 
 
 class _FakeStdin:

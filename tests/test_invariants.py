@@ -19,7 +19,7 @@ from distinv import (
     wiener_tree_edgecut,
 )
 from distinv.families import complete, cycle, path, star
-from distinv.invariants import LANE_MAX_N, lane_reports
+from distinv.invariants import LANE_MAX_N, lane_eccentric_sets, lane_reports
 from distinv.sweeps import (
     _connected_graphs_range,
     enumerate_connected_graphs,
@@ -28,8 +28,9 @@ from distinv.sweeps import (
     parse_sweep_spec,
 )
 from distinv.theorems import LANE_BLOCK, _l41
+from distinv.ud import eccentric_set, find_ud_certificate, ud_certificate
 
-from oracles import random_connected_graph, wiener_by_pairs
+from oracles import random_connected_graph, ud_certificate_by_table, wiener_by_pairs
 
 
 def universal(g):
@@ -294,18 +295,22 @@ LANE_SETS = {
 _NO_SINGLE_BLOCKS = {"connected:7/16", "trees:16..16"}
 
 
-def _by_lanes(graphs, size):
-    # blocks of at most ``size`` graphs of one order, the last one partial
+def _by_lanes(kernel, graphs, size):
+    # kernel's values over blocks of at most ``size`` graphs of one order,
+    # the last one partial
     out = []
     i = 0
     while i < len(graphs):
         j = i + 1
         while j < len(graphs) and j - i < size and graphs[j].n == graphs[i].n:
             j += 1
-        reports, l41 = lane_reports(graphs[i:j])
-        out.extend(zip(reports, l41))
+        out.extend(kernel(graphs[i:j]))
         i = j
     return out
+
+
+def _lane_reports(block):
+    return zip(*lane_reports(block))
 
 
 class TestLaneReports:
@@ -324,7 +329,7 @@ class TestLaneReports:
             expected.append((rep, _l41(g, rep, dist)))
         sizes = (3, LANE_BLOCK) if name in _NO_SINGLE_BLOCKS else (1, 3, LANE_BLOCK)
         for size in sizes:
-            got = _by_lanes(graphs, size)
+            got = _by_lanes(_lane_reports, graphs, size)
             assert len(got) == count
             for g, a, b in zip(graphs, got, expected):
                 assert a == b, (size, emit_graph6(g))
@@ -345,3 +350,38 @@ class TestLaneReports:
     def test_outside_the_lane_bound_raises(self, block):
         with pytest.raises(GraphError, match="lane reports need"):
             lane_reports(block)
+
+
+class TestLaneEccentricSets:
+    """The lane eccentric sets against eccentric_set over the BFS distance
+    table, and the UD certificates read from them against the table scan."""
+
+    @pytest.mark.parametrize("name", LANE_SETS)
+    def test_matches_distance_table(self, name):
+        count, make = LANE_SETS[name]
+        graphs = make()
+        assert len(graphs) == count
+        expected = []
+        certificates = []
+        for g in graphs:
+            dist = all_pairs_distances(g)
+            expected.append((
+                tuple(dist.ecc),
+                tuple(sum(1 << u for u in eccentric_set(dist, v)) for v in range(g.n)),
+            ))
+            cert = ud_certificate_by_table(dist)
+            assert find_ud_certificate(g) == find_ud_certificate(g, dist) == cert
+            certificates.append(cert)
+        for size in (1, 3, LANE_BLOCK):
+            got = _by_lanes(lane_eccentric_sets, graphs, size)
+            assert len(got) == count
+            for g, a, b in zip(graphs, got, expected):
+                assert a == b, (size, emit_graph6(g))
+        for g, (ecc, sets), cert in zip(graphs, got, certificates):
+            assert ud_certificate(ecc, sets) == cert, emit_graph6(g)
+
+    def test_disconnected_graph_in_a_block_raises(self):
+        block = list(enumerate_connected_graphs(5))[:7]
+        block.insert(4, from_edge_list(5, [(0, 1), (2, 3), (3, 4)]))
+        with pytest.raises(DisconnectedGraphError):
+            lane_eccentric_sets(block)

@@ -2,10 +2,12 @@
 
 import json
 
+import networkx as nx
 import pytest
 
 from distinv import (
     GraphError,
+    UdCertificate,
     all_pairs_distances,
     a_k,
     attach_pendants_at,
@@ -15,6 +17,7 @@ from distinv import (
     eccentric_set,
     figure1,
     find_ud_certificate,
+    from_edge_list,
     hypercube,
     is_ud_pair,
     path,
@@ -22,7 +25,9 @@ from distinv import (
     transmission_gap,
     transmission_gap_equality_holds,
 )
+from distinv.invariants import lane_eccentric_sets
 from distinv.sweeps import enumerate_connected_graphs, enumerate_trees
+from distinv.ud import ud_certificate
 
 
 class TestEccentricSet:
@@ -143,6 +148,62 @@ class TestCertificates:
             d1 = all_pairs_distances(grown)
             assert is_ud_pair(grown, d1, g.n, g.n + 1)
             assert all(d1.ecc[v] == d0.ecc[v] + 1 for v in range(g.n))
+
+
+def _definition(h):
+    # the UD certificate of networkx graph h straight from the definition
+    n = h.number_of_nodes()
+    d = dict(nx.all_pairs_shortest_path_length(h))
+    ecc = [max(d[v].values()) for v in range(n)]
+    diam = max(ecc)
+    if n == 1:
+        return UdCertificate(True, None, 0)
+    failures = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if d[u][v] != diam:
+                continue
+            bad = [w for w in range(n) if w not in (u, v) and ecc[w] not in (d[w][u], d[w][v])]
+            if not bad:
+                return UdCertificate(True, (u, v), diam)
+            failures.append(((u, v), bad[0]))
+    return UdCertificate(False, None, diam, tuple(failures))
+
+
+class TestCertificateDefinition:
+    def test_networkx_atlas(self):
+        # every connected graph on 1..7 vertices, one order after another
+        atlas = [h for h in nx.graph_atlas_g()[1:] if nx.is_connected(h)]
+        assert len(atlas) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+        graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
+        want = [_definition(h) for h in atlas]
+        assert [find_ud_certificate(g) for g in graphs] == want
+        lanes = []
+        for n in range(1, 8):
+            block = [g for g in graphs if g.n == n]
+            lanes.extend(ud_certificate(*es) for es in lane_eccentric_sets(block))
+        assert lanes == want
+
+    def test_is_ud_pair_on_atlas(self):
+        # every diametrical pair of every connected atlas graph on 2..7
+        # vertices, against the definition
+        pairs = 0
+        for h in nx.graph_atlas_g()[3:]:
+            if not nx.is_connected(h):
+                continue
+            n = h.number_of_nodes()
+            g = from_edge_list(n, h.edges())
+            dist = all_pairs_distances(g)
+            d = dict(nx.all_pairs_shortest_path_length(h))
+            ecc = [max(d[v].values()) for v in range(n)]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if d[u][v] == max(ecc):
+                        others = (w for w in range(n) if w not in (u, v))
+                        want = all(ecc[w] in (d[w][u], d[w][v]) for w in others)
+                        assert is_ud_pair(g, dist, u, v) == want, (h.edges(), u, v)
+                        pairs += 1
+        assert pairs == 4554
 
 
 class TestTransmissionGap:
