@@ -23,7 +23,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph6,
 )
-from .invariants import CSV_HEADER, InvariantReport, full_report, wiener_tree_edgecut
+from .invariants import CSV_HEADER, InvariantReport, full_report
 from .families import (
     FamilyError,
     FamilySpec,
@@ -55,7 +55,6 @@ from .sweeps import (
 )
 from .ud import (
     UdCertificate,
-    diametrical_pairs,
     eccentric_set,
     find_ud_certificate,
     is_ud_pair,

@@ -48,6 +48,7 @@ from .graphs import (
 )
 from .invariants import (
     CSV_HEADER,
+    LANE_BLOCK,
     LANE_MAX_N,
     InvariantReport,
     full_report,
@@ -55,7 +56,7 @@ from .invariants import (
     lane_reports,
 )
 from .sweeps import SweepError, iter_sweep, parse_sweep_spec
-from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, LANE_BLOCK, hunt
+from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, hunt
 from .ud import find_ud_certificate, ud_certificate
 
 

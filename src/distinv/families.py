@@ -293,7 +293,10 @@ def parse_family_spec(text: str, _depth: int = 0) -> FamilySpec:
         kv = dict()
         for item in rest.split(","):
             key, _, val = item.partition("=")
-            kv[key.strip()] = _parse_int(val, text)
+            key = key.strip()
+            if key in kv:
+                raise FamilyError(f"repeated key {key!r} in family spec {text!r}")
+            kv[key] = _parse_int(val, text)
         if set(kv) != {"n", "np"}:
             raise FamilyError("thm29 takes n= and np=")
         return FamilySpec("thm29", (kv["n"], kv["np"]))

@@ -37,8 +37,10 @@ class DisconnectedGraphError(GraphError):
     """An operation that presumes connectivity met a disconnected graph."""
 
 
-# Largest order the graph6 and edge-list parsers accept (4.2M distance
-# entries, about 34 MB of distance table).
+# Largest order the graph6 and edge-list parsers accept.  The distance table
+# then has 4.2M entries: 32 MiB of list slots for K_2048, and 112 MiB for
+# P_2048, where each distance above 256 is an int object of its own
+# (tracemalloc, CPython 3.11).
 MAX_INPUT_ORDER = 2048
 
 
@@ -271,16 +273,19 @@ class DistanceData:
 
     ``dist`` is a flat row-major list (``dist[u*n + v]``), ``ecc[v]`` the
     eccentricity, ``tr[v]`` the transmission (sum of distances from ``v``),
-    ``diam``/``rad`` the maximum/minimum eccentricity.
+    ``far[v]`` the eccentric set of ``v`` as a bitmask (the last BFS level
+    from ``v``; ``v`` itself in K1), ``diam``/``rad`` the maximum/minimum
+    eccentricity.
     """
 
-    __slots__ = ("n", "dist", "ecc", "tr", "diam", "rad")
+    __slots__ = ("n", "dist", "ecc", "tr", "far", "diam", "rad")
 
-    def __init__(self, n, dist, ecc, tr, diam, rad):
+    def __init__(self, n, dist, ecc, tr, far, diam, rad):
         self.n = n
         self.dist = dist
         self.ecc = ecc
         self.tr = tr
+        self.far = far
         self.diam = diam
         self.rad = rad
 
@@ -299,16 +304,18 @@ def all_pairs_distances(g: Graph) -> DistanceData:
     """BFS all-pairs distances; raises on disconnected input."""
     n = g.n
     if n == 0:
-        return DistanceData(0, [], [], [], 0, 0)
+        return DistanceData(0, [], [], [], [], 0, 0)
     bits = g.bits
     full = (1 << n) - 1
     dist = [0] * (n * n)
     ecc = [0] * n
     tr = [0] * n
+    far = [0] * n
     for v in range(n):
         frontier = bits[v]
         if not frontier:
             if n == 1:
+                far[0] = 1
                 continue
             raise DisconnectedGraphError("graph is disconnected")
         base = v * n
@@ -341,7 +348,8 @@ def all_pairs_distances(g: Graph) -> DistanceData:
             frontier = nxt
         ecc[v] = d
         tr[v] = t
-    return DistanceData(n, dist, ecc, tr, max(ecc), min(ecc))
+        far[v] = frontier
+    return DistanceData(n, dist, ecc, tr, far, max(ecc), min(ecc))
 
 
 def is_connected(g: Graph) -> bool:

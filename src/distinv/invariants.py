@@ -28,38 +28,7 @@ from .graphs import (
     Graph,
     GraphError,
     all_pairs_distances,
-    is_connected,
 )
-
-
-def wiener_tree_edgecut(t: Graph) -> int:
-    """Wiener index of a tree via the edge-cut identity.
-
-    Deleting an edge splits the tree into components of sizes ``n_u`` and
-    ``n_v``; the index equals the sum of ``n_u * n_v`` over all edges.
-    """
-    n = t.n
-    if t.m != n - 1 or not is_connected(t):
-        raise GraphError("not a tree")
-    if n <= 1:
-        return 0
-    adj = t.adjacency
-    parent = [-1] * n
-    order = [0]
-    seen = bytearray(n)
-    seen[0] = 1
-    for u in order:
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = u
-                order.append(w)
-    size = [1] * n
-    total = 0
-    for u in reversed(order[1:]):
-        size[parent[u]] += size[u]
-        total += size[u] * (n - size[u])
-    return total
 
 
 # (CSV and JSON column, report attribute), in output order
@@ -166,6 +135,9 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
 # below 2^w.  The SWAR popcount sums a lane's bytes in its low byte, exact for
 # a count below 2^8, and a lane holds at most n bits: hence n <= 255.
 LANE_MAX_N = 255
+
+# graphs per block that the callers of the kernel hand it at a time
+LANE_BLOCK = 1024
 
 
 class _Lanes:

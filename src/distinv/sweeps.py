@@ -354,6 +354,8 @@ def parse_sweep_spec(text: str) -> SweepSpec:
             if not eq:
                 raise SweepError(f"bad sweep option {item!r} in {text!r}")
             key = key.strip()
+            if key in kv:
+                raise SweepError(f"repeated sweep option {key!r} in {text!r}")
             if key == "filter":
                 extras.append(item)
             else:
@@ -400,6 +402,8 @@ def _parse_filter(items, context) -> str | None:
         key, eq, val = item.partition("=")
         if key.strip() != "filter" or not eq:
             raise SweepError(f"bad sweep option {item!r} in {context!r}")
+        if name is not None:
+            raise SweepError(f"repeated sweep option 'filter' in {context!r}")
         name = val.strip()
     return name
 

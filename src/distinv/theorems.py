@@ -48,7 +48,7 @@ from .graphs import (
     emit_graph6,
     is_connected,
 )
-from .invariants import InvariantReport, full_report, lane_reports
+from .invariants import LANE_BLOCK, InvariantReport, full_report, lane_reports
 from .sweeps import SweepSpec, fold_sweep, visit_error
 from .ud import is_ud_pair, transmission_gap, transmission_gap_equality_holds
 
@@ -568,10 +568,6 @@ def check_t54(g, h):
 
 # ---------------------------------------------------------------------------
 # the hunter
-
-
-# graphs per block handed to the lane kernel
-LANE_BLOCK = 1024
 
 
 def _lanes(block, named=None):

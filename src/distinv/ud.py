@@ -5,11 +5,13 @@ vertex ``w`` has ``u`` or ``v`` in its eccentric set, equivalently
 ``max(d(w,u), d(w,v)) == ecc(w)``.  The certificate search scans diametrical
 pairs in lexicographic order so reports are deterministic.
 
-:func:`ud_certificate` is the one scan.  It reads each vertex's
-eccentricity and eccentric set as a bitmask, whether those come from a
-distance table (:func:`find_ud_certificate`, :func:`is_ud_pair`) or from
-the lane kernel (``invariants.lane_eccentric_sets``, which ``distinv ud``
-uses on blocks of graphs of one order).
+A vertex's eccentric set is the last level of a BFS from it, kept as a
+bitmask by both BFS paths: ``DistanceData.far`` for one graph and
+``invariants.lane_eccentric_sets`` for a block of graphs of one order
+(which ``distinv ud`` uses).  :func:`ud_certificate` is the one scan over
+those bitmasks; :func:`find_ud_certificate` and :func:`is_ud_pair` hand it
+``far``, and nothing here reads the distance table except L4.1's
+:func:`transmission_gap_equality_holds`.
 
 Degenerate conventions: K2's unique pair is UD vacuously (no third vertex);
 K1 has no vertex pair at all and is reported UD with ``pair=None``.
@@ -24,25 +26,7 @@ from .graphs import DistanceData, Graph, GraphError, _iter_bits, all_pairs_dista
 
 def eccentric_set(dist: DistanceData, v: int) -> tuple[int, ...]:
     """Vertices at distance exactly ``ecc(v)`` from ``v``, ascending."""
-    n = dist.n
-    base = v * n
-    target = dist.ecc[v]
-    d = dist.dist
-    return tuple(u for u in range(n) if d[base + u] == target)
-
-
-def diametrical_pairs(dist: DistanceData) -> list[tuple[int, int]]:
-    """All unordered pairs at distance ``diam``, lexicographic order."""
-    n = dist.n
-    diam = dist.diam
-    d = dist.dist
-    out = []
-    for u in range(n):
-        base = u * n
-        for v in range(u + 1, n):
-            if d[base + v] == diam:
-                out.append((u, v))
-    return out
+    return tuple(_iter_bits(dist.far[v]))
 
 
 def is_ud_pair(g: Graph, dist: DistanceData, u: int, v: int) -> bool:
@@ -50,17 +34,13 @@ def is_ud_pair(g: Graph, dist: DistanceData, u: int, v: int) -> bool:
 
     The pair must be diametrical; anything else is an input error.
     """
-    if u == v or dist.dist[u * dist.n + v] != dist.diam:
-        raise GraphError(f"({u},{v}) is not a diametrical pair")
-    # the scan reads only col[u] and col[v], so each eccentric set is cut
-    # down to u and v: one pass over two columns of the table
     n = dist.n
-    d = dist.dist
-    ecc = dist.ecc
-    sets = [
-        (d[w * n + u] == ecc[w]) << u | (d[w * n + v] == ecc[w]) << v for w in range(n)
-    ]
-    return ud_certificate(ecc, sets, [(u, v)]).is_ud
+    in_range = 0 <= u < n and 0 <= v < n and u != v
+    if not (in_range and dist.ecc[u] == dist.diam and dist.far[u] >> v & 1):
+        raise GraphError(f"({u},{v}) is not a diametrical pair")
+    # the scan reads only col[u] and col[v], so each set is cut down to u and v
+    pair = 1 << u | 1 << v
+    return ud_certificate(dist.ecc, [f & pair for f in dist.far], [(u, v)]).is_ud
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,12 +112,7 @@ def find_ud_certificate(g: Graph, dist: DistanceData | None = None) -> UdCertifi
     """Scan diametrical pairs in order; first UD pair wins."""
     if dist is None:
         dist = all_pairs_distances(g)
-    return ud_certificate(dist.ecc, _eccentric_masks(dist))
-
-
-def _eccentric_masks(dist: DistanceData) -> list[int]:
-    # every vertex's eccentric set as a bitmask
-    return [sum(1 << u for u in eccentric_set(dist, v)) for v in range(dist.n)]
+    return ud_certificate(dist.ecc, dist.far)
 
 
 def transmission_gap(dist: DistanceData, v: int, total_ecc: int | None = None) -> int:

@@ -2,17 +2,17 @@
 
 Nothing here shares code with the package's BFS path: distances come from
 Floyd-Warshall over an adjacency matrix, the Wiener index from a plain
-double loop over pairs, and tree isomorphism from bottom-up subtree
-encodings rooted at the center.  The diameter-2 sampler's reference draws
-one vertex pair per scalar mix64 call.  The UD certificate's reference scans
-a distance table pair by pair.
+double loop over pairs or, for a tree, from the edge-cut identity, and tree
+isomorphism from bottom-up subtree encodings rooted at the center.  The
+diameter-2 sampler's reference draws one vertex pair per scalar mix64 call.
+The UD certificate's reference scans a distance table pair by pair.
 """
 
 from __future__ import annotations
 
 import random
 
-from distinv import Graph, UdCertificate, from_edge_list
+from distinv import Graph, GraphError, UdCertificate, from_edge_list
 
 INF = 1 << 30
 
@@ -42,6 +42,45 @@ def wiener_by_pairs(g: Graph) -> int:
     rows = floyd_warshall(g)
     n = g.n
     return sum(rows[u][v] for u in range(n) for v in range(u + 1, n))
+
+
+def wiener_tree_edgecut(t: Graph) -> int:
+    """Wiener index of a tree via the edge-cut identity.
+
+    Deleting an edge splits the tree into components of sizes ``n_u`` and
+    ``n_v``; the index equals the sum of ``n_u * n_v`` over all edges.
+    Raises ``GraphError`` unless ``t`` is a tree.
+    """
+    n = t.n
+    if n == 0 or t.m != n - 1:
+        raise GraphError("not a tree")
+    adj = t.adjacency
+    parent = [-1] * n
+    order = [0]
+    seen = bytearray(n)
+    seen[0] = 1
+    for u in order:
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = u
+                order.append(w)
+    if len(order) != n:
+        raise GraphError("not a tree")
+    size = [1] * n
+    total = 0
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+        total += size[u] * (n - size[u])
+    return total
+
+
+def diametrical_pairs(rows: list[list[int]]) -> list[tuple[int, int]]:
+    """All pairs ``u < v`` at the largest distance of a distance matrix, in
+    lexicographic order."""
+    n = len(rows)
+    diam = max(map(max, rows))
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u][v] == diam]
 
 
 def ecc_tr_by_rows(rows: list[list[int]]) -> tuple[list[int], list[int]]:

@@ -22,6 +22,7 @@ import networkx as nx
 import pytest
 
 from distinv import (
+    GraphError,
     SweepSpec,
     all_pairs_distances,
     a_k,
@@ -45,13 +46,12 @@ from distinv import (
     sample_diameter2_graphs,
     star,
     thm29_construction,
-    wiener_tree_edgecut,
 )
 from distinv.sweeps import enumerate_trees
 from distinv.theorems import check_l41
-from distinv.ud import diametrical_pairs, eccentric_set
+from distinv.ud import eccentric_set
 
-from oracles import floyd_warshall
+from oracles import diametrical_pairs, floyd_warshall, wiener_tree_edgecut
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
@@ -71,6 +71,9 @@ def _oracle_fold(acc, graphs):
         d = all_pairs_distances(g)
         ok = all(d.row(v) == rows[v] for v in range(g.n))
         ok = ok and d.ecc == [max(r) for r in rows] and d.tr == [sum(r) for r in rows]
+        ok = ok and d.far == [
+            sum(1 << u for u, x in enumerate(r) if x == e) for r, e in zip(rows, d.ecc)
+        ]
         acc[0] += 1
         acc[1] += 0 if ok else 1
     return acc
@@ -375,9 +378,14 @@ def test_criterion_08_ud_hypercube_antipodes(dim):
     for v in range(n):
         assert d.distance(v, v ^ full) == dim
         assert eccentric_set(d, v) == (v ^ full,)
-    assert diametrical_pairs(d) == antipodal
-    for u, v in antipodal:
-        assert is_ud_pair(g, d, u, v) == (dim == 1), (u, v)
+    assert diametrical_pairs(floyd_warshall(g)) == antipodal
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) in antipodal:
+                assert is_ud_pair(g, d, u, v) == (dim == 1), (u, v)
+            else:
+                with pytest.raises(GraphError, match="not a diametrical pair"):
+                    is_ud_pair(g, d, u, v)
 
     cert = find_ud_certificate(g)
     assert cert.is_ud == (dim == 1)

@@ -109,6 +109,11 @@ class TestFamilyCommand:
         code, out, err = run_cli(capsys, "family", "bogus:3")
         assert code == 2 and "error:" in err
 
+    def test_repeated_key_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "family", "thm29:n=10,n=11,np=1")
+        assert code == 2 and out == ""
+        assert "repeated key 'n'" in err
+
     @pytest.mark.parametrize(
         "spec,order",
         [
@@ -158,6 +163,18 @@ class TestEnumerateCommand:
     def test_bad_spec_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "trees:1..99")
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            ("diam2:n=9,count=2,count=1,seed=3", "count"),
+            ("trees:5..6,filter=nope,filter=min_degree_2", "filter"),
+        ],
+    )
+    def test_repeated_option_exit_2(self, capsys, spec, key):
+        code, out, err = run_cli(capsys, "enumerate", spec)
+        assert code == 2 and out == ""
+        assert f"repeated sweep option '{key}'" in err
 
 
 class TestVerifyCommand:

@@ -332,6 +332,14 @@ class TestFamilySpecParsing:
         with pytest.raises(FamilyError):
             parse_family_spec(bad)
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [("thm29:n=10,n=11,np=1", "n"), ("thm29:n=10,np=1,np=1", "np")],
+    )
+    def test_repeated_key(self, text, key):
+        with pytest.raises(FamilyError, match=f"repeated key '{key}'"):
+            parse_family_spec(text)
+
     def test_depth_limit(self):
         text = "path:2"
         for _ in range(5):

@@ -5,7 +5,7 @@ import time
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distinv import (
@@ -222,6 +222,7 @@ class TestDistances:
     def test_k1_convention(self):
         d = all_pairs_distances(complete(1))
         assert d.ecc == [0] and d.tr == [0] and d.diam == d.rad == 0
+        assert d.far == [1]  # vertex 0 is its own eccentric vertex
 
     def test_disconnected_rejected(self):
         two_triangles = from_edge_list(
@@ -257,6 +258,19 @@ class TestDistances:
             assert d.tr[v] == sum(row)
         assert d.rad == min(d.ecc) and d.diam == max(d.ecc)
         assert d.rad <= d.diam <= 2 * d.rad
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.sampled_from((0.1, 0.3, 0.6, 1.0)), st.integers(0, 2**32))
+    @example(1, 0.3, 0)
+    def test_far_is_each_rows_argmax_set(self, n, p, seed):
+        # far[v] holds the vertices at the largest distance in row v; in K1
+        # that is vertex 0 itself, at distance 0
+        g = random_connected_graph(random.Random(seed), n, p)
+        d = all_pairs_distances(g)
+        for v in range(n):
+            row = d.row(v)
+            top = max(row)
+            assert d.far[v] == sum(1 << u for u, x in enumerate(row) if x == top)
 
 
 class TestComplementInduced:

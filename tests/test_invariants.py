@@ -16,7 +16,6 @@ from distinv import (
     emit_graph6,
     from_edge_list,
     full_report,
-    wiener_tree_edgecut,
 )
 from distinv.families import complete, cycle, path, star
 from distinv.invariants import LANE_MAX_N, lane_eccentric_sets, lane_reports
@@ -28,9 +27,14 @@ from distinv.sweeps import (
     parse_sweep_spec,
 )
 from distinv.theorems import LANE_BLOCK, _l41
-from distinv.ud import eccentric_set, find_ud_certificate, ud_certificate
+from distinv.ud import find_ud_certificate, ud_certificate
 
-from oracles import random_connected_graph, ud_certificate_by_table, wiener_by_pairs
+from oracles import (
+    random_connected_graph,
+    ud_certificate_by_table,
+    wiener_by_pairs,
+    wiener_tree_edgecut,
+)
 
 
 def universal(g):
@@ -353,8 +357,8 @@ class TestLaneReports:
 
 
 class TestLaneEccentricSets:
-    """The lane eccentric sets against eccentric_set over the BFS distance
-    table, and the UD certificates read from them against the table scan."""
+    """The lane eccentric sets against the rows of the BFS distance table,
+    and the UD certificates read from them against the table scan."""
 
     @pytest.mark.parametrize("name", LANE_SETS)
     def test_matches_distance_table(self, name):
@@ -367,8 +371,12 @@ class TestLaneEccentricSets:
             dist = all_pairs_distances(g)
             expected.append((
                 tuple(dist.ecc),
-                tuple(sum(1 << u for u in eccentric_set(dist, v)) for v in range(g.n)),
+                tuple(
+                    sum(1 << u for u, x in enumerate(dist.row(v)) if x == dist.ecc[v])
+                    for v in range(g.n)
+                ),
             ))
+            assert tuple(dist.far) == expected[-1][1]
             cert = ud_certificate_by_table(dist)
             assert find_ud_certificate(g) == find_ud_certificate(g, dist) == cert
             certificates.append(cert)

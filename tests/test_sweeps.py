@@ -273,6 +273,21 @@ class TestSweepSpecParsing:
         with pytest.raises(SweepError):
             parse_sweep_spec(bad)
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ("diam2:n=9,count=2,count=1,seed=3", "count"),
+            ("diam2:n=9,n=10,count=2", "n"),
+            ("diam2:n=9,count=2,seed=3,seed=3", "seed"),
+            ("diam2:n=9,count=2,filter=min_degree_2,filter=min_degree_2", "filter"),
+            ("trees:5..6,filter=nope,filter=min_degree_2", "filter"),
+            ("connected:3..5,filter=self_centered,filter=self_centered", "filter"),
+        ],
+    )
+    def test_repeated_option(self, text, key):
+        with pytest.raises(SweepError, match=f"repeated sweep option '{key}'"):
+            parse_sweep_spec(text)
+
 
 class TestRunSweep:
     """Sweep counts and fold errors, through the stream fold."""

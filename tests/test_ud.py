@@ -13,7 +13,6 @@ from distinv import (
     attach_pendants_at,
     complete,
     cycle,
-    diametrical_pairs,
     eccentric_set,
     figure1,
     find_ud_certificate,
@@ -28,6 +27,8 @@ from distinv import (
 from distinv.invariants import lane_eccentric_sets
 from distinv.sweeps import enumerate_connected_graphs, enumerate_trees
 from distinv.ud import ud_certificate
+
+from oracles import diametrical_pairs, floyd_warshall
 
 
 class TestEccentricSet:
@@ -56,22 +57,55 @@ class TestEccentricSet:
 
 
 class TestDiametricalPairs:
+    """The package keeps no pair list: its diametrical pairs are the ones
+    ``find_ud_certificate`` scans and ``is_ud_pair`` accepts, checked here
+    against the pairs of a Floyd-Warshall table."""
+
     def test_p5(self):
-        assert diametrical_pairs(all_pairs_distances(path(5))) == [(0, 4)]
+        assert diametrical_pairs(floyd_warshall(path(5))) == [(0, 4)]
+        assert find_ud_certificate(path(5)).pair == (0, 4)
 
     def test_c4(self):
-        assert diametrical_pairs(all_pairs_distances(cycle(4))) == [(0, 2), (1, 3)]
+        cert = find_ud_certificate(cycle(4))
+        assert [p for p, _ in cert.failures] == [(0, 2), (1, 3)]
+        assert diametrical_pairs(floyd_warshall(cycle(4))) == [(0, 2), (1, 3)]
 
     def test_figure1_includes_ends(self):
-        assert (0, 11) in diametrical_pairs(all_pairs_distances(figure1()))
+        assert (0, 11) in diametrical_pairs(floyd_warshall(figure1()))
+        assert find_ud_certificate(figure1()).pair == (0, 11)
+
+    def test_non_ud_graphs_scan_every_pair(self):
+        # a graph that is not UD fails at every diametrical pair, in order
+        scanned = 0
+        for n in range(2, 6):
+            for g in enumerate_connected_graphs(n):
+                cert = find_ud_certificate(g)
+                if not cert.is_ud:
+                    pairs = diametrical_pairs(floyd_warshall(g))
+                    assert [p for p, _ in cert.failures] == pairs
+                    scanned += 1
+        assert scanned > 0
+
+    def test_is_ud_pair_accepts_exactly_these_pairs(self):
+        for n in range(2, 6):
+            for g in enumerate_connected_graphs(n):
+                d = all_pairs_distances(g)
+                pairs = diametrical_pairs(floyd_warshall(g))
+                for u in range(n):
+                    for v in range(n):
+                        if (min(u, v), max(u, v)) in pairs:
+                            is_ud_pair(g, d, u, v)
+                        else:
+                            with pytest.raises(GraphError, match="not a diametrical pair"):
+                                is_ud_pair(g, d, u, v)
 
 
 class TestIsUdPair:
     def test_tree_diametrical_path_ends(self):
         for t in enumerate_trees(8):
             d = all_pairs_distances(t)
-            u, v = diametrical_pairs(d)[0]
-            assert is_ud_pair(t, d, u, v)
+            for u, v in diametrical_pairs(floyd_warshall(t)):
+                assert is_ud_pair(t, d, u, v)
 
     def test_c6_pair_fails_with_witness_1(self):
         g = cycle(6)
@@ -93,6 +127,22 @@ class TestIsUdPair:
         d = all_pairs_distances(g)
         with pytest.raises(GraphError, match="not a diametrical pair"):
             is_ud_pair(g, d, 0, 1)
+
+    @pytest.mark.parametrize(
+        "u, v", [(0, 10), (0, -4), (-6, 3), (2, 2), (0, 2)],
+        ids=["beyond-n", "negative", "negative-first", "same-vertex", "not-diametrical"],
+    )
+    def test_c6_rejects(self, u, v):
+        # a negative vertex is out of range, not an index from the end
+        g = cycle(6)
+        d = all_pairs_distances(g)
+        with pytest.raises(GraphError, match=rf"\({u},{v}\) is not a diametrical pair"):
+            is_ud_pair(g, d, u, v)
+
+    def test_k1_has_no_pair(self):
+        d = all_pairs_distances(complete(1))
+        with pytest.raises(GraphError, match="not a diametrical pair"):
+            is_ud_pair(complete(1), d, 0, 0)
 
 
 class TestCertificates:
