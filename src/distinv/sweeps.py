@@ -4,9 +4,15 @@ Three sweep targets feed the predicate checkers:
 
 * ``connected_graphs`` - every labeled simple connected graph on n vertices,
   by scanning all 2^(n(n-1)/2) edge subsets (n <= 8; n = 8 is allowed but
-  slow).  An edge subset is a pair mask decoded by
-  ``graphs._rows_from_pairs``, the one definition of the pair order, which
-  the sampler and graph6 share.
+  slow).  An edge subset is a pair mask in the pair order of
+  ``graphs._rows_from_pairs``, which the sampler and graph6 share.  The scan
+  takes 1,024 consecutive masks at a time (all of them below 10 pairs), mask
+  ``base + k`` in the 16-bit lane ``k`` of one int per adjacency row: each
+  row is the codec's rows of ``k``, decoded once per scan, or'ed with those
+  of ``base`` spread to every lane.  Connectivity is a closure from vertex 0
+  over all lanes at once, at most n - 1 rounds of ``reach |= row[u]`` in the
+  lanes whose reach holds u; the lanes whose reach is full are unpacked with
+  ``struct`` in mask order.
 * ``trees`` - one representative per isomorphism class of free trees
   (2 <= n <= 18), generated through canonical level sequences with a
   constant-amortized-time successor rule.
@@ -26,7 +32,9 @@ across runs, worker counts, and reimplementations:
 Sample ``i``, attempt ``j`` draws pair ``e`` from counter
 ``(i * 2^21 + j) * 2^13 + e``; the pair is an edge iff
 ``rand64 < floor(p_num * 2^64 / p_den)`` for the attempt's probability
-``p = cycle[(i + j) mod 3]``.
+``p = cycle[(i + j) mod 3]``.  With the seed in 0..2^64 - 1, i < 2^30,
+j < 2^21 and e < 2^13, distinct draws of a stream never share a counter, and
+distinct seeds never share a key.
 
 An attempt runs mix64 on all of its pairs at once, pair ``e`` in the
 128-bit lane ``e`` of one int: shifts are masked to each lane's low 64 bits
@@ -43,16 +51,17 @@ Parallel execution forks, so it is POSIX-only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
+import struct
 import time
 from dataclasses import dataclass
 
 from .graphs import (
     Graph,
     GraphError,
-    _rows_connected,
     _rows_from_pairs,
     all_pairs_distances,
     emit_graph6,
@@ -67,6 +76,8 @@ _DIAM2_P = ((3, 10), (5, 10), (7, 10))
 _DIAM2_THRESH = tuple((num << 64) // den for num, den in _DIAM2_P)
 _BINARY = bytes.maketrans(b"\x00\x01", b"01")
 _MAX_ATTEMPTS = 10**6
+# the sample index fills counter bits 34..63, so index 2^30 would repeat 0
+_MAX_SAMPLES = 1 << 30
 _SAMPLER_MAX_N = 128
 
 TREE_MIN_N, TREE_MAX_N = 2, 18
@@ -110,11 +121,36 @@ def enumerate_connected_graphs(n: int):
 
 
 def _connected_graphs_range(n, lo, hi):
-    raw = Graph._raw
-    for mask in range(lo, hi):
-        rows = _rows_from_pairs(n, mask)
-        if _rows_connected(rows):
-            yield raw(n, rows)
+    # masks in blocks of 2^b, b = min(pairs, 10): mask base + k sits in the
+    # 16-bit lane k of each row, which is row k's lane or'ed with base's rows
+    lanes = 1 << min(n * (n - 1) // 2, 10)
+    fmt = f"<{lanes}H"
+    ones = int.from_bytes(b"\1\0" * lanes, "little")
+    full = (1 << n) - 1
+    low = [
+        int.from_bytes(struct.pack(fmt, *col), "little")
+        for col in zip(*(_rows_from_pairs(n, k) for k in range(lanes)))
+    ]
+    raw = functools.partial(Graph._raw, n)
+    for base in range(lo & -lanes, hi, lanes):
+        rows = [r | ones * h for r, h in zip(low, _rows_from_pairs(n, base))]
+        # closure from vertex 0: each round adds the rows of reached vertices
+        reach = ones
+        for _ in range(n - 1):
+            before = reach
+            for u, row in enumerate(rows):
+                reach |= row & ((reach >> u) & ones) * full
+            if reach == before:
+                break
+        # lane k is kept iff its reach is full, so adding 1 carries into bit
+        # n, and lo <= base + k < hi
+        skip = 16 * max(lo - base, 0)
+        ok = ((reach + ones) >> n) & (ones >> skip << skip)
+        if not ok:
+            continue
+        keep = ok.to_bytes(2 * lanes, "little")[: 2 * (hi - base) : 2]
+        cols = [struct.unpack(fmt, r.to_bytes(2 * lanes, "little")) for r in rows]
+        yield from map(raw, itertools.compress(zip(*cols), keep))
 
 
 def enumerate_trees(n: int):
@@ -193,17 +229,16 @@ def _free_canonical_or_jump(levels):
 
 
 def _tree_from_levels(levels):
+    # a vertex's parent is the latest vertex one level up; the root is vertex 0
     n = len(levels)
     rows = [0] * n
-    stack = []
-    for i, lev in enumerate(levels):
-        while stack and levels[stack[-1]] >= lev:
-            stack.pop()
-        if stack:
-            j = stack[-1]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        stack.append(i)
+    last = [0] * n
+    for i in range(1, n):
+        lev = levels[i]
+        j = last[lev - 1]
+        rows[i] = 1 << j
+        rows[j] |= 1 << i
+        last[lev] = i
     return Graph._raw(n, rows)
 
 
@@ -314,8 +349,10 @@ class SweepSpec:
             if not TREE_MIN_N <= self.n_min or self.n_max > TREE_MAX_N:
                 raise SweepError("exhaustive tree sweep needs 2 <= n <= 18")
         else:
-            if self.sample_count < 1:
-                raise SweepError("random sweep needs sample_count >= 1")
+            if not 1 <= self.sample_count <= _MAX_SAMPLES:
+                raise SweepError("random sweep needs 1 <= count <= 2^30")
+            if not 0 <= self.seed <= _M64:
+                raise SweepError("random sweep needs 0 <= seed <= 2^64 - 1")
             if self.n_min < 3 or self.n_max > _SAMPLER_MAX_N:
                 raise SweepError("diameter-2 sweep needs 3 <= n <= 128")
 

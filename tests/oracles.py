@@ -5,14 +5,16 @@ Floyd-Warshall over an adjacency matrix, the Wiener index from a plain
 double loop over pairs or, for a tree, from the edge-cut identity, and tree
 isomorphism from bottom-up subtree encodings rooted at the center.  The
 diameter-2 sampler's reference draws one vertex pair per scalar mix64 call.
-The UD certificate's reference scans a distance table pair by pair.
+The UD certificate's reference scans a distance table pair by pair.  The
+labeled mask scan's reference decodes and BFS-checks one mask at a time.
 """
 
 from __future__ import annotations
 
 import random
 
-from distinv import Graph, GraphError, UdCertificate, from_edge_list
+from distinv import Graph, GraphError, UdCertificate, from_edge_list, is_connected
+from distinv.graphs import _rows_from_pairs
 
 INF = 1 << 30
 
@@ -147,6 +149,16 @@ def ud_certificate_by_table(dist) -> UdCertificate:
     return UdCertificate(
         is_ud=False, pair=None, diam=dist.diam, failures=tuple(failures)
     )
+
+
+def connected_graphs_by_mask(n: int, lo: int, hi: int):
+    """The connected graphs among edge masks ``lo..hi-1`` of order n, in mask
+    order: each mask decoded by the pair codec, then one BFS from vertex 0.
+    The reference for the lane-packed scan of ``distinv.sweeps``."""
+    for mask in range(lo, hi):
+        g = Graph._raw(n, _rows_from_pairs(n, mask))
+        if is_connected(g):
+            yield g
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

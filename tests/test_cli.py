@@ -454,6 +454,21 @@ class TestOptionSurface:
         assert code == 2 and out == ""
         assert err.startswith("error: --seed ")
 
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["--seed", "-1"], "seed"),
+            (["--seed", "18446744073709551616"], "seed"),
+            (["--sweep", "diam2:n=9,count=1073741825"], "count"),
+            (["--sweep", "diam2:n=9,count=3,seed=18446744073709551621"], "seed"),
+        ],
+    )
+    def test_diam2_stream_bounds_exit_2(self, capsys, argv, bound):
+        base = ["verify", "--sweep", "diam2:n=9,count=3", "--theorems", "P2.4"]
+        code, out, err = run_cli(capsys, *base, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: random sweep needs") and bound in err
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_run_one(self, capsys, workers):
         args = ["verify", "--sweep", "trees:2..9", "--theorems", "T3.1,L4.1"]

@@ -31,6 +31,7 @@ from distinv.sweeps import (
     _bernoulli_rows,
     _chunks,
     _connected_diam2,
+    _connected_graphs_range,
     _pair_lanes,
     _pool_size,
     _stream_key,
@@ -38,10 +39,15 @@ from distinv.sweeps import (
     rand64,
 )
 
-from oracles import bernoulli_rows, tree_canonical_form, unmix64
+from oracles import (
+    bernoulli_rows,
+    connected_graphs_by_mask,
+    tree_canonical_form,
+    unmix64,
+)
 
 # labeled connected graphs and free trees, by order
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 TREE_COUNTS = {
     2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
     11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
@@ -72,6 +78,42 @@ class TestConnectedEnumeration:
     def test_bounds(self, n):
         with pytest.raises(SweepError, match="exhaustive connected sweep needs"):
             list(enumerate_connected_graphs(n))
+
+
+class TestMaskScan:
+    """The lane-packed labeled mask scan against the one-mask-at-a-time
+    reference, on whole orders and on chunk ranges off the block grid."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_mask(self, n):
+        total = 1 << (n * (n - 1) // 2)
+        ours = list(_connected_graphs_range(n, 0, total))
+        assert ours == list(connected_graphs_by_mask(n, 0, total))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_chunk_ranges(self, n, parts):
+        whole = []
+        for _, _, lo, hi in _chunks(SweepSpec("connected_graphs", n, n), parts):
+            ours = list(_connected_graphs_range(n, lo, hi))
+            assert ours == list(connected_graphs_by_mask(n, lo, hi)), (lo, hi)
+            whole += ours
+        assert whole == list(enumerate_connected_graphs(n))
+
+    @pytest.mark.parametrize("parts", [2, 3, 7])
+    def test_chunk_edges_at_order_7(self, parts):
+        # 1,500 masks on each side of every chunk boundary
+        for _, _, lo, hi in _chunks(SweepSpec("connected_graphs", 7, 7), parts):
+            for a, b in ((lo, lo + 1500), (hi - 1500, hi)):
+                ours = list(_connected_graphs_range(7, a, b))
+                assert ours == list(connected_graphs_by_mask(7, a, b)), (a, b)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(0, 0), (5, 5), (1023, 1025), (1024, 2048), (3000, 3001)]
+    )
+    def test_short_ranges(self, lo, hi):
+        ours = list(_connected_graphs_range(6, lo, hi))
+        assert ours == list(connected_graphs_by_mask(6, lo, hi))
 
 
 class TestTreeEnumeration:
@@ -246,6 +288,25 @@ class TestSweepSpecParsing:
         spec = parse_sweep_spec("diam2:n=9..12,count=5,seed=7")
         assert (spec.n_min, spec.n_max) == (9, 12)
 
+    @pytest.mark.parametrize(
+        "text,bound",
+        [
+            # read as seed & (2^64 - 1), these alias seed 5 and 2^64 - 1
+            ("diam2:n=9,count=3,seed=18446744073709551621", "seed"),
+            ("diam2:n=9,count=3,seed=-1", "seed"),
+            # sample index i + 2^30 draws the counters of sample i
+            ("diam2:n=9,count=1073741825,seed=5", "count"),
+            ("diam2:n=9,count=0,seed=5", "count"),
+        ],
+    )
+    def test_stream_bounds(self, text, bound):
+        with pytest.raises(SweepError, match=f"random sweep needs .*{bound}"):
+            parse_sweep_spec(text)
+
+    def test_stream_bounds_inclusive(self):
+        spec = parse_sweep_spec("diam2:n=9,count=1073741824,seed=18446744073709551615")
+        assert (spec.sample_count, spec.seed) == (1 << 30, (1 << 64) - 1)
+
     def test_str_round_trip(self):
         for text in ["trees:2..12", "connected:3..7",
                      "diam2:n=9..12,count=5,seed=7,filter=min_degree_2"]:
@@ -418,6 +479,11 @@ class TestParallelDeterminism:
         acc3, s3 = self._collect(spec, 3)
         assert sorted(acc1) == sorted(acc3)
         assert (s1.visited, s1.filtered) == (s3.visited, s3.filtered)
+
+    def test_connected_one_vs_two_workers_byte_identical(self):
+        spec = SweepSpec("connected_graphs", 3, 6)
+        (acc1, s1), (acc2, s2) = self._collect(spec, 1), self._collect(spec, 2)
+        assert acc1 == acc2 and s1.visited == s2.visited == 27474
 
     def test_chunked_streams_concatenate_in_order(self):
         spec = SweepSpec("diameter2_graphs", 9, 9, sample_count=30, seed=5)
