@@ -129,7 +129,8 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
     )
 
 
-# One graph per lane of w = max(16, 1 << n.bit_length()) bits.  Bit w - 1 of
+# One graph per lane of w = lane_width(n) = max(16, 1 << n.bit_length()) bits
+# (the diameter-2 sampler packs its attempts by the same rule).  Bit w - 1 of
 # every lane is then free, which the nonzero test and the biased gap need, and
 # every lane sum (the largest, 2 * E2, is at most 2 * C(n, 2) * (n - 1)^2) is
 # below 2^w.  The SWAR popcount sums a lane's bytes in its low byte, exact for
@@ -138,6 +139,24 @@ LANE_MAX_N = 255
 
 # graphs per block that the callers of the kernel hand it at a time
 LANE_BLOCK = 1024
+
+# a lane of up to 64 bits is one struct word; a wider one packs from bytes
+_WORDS = {16: "H", 32: "I", 64: "Q"}
+
+
+def lane_width(n: int) -> int:
+    """Bits per lane for graphs of order n (see above)."""
+    return max(16, 1 << n.bit_length())
+
+
+def unpack_lanes(x: int, width: int, k: int):
+    """The k lanes of x, each ``width`` bits wide, lane 0 first."""
+    size = width // 8
+    data = x.to_bytes(size * k, "little")
+    word = _WORDS.get(width)
+    if word:
+        return struct.unpack(f"<{k}{word}", data)
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 class _Lanes:
@@ -154,11 +173,11 @@ class _Lanes:
         n = graphs[0].n
         if not 1 <= n <= LANE_MAX_N or any(g.n != n for g in graphs):
             raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
-        width = max(16, 1 << n.bit_length())
+        self.width = width = lane_width(n)
         self.k = k
         self.n = n
         self.top = width - 1
-        self.size = size = width // 8  # bytes per lane
+        size = width // 8  # bytes per lane
         self.lane = lane = (1 << width) - 1
         self.ones = ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
         self.full = full = ones * ((1 << n) - 1)
@@ -166,12 +185,11 @@ class _Lanes:
         # 0x55.., 0x33.. and 0x0F.. over every lane, and each lane's low byte
         self._masks = tuple(ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
         self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
-        # a lane of up to 64 bits is one struct word; a wider one packs from bytes
-        word = {16: "H", 32: "I", 64: "Q"}.get(width)
-        self._fmt = word and f"<{k}{word}"
+        word = _WORDS.get(width)
         columns = zip(*(g.bits for g in graphs))
         if word:
-            rows = [int.from_bytes(struct.pack(self._fmt, *col), "little") for col in columns]
+            fmt = f"<{k}{word}"
+            rows = [int.from_bytes(struct.pack(fmt, *col), "little") for col in columns]
         else:
             rows = [
                 int.from_bytes(b"".join(b.to_bytes(size, "little") for b in col), "little")
@@ -225,11 +243,7 @@ class _Lanes:
 
     def unpack(self, x):
         """Every lane of x, lane 0 first."""
-        size = self.size
-        data = x.to_bytes(size * self.k, "little")
-        if self._fmt:
-            return struct.unpack(self._fmt, data)
-        return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+        return unpack_lanes(x, self.width, self.k)
 
 
 def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, bool]]]:

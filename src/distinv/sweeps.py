@@ -36,9 +36,14 @@ Sample ``i``, attempt ``j`` draws pair ``e`` from counter
 j < 2^21 and e < 2^13, distinct draws of a stream never share a counter, and
 distinct seeds never share a key.
 
-An attempt runs mix64 on all of its pairs at once, pair ``e`` in the
-128-bit lane ``e`` of one int: shifts are masked to each lane's low 64 bits
-and products stay below 2^128, so no lane spills into the next.
+The sampler runs rounds over blocks of up to 1,024 consecutive samples of a
+chunk: round j draws attempt j of every sample not yet accepted (``_draw``
+mixes many attempts' pairs per int, grouped by p), puts one attempt in each
+lane of adjacency rows of the lane kernel's width, and tests every lane at
+once: the closed 2-neighbourhood of each vertex is full, and some pair is not
+adjacent.  A block yields its accepted graphs in sample order; a sample with
+no accepted attempt among ``_MAX_ATTEMPTS`` raises ``SweepError("sampling
+stalled")`` after the samples before it, as one attempt at a time would.
 
 Sweeps partition into chunks (edge-mask ranges, tree-ordinal residues,
 sample-index ranges) that merge associatively, so worker count never changes
@@ -66,6 +71,7 @@ from .graphs import (
     all_pairs_distances,
     emit_graph6,
 )
+from .invariants import lane_width, unpack_lanes
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -74,8 +80,10 @@ _MIX_B = 0x94D049BB133111EB
 
 _DIAM2_P = ((3, 10), (5, 10), (7, 10))
 _DIAM2_THRESH = tuple((num << 64) // den for num, den in _DIAM2_P)
-_BINARY = bytes.maketrans(b"\x00\x01", b"01")
 _MAX_ATTEMPTS = 10**6
+# samples drawn together, and bytes of 128-bit lanes mixed at a time
+_SAMPLE_BLOCK = 1024
+_DRAW_BYTES = 1 << 14
 # the sample index fills counter bits 34..63, so index 2^30 would repeat 0
 _MAX_SAMPLES = 1 << 30
 _SAMPLER_MAX_N = 128
@@ -254,56 +262,121 @@ def sample_diameter2_graphs(n: int, count: int, seed: int):
 
 
 def _diam2_stream(seed, n, lo, hi):
+    # blocks of samples; round j draws attempt j of every sample still pending
     key = _stream_key(seed, n)
-    lanes = _pair_lanes(n)
-    for index in range(lo, hi):
+    pairs = _pair_list(n)
+    steps = _pair_steps(n)
+    for first in range(lo, hi, _SAMPLE_BLOCK):
+        graphs = [None] * (min(first + _SAMPLE_BLOCK, hi) - first)
+        pending = range(first, first + len(graphs))
         for attempt in range(_MAX_ATTEMPTS):
-            start = (key + (((index << 21) | attempt) << 13) * _GOLDEN) & _M64
-            rows = _bernoulli_rows(n, lanes, start, (index + attempt) % 3)
-            if _connected_diam2(rows, n):
-                yield Graph._raw(n, rows)
+            if not pending:
                 break
-        else:
+            # one draw per p = cycle[(i + attempt) mod 3]; pair e of sample i
+            # draws counter i * 2^34 + attempt * 2^13 + e
+            counter = attempt << 13
+            groups = ([], [], [])
+            for i in pending:
+                groups[(i + attempt) % 3].append(i)
+            hits = b"".join(
+                _draw(steps, [(key + (i << 34 | counter) * _GOLDEN) & _M64 for i in g], k)
+                for k, g in enumerate(groups)
+            )
+            order = groups[0] + groups[1] + groups[2]
+            kept = _diam2_lanes(n, pairs, hits, len(order))
+            pending = [i for i, g in zip(order, kept) if g is None]
+            for i, g in zip(order, kept):
+                graphs[i - first] = g
+        if pending:
+            yield from graphs[: min(pending) - first]
             raise SweepError("sampling stalled")
+        yield from graphs
 
 
-def _pair_lanes(n):
-    # lanes of 1, of 2^64 - 1, of e * golden, and per p of 2^64 + threshold - 1,
-    # built per stream and not cached: at n = 128 they take 780 kB
+def _pair_list(n):
+    # pair e = v(v - 1)/2 + u is (u, v), u < v: the order of _rows_from_pairs
+    return [(u, v) for v in range(1, n) for u in range(v)]
+
+
+def _pair_steps(n):
+    # e * golden mod 2^64 in the 128-bit lane e, for every pair e
     pairs = n * (n - 1) // 2
-    ones = int.from_bytes((1).to_bytes(16, "little") * pairs, "little")
-    steps = b"".join((e * _GOLDEN & _M64).to_bytes(16, "little") for e in range(pairs))
-    limits = tuple(ones * ((1 << 64) + t - 1) for t in _DIAM2_THRESH)
-    return ones, ones * _M64, int.from_bytes(steps, "little"), limits
+    return b"".join((e * _GOLDEN & _M64).to_bytes(16, "little") for e in range(pairs))
 
 
-def _bernoulli_rows(n, lanes, start, p_index):
-    # lane e: x = mix64(start + e * golden); limit - x lies in [threshold,
-    # 2^64 + threshold), so its bit 64, alone in its byte, is x < threshold
-    ones, low64, steps, limits = lanes
-    x = (steps + start * ones) & low64
-    x ^= (x >> 30) & low64
-    x = (x * _MIX_A) & low64
-    x ^= (x >> 27) & low64
-    x = (x * _MIX_B) & low64
-    x ^= (x >> 31) & low64
-    hits = (limits[p_index] - x).to_bytes(16 * (n * (n - 1) // 2), "big")[7::16]
-    return _rows_from_pairs(n, int(hits.translate(_BINARY), 2))
+def _draw(steps, starts, p_index):
+    """One 0/1 byte per pair per attempt, attempt by attempt: byte a * P + e
+    is 1 iff mix64(starts[a] + e * golden) < _DIAM2_THRESH[p_index], where
+    ``steps = _pair_steps(n)`` holds the P pairs' lanes.
+
+    Pair e of attempt a sits in the 128-bit lane a * P + e of an int of about
+    16 kB: shifts are masked to each lane's low 64 bits and products stay
+    below 2^128, so no lane spills into the next.  With limit = 2^64 +
+    threshold - 1, limit - x lies in [threshold, 2^64 + threshold), and its
+    bit 64, alone in byte 8 of the lane, is x < threshold.
+    """
+    size = len(steps)
+    pairs = size // 16
+    per = max(1, min(len(starts), _DRAW_BYTES // size))
+    low64 = int.from_bytes(_M64.to_bytes(16, "little") * (pairs * per), "little")
+    base = int.from_bytes(steps * per, "little")
+    edge = ((1 << 64) + _DIAM2_THRESH[p_index] - 1).to_bytes(16, "little")
+    limit = int.from_bytes(edge * (pairs * per), "little")
+    out = []
+    for a in range(0, len(starts), per):
+        chunk = starts[a : a + per]
+        if len(chunk) < per:  # the last slice: fewer lanes
+            cut = (1 << 8 * size * len(chunk)) - 1
+            base &= cut
+            limit &= cut
+        spread = b"".join(s.to_bytes(16, "little") * pairs for s in chunk)
+        x = (base + int.from_bytes(spread, "little")) & low64
+        x ^= x >> 30 & low64
+        x = x * _MIX_A & low64
+        x ^= x >> 27 & low64
+        x = x * _MIX_B & low64
+        x ^= x >> 31 & low64
+        out.append((limit - x).to_bytes(size * len(chunk), "little")[8::16])
+    return b"".join(out)
 
 
-def _connected_diam2(rows, n):
-    # diameter 2: some pair is apart and every such pair has a common neighbour
-    full = (1 << n) - 1
-    some_apart = 0
+def _diam2_lanes(n, pairs, hits, k):
+    # the k attempts of _draw's bytes as graphs, attempt a in lane a of each
+    # row (the lane kernel's width); a lane is kept iff every pair is adjacent
+    # or has a common neighbour, and some pair is not adjacent
+    width = lane_width(n)
+    stride = width // 8
+    top = width - 1
+    buf = bytearray(stride * k)
+    rows = [0] * n
+    count = len(pairs)
+    for e, (u, v) in enumerate(pairs):
+        buf[::stride] = hits[e::count]
+        col = int.from_bytes(buf, "little")
+        rows[u] |= col << v
+        rows[v] |= col << u
+    ones = int.from_bytes((b"\1" + bytes(stride - 1)) * k, "little")
+    low = ones * ((1 << top) - 1)
+    full = ones * ((1 << n) - 1)
+    # u > v is within distance 2 of v iff row u meets N[v] = row v | v; bit 0
+    # of a lane of (x + low) >> top is 1 iff that lane of x is nonzero.  A
+    # lane of spare is nonzero iff its graph is not complete
+    good = ones
+    spare = 0
     for v, rv in enumerate(rows):
-        apart = full & ~(rv | ((2 << v) - 1))
-        some_apart |= apart
-        while apart:
-            low = apart & -apart
-            if not rv & rows[low.bit_length() - 1]:
-                return False
-            apart ^= low
-    return some_apart != 0
+        closed = rv | ones << v
+        spare |= full ^ closed
+        for ru in rows[v + 1 :]:
+            good &= ((ru & closed) + low) >> top
+        if not good:
+            return [None] * k
+    good &= (spare + low) >> top
+    if not good:
+        return [None] * k
+    keep = good.to_bytes(stride * k, "little")[::stride]
+    raw = functools.partial(Graph._raw, n)
+    cols = [unpack_lanes(r, width, k) for r in rows]
+    return [raw(g) if ok else None for ok, g in zip(keep, zip(*cols))]
 
 
 # ---------------------------------------------------------------------------

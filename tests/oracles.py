@@ -5,15 +5,24 @@ Floyd-Warshall over an adjacency matrix, the Wiener index from a plain
 double loop over pairs or, for a tree, from the edge-cut identity, and tree
 isomorphism from bottom-up subtree encodings rooted at the center.  The
 diameter-2 sampler's reference draws one vertex pair per scalar mix64 call.
-The UD certificate's reference scans a distance table pair by pair.  The
-labeled mask scan's reference decodes and BFS-checks one mask at a time.
+The sampler's stream reference draws and tests one attempt at a time, in
+sample order, with a scalar diameter-2 test over vertex pairs.  The UD
+certificate's reference scans a distance table pair by pair.  The labeled
+mask scan's reference decodes and BFS-checks one mask at a time.
 """
 
 from __future__ import annotations
 
 import random
 
-from distinv import Graph, GraphError, UdCertificate, from_edge_list, is_connected
+from distinv import (
+    Graph,
+    GraphError,
+    SweepError,
+    UdCertificate,
+    from_edge_list,
+    is_connected,
+)
 from distinv.graphs import _rows_from_pairs
 
 INF = 1 << 30
@@ -234,3 +243,52 @@ def bernoulli_rows(key: int, n: int, counter: int, thresh: int) -> list[int]:
                 rows[v] |= 1 << u
             counter += 1
     return rows
+
+
+# the sampler's p cycle 0.3, 0.5, 0.7 as 64-bit thresholds
+DIAM2_THRESH = tuple((num << 64) // 10 for num in (3, 5, 7))
+
+
+def is_diameter2(rows: list[int]) -> bool:
+    """Diameter exactly 2: some pair of vertices is not adjacent, and every
+    such pair has a common neighbour."""
+    n = len(rows)
+    full = (1 << n) - 1
+    some_apart = 0
+    for v, rv in enumerate(rows):
+        apart = full & ~(rv | ((2 << v) - 1))
+        some_apart |= apart
+        while apart:
+            low = apart & -apart
+            if not rv & rows[low.bit_length() - 1]:
+                return False
+            apart ^= low
+    return some_apart != 0
+
+
+def diam2_attempts(seed: int, n: int, index: int, max_attempts: int = 10**6):
+    """Each attempt of sample ``index`` of the documented ``diam2:`` stream,
+    in order, as ``(p_index, rows, accepted)``, up to the first accepted one
+    or ``max_attempts`` attempts."""
+    key = mix64(seed ^ mix64(n * _GOLDEN))
+    for attempt in range(max_attempts):
+        k = (index + attempt) % 3
+        rows = bernoulli_rows(key, n, ((index << 21) | attempt) << 13, DIAM2_THRESH[k])
+        accepted = is_diameter2(rows)
+        yield k, rows, accepted
+        if accepted:
+            return
+
+
+def diam2_stream_by_attempt(seed: int, n: int, lo: int, hi: int, max_attempts: int = 10**6):
+    """Samples ``lo..hi-1`` of the ``diam2:`` stream, one attempt at a time:
+    the reference for the block sampler of ``distinv.sweeps``.  Raises
+    ``SweepError("sampling stalled")`` at the first sample with no accepted
+    attempt among its first ``max_attempts``, after the samples before it."""
+    for index in range(lo, hi):
+        for _, rows, accepted in diam2_attempts(seed, n, index, max_attempts):
+            if accepted:
+                yield Graph._raw(n, rows)
+                break
+        else:
+            raise SweepError("sampling stalled")

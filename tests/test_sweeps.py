@@ -8,6 +8,7 @@ import pytest
 import networkx as nx
 
 from distinv import (
+    Graph,
     SweepError,
     SweepSpec,
     all_pairs_distances,
@@ -15,7 +16,6 @@ from distinv import (
     enumerate_connected_graphs,
     enumerate_trees,
     fold_sweep,
-    from_edge_list,
     full_report,
     is_connected,
     iter_sweep,
@@ -23,16 +23,19 @@ from distinv import (
     sample_diameter2_graphs,
 )
 from distinv import sweeps as sweeps_mod
+from distinv.graphs import _pairs_from_rows, _rows_from_pairs
 from distinv.sweeps import (
     SweepVisitError,
     _DIAM2_THRESH,
     _GOLDEN,
     _M64,
-    _bernoulli_rows,
     _chunks,
-    _connected_diam2,
     _connected_graphs_range,
-    _pair_lanes,
+    _diam2_lanes,
+    _diam2_stream,
+    _draw,
+    _pair_list,
+    _pair_steps,
     _pool_size,
     _stream_key,
     mix64,
@@ -42,6 +45,9 @@ from distinv.sweeps import (
 from oracles import (
     bernoulli_rows,
     connected_graphs_by_mask,
+    diam2_attempts,
+    diam2_stream_by_attempt,
+    is_diameter2,
     tree_canonical_form,
     unmix64,
 )
@@ -179,53 +185,102 @@ class TestDiameter2Sampler:
 
 
 class TestPackedSampler:
-    """The packed-lane kernel against the scalar per-pair reference."""
+    """The block sampler's draw step and lane test against the scalar
+    per-pair references."""
 
     @staticmethod
-    def _both(key, n, lanes, index, attempt):
-        base = ((index << 21) | attempt) << 13
-        k = (index + attempt) % 3
-        packed = _bernoulli_rows(n, lanes, (key + base * _GOLDEN) & _M64, k)
-        return packed, bernoulli_rows(key, n, base, _DIAM2_THRESH[k])
+    def _split(n, hits):
+        # _draw's bytes as one row list per attempt
+        pairs = n * (n - 1) // 2
+        return [
+            _rows_from_pairs(n, sum(b << e for e, b in enumerate(hits[a : a + pairs])))
+            for a in range(0, len(hits), pairs)
+        ]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 9, 12, 13, 40])
     def test_rows_match_scalar_reference(self, n):
-        lanes = _pair_lanes(n)
+        # attempts 0..3 of samples 0..59, one draw per attempt and p
+        steps = _pair_steps(n)
         for seed in (0, 5, 9001):
             key = _stream_key(seed, n)
-            for index in range(60):
-                for attempt in range(4):
-                    packed, scalar = self._both(key, n, lanes, index, attempt)
-                    assert packed == scalar, (seed, index, attempt)
+            for attempt in range(4):
+                for k in range(3):
+                    index = [i for i in range(60) if (i + attempt) % 3 == k]
+                    base = [((i << 21) | attempt) << 13 for i in index]
+                    starts = [(key + c * _GOLDEN) & _M64 for c in base]
+                    drawn = self._split(n, _draw(steps, starts, k))
+                    want = [bernoulli_rows(key, n, c, _DIAM2_THRESH[k]) for c in base]
+                    assert drawn == want, (seed, attempt, k)
 
     def test_largest_order_matches_scalar_reference(self):
         # 8,128 pairs: the closest the pair index comes to its 2^13 field
-        packed, scalar = self._both(_stream_key(7, 128), 128, _pair_lanes(128), 5, 1)
-        assert packed == scalar and any(packed)
+        key = _stream_key(7, 128)
+        base = ((5 << 21) | 1) << 13
+        hits = _draw(_pair_steps(128), [(key + base * _GOLDEN) & _M64], 0)
+        (drawn,) = self._split(128, hits)
+        assert drawn == bernoulli_rows(key, 128, base, _DIAM2_THRESH[0]) and any(drawn)
 
     @pytest.mark.parametrize("n", [3, 128])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_compare_at_threshold_boundaries(self, n, k):
-        # start chosen so the first or the last lane holds exactly x
-        lanes = _pair_lanes(n)
+        # starts chosen so the first lane (attempt 0, pair 0) and the last
+        # lane (attempt 2, the last pair) hold exactly x
+        steps = _pair_steps(n)
         thresh = _DIAM2_THRESH[k]
         last = n * (n - 1) // 2 - 1
-        u, v = n - 2, n - 1  # the last pair of the column order
         for x in (0, thresh - 1, thresh, _M64):
-            for lane, (a, b) in ((0, (0, 1)), (last, (u, v))):
-                start = (unmix64(x) - lane * _GOLDEN) & _M64
-                rows = _bernoulli_rows(n, lanes, start, k)
-                assert mix64(start + lane * _GOLDEN) == x
-                assert bool(rows[a] >> b & 1) == (x < thresh), (x, lane)
-                assert rows == bernoulli_rows(start, n, 0, thresh)
+            starts = [
+                unmix64(x),
+                mix64(x),
+                (unmix64(x) - last * _GOLDEN) & _M64,
+            ]
+            hits = _draw(steps, starts, k)
+            assert mix64(starts[2] + last * _GOLDEN) == x
+            assert hits[0] == hits[-1] == (x < thresh), x
+            want = [bernoulli_rows(s, n, 0, thresh) for s in starts]
+            assert self._split(n, hits) == want, x
+
+    @staticmethod
+    def _lanes(n, graphs):
+        # the graphs through the lane test as one block: kept graph or None
+        width = n * (n - 1) // 2
+        masks = [_pairs_from_rows(g.bits) for g in graphs]
+        hits = b"".join(bytes(m >> e & 1 for e in range(width)) for m in masks)
+        return _diam2_lanes(n, _pair_list(n), hits, len(graphs))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_diameter2_test_matches_bfs(self, n):
-        pairs = [(u, v) for v in range(1, n) for u in range(v)]
-        for mask in range(1 << len(pairs)):
-            g = from_edge_list(n, [p for e, p in enumerate(pairs) if mask >> e & 1])
-            want = is_connected(g) and all_pairs_distances(g).diam == 2
-            assert _connected_diam2(list(g.bits), n) == want, mask
+        # every mask, in blocks of up to 1,024 lanes
+        total = 1 << (n * (n - 1) // 2)
+        for lo in range(0, total, 1024):
+            masks = range(lo, min(lo + 1024, total))
+            graphs = [Graph._raw(n, _rows_from_pairs(n, m)) for m in masks]
+            for g, kept in zip(graphs, self._lanes(n, graphs)):
+                want = is_connected(g) and all_pairs_distances(g).diam == 2
+                assert (kept is not None) == want == is_diameter2(list(g.bits)), g.bits
+                assert kept is None or kept == g
+
+    @pytest.mark.parametrize("n", [40, 128])
+    def test_lane_test_at_wide_lanes(self, n):
+        # 64- and 256-bit lanes: K_n, K_(n-1) plus an isolated vertex, K_(n-2)
+        # with pendants at 0 and 1 (diameter 3), and K_n less one edge
+        everything = (1 << n) - 1
+        complete = [everything ^ (1 << v) for v in range(n)]
+        apart = [r & ~(1 << (n - 1)) for r in complete[:-1]] + [0]
+        diam3 = [r & (everything >> 2) for r in complete]
+        diam3[0] |= 1 << (n - 2)
+        diam3[1] |= 1 << (n - 1)
+        diam3[n - 2], diam3[n - 1] = 1, 2
+        less = list(complete)
+        less[0] ^= 2
+        less[1] ^= 1
+        graphs = [Graph._raw(n, r) for r in (complete, apart, diam3, less)]
+        diams = [all_pairs_distances(graphs[i]).diam for i in (0, 2, 3)]
+        assert diams == [1, 3, 2]
+        assert not is_connected(graphs[1])
+        block = graphs * 3
+        kept = self._lanes(n, block)
+        assert kept == [None, None, None, graphs[3]] * 3
 
     @pytest.mark.parametrize(
         "text, digest",
@@ -249,6 +304,74 @@ class TestPackedSampler:
         spec = parse_sweep_spec(text)
         stream = "".join(emit_graph6(g) + "\n" for g in iter_sweep(spec))
         assert hashlib.sha256(stream.encode()).hexdigest() == digest
+
+
+class TestBlockSampler:
+    """The block stream against the one-attempt-at-a-time reference."""
+
+    @pytest.mark.parametrize(
+        "n, count",
+        [(n, 60) for n in range(3, 16)] + [(16, 40), (31, 10), (32, 10), (63, 4), (64, 4)]
+        + [(127, 2), (128, 2)],
+    )
+    def test_matches_reference(self, n, count):
+        for seed in (0, 5, 9001):
+            ours = list(_diam2_stream(seed, n, 0, count))
+            assert ours == list(diam2_stream_by_attempt(seed, n, 0, count)), seed
+
+    @pytest.mark.parametrize("n, count", [(9, 2500), (12, 1100)])
+    def test_chunk_ranges(self, n, count):
+        # chunk bounds off the 1,024-sample block grid
+        whole = list(diam2_stream_by_attempt(7, n, 0, count))
+        spec = SweepSpec("diameter2_graphs", n, n, sample_count=count, seed=7)
+        for parts in (1, 2, 3, 7):
+            for _, _, lo, hi in _chunks(spec, parts):
+                assert list(_diam2_stream(7, n, lo, hi)) == whole[lo:hi], (parts, lo, hi)
+
+    @pytest.mark.parametrize("index", [0, 1, 5, 1023, 1024, 2047, 2048, 10**6])
+    def test_one_sample_ranges(self, index):
+        for n in (9, 12):
+            ours = list(_diam2_stream(3, n, index, index + 1))
+            assert ours == list(diam2_stream_by_attempt(3, n, index, index + 1))
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_stall_after_the_samples_before_it(self, monkeypatch, limit):
+        # the error comes at the first sample with no accepted attempt, after
+        # every sample before it, and nothing else; some cases yield a prefix
+        monkeypatch.setattr(sweeps_mod, "_MAX_ATTEMPTS", limit)
+        prefixes = 0
+        for n, seed, lo in [(9, 5, 0), (9, 5, 1), (10, 1, 2), (12, 9001, 1000), (40, 2, 4)]:
+            want = []
+            with pytest.raises(SweepError, match="sampling stalled") as ref:
+                for g in diam2_stream_by_attempt(seed, n, lo, lo + 2000, limit):
+                    want.append(g)
+            got = []
+            with pytest.raises(SweepError, match="sampling stalled") as info:
+                for g in _diam2_stream(seed, n, lo, lo + 2000):
+                    got.append(g)
+            assert type(info.value) is type(ref.value) is SweepError
+            assert got == want, (n, seed, lo)
+            prefixes += bool(got)
+        assert prefixes >= 2
+
+    def test_documented_attempt_counts(self):
+        # the module docstring: kept of drawn attempts at p = 0.3, 0.5, 0.7
+        kept, drawn = [0, 0, 0], [0, 0, 0]
+        for n in range(9, 13):
+            for index in range(2000):
+                for k, _, accepted in diam2_attempts(5, n, index):
+                    drawn[k] += 1
+                    kept[k] += accepted
+        assert (kept, drawn) == ([8, 1973, 6019], [2901, 5561, 6252])
+
+    @pytest.mark.parametrize("n", [3, 12, 40, 128])
+    def test_pair_order_is_the_codec_order(self, n):
+        pairs = _pair_list(n)
+        assert len(pairs) == n * (n - 1) // 2
+        for e, (u, v) in enumerate(pairs):
+            rows = _rows_from_pairs(n, 1 << e)
+            assert u < v and rows[u] == 1 << v and rows[v] == 1 << u, e
+            assert sum(map(bool, rows)) == 2
 
 
 class TestPrngContract:
