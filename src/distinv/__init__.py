@@ -59,7 +59,7 @@ from .ud import (
     find_ud_certificate,
     is_ud_pair,
     transmission_gap,
-    transmission_gap_equality_holds,
+    transmission_gap_equality_set,
 )
 from .theorems import (
     ALL_UNARY_IDS,

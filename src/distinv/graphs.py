@@ -3,8 +3,10 @@
 Vertices are dense integers ``0..n-1``.  A :class:`Graph` stores one neighbor
 bitmask per vertex (the representation every hot loop in this package runs
 on) and derives sorted neighbor tuples lazily.  Distances are exact hop
-counts from breadth-first search; disconnected input is rejected outright so
-that no infinity ever reaches the integer invariants built on top.
+counts from breadth-first search, kept per vertex as :class:`DistanceData`
+(eccentricity, transmission, eccentric set), never as a table of pairs;
+disconnected input is rejected outright so that no infinity ever reaches the
+integer invariants built on top.
 
 Supported interchange formats:
 
@@ -15,9 +17,9 @@ Supported interchange formats:
   then ``m`` lines ``u v`` with 0-based endpoints.
 
 Both parsers reject an order above ``MAX_INPUT_ORDER`` with a
-:class:`FormatError` before allocating anything for it: the all-pairs
-distance table of a graph holds n^2 entries, so a header such as
-``1000000000 0`` would otherwise ask for terabytes.
+:class:`FormatError` before allocating anything for it: a header such as
+``1000000000 0`` would otherwise allocate a billion neighbor rows, and the
+BFS from every vertex takes about n^2 big-int operations on n-bit masks.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ class DisconnectedGraphError(GraphError):
     """An operation that presumes connectivity met a disconnected graph."""
 
 
-# Largest order the graph6 and edge-list parsers accept.  The distance table
-# then has 4.2M entries: 32 MiB of list slots for K_2048, and 112 MiB for
-# P_2048, where each distance above 256 is an int object of its own
-# (tracemalloc, CPython 3.11).
+# Largest order the graph6 and edge-list parsers accept.  On P_2048, where each
+# BFS runs 1,024 to 2,047 levels, `distinv ud` and `distinv invariants` take
+# 2.3-3.6 s at 25 MB peak RSS (2-core Intel Xeon, CPython 3.11); on K_2048
+# 1.1-1.4 s.
 MAX_INPUT_ORDER = 2048
 
 
@@ -269,45 +271,36 @@ def _pairs_from_rows(rows: Sequence[int]) -> int:
 
 
 class DistanceData:
-    """All-pairs hop distances plus the per-vertex metrics derived from them.
+    """The per-vertex BFS metrics of a connected graph.
 
-    ``dist`` is a flat row-major list (``dist[u*n + v]``), ``ecc[v]`` the
-    eccentricity, ``tr[v]`` the transmission (sum of distances from ``v``),
-    ``far[v]`` the eccentric set of ``v`` as a bitmask (the last BFS level
-    from ``v``; ``v`` itself in K1), ``diam``/``rad`` the maximum/minimum
-    eccentricity.
+    ``ecc[v]`` is the eccentricity, ``tr[v]`` the transmission (sum of
+    distances from ``v``), ``far[v]`` the eccentric set of ``v`` as a bitmask
+    (the last BFS level from ``v``; ``v`` itself in K1), ``diam``/``rad`` the
+    maximum/minimum eccentricity.  No distance table is kept: every
+    invariant and claim reads these lists.
     """
 
-    __slots__ = ("n", "dist", "ecc", "tr", "far", "diam", "rad")
+    __slots__ = ("n", "ecc", "tr", "far", "diam", "rad")
 
-    def __init__(self, n, dist, ecc, tr, far, diam, rad):
+    def __init__(self, n, ecc, tr, far, diam, rad):
         self.n = n
-        self.dist = dist
         self.ecc = ecc
         self.tr = tr
         self.far = far
         self.diam = diam
         self.rad = rad
 
-    def distance(self, u: int, v: int) -> int:
-        return self.dist[u * self.n + v]
-
-    def row(self, v: int):
-        n = self.n
-        return self.dist[v * n : (v + 1) * n]
-
     def __repr__(self) -> str:
         return f"DistanceData(n={self.n}, diam={self.diam}, rad={self.rad})"
 
 
 def all_pairs_distances(g: Graph) -> DistanceData:
-    """BFS all-pairs distances; raises on disconnected input."""
+    """One bitset BFS from every vertex; raises on disconnected input."""
     n = g.n
     if n == 0:
-        return DistanceData(0, [], [], [], [], 0, 0)
+        return DistanceData(0, [], [], [], 0, 0)
     bits = g.bits
     full = (1 << n) - 1
-    dist = [0] * (n * n)
     ecc = [0] * n
     tr = [0] * n
     far = [0] * n
@@ -318,12 +311,6 @@ def all_pairs_distances(g: Graph) -> DistanceData:
                 far[0] = 1
                 continue
             raise DisconnectedGraphError("graph is disconnected")
-        base = v * n
-        f = frontier
-        while f:
-            low = f & -f
-            dist[base + low.bit_length() - 1] = 1
-            f ^= low
         seen = (1 << v) | frontier
         d = 1
         t = frontier.bit_count()
@@ -338,18 +325,13 @@ def all_pairs_distances(g: Graph) -> DistanceData:
             if not nxt:
                 raise DisconnectedGraphError("graph is disconnected")
             d += 1
-            f = nxt
-            while f:
-                low = f & -f
-                dist[base + low.bit_length() - 1] = d
-                f ^= low
             t += d * nxt.bit_count()
             seen |= nxt
             frontier = nxt
         ecc[v] = d
         tr[v] = t
         far[v] = frontier
-    return DistanceData(n, dist, ecc, tr, far, max(ecc), min(ecc))
+    return DistanceData(n, ecc, tr, far, max(ecc), min(ecc))
 
 
 def is_connected(g: Graph) -> bool:

@@ -161,9 +161,10 @@ def unpack_lanes(x: int, width: int, k: int):
 
 class _Lanes:
     """A non-empty block of graphs of one order 1 <= n <= 255, graph k in
-    lane k of a Python int (``rows[u]`` holds row u of every graph), and the
+    lane k of a Python int (``rows[u]`` holds row u of every graph), the
     levels ``levels[s][d - 1] = F_d(s)`` of one lane-packed BFS per source
-    vertex s, run in every lane at once.
+    vertex s, run in every lane at once, and each source's eccentric set
+    ``far[s]``, in each lane the last non-empty level (s itself in K1).
 
     Raises ``DisconnectedGraphError`` if a graph is disconnected.
     """
@@ -176,12 +177,12 @@ class _Lanes:
         self.width = width = lane_width(n)
         self.k = k
         self.n = n
-        self.top = width - 1
+        self.top = top = width - 1
         size = width // 8  # bytes per lane
         self.lane = lane = (1 << width) - 1
         self.ones = ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
         self.full = full = ones * ((1 << n) - 1)
-        self.low = ones * (lane >> 1)
+        self.low = low = ones * (lane >> 1)
         # 0x55.., 0x33.. and 0x0F.. over every lane, and each lane's low byte
         self._masks = tuple(ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
         self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
@@ -204,8 +205,9 @@ class _Lanes:
             span >>= 1
             halves.append((span, (1 << span) - 1))
         self.levels = levels = []
+        self.far = far = []
         for s in range(n):
-            front = seen = ones << s
+            front = seen = last = ones << s
             own = []
             while True:
                 union = front
@@ -222,10 +224,13 @@ class _Lanes:
                     break
                 seen |= nxt
                 own.append(nxt)
+                # each lane this level reaches takes it as its last level
+                last ^= (last ^ nxt) & ((((nxt + low) >> top) & ones) * lane)
                 front = nxt
             if s == 0 and seen != full:
                 raise DisconnectedGraphError("graph is disconnected")
             levels.append(own)
+            far.append(last)
 
     def nonzero(self, x):
         """1 in each lane of x that is not zero; lanes must be below 2^top."""
@@ -257,8 +262,8 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
     C(u) = sum_a |N(u) & H_a|, the sum of ecc over u's neighbours,
     xic = sum_u C(u), 2 * E2 = sum_a sum_{u in H_a} C(u),
     diam = #{a : H_a nonempty} and rad = #{a : H_a = V}.  L4.1's zero-gap
-    condition holds at v exactly when every level F_d(v) lies in H_d minus
-    H_(d+1).
+    condition holds at v exactly when v lies in every other vertex's
+    eccentric set, the last level from it.
 
     Raises ``DisconnectedGraphError`` if a graph is disconnected.
     """
@@ -284,8 +289,7 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
         ecc.append(ecc_s)
         tr.append(tr_s)
     at_least[0] = full
-    at_least.append(0)
-    depth = len(at_least) - 2  # the largest eccentricity in any lane
+    depth = len(at_least) - 1  # the largest eccentricity in any lane
 
     diam = rad = 0
     for a in range(1, depth + 1):
@@ -304,17 +308,19 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
     total = sum(ecc)
 
     # L4.1: gap(v) = totecc - ecc(v) - Tr(v), biased by 2^top so no lane
-    # borrows; bit top of a lane is then set exactly when its gap is >= 0
+    # borrows; bit top of a lane is then set exactly when its gap is >= 0.
+    # Bit v of a lane of common is set when v is in every other vertex's
+    # eccentric set there: the zero-gap condition
+    common = full
+    for u, last in enumerate(lanes.far):
+        common &= last | ones << u
     failed = equal = 0
     bias = ones << top
     for v in range(n):
         gap = total + bias - ecc[v] - tr[v]
         nonneg = (gap >> top) & ones
         zero = nonneg & (ones ^ nonzero(gap & low))
-        off = 0
-        for d, level in enumerate(lanes.levels[v], start=1):
-            off |= level & ~(at_least[d] ^ at_least[d + 1])
-        failed |= (ones ^ nonneg) | (zero ^ (ones ^ nonzero(off)))
+        failed |= (ones ^ nonneg) | (zero ^ ((common >> v) & ones))
         equal |= zero
 
     # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
@@ -336,16 +342,6 @@ def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]
     Raises ``DisconnectedGraphError`` if a graph is disconnected.
     """
     lanes = _Lanes(graphs)
-    nonzero, lane, unpack = lanes.nonzero, lanes.lane, lanes.unpack
-    ecc = []
-    sets = []
-    for s, own in enumerate(lanes.levels):
-        ecc_s = 0
-        last = lanes.ones << s
-        for level in own:
-            reached = nonzero(level)
-            ecc_s += reached
-            last ^= (last ^ level) & (reached * lane)  # a reached lane takes this level
-        ecc.append(unpack(ecc_s))
-        sets.append(unpack(last))
-    return list(zip(zip(*ecc), zip(*sets)))
+    nonzero, unpack = lanes.nonzero, lanes.unpack
+    ecc = [unpack(sum(map(nonzero, own))) for own in lanes.levels]
+    return list(zip(zip(*ecc), zip(*map(unpack, lanes.far))))

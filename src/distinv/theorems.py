@@ -50,7 +50,7 @@ from .graphs import (
 )
 from .invariants import LANE_BLOCK, InvariantReport, full_report, lane_reports
 from .sweeps import SweepSpec, fold_sweep, visit_error
-from .ud import is_ud_pair, transmission_gap, transmission_gap_equality_holds
+from .ud import is_ud_pair, transmission_gap, transmission_gap_equality_set
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,16 +325,10 @@ def _t33_detail(g, rep, dist, hyp):
 def _l41(g, rep, dist):
     """Every vertex satisfies totecc - ecc(v) >= Tr(v), with equality exactly
     when all other vertices' eccentricities equal their distance from v."""
-    total = rep.total_ecc
-    held = True
-    eq = False
-    for v in range(rep.n):
-        gap = transmission_gap(dist, v, total)
-        if gap == 0:
-            eq = True
-        if gap < 0 or (gap == 0) != transmission_gap_equality_holds(dist, v):
-            held = False
-    return True, held, eq
+    gaps = [transmission_gap(dist, v, rep.total_ecc) for v in range(rep.n)]
+    zero = sum(1 << v for v, gap in enumerate(gaps) if gap == 0)
+    held = min(gaps) >= 0 and zero == transmission_gap_equality_set(dist.far)
+    return True, held, zero != 0
 
 
 def _l41_detail(g, rep, dist, hyp):

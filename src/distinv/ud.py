@@ -10,8 +10,9 @@ bitmask by both BFS paths: ``DistanceData.far`` for one graph and
 ``invariants.lane_eccentric_sets`` for a block of graphs of one order
 (which ``distinv ud`` uses).  :func:`ud_certificate` is the one scan over
 those bitmasks; :func:`find_ud_certificate` and :func:`is_ud_pair` hand it
-``far``, and nothing here reads the distance table except L4.1's
-:func:`transmission_gap_equality_holds`.
+``far``.  L4.1's zero-gap condition, that every other vertex u has
+``ecc(u) == d(v, u)``, says that v lies in every other vertex's eccentric
+set, and :func:`transmission_gap_equality_set` reads it from ``far`` too.
 
 Degenerate conventions: K2's unique pair is UD vacuously (no third vertex);
 K1 has no vertex pair at all and is reported UD with ``pair=None``.
@@ -127,9 +128,11 @@ def transmission_gap(dist: DistanceData, v: int, total_ecc: int | None = None) -
     return total_ecc - dist.ecc[v] - dist.tr[v]
 
 
-def transmission_gap_equality_holds(dist: DistanceData, v: int) -> bool:
-    """The stated zero-gap condition, checked directly from distances."""
-    n = dist.n
-    row = dist.dist[v * n : (v + 1) * n]  # a slice of a list is a copy
-    row[v] = dist.ecc[v]  # v itself is exempt
-    return row == dist.ecc
+def transmission_gap_equality_set(far) -> int:
+    """The vertices where the stated zero-gap condition holds, as a bitmask,
+    from each vertex's eccentric set ``far[u]``: v lies in every other
+    vertex's eccentric set, the AND over u of ``far[u] | 1 << u``."""
+    out = (1 << len(far)) - 1
+    for u, f in enumerate(far):
+        out &= f | 1 << u
+    return out

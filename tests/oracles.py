@@ -1,13 +1,15 @@
 """Independent reference implementations used only to cross-check results.
 
-Nothing here shares code with the package's BFS path: distances come from
-Floyd-Warshall over an adjacency matrix, the Wiener index from a plain
-double loop over pairs or, for a tree, from the edge-cut identity, and tree
+Nothing here shares code with the package's BFS path: distance tables come
+from Floyd-Warshall over an adjacency matrix or, where that is too slow, from
+a plain queue BFS over neighbor lists, the Wiener index from a plain double
+loop over pairs or, for a tree, from the edge-cut identity, and tree
 isomorphism from bottom-up subtree encodings rooted at the center.  The
 diameter-2 sampler's reference draws one vertex pair per scalar mix64 call.
 The sampler's stream reference draws and tests one attempt at a time, in
 sample order, with a scalar diameter-2 test over vertex pairs.  The UD
-certificate's reference scans a distance table pair by pair.  The labeled
+certificate's reference scans a distance table pair by pair, and L4.1's
+zero-gap condition is read from the table row by row.  The labeled
 mask scan's reference decodes and BFS-checks one mask at a time.
 """
 
@@ -47,6 +49,39 @@ def floyd_warshall(g: Graph) -> list[list[int]]:
                 if alt < ri[j]:
                     ri[j] = alt
     return rows
+
+
+def bfs_rows(g: Graph) -> list[list[int]]:
+    """The distance table from one queue BFS per source over the neighbor
+    lists; INF for an unreachable vertex."""
+    adj = g.adjacency
+    rows = []
+    for s in range(g.n):
+        row = [INF] * g.n
+        row[s] = 0
+        queue = [s]
+        for u in queue:
+            du = row[u] + 1
+            for w in adj[u]:
+                if row[w] == INF:
+                    row[w] = du
+                    queue.append(w)
+        rows.append(row)
+    return rows
+
+
+def gap_equality_by_rows(rows: list[list[int]]) -> int:
+    """L4.1's zero-gap condition from a distance table, as a bitmask: v is in
+    it when ``d(v, u) == ecc(u)`` for every other vertex u, that is when row
+    v, its own entry exempt, equals the eccentricities."""
+    ecc = [max(r) for r in rows]
+    mask = 0
+    for v, r in enumerate(rows):
+        row = list(r)
+        row[v] = ecc[v]
+        if row == ecc:
+            mask |= 1 << v
+    return mask
 
 
 def wiener_by_pairs(g: Graph) -> int:
@@ -130,34 +165,29 @@ def tree_canonical_form(g: Graph) -> str:
     return "|".join(sorted((enc(a, b), enc(b, a))))
 
 
-def ud_certificate_by_table(dist) -> UdCertificate:
-    """The UD certificate from a distance table (``DistanceData``): each
-    diametrical pair in lexicographic order, the first UD pair winning, else
-    each pair with the first vertex w that has ``max(d(w,u), d(w,v))`` below
-    ``ecc(w)``; K1 is UD with no pair."""
-    n = dist.n
-    d = dist.dist
-    ecc = dist.ecc
+def ud_certificate_by_table(rows: list[list[int]]) -> UdCertificate:
+    """The UD certificate from a distance table: each diametrical pair in
+    lexicographic order, the first UD pair winning, else each pair with the
+    first vertex w that has ``max(d(w,u), d(w,v))`` below ``ecc(w)``; K1 is
+    UD with no pair."""
+    n = len(rows)
     if n == 1:
         return UdCertificate(is_ud=True, pair=None, diam=0)
-    pairs = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if d[u * n + v] == dist.diam
-    ]
+    ecc = [max(r) for r in rows]
+    diam = max(ecc)
     failures = []
-    for u, v in pairs:
+    for u, v in diametrical_pairs(rows):
         witness = None
         for w in range(n):
             if w == u or w == v:
                 continue
-            if max(d[w * n + u], d[w * n + v]) != ecc[w]:
+            if max(rows[w][u], rows[w][v]) != ecc[w]:
                 witness = w
                 break
         if witness is None:
-            return UdCertificate(is_ud=True, pair=(u, v), diam=dist.diam)
+            return UdCertificate(is_ud=True, pair=(u, v), diam=diam)
         failures.append(((u, v), witness))
-    return UdCertificate(
-        is_ud=False, pair=None, diam=dist.diam, failures=tuple(failures)
-    )
+    return UdCertificate(is_ud=False, pair=None, diam=diam, failures=tuple(failures))
 
 
 def connected_graphs_by_mask(n: int, lo: int, hi: int):

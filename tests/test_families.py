@@ -26,7 +26,7 @@ from distinv import (
 from distinv.families import family_order
 from distinv.ud import eccentric_set, find_ud_certificate, is_ud_pair
 
-from oracles import tree_canonical_form
+from oracles import bfs_rows, tree_canonical_form
 
 
 def degrees(g):
@@ -159,7 +159,7 @@ class TestFigure1:
         g = figure1()
         assert g.n == 16 and g.m == 22
         d = all_pairs_distances(g)
-        assert d.diam == 11 and d.distance(0, 11) == 11
+        assert d.diam == d.ecc[0] == 11 and d.far[0] >> 11 & 1
 
     def test_gadget_adjacency(self):
         g = figure1()
@@ -193,15 +193,14 @@ class TestCartesianProduct:
         p = cartesian_product(a, b)
         assert p.n <= 200
         da, db, dp = map(all_pairs_distances, (a, b, p))
+        ra, rb, rp = map(bfs_rows, (a, b, p))
         nb = b.n
         for i in range(a.n):
             for j in range(nb):
                 assert dp.ecc[i * nb + j] == da.ecc[i] + db.ecc[j]
                 for k in range(a.n):
                     for l in range(nb):
-                        assert dp.distance(i * nb + j, k * nb + l) == da.distance(
-                            i, k
-                        ) + db.distance(j, l)
+                        assert rp[i * nb + j][k * nb + l] == ra[i][k] + rb[j][l]
 
 
 class TestPendantGrowth:

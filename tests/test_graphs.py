@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -26,7 +27,13 @@ from distinv import graphs as graphs_mod
 from distinv.families import complete, cycle, path, star
 from distinv.sweeps import enumerate_connected_graphs
 
-from oracles import ecc_tr_by_rows, floyd_warshall, random_connected_graph, random_graph
+from oracles import (
+    bfs_rows,
+    ecc_tr_by_rows,
+    floyd_warshall,
+    random_connected_graph,
+    random_graph,
+)
 
 
 class TestFromEdgeList:
@@ -213,7 +220,7 @@ class TestDistances:
         d = all_pairs_distances(complete(5))
         assert all(e == 1 for e in d.ecc)
         assert d.diam == d.rad == 1
-        assert all(d.distance(u, v) == 1 for u in range(5) for v in range(5) if u != v)
+        assert d.far == [0b11111 ^ (1 << v) for v in range(5)]
 
     def test_c6(self):
         d = all_pairs_distances(cycle(6))
@@ -231,14 +238,30 @@ class TestDistances:
         with pytest.raises(DisconnectedGraphError):
             all_pairs_distances(two_triangles)
 
+    def test_no_distance_table(self):
+        # K_1024 is a single BFS level per vertex; a table of its n^2 pairs
+        # alone would take 8 MiB
+        g = complete(1024)
+        tracemalloc.start()
+        try:
+            d = all_pairs_distances(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.diam == d.rad == 1
+        assert peak < 1 << 20
+
     def test_matches_floyd_warshall_small(self):
         for n in range(1, 6):
             for g in enumerate_connected_graphs(n):
                 rows = floyd_warshall(g)
+                assert bfs_rows(g) == rows  # the two reference tables agree
                 d = all_pairs_distances(g)
-                assert [d.row(v) for v in range(n)] == [list(r) for r in rows]
                 ecc, tr = ecc_tr_by_rows(rows)
                 assert list(d.ecc) == ecc and list(d.tr) == tr
+                assert d.far == [
+                    sum(1 << u for u, x in enumerate(r) if x == e) for r, e in zip(rows, ecc)
+                ]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12), st.random_module())
@@ -246,14 +269,7 @@ class TestDistances:
         rng = random.Random(rnd.seed)
         g = random_connected_graph(rng, n, 0.3)
         d = all_pairs_distances(g)
-        for u in range(n):
-            assert d.distance(u, u) == 0
-            for v in range(n):
-                assert d.distance(u, v) == d.distance(v, u)
-                for w in range(n):
-                    assert d.distance(u, w) <= d.distance(u, v) + d.distance(v, w)
-        for v in range(n):
-            row = list(d.row(v))
+        for v, row in enumerate(bfs_rows(g)):
             assert d.ecc[v] == max(row)
             assert d.tr[v] == sum(row)
         assert d.rad == min(d.ecc) and d.diam == max(d.ecc)
@@ -267,8 +283,7 @@ class TestDistances:
         # that is vertex 0 itself, at distance 0
         g = random_connected_graph(random.Random(seed), n, p)
         d = all_pairs_distances(g)
-        for v in range(n):
-            row = d.row(v)
+        for v, row in enumerate(bfs_rows(g)):
             top = max(row)
             assert d.far[v] == sum(1 << u for u, x in enumerate(row) if x == top)
 

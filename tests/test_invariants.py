@@ -27,9 +27,11 @@ from distinv.sweeps import (
     parse_sweep_spec,
 )
 from distinv.theorems import LANE_BLOCK, _l41
-from distinv.ud import find_ud_certificate, ud_certificate
+from distinv.ud import find_ud_certificate, transmission_gap_equality_set, ud_certificate
 
 from oracles import (
+    bfs_rows,
+    gap_equality_by_rows,
     random_connected_graph,
     ud_certificate_by_table,
     wiener_by_pairs,
@@ -356,9 +358,33 @@ class TestLaneReports:
             lane_reports(block)
 
 
+class TestL41Condition:
+    """L4.1's zero-gap condition is read from eccentric sets on both BFS
+    paths; the reference reads it from the rows of a queue-BFS distance
+    table, with the gaps counted from the same rows."""
+
+    @pytest.mark.parametrize("name", LANE_SETS)
+    def test_matches_distance_table(self, name):
+        count, make = LANE_SETS[name]
+        graphs = make()
+        assert len(graphs) == count
+        expected = []
+        for g in graphs:
+            rows = bfs_rows(g)
+            total = sum(map(max, rows))
+            gaps = [total - max(r) - sum(r) for r in rows]
+            zero = sum(1 << v for v, gap in enumerate(gaps) if gap == 0)
+            equality = gap_equality_by_rows(rows)
+            assert transmission_gap_equality_set(all_pairs_distances(g).far) == equality
+            expected.append((True, min(gaps) >= 0 and zero == equality, zero != 0))
+        got = _by_lanes(lambda block: lane_reports(block)[1], graphs, LANE_BLOCK)
+        for g, a, b in zip(graphs, got, expected, strict=True):
+            assert a == b, emit_graph6(g)
+
+
 class TestLaneEccentricSets:
-    """The lane eccentric sets against the rows of the BFS distance table,
-    and the UD certificates read from them against the table scan."""
+    """The lane eccentric sets against the rows of a queue-BFS distance
+    table, and the UD certificates read from them against the table scan."""
 
     @pytest.mark.parametrize("name", LANE_SETS)
     def test_matches_distance_table(self, name):
@@ -369,15 +395,17 @@ class TestLaneEccentricSets:
         certificates = []
         for g in graphs:
             dist = all_pairs_distances(g)
+            rows = bfs_rows(g)
+            ecc = [max(r) for r in rows]
             expected.append((
-                tuple(dist.ecc),
+                tuple(ecc),
                 tuple(
-                    sum(1 << u for u, x in enumerate(dist.row(v)) if x == dist.ecc[v])
-                    for v in range(g.n)
+                    sum(1 << u for u, x in enumerate(r) if x == e)
+                    for r, e in zip(rows, ecc)
                 ),
             ))
-            assert tuple(dist.far) == expected[-1][1]
-            cert = ud_certificate_by_table(dist)
+            assert (tuple(dist.ecc), tuple(dist.far)) == expected[-1]
+            cert = ud_certificate_by_table(rows)
             assert find_ud_certificate(g) == find_ud_certificate(g, dist) == cert
             certificates.append(cert)
         for size in (1, 3, LANE_BLOCK):

@@ -22,13 +22,13 @@ from distinv import (
     path,
     star,
     transmission_gap,
-    transmission_gap_equality_holds,
+    transmission_gap_equality_set,
 )
 from distinv.invariants import lane_eccentric_sets
 from distinv.sweeps import enumerate_connected_graphs, enumerate_trees
 from distinv.ud import ud_certificate
 
-from oracles import diametrical_pairs, floyd_warshall
+from oracles import bfs_rows, diametrical_pairs, floyd_warshall, gap_equality_by_rows
 
 
 class TestEccentricSet:
@@ -159,9 +159,10 @@ class TestCertificates:
         cert = find_ud_certificate(cycle(6))
         assert not cert.is_ud and cert.pair is None
         assert [pair for pair, _w in cert.failures] == [(0, 3), (1, 4), (2, 5)]
+        d = all_pairs_distances(cycle(6))
+        rows = bfs_rows(cycle(6))
         for (u, v), w in cert.failures:
-            d = all_pairs_distances(cycle(6))
-            assert max(d.distance(w, u), d.distance(w, v)) < d.ecc[w]
+            assert max(rows[w][u], rows[w][v]) < d.ecc[w]
 
     def test_k1_and_k2_conventions(self):
         c1 = find_ud_certificate(complete(1))
@@ -265,7 +266,12 @@ class TestTransmissionGap:
         d = all_pairs_distances(path(2))
         for v in (0, 1):
             assert transmission_gap(d, v) == 0
-            assert transmission_gap_equality_holds(d, v)
+        assert transmission_gap_equality_set(d.far) == 0b11
+
+    def test_k1_equality(self):
+        d = all_pairs_distances(complete(1))
+        assert transmission_gap(d, 0) == 0
+        assert transmission_gap_equality_set(d.far) == 1
 
     def test_p3_center(self):
         d = all_pairs_distances(path(3))
@@ -274,21 +280,26 @@ class TestTransmissionGap:
     def test_complete_graphs_all_zero(self):
         d = all_pairs_distances(complete(6))
         assert all(transmission_gap(d, v) == 0 for v in range(6))
+        assert transmission_gap_equality_set(d.far) == 0b111111
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_nonnegative_and_equality_biconditional_small(self, n):
         for g in enumerate_connected_graphs(n):
             d = all_pairs_distances(g)
+            equality = transmission_gap_equality_set(d.far)
+            assert equality == gap_equality_by_rows(floyd_warshall(g))
             for v in range(n):
                 gap = transmission_gap(d, v)
                 assert gap >= 0
-                assert (gap == 0) == transmission_gap_equality_holds(d, v)
+                assert (gap == 0) == bool(equality >> v & 1)
 
     def test_trees_up_to_9(self):
         for n in range(2, 10):
             for t in enumerate_trees(n):
                 d = all_pairs_distances(t)
+                equality = transmission_gap_equality_set(d.far)
+                assert equality == gap_equality_by_rows(bfs_rows(t))
                 for v in range(n):
                     gap = transmission_gap(d, v)
                     assert gap >= 0
-                    assert (gap == 0) == transmission_gap_equality_holds(d, v)
+                    assert (gap == 0) == bool(equality >> v & 1)
