@@ -11,8 +11,10 @@ multiplication.
 :func:`lane_reports` is a fast path for a block of graphs of any one order
 n <= 255, one graph per lane of a Python int, the lane 16 to 256 bits wide
 by the order; its reports are checked field by field against
-:func:`full_report` in the tests.  :func:`lane_eccentric_sets` reads each
-vertex's eccentricity and eccentric set from the same lane BFS.
+:func:`full_report` in the tests.  Given claim gates, it evaluates them on
+the packed columns and builds only the reports some gate selects.
+:func:`lane_eccentric_sets` reads each vertex's eccentricity and eccentric
+set from the same lane BFS.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import attrgetter
 
 from .graphs import (
@@ -236,6 +239,14 @@ class _Lanes:
         """1 in each lane of x that is not zero; lanes must be below 2^top."""
         return ((x + self.low) >> self.top) & self.ones
 
+    def at_least(self, x, c):
+        """1 in each lane of x that is >= the integer c; lanes must be below
+        2^top.  x - c biased by 2^top borrows in no lane, and its bit top is
+        set exactly where x >= c."""
+        if c <= 0 or c >> self.top:
+            return self.ones if c <= 0 else 0
+        return ((x + (self.ones << self.top) - c * self.ones) >> self.top) & self.ones
+
     def popcount(self, x):
         """Each lane's number of set bits, in that lane."""
         m55, m33, m0f, mff = self._masks
@@ -251,7 +262,7 @@ class _Lanes:
         return unpack_lanes(x, self.width, self.k)
 
 
-def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, bool]]]:
+def lane_reports(graphs, gates=None) -> tuple[list, list]:
     """Every graph's report and its L4.1 triple ``(hypothesis, held,
     equality)``, for a non-empty block of graphs of one order 1 <= n <= 255.
 
@@ -264,6 +275,14 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
     diam = #{a : H_a nonempty} and rad = #{a : H_a = V}.  L4.1's zero-gap
     condition holds at v exactly when v lies in every other vertex's
     eccentric set, the last level from it.
+
+    With ``gates``, at most 14 tuples of terms ``(column, op, bound)``
+    (``column`` one of n, m, diam, nprime and self_centered, which is 0 or 1;
+    ``op`` one of ==, !=, >= and <=; ``bound`` an integer or a function of
+    n), it returns ``(words, reports)``: bit i of ``words[k]`` is set when
+    every term of gate i holds in graph k, evaluated on the packed columns,
+    the next two bits when L4.1 fails there and when it holds with equality,
+    and ``reports[k]`` is None unless some gate holds there.
 
     Raises ``DisconnectedGraphError`` if a graph is disconnected.
     """
@@ -325,10 +344,36 @@ def lane_reports(graphs) -> tuple[list[InvariantReport], list[tuple[bool, bool, 
 
     # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
     columns = (m2 >> 1, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, n_univ)
+    built = repeat(1)
+    if gates is not None:
+        if len(gates) > 14:  # a word's bits must fit the narrowest lane, 16 bits
+            raise GraphError("lane reports take at most 14 gates")
+        sc = ones ^ nonzero(diam ^ rad)
+        values = dict(n=n * ones, m=columns[0], diam=diam, nprime=n_univ, self_centered=sc)
+        word = failed << len(gates) | equal << len(gates) + 1
+        select = 0
+        terms = {}  # gates share terms: each is evaluated once
+        for i, gate in enumerate(gates):
+            held = ones
+            for term in gate:
+                if term not in terms:
+                    column, op, bound = term
+                    c = bound(n) if callable(bound) else bound
+                    ge = lanes.at_least(values[column], c)
+                    gt = lanes.at_least(values[column], c + 1)
+                    eq = ge ^ gt
+                    terms[term] = {">=": ge, "<=": ones ^ gt, "==": eq, "!=": ones ^ eq}[op]
+                held &= terms[term]
+            select |= held
+            word |= held << i
+        if select != ones:  # else every report is built, as without gates
+            built = unpack(select)
     reports = [
-        InvariantReport(n, m, dm, rd, w, ec1, ec2, tot, x, nu, dm == rd)
-        for m, dm, rd, w, ec1, ec2, tot, x, nu in zip(*map(unpack, columns))
+        InvariantReport(n, m, dm, rd, w, ec1, ec2, tot, x, nu, dm == rd) if b else None
+        for b, m, dm, rd, w, ec1, ec2, tot, x, nu in zip(built, *map(unpack, columns))
     ]
+    if gates is not None:
+        return unpack(word), reports
     l41 = [(True, not f, e == 1) for f, e in zip(unpack(failed), unpack(equal))]
     return reports, l41
 

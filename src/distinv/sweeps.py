@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
 import os
 import struct
 import time
@@ -610,6 +609,20 @@ def _pool_size(workers: int, chunks: int) -> int:
     return max(1, min(workers, chunks, os.cpu_count() or 1))
 
 
+def _await(result, workers):
+    """The pool's ``result`` as soon as it is ready, or ``SweepError`` once
+    one of its ``workers`` has exited first, whose task would never finish;
+    the workers are looked at every 50 ms meanwhile."""
+    while not result.ready():
+        for proc in workers:
+            if proc.exitcode is not None:
+                raise SweepError(
+                    f"sweep worker {proc.pid} died with exit status {proc.exitcode}"
+                )
+        result.wait(0.05)
+    return result.get()
+
+
 def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     """Fold a function over every graph of a sweep, one chunk at a time.
 
@@ -633,7 +646,8 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     Each order is cut into at most min(workers, CPUs) chunks, which run in
     forked processes if there are several; the callables are inherited
     through the fork, so anything defined at call time works, but side
-    effects stay in the children.
+    effects stay in the children.  A worker that dies, say killed by the
+    OOM killer, ends the sweep with ``SweepError`` naming its exit status.
     """
     spec.validate()
     start = time.perf_counter()
@@ -642,11 +656,15 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     if procs <= 1:
         partials = [_fold_chunk(spec, c, fold, zero) for c in chunks]
     else:
+        import multiprocessing  # only a forked sweep pays for the import
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(procs, _start_fold_worker, (spec, fold, zero, chunks)) as pool:
             # one chunk per task: chunk sizes grow steeply with the order, so
             # batching neighbours would load the last worker with the largest
-            partials = pool.map(_fold_chunk_entry, range(len(chunks)), chunksize=1)
+            result = pool.map_async(_fold_chunk_entry, range(len(chunks)), chunksize=1)
+            # the pool lists its worker processes in ``_pool``
+            partials = _await(result, list(pool._pool))
     acc = zero()
     visited = 0
     filtered = 0

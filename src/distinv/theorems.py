@@ -16,15 +16,19 @@ definition:
 * ``fields``, the report values a verdict's detail carries, named as in
   :meth:`InvariantReport.to_json_dict`;
 * for T2.3, T3.3 and L4.1, ``extra(g, rep, dist, hypothesis_met)``, the
-  derived values the detail adds (branch, disjunct, gap counts).
+  derived values the detail adds (branch, disjunct, gap counts);
+* ``gate``, a necessary condition of the hypothesis held as data: terms
+  ``(column, op, bound)`` over hypothesis columns only, evaluated by
+  ``invariants.lane_reports``.  L4.1, which every graph meets, has none.
 
 :func:`hunt` reads each chunk of a sweep in blocks of ``LANE_BLOCK`` graphs
-and takes each block's reports and L4.1 triples from the lane kernel
-(``invariants.lane_reports``, which takes every order a sweep makes), and
-the reports of the complements T3.3 needs from the kernel as one more
-block.  It calls the predicates in a plain loop and builds a detailed
-:class:`TheoremVerdict` only for a counterexample, from the graph's BFS
-distances (and for T3.3 the complement's :func:`full_report`).  The public
+through the lane kernel, which takes every order a sweep makes, evaluates
+the gates and builds a report only for a graph some gate selects.  A
+predicate runs only where its gate holds, and re-checks its whole
+hypothesis.  The kernel decides L4.1, and the complements of T3.3's gated
+trees go through it as one more block.  A detailed :class:`TheoremVerdict`
+is built only for a counterexample, from the graph's BFS distances (and for
+T3.3 the complement's :func:`full_report`).  The public
 ``check_p21`` ... ``check_l41`` (also ``UNARY_CHECKS``, by id) are thin
 wrappers that build one graph's verdict from the same row; ``detail=False``
 leaves a verdict's graph6 id and detail unset.  The pendant and product
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import islice, repeat
+from math import isqrt
 from typing import Callable
 
 from .families import attach_pendant_paths_at, attach_pendants_at, cartesian_product
@@ -122,6 +127,7 @@ class Claim:
     predicate: Callable
     fields: tuple[str, ...]
     extra: Callable | None = None
+    gate: tuple = ()
 
     def verdict(self, g, rep, dist, result, detail=True) -> TheoremVerdict:
         """The verdict on ``g`` from the predicate's ``result`` triple."""
@@ -336,21 +342,34 @@ def _l41_detail(g, rep, dist, hyp):
     return {"min_gap": min(gaps), "zero_gap_vertices": gaps.count(0)}
 
 
+# gate terms (see the module docstring); inputs are connected, so a tree is
+# a graph with m = n - 1
+_DIAM2 = ("diam", "==", 2)
+_SELF_CENTERED = ("self_centered", "==", 1)
+_TREE = ("m", "==", lambda n: n - 1)
+_C28_GATE = (_DIAM2, ("nprime", ">=", 1), ("nprime", "<=", lambda n: (n - 1) // 2))
+
 CLAIMS = {
     c.theorem_id: c
     for c in (
-        Claim("P2.1", _p21, ("n", "m", "E1", "E2")),
-        Claim("C2.2", _c22, ("n", "m", "E1", "E2")),
-        Claim("T2.3", _t23, ("n", "m", "nprime", "E1", "E2"), _t23_detail),
-        Claim("P2.4", _p24, ("n", "m", "W")),
-        Claim("T2.5", _t25, ("n", "W", "E1")),
-        Claim("P2.6", _p26, ("n", "m", "W", "E1", "E2")),
-        Claim("T2.7", _t27, ("n", "nprime", "W", "E2")),
-        Claim("C2.8i", _c28i, ("n", "nprime", "W", "E2")),
-        Claim("C2.8ii", _c28ii, ("n", "nprime", "W", "E2")),
-        Claim("T3.1", _t31, ("n", "diam", "W", "E2")),
-        Claim("T3.2", _t32, ("n", "diam", "W", "E1")),
-        Claim("T3.3", _t33, ("n", "W", "E1"), _t33_detail),
+        Claim("P2.1", _p21, ("n", "m", "E1", "E2"),
+              gate=(_SELF_CENTERED, ("m", "!=", lambda n: n * (n - 1) // 2))),
+        Claim("C2.2", _c22, ("n", "m", "E1", "E2"), gate=(_SELF_CENTERED, _DIAM2)),
+        Claim("T2.3", _t23, ("n", "m", "nprime", "E1", "E2"), _t23_detail,
+              gate=(_DIAM2, ("self_centered", "==", 0))),
+        Claim("P2.4", _p24, ("n", "m", "W"), gate=(_DIAM2,)),
+        Claim("T2.5", _t25, ("n", "W", "E1"), gate=(_DIAM2, ("n", ">=", 9))),
+        Claim("P2.6", _p26, ("n", "m", "W", "E1", "E2"), gate=(_SELF_CENTERED, _DIAM2)),
+        Claim("T2.7", _t27, ("n", "nprime", "W", "E2"),
+              gate=(_DIAM2, ("nprime", ">=", lambda n: (n - 1) // 2 + 1))),
+        Claim("C2.8i", _c28i, ("n", "nprime", "W", "E2"), gate=_C28_GATE),
+        Claim("C2.8ii", _c28ii, ("n", "nprime", "W", "E2"), gate=_C28_GATE),
+        # d(d - 1) <= n - 1 exactly when d <= (1 + sqrt(4n - 3)) / 2
+        Claim("T3.1", _t31, ("n", "diam", "W", "E2"),
+              gate=(_TREE, ("n", ">=", 3), ("diam", "<=", lambda n: (1 + isqrt(4 * n - 3)) // 2))),
+        Claim("T3.2", _t32, ("n", "diam", "W", "E1"),
+              gate=(_TREE, ("n", ">=", 4), ("diam", ">=", lambda n: (2 * n + 2) // 3))),
+        Claim("T3.3", _t33, ("n", "W", "E1"), _t33_detail, gate=(_TREE, ("n", ">=", 9))),
         Claim("L4.1", _l41, ("n",), _l41_detail),
     )
 }
@@ -564,28 +583,32 @@ def check_t54(g, h):
 # the hunter
 
 
-def _lanes(block, named=None):
-    """``lane_reports(block)``; a disconnected graph in the block becomes
-    ``SweepVisitError`` naming it, or its entry in ``named``."""
+def _lanes(block, gates=None, named=None):
+    """``lane_reports(block, gates)``; a disconnected graph in the block
+    becomes ``SweepVisitError`` naming it, or its entry in ``named``."""
     try:
-        return lane_reports(block)
+        return lane_reports(block, gates)
     except DisconnectedGraphError as exc:
         i = next(i for i, g in enumerate(block) if not is_connected(g))
         raise visit_error((named or block)[i], exc) from exc
 
 
-def _t33_lane_verdicts(block, reports):
-    """T3.3's verdict for each tree of a block that its complement decides,
-    from the complement's lane report, and None elsewhere.  The complements
-    have the tree's order, so they go through the lanes as one block."""
-    gated = [i for i, rep in enumerate(reports) if _t33_disjunct(rep) == "complement"]
-    verdicts = [None] * len(block)
+def _t33_complements(block, words, reports, bit):
+    """The complement's lane report for each tree of a block whose word has
+    T3.3's gate ``bit`` and whose complement decides T3.3, and None
+    elsewhere.  The complements have the tree's order, so they go through
+    the lanes as one block."""
+    gated = [
+        k for k, (word, rep) in enumerate(zip(words, reports))
+        if word & bit and _t33_disjunct(rep) == "complement"
+    ]
+    creps = [None] * len(block)
     if gated:
-        trees = [block[i] for i in gated]
-        creps, _ = _lanes([complement(t) for t in trees], trees)
-        for i, crep in zip(gated, creps):
-            verdicts[i] = _t33(block[i], reports[i], None, crep=crep)
-    return verdicts
+        trees = [block[k] for k in gated]
+        found, _ = _lanes([complement(t) for t in trees], named=trees)
+        for k, crep in zip(gated, found):
+            creps[k] = crep
+    return creps
 
 
 def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]:
@@ -602,25 +625,37 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         if tid not in CLAIMS:
             raise GraphError(f"unknown or non-unary theorem id {tid!r}")
     claims = [CLAIMS[tid] for tid in ids]
-    # the verdicts the lane path can hand over, by their place in a graph's
-    # ``given`` triple: L4.1's comes with the report, and T3.3's from its
-    # complement's lane report, or is None; place 2 is always None
-    given_at = {"L4.1": 0, "T3.3": 1}
-    predicates = [
-        (i, claim.predicate, given_at.get(tid, 2))
-        for i, (tid, claim) in enumerate(zip(ids, claims))
-    ]
-    t33 = "T3.3" in ids
+    # bit j of a lane's word is the gate of gated[j], and the next two bits
+    # L4.1's failure and equality, which the kernel decides
+    gated = [tid for tid in dict.fromkeys(ids) if tid != "L4.1"]
+    gates = [CLAIMS[tid].gate for tid in gated]
+    bits = {tid: 1 << j for j, tid in enumerate(gated)}
+    failed, equal = 1 << len(gated), 2 << len(gated)
+    l41 = [i for i, tid in enumerate(ids) if tid == "L4.1"]
+    t33 = bits.get("T3.3")
+    plans = {}
+
+    def plan(word):
+        # (index, predicate, is T3.3) of each claim the word's gates select
+        if word not in plans:
+            plans[word] = [
+                (i, claim.predicate, tid == "T3.3")
+                for i, (tid, claim) in enumerate(zip(ids, claims))
+                if word & bits.get(tid, 0)
+            ]
+        return plans[word]
 
     def zero():
         # per claim: hypothesis hits, counterexample verdicts, equality graph6
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
-    def visit(acc, g, rep, given):
+    def visit(acc, g, rep, word, crep):
         hits, cexs, eqs = acc
         g6 = None
-        for i, predicate, k in predicates:
-            hyp, held, eq = given[k] or predicate(g, rep, None)
+        for i, predicate, is_t33 in plan(word):
+            hyp, held, eq = (
+                predicate(g, rep, None, crep) if is_t33 else predicate(g, rep, None)
+            )
             if hyp:
                 hits[i] += 1
                 if not held:
@@ -629,16 +664,26 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
             if eq:
                 g6 = g6 or emit_graph6(g)
                 eqs[i].add(g6)
+        if word & failed:
+            rep, dist = _prep(g, rep, None)
+            for i in l41:
+                cexs[i].append(claims[i].verdict(g, rep, dist, (True, False, bool(word & equal))))
+        if word & equal:
+            g6 = g6 or emit_graph6(g)
+            for i in l41:
+                eqs[i].add(g6)
 
     def fold(acc, graphs):
         for block in iter(lambda: list(islice(graphs, LANE_BLOCK)), []):
-            reports, l41s = _lanes(block)
-            # T3.3's hypothesis needs n > 8, so smaller blocks skip the scan
-            scan = t33 and block[0].n > 8
-            t33s = _t33_lane_verdicts(block, reports) if scan else repeat(None)
-            for g, rep, given in zip(block, reports, zip(l41s, t33s, repeat(None))):
+            words, reports = _lanes(block, gates)
+            for i in l41:
+                acc[0][i] += len(block)
+            creps = _t33_complements(block, words, reports, t33) if t33 else repeat(None)
+            for g, word, rep, crep in zip(block, words, reports, creps):
+                if not word:
+                    continue
                 try:
-                    visit(acc, g, rep, given)
+                    visit(acc, g, rep, word, crep)
                 except Exception as exc:
                     # the stream has read ahead to the block's end: name g here
                     raise visit_error(g, exc) from exc

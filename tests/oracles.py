@@ -11,10 +11,17 @@ sample order, with a scalar diameter-2 test over vertex pairs.  The UD
 certificate's reference scans a distance table pair by pair, and L4.1's
 zero-gap condition is read from the table row by row.  The labeled
 mask scan's reference decodes and BFS-checks one mask at a time.
+
+The reference ``hunt`` is the one exception: it is the reference for the
+claim gates and lane blocks of ``theorems.hunt``, so it runs the package's
+per-graph path, every claim's checker on every graph with the report from
+``full_report``.  A claim gate's reference evaluates its terms on one
+report.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from distinv import (
@@ -22,10 +29,14 @@ from distinv import (
     GraphError,
     SweepError,
     UdCertificate,
+    all_pairs_distances,
     from_edge_list,
+    full_report,
     is_connected,
 )
 from distinv.graphs import _rows_from_pairs
+from distinv.sweeps import iter_sweep
+from distinv.theorems import UNARY_CHECKS, CheckReport
 
 INF = 1 << 30
 
@@ -322,3 +333,57 @@ def diam2_stream_by_attempt(seed: int, n: int, lo: int, hi: int, max_attempts: i
                 break
         else:
             raise SweepError("sampling stalled")
+
+
+def reference_hunt(spec, ids) -> list[CheckReport]:
+    """``hunt(spec, ids)`` one graph at a time: every claim's public checker,
+    with full detail, on every graph of the sweep, the report from
+    ``full_report``."""
+    ids = list(ids)
+    visited = 0
+    hits = [0] * len(ids)
+    cexs = [[] for _ in ids]
+    eqs = [set() for _ in ids]
+    for g in iter_sweep(spec):
+        visited += 1
+        dist = all_pairs_distances(g)
+        rep = full_report(g, dist)
+        for i, tid in enumerate(ids):
+            v = UNARY_CHECKS[tid](g, rep=rep, dist=dist)
+            if v.hypothesis_met:
+                hits[i] += 1
+                if not v.conclusion_held:
+                    cexs[i].append(v)
+            else:
+                assert v.conclusion_held is None and not v.equality
+            if v.equality:
+                eqs[i].add(v.graph_id)
+    return [
+        CheckReport(
+            tid,
+            visited,
+            hits[i],
+            tuple(sorted(cexs[i], key=lambda v: v.graph_id)),
+            tuple(sorted(eqs[i])),
+        )
+        for i, tid in enumerate(ids)
+    ]
+
+
+_GATE_OPS = {"==": operator.eq, "!=": operator.ne, ">=": operator.ge, "<=": operator.le}
+
+
+def gate_holds(gate, rep) -> bool:
+    """Whether every term ``(column, op, bound)`` of a claim gate holds on
+    one report; ``bound`` is an integer or a function of the order."""
+    values = {
+        "n": rep.n,
+        "m": rep.m,
+        "diam": rep.diam,
+        "nprime": rep.n_universal,
+        "self_centered": int(rep.self_centered),
+    }
+    return all(
+        _GATE_OPS[op](values[column], bound(rep.n) if callable(bound) else bound)
+        for column, op, bound in gate
+    )

@@ -26,12 +26,13 @@ from distinv.sweeps import (
     iter_sweep,
     parse_sweep_spec,
 )
-from distinv.theorems import LANE_BLOCK, _l41
+from distinv.theorems import CLAIMS, LANE_BLOCK, _l41
 from distinv.ud import find_ud_certificate, transmission_gap_equality_set, ud_certificate
 
 from oracles import (
     bfs_rows,
     gap_equality_by_rows,
+    gate_holds,
     random_connected_graph,
     ud_certificate_by_table,
     wiener_by_pairs,
@@ -356,6 +357,55 @@ class TestLaneReports:
     def test_outside_the_lane_bound_raises(self, block):
         with pytest.raises(GraphError, match="lane reports need"):
             lane_reports(block)
+
+
+# claim-like gates, and terms whose bounds lie outside every column's range
+_EDGE_GATES = [
+    (("m", ">=", -3), ("m", "<=", 1 << 300), ("diam", "!=", 1)),
+    (("nprime", "==", lambda n: n),),
+    (("m", ">=", lambda n: n * (n - 1) // 2 + 1),),
+    (("n", "<=", -1),),
+    (("self_centered", "==", 0), ("diam", ">=", lambda n: n - 1)),
+    (("nprime", "!=", 0), ("m", "<=", lambda n: 2 * n - 3)),
+]
+
+
+class TestLaneGates:
+    """The gate words, gated reports and L4.1 bits of the lane kernel against
+    each gate evaluated on full_report and against L4.1's predicate."""
+
+    @pytest.mark.parametrize("gates", ["claims", "edges"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "connected:1..6",
+            "trees:2..15",
+            "diam2:n=3..8,count=300,seed=5",
+            "diam2 at the width bounds",
+            "named at the width bounds",
+        ],
+    )
+    def test_matches_full_report(self, name, gates):
+        gates = (
+            [c.gate for c in CLAIMS.values() if c.gate] if gates == "claims" else _EDGE_GATES
+        )
+        _, make = LANE_SETS[name]
+        graphs = make()
+        expected = []
+        for g in graphs:
+            dist = all_pairs_distances(g)
+            rep = full_report(g, dist)
+            _, held, eq = _l41(g, rep, dist)
+            word = sum(gate_holds(gate, rep) << i for i, gate in enumerate(gates))
+            word |= (not held) << len(gates) | eq << len(gates) + 1
+            expected.append((word, rep if word & ((1 << len(gates)) - 1) else None))
+        got = _by_lanes(lambda block: zip(*lane_reports(block, gates)), graphs, LANE_BLOCK)
+        for g, a, b in zip(graphs, got, expected, strict=True):
+            assert a == b, emit_graph6(g)
+
+    def test_at_most_14_gates(self):
+        with pytest.raises(GraphError, match="at most 14 gates"):
+            lane_reports([path(3)], [()] * 15)
 
 
 class TestL41Condition:

@@ -1,7 +1,15 @@
 """Enumeration counts, sampler reproducibility, and the parallel fold."""
 
 import hashlib
+import re
+import multiprocessing
 import operator
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -659,18 +667,28 @@ class TestPoolBound:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=None):
+            _pool = ()  # no worker process to watch
+
+            def map_async(self, fn, items, chunksize=None):
                 seen["chunksize"] = chunksize
                 seen["tasks"] = len(items)
-                return [fn(i) for i in items]
+                return InlineResult([fn(i) for i in items])
+
+        class InlineResult:
+            def __init__(self, value):
+                self.value = value
+
+            def ready(self):
+                return True
+
+            def get(self):
+                return self.value
 
         class InlineContext:
             Pool = InlinePool
 
         monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(
-            sweeps_mod.multiprocessing, "get_context", lambda method: InlineContext
-        )
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
         # the initializer runs in this process: remove what it sets afterwards
         monkeypatch.setattr(sweeps_mod, "_fold_job", None, raising=False)
 
@@ -712,3 +730,87 @@ class TestPoolBound:
         )
         assert count == summary.visited == 2
         assert built == [2] and seen["processes"] == 2 and seen["tasks"] == 4
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_python(code, timeout=60):
+    """Run ``code`` in a fresh interpreter in its own process group with the
+    package on its path; the whole group is killed if it outlives
+    ``timeout`` seconds.  Returns (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"timed out after {timeout} s")
+    return proc.returncode, out, err
+
+
+class TestWorkerLifecycle:
+    def test_cli_import_leaves_out_multiprocessing(self):
+        code, out, err = _run_python(
+            "import sys, distinv.cli; print('multiprocessing' in sys.modules)"
+        )
+        assert (code, out, err) == (0, "False\n", "")
+
+    def test_killed_worker_ends_the_sweep(self):
+        # every worker SIGKILLs itself on its first chunk; the parent must
+        # raise SweepError within the time limit and leave no child behind
+        code, out, err = _run_python(
+            """
+            import multiprocessing, operator, os, signal
+            from distinv.sweeps import SweepError, SweepSpec, fold_sweep
+
+            os.cpu_count = lambda: 2
+            parent = os.getpid()
+
+            def fold(acc, graphs):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return acc + sum(1 for _ in graphs)
+
+            try:
+                fold_sweep(SweepSpec("connected_graphs", 3, 5), fold, operator.add, int, workers=2)
+            except SweepError as exc:
+                print(exc)
+            print(multiprocessing.active_children())
+            """
+        )
+        assert code == 0 and err == ""
+        message, children = out.splitlines()
+        assert re.fullmatch(r"sweep worker \d+ died with exit status -9", message)
+        assert children == "[]"
+
+    def test_killed_worker_is_exit_2_from_the_cli(self):
+        code, out, err = _run_python(
+            """
+            import dataclasses, os, signal
+            from distinv import cli, theorems
+
+            os.cpu_count = lambda: 2
+            parent = os.getpid()
+            claim = theorems.CLAIMS["P2.4"]
+
+            def predicate(g, rep, dist):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return claim.predicate(g, rep, dist)
+
+            theorems.CLAIMS["P2.4"] = dataclasses.replace(claim, predicate=predicate)
+            argv = ["verify", "--sweep", "connected:3..5", "--theorems", "P2.4", "--workers", "2"]
+            raise SystemExit(cli.main(argv))
+            """
+        )
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: sweep worker \d+ died with exit status -9\n", err)

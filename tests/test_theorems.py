@@ -30,9 +30,11 @@ from distinv import (
     star,
     thm29_construction,
 )
+from distinv import invariants as invariants_mod
 from distinv import sweeps as sweeps_mod
 from distinv import theorems as theorems_mod
 from distinv.graphs import emit_graph6
+from distinv.invariants import LANE_BLOCK, lane_reports
 from distinv.sweeps import (
     SweepVisitError,
     enumerate_connected_graphs,
@@ -57,7 +59,7 @@ from distinv.theorems import (
     check_t33,
 )
 
-from oracles import petersen
+from oracles import petersen, reference_hunt
 
 
 def wheel5():
@@ -534,59 +536,56 @@ PUBLIC_CHECKS = {
 }
 
 
-def reference_hunt(spec):
-    """Every public check_* with full detail on every graph, counted here."""
-    visited = 0
-    hits = dict.fromkeys(ALL_UNARY_IDS, 0)
-    cexs = {tid: [] for tid in ALL_UNARY_IDS}
-    eqs = {tid: set() for tid in ALL_UNARY_IDS}
-    for g in iter_sweep(spec):
-        visited += 1
-        dist = all_pairs_distances(g)
-        rep = full_report(g, dist)
-        for tid, check in PUBLIC_CHECKS.items():
-            v = check(g, rep=rep, dist=dist, detail=True)
-            assert v.theorem_id == tid
-            if v.hypothesis_met:
-                hits[tid] += 1
-                if not v.conclusion_held:
-                    cexs[tid].append(v)
-            else:
-                assert v.conclusion_held is None and not v.equality
-            if v.equality:
-                eqs[tid].add(v.graph_id)
-    return visited, hits, cexs, eqs
-
-
 class TestTableHuntMatchesPublicChecks:
-    """hunt evaluates the claim table inline and builds verdicts only for
-    hits; the public check_* wrappers build a full verdict every time.  Both
-    must agree on every count, counterexample and equality case."""
+    """hunt evaluates the claim table inline, calls a predicate only where its
+    gate holds and builds verdicts only for hits; the reference hunt calls
+    every public check_* with full detail on every graph.  Both must agree
+    on every count, counterexample and equality case."""
 
     @pytest.mark.parametrize(
         "text",
-        ["connected:3..6", "trees:2..12", "diam2:n=9..10,count=150,seed=9001"],
+        [
+            "connected:3..6",
+            "trees:2..12",
+            "diam2:n=9..10,count=150,seed=9001",
+            "connected:1..6",
+            "trees:2..15",
+            "connected:1..6,filter=self_centered",
+            "connected:1..6,filter=non_self_centered",
+            # on each side of every lane width bound of the sampler's orders
+            *(f"diam2:n={n},count=12,seed=5" for n in (16, 31, 32, 63, 64, 127, 128)),
+        ],
     )
     def test_same_reports(self, text):
         spec = parse_sweep_spec(text)
-        visited, hits, cexs, eqs = reference_hunt(spec)
+        expected = [r.to_json_dict() for r in reference_hunt(spec, ALL_UNARY_IDS)]
         reports = hunt(spec, ALL_UNARY_IDS)
-        assert [r.theorem_id for r in reports] == list(ALL_UNARY_IDS)
-        for r in reports:
-            tid = r.theorem_id
-            assert r.graphs_visited == visited, tid
-            assert r.hypothesis_hits == hits[tid], tid
-            assert list(r.counterexamples) == sorted(
-                cexs[tid], key=lambda v: v.graph_id
-            ), tid
-            assert r.equality_cases == tuple(sorted(eqs[tid])), tid
+        assert [r.to_json_dict() for r in reports] == expected
+
+    @pytest.mark.parametrize(
+        "text", ["connected:1..6", "trees:2..15", "diam2:n=16..17,count=40,seed=5"]
+    )
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            ("L4.1",),
+            ("T3.3",),
+            tuple(reversed(ALL_UNARY_IDS)),
+            # gates that select only part of a block of diameter-2 graphs
+            ("T2.7", "P2.1", "L4.1", "T2.7"),
+        ],
+        ids=["L4.1", "T3.3", "reversed", "sparse"],
+    )
+    def test_same_reports_for_id_lists(self, text, ids):
+        spec = parse_sweep_spec(text)
+        expected = [r.to_json_dict() for r in reference_hunt(spec, ids)]
+        assert [r.to_json_dict() for r in hunt(spec, ids)] == expected
 
     def test_t33_counterexample_detail_from_both_paths(self):
         spec = parse_sweep_spec("trees:9..9")
         (rep,) = hunt(spec, ["T3.3"])
         (from_hunt,) = rep.counterexamples
-        _, _, cexs, _ = reference_hunt(spec)
-        (from_check,) = cexs["T3.3"]
+        ((from_check,),) = [r.counterexamples for r in reference_hunt(spec, ["T3.3"])]
         assert from_hunt.graph_id == from_check.graph_id == "HkaCCA?"
         assert from_hunt.detail == from_check.detail == {
             "n": 9,
@@ -603,6 +602,71 @@ class TestTableHuntMatchesPublicChecks:
             assert check.__doc__
 
 
+def _blocks(text):
+    # a sweep's graphs in blocks of one order and at most LANE_BLOCK graphs
+    block = []
+    for g in iter_sweep(parse_sweep_spec(text)):
+        if block and (g.n != block[0].n or len(block) == LANE_BLOCK):
+            yield block
+            block = []
+        block.append(g)
+    if block:
+        yield block
+
+
+class TestClaimGates:
+    """A claim's gate is a necessary condition of its hypothesis, so hunt
+    may skip its predicate wherever the gate fails; and it skips enough."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "connected:1..6",
+            "trees:2..15",
+            *(f"diam2:n={n},count=12,seed=5" for n in (16, 31, 32, 63, 64, 127, 128)),
+        ],
+    )
+    def test_unmet_wherever_the_gate_fails(self, text):
+        claims = list(CLAIMS.values())
+        for block in _blocks(text):
+            words, _ = lane_reports(block, [claim.gate for claim in claims])
+            for g, word in zip(block, words):
+                dist = all_pairs_distances(g)
+                rep = full_report(g, dist)
+                for i, claim in enumerate(claims):
+                    if not word >> i & 1:
+                        result = claim.predicate(g, rep, dist)
+                        assert result == (False, None, False), (
+                            claim.theorem_id, emit_graph6(g)
+                        )
+
+    def test_fewer_reports_and_predicate_calls(self, monkeypatch):
+        # 12,530 of the 27,474 graphs meet some gate, and hunt makes 46,391
+        # predicate calls; every predicate but L4.1's, which hunt never
+        # calls without a failure, on every graph would be 329,688
+        spec = SweepSpec("connected_graphs", 3, 6)
+        expected = hunt(spec, ALL_UNARY_IDS)
+        built = []
+        calls = []
+        real = invariants_mod.InvariantReport
+
+        def report(*args):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(invariants_mod, "InvariantReport", report)
+        for tid, claim in CLAIMS.items():
+
+            def counted(*args, predicate=claim.predicate):
+                calls.append(args[0])
+                return predicate(*args)
+
+            monkeypatch.setitem(CLAIMS, tid, dataclasses.replace(claim, predicate=counted))
+        assert hunt(spec, ALL_UNARY_IDS) == expected
+        assert len(built) <= 12_800
+        assert len(calls) <= 48_000
+
+
 class TestHuntNamesTheGraphInHand:
     """hunt's fold reads a block ahead of the graph it evaluates, so it names
     that graph itself when a predicate fails, and the graph the kernel finds
@@ -615,7 +679,8 @@ class TestHuntNamesTheGraphInHand:
     )
     def test_predicate_error_names_its_graph(self, monkeypatch, text):
         graphs = list(iter_sweep(parse_sweep_spec(text)))
-        target = graphs[2]
+        # P2.4's gate is diameter 2: its predicate runs on no other graph
+        target = [g for g in graphs if full_report(g).diam == 2][2]
         claim = CLAIMS["P2.4"]
 
         def boom(g, rep, dist):
@@ -647,7 +712,7 @@ class TestHuntNamesTheGraphInHand:
     def test_kernel_fault_names_the_last_graph_read(self, monkeypatch):
         # a fault of the kernel itself belongs to no one graph of its block;
         # fold_sweep's contract names the last graph the stream handed out
-        def broken(block):
+        def broken(block, gates=None):
             raise ValueError("lane fault")
 
         monkeypatch.setattr(theorems_mod, "lane_reports", broken)
