@@ -22,6 +22,9 @@ or it is disconnected.  A disconnected graph gets the per-graph error line,
 and the rest of its order still goes through the lanes.  Only the graphs of
 order 1..``LANE_MAX_N`` wait for the end of their window; every other graph
 and every unreadable line becomes its output or error line as it is read.
+Each row is formatted from a template (``InvariantReport.csv_row`` and
+``json_row``, ``UdCertificate.json_row``); a JSON row is the text of
+``json.dumps(to_json_dict(), sort_keys=True)``.
 
 Exit codes: 0 success, 1 a claim check found a counterexample, 2 usage or
 input error.  Output is byte-identical for identical inputs, seed and
@@ -57,7 +60,7 @@ from .invariants import (
 )
 from .sweeps import SweepError, iter_sweep, parse_sweep_spec
 from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, hunt
-from .ud import find_ud_certificate, ud_certificate
+from .ud import UdCertificate, find_ud_certificate, ud_certificate
 
 
 # add_argument keywords of the options only some commands read; each command
@@ -208,12 +211,8 @@ def _per_graph(files, out, compute, block, render) -> int:
     return 2 if failed else 0
 
 
-def _json_line(record) -> str:
-    return json.dumps(record.to_json_dict(), sort_keys=True)
-
-
 def _cmd_invariants(args, out) -> int:
-    render = _json_line
+    render = InvariantReport.json_row
     if args.format == "csv":
         print(CSV_HEADER, file=out)
         render = InvariantReport.csv_row
@@ -280,9 +279,12 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_ud(args, out) -> int:
     def block(graphs):
-        return [ud_certificate(*es) for es in lane_eccentric_sets(graphs)]
+        return [
+            ud_certificate(ecc, sets, cols=cols)
+            for ecc, sets, cols in lane_eccentric_sets(graphs)
+        ]
 
-    return _per_graph(args.files, out, find_ud_certificate, block, _json_line)
+    return _per_graph(args.files, out, find_ud_certificate, block, UdCertificate.json_row)
 
 
 _COMMANDS = {

@@ -14,7 +14,7 @@ by the order; its reports are checked field by field against
 :func:`full_report` in the tests.  Given claim gates, it evaluates them on
 the packed columns and builds only the reports some gate selects.
 :func:`lane_eccentric_sets` reads each vertex's eccentricity and eccentric
-set from the same lane BFS.
+set from the same lane BFS, and transposes the sets lane-wise for the UD scan.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter
+from math import gcd
 
 from .graphs import (
     DisconnectedGraphError,
@@ -34,26 +34,19 @@ from .graphs import (
 )
 
 
-# (CSV and JSON column, report attribute), in output order
+# CSV and JSON columns, in output order
 _COLUMNS = (
-    ("n", "n"),
-    ("m", "m"),
-    ("diam", "diam"),
-    ("rad", "rad"),
-    ("W", "wiener"),
-    ("E1", "e1"),
-    ("E2", "e2"),
-    ("totecc", "total_ecc"),
-    ("xic", "ecc_connectivity"),
-    ("nprime", "n_universal"),
-    ("avd_num", "avd.numerator"),
-    ("avd_den", "avd.denominator"),
-    ("avt_num", "avt.numerator"),
-    ("avt_den", "avt.denominator"),
-    ("self_centered", "self_centered"),
+    "n", "m", "diam", "rad", "W", "E1", "E2", "totecc", "xic", "nprime",
+    "avd_num", "avd_den", "avt_num", "avt_den", "self_centered",
+)  # fmt: skip
+CSV_HEADER = ",".join(_COLUMNS)
+# one row's templates, "{i}" standing for the value of column i; the JSON row
+# is json.dumps(to_json_dict(), sort_keys=True), so its keys go sorted
+_CSV_ROW = ",".join(f"{{{i}}}" for i in range(len(_COLUMNS)))
+_JSON_ROW = "{{%s}}" % ", ".join(
+    f'"{name}": {{{i}}}' for name, i in sorted(zip(_COLUMNS, range(len(_COLUMNS))))
 )
-CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
-_column_values = attrgetter(*(attr for _, attr in _COLUMNS))
+_TEXT = ("false", "true")  # a boolean's CSV and JSON text
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,14 +75,27 @@ class InvariantReport:
         """Average transmission 2W/n."""
         return Fraction(2 * self.wiener, self.n)
 
+    def _values(self, bools=(False, True)) -> tuple:
+        """Every column's value, in ``_COLUMNS`` order, with avd and avt
+        reduced once and self_centered as ``bools[self_centered]``."""
+        n, m, w = self.n, self.m, self.wiener
+        d = gcd(2 * m, n)
+        t = gcd(2 * w, n)
+        return (
+            n, m, self.diam, self.rad, w, self.e1, self.e2, self.total_ecc,
+            self.ecc_connectivity, self.n_universal,
+            2 * m // d, n // d, 2 * w // t, n // t, bools[self.self_centered],
+        )  # fmt: skip
+
     def csv_row(self) -> str:
-        return ",".join(
-            ("true" if x else "false") if isinstance(x, bool) else str(x)
-            for x in _column_values(self)
-        )
+        return _CSV_ROW.format(*self._values(_TEXT))
+
+    def json_row(self) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``."""
+        return _JSON_ROW.format(*self._values(_TEXT))
 
     def to_json_dict(self) -> dict:
-        return {name: x for (name, _), x in zip(_COLUMNS, _column_values(self))}
+        return dict(zip(_COLUMNS, self._values()))
 
 
 def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
@@ -166,8 +172,10 @@ class _Lanes:
     """A non-empty block of graphs of one order 1 <= n <= 255, graph k in
     lane k of a Python int (``rows[u]`` holds row u of every graph), the
     levels ``levels[s][d - 1] = F_d(s)`` of one lane-packed BFS per source
-    vertex s, run in every lane at once, and each source's eccentric set
-    ``far[s]``, in each lane the last non-empty level (s itself in K1).
+    vertex s, run in every lane at once, and from the same BFS each
+    source's eccentricity ``ecc[s]``, the number of non-empty levels, and
+    its eccentric set ``far[s]``, in each lane the last non-empty level (s
+    itself in K1).
 
     Raises ``DisconnectedGraphError`` if a graph is disconnected.
     """
@@ -202,20 +210,20 @@ class _Lanes:
         self.rows = rows
         # (shift, mask) steps that fold the upper half of the lanes onto the
         # lower half, ending with the union of every lane in lane 0
-        halves = []
+        self._halves = []
         span = width << (k - 1).bit_length()
         while span > width:
             span >>= 1
-            halves.append((span, (1 << span) - 1))
+            self._halves.append((span, (1 << span) - 1))
         self.levels = levels = []
+        self.ecc = eccs = []
         self.far = far = []
         for s in range(n):
             front = seen = last = ones << s
             own = []
+            ecc = 0
             while True:
-                union = front
-                for shift, mask in halves:
-                    union = (union | union >> shift) & mask
+                union = self.union(front)
                 nxt = 0
                 while union:  # each vertex in some lane's frontier
                     bit = union & -union
@@ -227,13 +235,45 @@ class _Lanes:
                     break
                 seen |= nxt
                 own.append(nxt)
+                reached = ((nxt + low) >> top) & ones  # the lanes this level reaches
+                ecc += reached
                 # each lane this level reaches takes it as its last level
-                last ^= (last ^ nxt) & ((((nxt + low) >> top) & ones) * lane)
+                last ^= (last ^ nxt) & (reached * lane)
                 front = nxt
             if s == 0 and seen != full:
                 raise DisconnectedGraphError("graph is disconnected")
             levels.append(own)
+            eccs.append(ecc)
             far.append(last)
+
+    def union(self, x):
+        """The union of every lane of x, as one lane."""
+        for shift, mask in self._halves:
+            x = (x | x >> shift) & mask
+        return x
+
+    def columns(self):
+        """``col[x]``, bit w of a lane set when x is in ``far[w]`` there: the
+        transpose of the eccentric sets, visiting for each w only the
+        vertices in some lane's ``far[w]``.  A lane where ``far[w]`` holds
+        more than half of the vertices (K_n, say) transposes its complement
+        instead, which has fewer, and flips its bit w of every column at the
+        end."""
+        ones, full, lane = self.ones, self.full, self.lane
+        dense = self.n // 2 + 1
+        col = [0] * self.n
+        flipped = 0
+        for w, f in enumerate(self.far):
+            flip = self.at_least(self.popcount(f), dense)
+            f ^= full & flip * lane
+            flipped |= flip << w
+            hull = self.union(f)
+            while hull:
+                bit = hull & -hull
+                x = bit.bit_length() - 1
+                col[x] |= ((f >> x) & ones) << w
+                hull ^= bit
+        return [c ^ flipped for c in col]
 
     def nonzero(self, x):
         """1 in each lane of x that is not zero; lanes must be below 2^top."""
@@ -267,10 +307,10 @@ def lane_reports(graphs, gates=None) -> tuple[list, list]:
     equality)``, for a non-empty block of graphs of one order 1 <= n <= 255.
 
     Every value is counted from the lane BFS levels ``F_d(s)``: ecc(s) is the
-    number of non-empty levels, Tr(s) is the sum of d * |F_d(s)|, and E1
-    sums 2d - 1 over the non-empty levels, which telescopes to ecc(s)^2.  The
-    threshold sets H_a = {u : ecc(u) >= a} give the rest: with
-    C(u) = sum_a |N(u) & H_a|, the sum of ecc over u's neighbours,
+    number of non-empty levels and Tr(s) is the sum of d * |F_d(s)|.  The
+    threshold sets H_a = {u : ecc(u) >= a} give the rest: E1 is the sum of
+    (2a - 1) * |H_a|, since 2a - 1 summed over a = 1..e telescopes to e^2;
+    with C(u) = sum_a |N(u) & H_a|, the sum of ecc over u's neighbours,
     xic = sum_u C(u), 2 * E2 = sum_a sum_{u in H_a} C(u),
     diam = #{a : H_a nonempty} and rad = #{a : H_a = V}.  L4.1's zero-gap
     condition holds at v exactly when v lies in every other vertex's
@@ -291,24 +331,21 @@ def lane_reports(graphs, gates=None) -> tuple[list, list]:
         lanes.n, lanes.top, lanes.lane, lanes.ones, lanes.full, lanes.low
     )
     nonzero, popcount, unpack = lanes.nonzero, lanes.popcount, lanes.unpack
-    ecc = []
+    ecc = lanes.ecc
     tr = []
-    at_least = [0]  # at_least[a] = H_a, for a >= 1
-    e1 = 0
+    depth = max(map(len, lanes.levels))  # the largest eccentricity in any lane
+    # at_least[a] = H_a: ecc(s) - a, biased by 2^top so no lane borrows, has
+    # bit top set in the lanes where ecc(s) >= a
+    at_least = [full] + [0] * depth
+    cut = [(ones << top) - a * ones for a in range(depth + 1)]
     for s, own in enumerate(lanes.levels):
-        ecc_s = tr_s = 0
+        tr_s = 0
+        e = ecc[s]
         for d, level in enumerate(own, start=1):
-            reached = nonzero(level)
-            ecc_s += reached
-            e1 += (2 * d - 1) * reached
             tr_s += d * popcount(level)
-            if d == len(at_least):
-                at_least.append(0)
-            at_least[d] |= reached << s
-        ecc.append(ecc_s)
+            at_least[d] |= ((e + cut[d]) >> top & ones) << s
         tr.append(tr_s)
-    at_least[0] = full
-    depth = len(at_least) - 1  # the largest eccentricity in any lane
+    e1 = sum((2 * a - 1) * popcount(at_least[a]) for a in range(1, depth + 1))
 
     diam = rad = 0
     for a in range(1, depth + 1):
@@ -378,15 +415,15 @@ def lane_reports(graphs, gates=None) -> tuple[list, list]:
     return reports, l41
 
 
-def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every graph's eccentricities and eccentric sets ``(ecc, sets)``, for a
-    non-empty block of graphs of one order 1 <= n <= 255: ``sets[v]`` is the
-    bitmask of the vertices at distance ``ecc[v]`` from v, the last non-empty
-    BFS level from v (v itself in K1).
+def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], ...]]:
+    """Every graph's eccentricities, eccentric sets and their transpose
+    ``(ecc, sets, cols)``, for a non-empty block of graphs of one order
+    1 <= n <= 255: ``sets[v]`` is the bitmask of the vertices at distance
+    ``ecc[v]`` from v, the last non-empty BFS level from v (v itself in K1),
+    and ``cols[x]`` the bitmask of the w with x in ``sets[w]``.
 
     Raises ``DisconnectedGraphError`` if a graph is disconnected.
     """
     lanes = _Lanes(graphs)
-    nonzero, unpack = lanes.nonzero, lanes.unpack
-    ecc = [unpack(sum(map(nonzero, own))) for own in lanes.levels]
-    return list(zip(zip(*ecc), zip(*map(unpack, lanes.far))))
+    packed = (lanes.ecc, lanes.far, lanes.columns())
+    return list(zip(*(zip(*map(lanes.unpack, x)) for x in packed)))

@@ -9,8 +9,12 @@ A vertex's eccentric set is the last level of a BFS from it, kept as a
 bitmask by both BFS paths: ``DistanceData.far`` for one graph and
 ``invariants.lane_eccentric_sets`` for a block of graphs of one order
 (which ``distinv ud`` uses).  :func:`ud_certificate` is the one scan over
-those bitmasks; :func:`find_ud_certificate` and :func:`is_ud_pair` hand it
-``far``.  L4.1's zero-gap condition, that every other vertex u has
+those bitmasks, read through their transpose ``cols[x] = {w : x in
+sets[w]}``: the lane path transposes a whole block's sets lane-wise and
+hands it the unpacked columns, while :func:`find_ud_certificate` and
+:func:`is_ud_pair` hand it ``far`` and it transposes them itself.
+:meth:`UdCertificate.json_row` is the certificate's JSON text, formatted
+from templates.  L4.1's zero-gap condition, that every other vertex u has
 ``ecc(u) == d(v, u)``, says that v lies in every other vertex's eccentric
 set, and :func:`transmission_gap_equality_set` reads it from ``far`` too.
 
@@ -63,34 +67,52 @@ class UdCertificate:
             ],
         }
 
+    def json_row(self) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``."""
+        return _UD_ROW % (
+            self.diam,
+            ", ".join([_FAILURE % (u, v, w) for (u, v), w in self.failures]),
+            "true" if self.is_ud else "false",
+            "null" if self.pair is None else "[%d, %d]" % self.pair,
+        )
 
-def ud_certificate(ecc, sets, pairs=None) -> UdCertificate:
+
+# json.dumps's text of a certificate and of one failure entry, keys sorted
+_UD_ROW = '{"diam": %d, "failures": [%s], "is_ud": %s, "pair": %s}'
+_FAILURE = '{"pair": [%d, %d], "witness": %d}'
+
+
+def ud_certificate(ecc, sets, pairs=None, cols=None) -> UdCertificate:
     """The UD scan over each vertex's eccentricity ``ecc[v]`` and eccentric
     set ``sets[v]`` (a bitmask), of a connected graph.
 
     The diametrical pairs are the ``(u, v)``, ``v > u``, with ``ecc[u]`` the
     diameter and v in ``sets[u]``, in lexicographic order, unless ``pairs``
     names the pairs to scan.  A pair fails at the lowest vertex w other than
-    u and v with neither in ``sets[w]``, and is UD when there is none.
+    u and v with neither in ``sets[w]``, and is UD when there is none.  The
+    scan reads the transpose ``cols[x] = {w : x in sets[w]}``, computed here
+    unless given (the lane path transposes a block's sets at once).
     """
     n = len(ecc)
     if n == 1:
         return UdCertificate(is_ud=True, pair=None, diam=0)
     diam = max(ecc, default=0)
     full = (1 << n) - 1
-    # col[x] = {w : x in sets[w]}; when the sets hold more than half of all
-    # pairs (K_n, say), the complements are transposed, as they have fewer bits
-    flip = full if 2 * sum(map(int.bit_count, sets)) > n * n else 0
-    col = [0] * n
-    for w, ws in enumerate(sets):
-        bit = 1 << w
-        ws ^= flip
-        while ws:
-            low = ws & -ws
-            col[low.bit_length() - 1] |= bit
-            ws ^= low
-    if flip:
-        col = [full ^ c for c in col]
+    col = cols
+    if col is None:
+        # when the sets hold more than half of all pairs (K_n, say), the
+        # complements are transposed, as they have fewer bits
+        flip = full if 2 * sum(map(int.bit_count, sets)) > n * n else 0
+        col = [0] * n
+        for w, ws in enumerate(sets):
+            bit = 1 << w
+            ws ^= flip
+            while ws:
+                low = ws & -ws
+                col[low.bit_length() - 1] |= bit
+                ws ^= low
+        if flip:
+            col = [full ^ c for c in col]
     if pairs is None:
         pairs = (
             (u, v)

@@ -10,7 +10,10 @@ The sampler's stream reference draws and tests one attempt at a time, in
 sample order, with a scalar diameter-2 test over vertex pairs.  The UD
 certificate's reference scans a distance table pair by pair, and L4.1's
 zero-gap condition is read from the table row by row.  The labeled
-mask scan's reference decodes and BFS-checks one mask at a time.
+mask scan's reference decodes and BFS-checks one mask at a time.  A report's
+row reference reads avd and avt from their ``Fraction`` properties and
+formats each value on its own; the eccentric sets' transpose is a double
+loop over vertex pairs.
 
 The reference ``hunt`` is the one exception: it is the reference for the
 claim gates and lane blocks of ``theorems.hunt``, so it runs the package's
@@ -174,6 +177,35 @@ def tree_canonical_form(g: Graph) -> str:
         return enc(centers[0], -1)
     a, b = centers
     return "|".join(sorted((enc(a, b), enc(b, a))))
+
+
+def transpose(sets) -> tuple[int, ...]:
+    """``cols[x]``, the bitmask of the w with bit x set in ``sets[w]``."""
+    n = len(sets)
+    return tuple(
+        sum(1 << w for w in range(n) if sets[w] >> x & 1) for x in range(n)
+    )
+
+
+def report_columns(rep) -> dict:
+    """A report's CSV and JSON columns in output order, avd and avt read
+    from their ``Fraction`` properties."""
+    return {
+        "n": rep.n, "m": rep.m, "diam": rep.diam, "rad": rep.rad,
+        "W": rep.wiener, "E1": rep.e1, "E2": rep.e2, "totecc": rep.total_ecc,
+        "xic": rep.ecc_connectivity, "nprime": rep.n_universal,
+        "avd_num": rep.avd.numerator, "avd_den": rep.avd.denominator,
+        "avt_num": rep.avt.numerator, "avt_den": rep.avt.denominator,
+        "self_centered": rep.self_centered,
+    }  # fmt: skip
+
+
+def csv_row_by_columns(rep) -> str:
+    """A report's CSV row, each value formatted on its own."""
+    return ",".join(
+        ("true" if x else "false") if isinstance(x, bool) else str(x)
+        for x in report_columns(rep).values()
+    )
 
 
 def ud_certificate_by_table(rows: list[list[int]]) -> UdCertificate:

@@ -607,6 +607,17 @@ GOLDEN = {
         ["ud", "p255.g6"],
         "a389be2d0587a61c311a6b8c73bacf9a6124b7c6057f491ac25780203f13a1c9",
     ),
+    # "{window}" stands for window.g6 of _write_window, one input window of
+    # mixed orders with dense blocks, a graph alone at its order, a
+    # disconnected graph, a malformed line and an order-256 graph
+    "window-invariants-json": (
+        ["invariants", "--format", "json", "{window}"],
+        "96487005188bb5591aae4d27afbfa7f319afa22fa18c279f8d4d3a3b0af6a35b",
+    ),
+    "window-ud": (
+        ["ud", "{window}"],
+        "37daeb9909f6b3ba285494ffee977019b119c87d3c3902abc0599c6ec694275a",
+    ),
 }
 
 
@@ -639,8 +650,11 @@ def test_golden_digest(capsys, monkeypatch, tmp_path, name):
         monkeypatch.chdir(tmp_path)
         _write_mixed(capsys, tmp_path)
         monkeypatch.setattr(sys, "stdin", _FakeStdin("A_\nBw\nCK\nD?{\n"))
+    if "{window}" in argv:
+        monkeypatch.chdir(tmp_path)
+        _write_window(capsys, tmp_path)
     names = {"{good}": "good.g6", "{ingest}": "ingest.g6", "{dense}": "dense.g6",
-             "{mixed}": "mixed.g6"}
+             "{mixed}": "mixed.g6", "{window}": "window.g6"}
     argv = [names.get(a, a) for a in argv]
     assert _digest(*run_cli(capsys, *argv)) == digest
 
@@ -673,6 +687,32 @@ def _write_mixed(capsys, tmp_path):
     lines[third:third] = ["!!!bogus!!!", "H??????", "D?}", "A?"]
     (tmp_path / "mixed.g6").write_text("\n".join(lines) + "\n")
     (tmp_path / "p3.edges").write_text("# path\n3 2\n0 1\n1 2\n")
+
+
+def _write_window(capsys, tmp_path):
+    """Write window.g6 into ``tmp_path``: one shuffled window of diam2:
+    samples at orders 9..12, the trees of orders 2..8, K_20, K_20 minus an
+    edge, K_33 and K_33 minus an edge (dense blocks), C_13 (the only graph
+    of its order), P_256 (above the lane orders), a disconnected order-4
+    graph among the trees of order 4 and a malformed line."""
+    lines = []
+    for argv in (
+        ["enumerate", "diam2:n=9..12,count=40,seed=7"],
+        ["enumerate", "trees:2..8"],
+        ["family", "complete:20"],
+        ["family", "complete:33"],
+        ["family", "cycle:13"],
+        ["family", "path:256"],
+    ):
+        assert main(argv) == 0
+        lines.extend(capsys.readouterr().out.split())
+    for n in (20, 33):
+        edges = [(u, v) for v in range(n) for u in range(v) if (u, v) != (3, 7)]
+        lines.append(emit_graph6(from_edge_list(n, edges)))
+    lines += ["CK", "!!!bogus!!!"]
+    random.Random(18).shuffle(lines)
+    assert len(lines) < LANE_BLOCK
+    (tmp_path / "window.g6").write_text("\n".join(lines) + "\n")
 
 
 class _FakeStdin:

@@ -1,5 +1,6 @@
 """Scalar invariants against closed forms, brute-force oracles and networkx."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -31,9 +32,12 @@ from distinv.ud import find_ud_certificate, transmission_gap_equality_set, ud_ce
 
 from oracles import (
     bfs_rows,
+    csv_row_by_columns,
     gap_equality_by_rows,
     gate_holds,
     random_connected_graph,
+    report_columns,
+    transpose,
     ud_certificate_by_table,
     wiener_by_pairs,
     wiener_tree_edgecut,
@@ -433,8 +437,9 @@ class TestL41Condition:
 
 
 class TestLaneEccentricSets:
-    """The lane eccentric sets against the rows of a queue-BFS distance
-    table, and the UD certificates read from them against the table scan."""
+    """The lane eccentric sets and their transposed columns against the rows
+    of a queue-BFS distance table, and the UD certificates read from them,
+    with and without the columns, against the table scan."""
 
     @pytest.mark.parametrize("name", LANE_SETS)
     def test_matches_distance_table(self, name):
@@ -447,14 +452,11 @@ class TestLaneEccentricSets:
             dist = all_pairs_distances(g)
             rows = bfs_rows(g)
             ecc = [max(r) for r in rows]
-            expected.append((
-                tuple(ecc),
-                tuple(
-                    sum(1 << u for u, x in enumerate(r) if x == e)
-                    for r, e in zip(rows, ecc)
-                ),
-            ))
-            assert (tuple(dist.ecc), tuple(dist.far)) == expected[-1]
+            sets = tuple(
+                sum(1 << u for u, x in enumerate(r) if x == e) for r, e in zip(rows, ecc)
+            )
+            expected.append((tuple(ecc), sets, transpose(sets)))
+            assert (tuple(dist.ecc), tuple(dist.far)) == expected[-1][:2]
             cert = ud_certificate_by_table(rows)
             assert find_ud_certificate(g) == find_ud_certificate(g, dist) == cert
             certificates.append(cert)
@@ -463,11 +465,47 @@ class TestLaneEccentricSets:
             assert len(got) == count
             for g, a, b in zip(graphs, got, expected):
                 assert a == b, (size, emit_graph6(g))
-        for g, (ecc, sets), cert in zip(graphs, got, certificates):
+        for g, (ecc, sets, cols), cert in zip(graphs, got, certificates):
             assert ud_certificate(ecc, sets) == cert, emit_graph6(g)
+            assert ud_certificate(ecc, sets, cols=cols) == cert, emit_graph6(g)
 
     def test_disconnected_graph_in_a_block_raises(self):
         block = list(enumerate_connected_graphs(5))[:7]
         block.insert(4, from_edge_list(5, [(0, 1), (2, 3), (3, 4)]))
         with pytest.raises(DisconnectedGraphError):
             lane_eccentric_sets(block)
+
+
+# graph sets for the row templates: every report from full_report and from
+# the lane kernel in blocks of one order
+ROW_SETS = {
+    "connected:1..6": _sweep("connected:1..6"),
+    "trees:2..12": _sweep("trees:2..12"),
+    "diam2 at n = 9..12, 16, 32, 64, 128": lambda: [
+        g for spec in ("n=9..12,count=100", "n=16,count=20", "n=32,count=8",
+                       "n=64,count=4", "n=128,count=2")
+        for g in iter_sweep(parse_sweep_spec(f"diam2:{spec},seed=5"))
+    ],  # fmt: skip
+    "P_255 and K_255": lambda: [path(255), complete(255)],
+}
+
+
+class TestRowTemplates:
+    """``json_row`` is the text of ``json.dumps(to_json_dict(),
+    sort_keys=True)``, and ``csv_row`` and ``to_json_dict`` carry each
+    column's value formatted on its own, avd and avt read from their
+    Fractions."""
+
+    @pytest.mark.parametrize("name", ROW_SETS)
+    def test_rows(self, name):
+        graphs = ROW_SETS[name]()
+        lanes = _by_lanes(lambda block: lane_reports(block)[0], graphs, LANE_BLOCK)
+        assert len(lanes) == len(graphs)
+        for g, lane in zip(graphs, lanes):
+            rep = full_report(g)
+            assert lane == rep, emit_graph6(g)
+            want = report_columns(rep)
+            assert rep.to_json_dict() == want
+            assert list(rep.to_json_dict()) == list(want)
+            assert rep.json_row() == json.dumps(want, sort_keys=True)
+            assert rep.csv_row() == csv_row_by_columns(rep)

@@ -24,11 +24,17 @@ from distinv import (
     transmission_gap,
     transmission_gap_equality_set,
 )
-from distinv.invariants import lane_eccentric_sets
+from distinv.invariants import LANE_MAX_N, lane_eccentric_sets
 from distinv.sweeps import enumerate_connected_graphs, enumerate_trees
 from distinv.ud import ud_certificate
 
-from oracles import bfs_rows, diametrical_pairs, floyd_warshall, gap_equality_by_rows
+from oracles import (
+    bfs_rows,
+    diametrical_pairs,
+    floyd_warshall,
+    gap_equality_by_rows,
+    transpose,
+)
 
 
 class TestEccentricSet:
@@ -231,8 +237,7 @@ class TestCertificateDefinition:
         assert [find_ud_certificate(g) for g in graphs] == want
         lanes = []
         for n in range(1, 8):
-            block = [g for g in graphs if g.n == n]
-            lanes.extend(ud_certificate(*es) for es in lane_eccentric_sets(block))
+            lanes.extend(_lane_ud([g for g in graphs if g.n == n]))
         assert lanes == want
 
     def test_is_ud_pair_on_atlas(self):
@@ -255,6 +260,55 @@ class TestCertificateDefinition:
                         assert is_ud_pair(g, dist, u, v) == want, (h.edges(), u, v)
                         pairs += 1
         assert pairs == 4554
+
+
+class TestJsonRow:
+    """``UdCertificate.json_row`` is the text of ``json.dumps(to_json_dict(),
+    sort_keys=True)``."""
+
+    def test_atlas_and_named(self):
+        # K1's pair is None, and some atlas graphs fail several pairs
+        atlas = [h for h in nx.graph_atlas_g()[1:] if nx.is_connected(h)]
+        graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
+        graphs += [complete(1), complete(2), cycle(6)]
+        certs = [find_ud_certificate(g) for g in graphs]
+        assert {c.is_ud for c in certs} == {True, False}
+        assert max(len(c.failures) for c in certs) > 1
+        for c in certs:
+            assert c.json_row() == json.dumps(c.to_json_dict(), sort_keys=True)
+
+
+def _lane_ud(graphs):
+    # the lane UD path of ``distinv ud`` on one block of one order
+    return [
+        ud_certificate(ecc, sets, cols=cols)
+        for ecc, sets, cols in lane_eccentric_sets(graphs)
+    ]
+
+
+def _minus_edge(n, u, v):
+    # K_n without the edge uv, u < v
+    edges = [(a, b) for b in range(n) for a in range(b) if (a, b) != (u, v)]
+    return from_edge_list(n, edges)
+
+
+class TestLaneColumns:
+    """The UD scan over the lanes' transposed eccentric sets against
+    ``find_ud_certificate`` graph by graph, on dense blocks at every lane
+    width; ``test_networkx_atlas`` and ``TestLaneEccentricSets`` in
+    test_invariants.py cover the atlas, trees and diameter-2 streams."""
+
+    # one order on each side of every lane width bound, 16 to 256 bits
+    @pytest.mark.parametrize("n", (15, 16, 31, 32, 63, 64, 127, 128, LANE_MAX_N))
+    def test_dense_blocks(self, n):
+        # K_n transposes every complement; K_n minus an edge transposes the
+        # complements except at the edge's ends; a dense and a sparse lane
+        # share a block with P_n and C_n
+        dense = [complete(n), _minus_edge(n, 0, 1), _minus_edge(n, 3, n - 1)]
+        for block in (dense, dense + [path(n), cycle(n)]):
+            assert _lane_ud(block) == [find_ud_certificate(g) for g in block]
+            for ecc, sets, cols in lane_eccentric_sets(block):
+                assert cols == transpose(sets)
 
 
 class TestTransmissionGap:
