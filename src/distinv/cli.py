@@ -18,10 +18,12 @@ and send each window's graphs of one order through the lane kernel together
 on stderr come out in input order.  A graph takes the per-graph path
 (``full_report``, ``find_ud_certificate``) in three cases: it is the only
 graph of its order in the window, its order is 0 or above ``LANE_MAX_N``,
-or it is disconnected.  A disconnected graph gets the per-graph error line,
-and the rest of its order still goes through the lanes.  Only the graphs of
-order 1..``LANE_MAX_N`` wait for the end of their window; every other graph
-and every unreadable line becomes its output or error line as it is read.
+or the kernel reports it disconnected (a None where its report or
+eccentric sets would be), which leaves it in place for the per-graph error
+line while the rest of its order keeps what the lanes gave.  Only the
+graphs of order 1..``LANE_MAX_N`` wait for the end of their window; every
+other graph and every unreadable line becomes its output or error line as
+it is read.
 Each row is formatted from a template (``InvariantReport.csv_row`` and
 ``json_row``, ``UdCertificate.json_row``); a JSON row is the text of
 ``json.dumps(to_json_dict(), sort_keys=True)``.
@@ -40,15 +42,7 @@ import sys
 
 from . import __version__
 from .families import build_family, parse_family_spec
-from .graphs import (
-    DisconnectedGraphError,
-    Graph,
-    GraphError,
-    emit_graph6,
-    is_connected,
-    parse_edge_list,
-    parse_graph6,
-)
+from .graphs import Graph, GraphError, emit_graph6, parse_edge_list, parse_graph6
 from .invariants import (
     CSV_HEADER,
     LANE_BLOCK,
@@ -156,10 +150,11 @@ def _per_graph(files, out, compute, block, render) -> int:
 
     The input is read in windows of ``LANE_BLOCK`` items.  A graph of order
     1..``LANE_MAX_N`` waits for the end of its window, where ``block`` maps
-    the window's graphs of one order to one value each; every other item is
-    turned into its output line or error as it is read, so no larger graph
-    is held.  ``compute`` takes the graphs of the three per-graph cases in
-    the module docstring one by one.
+    the window's graphs of one order to one value each, None for a
+    disconnected graph; every other item is turned into its output line or
+    error as it is read, so no larger graph is held.  ``compute`` takes the
+    graphs of the three per-graph cases in the module docstring one by one,
+    so a disconnected graph gets its error line from ``compute``.
     """
 
     def line(g):
@@ -174,14 +169,9 @@ def _per_graph(files, out, compute, block, render) -> int:
         for idx in by_order.values():
             if len(idx) < 2:
                 continue
-            graphs = [window[i][1] for i in idx]
-            try:
-                values = block(graphs)
-            except DisconnectedGraphError:
-                idx = [i for i, g in zip(idx, graphs) if is_connected(g)]
-                values = block([window[i][1] for i in idx]) if idx else []
-            for i, value in zip(idx, values):
-                window[i][1] = render(value)
+            for i, value in zip(idx, block([window[i][1] for i in idx])):
+                if value is not None:  # else disconnected: the per-graph error
+                    window[i][1] = render(value)
         failed = False
         for label, item in window:
             if isinstance(item, Graph):
@@ -217,7 +207,7 @@ def _cmd_invariants(args, out) -> int:
         print(CSV_HEADER, file=out)
         render = InvariantReport.csv_row
     return _per_graph(
-        args.files, out, full_report, lambda graphs: lane_reports(graphs)[0], render
+        args.files, out, full_report, lambda graphs: lane_reports(graphs, [()])[1], render
     )
 
 
@@ -280,8 +270,8 @@ def _cmd_verify(args, out) -> int:
 def _cmd_ud(args, out) -> int:
     def block(graphs):
         return [
-            ud_certificate(ecc, sets, cols=cols)
-            for ecc, sets, cols in lane_eccentric_sets(graphs)
+            None if found is None else ud_certificate(found[0], found[1], cols=found[2])
+            for found in lane_eccentric_sets(graphs)
         ]
 
     return _per_graph(args.files, out, find_ud_certificate, block, UdCertificate.json_row)

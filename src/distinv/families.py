@@ -143,17 +143,22 @@ def attach_pendants_at(g: Graph, u: int, v: int) -> Graph:
 def attach_pendant_paths_at(g: Graph, u: int, v: int, length: int) -> Graph:
     """Attach a pendant path of the given length to each of u and v.
 
-    Defined as the length-fold iteration of :func:`attach_pendants_at` on the
-    current path tips, so length 1 coincides with the single-pendant case.
+    Vertex n+2i joins u (n+2i-2 when i > 0) and n+2i+1 joins v (n+2i-1):
+    the numbering of the length-fold :func:`attach_pendants_at` on the tips.
     """
     if length < 1:
         raise FamilyError(f"pendant path length must be >= 1, got {length}")
-    out = g
-    tip_u, tip_v = u, v
-    for _ in range(length):
-        out = attach_pendants_at(out, tip_u, tip_v)
-        tip_u, tip_v = out.n - 2, out.n - 1
-    return out
+    n = g.n
+    if u == v:
+        raise FamilyError("pendant anchors must be distinct")
+    if not (0 <= u < n and 0 <= v < n):
+        raise FamilyError(f"anchors ({u},{v}) out of range for n={n}")
+    rows = list(g.bits) + [0] * (2 * length)
+    for x in range(n, n + 2 * length):
+        tip = x - 2 if x >= n + 2 else (u, v)[x - n]
+        rows[x] |= 1 << tip
+        rows[tip] |= 1 << x
+    return Graph._raw(n + 2 * length, rows)
 
 
 def thm29_construction(n: int, n_prime: int) -> Graph:

@@ -337,21 +337,17 @@ def all_pairs_distances(g: Graph) -> DistanceData:
 def is_connected(g: Graph) -> bool:
     """True when one BFS from vertex 0 reaches everything; K1 and the empty
     graph count as connected."""
-    return g.n == 0 or _rows_connected(g.bits)
-
-
-def _rows_connected(rows) -> bool:
-    # one bitset BFS from vertex 0 over neighbor rows (at least one row)
-    full = (1 << len(rows)) - 1
-    seen = 1 | rows[0]
-    frontier = rows[0]
+    if g.n == 0:
+        return True
+    rows = g.bits
+    full = (1 << g.n) - 1
+    seen = frontier = 1
     while frontier and seen != full:
         nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
+        while frontier:
+            low = frontier & -frontier
             nxt |= rows[low.bit_length() - 1]
-            f ^= low
+            frontier ^= low
         frontier = nxt & ~seen
         seen |= frontier
     return seen == full

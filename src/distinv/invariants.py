@@ -11,10 +11,12 @@ multiplication.
 :func:`lane_reports` is a fast path for a block of graphs of any one order
 n <= 255, one graph per lane of a Python int, the lane 16 to 256 bits wide
 by the order; its reports are checked field by field against
-:func:`full_report` in the tests.  Given claim gates, it evaluates them on
-the packed columns and builds only the reports some gate selects.
-:func:`lane_eccentric_sets` reads each vertex's eccentricity and eccentric
-set from the same lane BFS, and transposes the sets lane-wise for the UD scan.
+:func:`full_report` in the tests.  Its lane BFS keeps per-source sums, not
+levels, so a block is O(n) packed ints at any diameter.  It evaluates claim
+gates on the packed columns, and a disconnected graph is a bit of its word,
+not an exception.  :func:`lane_eccentric_sets` reads each vertex's
+eccentricity and eccentric set from the same lane BFS, and transposes the
+sets lane-wise for the UD scan.
 """
 
 from __future__ import annotations
@@ -22,16 +24,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 
-from .graphs import (
-    DisconnectedGraphError,
-    DistanceData,
-    Graph,
-    GraphError,
-    all_pairs_distances,
-)
+from .graphs import DistanceData, Graph, GraphError, all_pairs_distances
 
 
 # CSV and JSON columns, in output order
@@ -170,14 +165,16 @@ def unpack_lanes(x: int, width: int, k: int):
 
 class _Lanes:
     """A non-empty block of graphs of one order 1 <= n <= 255, graph k in
-    lane k of a Python int (``rows[u]`` holds row u of every graph), the
-    levels ``levels[s][d - 1] = F_d(s)`` of one lane-packed BFS per source
-    vertex s, run in every lane at once, and from the same BFS each
-    source's eccentricity ``ecc[s]``, the number of non-empty levels, and
-    its eccentric set ``far[s]``, in each lane the last non-empty level (s
-    itself in K1).
-
-    Raises ``DisconnectedGraphError`` if a graph is disconnected.
+    lane k of a Python int (``rows[u]`` holds row u of every graph), and one
+    lane-packed BFS per source s, run in every lane at once.  It keeps no
+    levels F_d(s), only each source's eccentricity ``ecc[s]`` (the number
+    of levels), transmission ``tr[s]`` (the sum of d * |F_d(s)|, counted from
+    log2(n) bit slices of the levels, not one popcount per level) and
+    eccentric set ``far[s]`` (the last level; s itself in K1).  ``depth`` is
+    the largest eccentricity in any lane; ``connected`` has bit 0 of a lane
+    set when the BFS from vertex 0 covers it, and every other lane is then
+    emptied, so the BFS costs nothing more there and leaves values no caller
+    reads.
     """
 
     def __init__(self, graphs):
@@ -215,13 +212,15 @@ class _Lanes:
         while span > width:
             span >>= 1
             self._halves.append((span, (1 << span) - 1))
-        self.levels = levels = []
+        popcount = self.popcount
         self.ecc = eccs = []
+        self.tr = trs = []
         self.far = far = []
+        self.depth = 0
         for s in range(n):
             front = seen = last = ones << s
-            own = []
-            ecc = 0
+            ecc = d = 0
+            slices = [0] * n.bit_length()  # [b]: the levels d with bit b of d set
             while True:
                 union = self.union(front)
                 nxt = 0
@@ -234,16 +233,26 @@ class _Lanes:
                 if not nxt:
                     break
                 seen |= nxt
-                own.append(nxt)
+                d += 1
+                for b in range(d.bit_length()):
+                    if d >> b & 1:
+                        slices[b] |= nxt
                 reached = ((nxt + low) >> top) & ones  # the lanes this level reaches
                 ecc += reached
                 # each lane this level reaches takes it as its last level
                 last ^= (last ^ nxt) & (reached * lane)
                 front = nxt
-            if s == 0 and seen != full:
-                raise DisconnectedGraphError("graph is disconnected")
-            levels.append(own)
+            # Tr(s) = sum_d d * |F_d| = sum_b 2^b * |slices[b]|
+            tr = sum(popcount(x) << b for b, x in enumerate(slices) if x)
+            if s == 0:
+                self.connected = connected = ones ^ self.nonzero(full ^ seen)
+                if connected != ones:  # tr[0] too: each lane of sum(tr) stays even
+                    keep = connected * lane
+                    rows = self.rows = [row & keep for row in rows]
+                    tr &= keep
+            self.depth = max(self.depth, d)
             eccs.append(ecc)
+            trs.append(tr)
             far.append(last)
 
     def union(self, x):
@@ -302,49 +311,48 @@ class _Lanes:
         return unpack_lanes(x, self.width, self.k)
 
 
-def lane_reports(graphs, gates=None) -> tuple[list, list]:
-    """Every graph's report and its L4.1 triple ``(hypothesis, held,
-    equality)``, for a non-empty block of graphs of one order 1 <= n <= 255.
+def lane_reports(graphs, gates) -> tuple[list, list]:
+    """Every graph's gate word and report ``(words, reports)``, for a
+    non-empty block of graphs of one order 1 <= n <= 255.
 
-    Every value is counted from the lane BFS levels ``F_d(s)``: ecc(s) is the
-    number of non-empty levels and Tr(s) is the sum of d * |F_d(s)|.  The
-    threshold sets H_a = {u : ecc(u) >= a} give the rest: E1 is the sum of
-    (2a - 1) * |H_a|, since 2a - 1 summed over a = 1..e telescopes to e^2;
-    with C(u) = sum_a |N(u) & H_a|, the sum of ecc over u's neighbours,
-    xic = sum_u C(u), 2 * E2 = sum_a sum_{u in H_a} C(u),
+    ``gates`` are at most 13 tuples of terms ``(column, op, bound)``
+    (``column`` one of n, m, diam, nprime and self_centered, which is 0 or
+    1; ``op`` one of ==, !=, >= and <=; ``bound`` an integer or a function
+    of n); the empty gate holds on every connected graph.  Bit i of
+    ``words[k]`` is set when every term of gate i holds in graph k,
+    evaluated on the packed columns; the next two bits when L4.1 fails there
+    and when it holds with equality; and the bit after them when graph k is
+    disconnected, which clears the others.  A word has no more bits than
+    the narrowest lane, 16.  ``reports[k]`` is None unless some gate holds
+    there, so always None on a disconnected graph.
+
+    Every value is read from the lane BFS: ecc(s), Tr(s) and the eccentric
+    sets.  The threshold sets H_a = {u : ecc(u) >= a} give the rest: E1 is
+    the sum of (2a - 1) * |H_a|, since 2a - 1 summed over a = 1..e
+    telescopes to e^2; with C(u) = sum_a |N(u) & H_a|, the sum of ecc over
+    u's neighbours, xic = sum_u C(u), 2 * E2 = sum_a sum_{u in H_a} C(u),
     diam = #{a : H_a nonempty} and rad = #{a : H_a = V}.  L4.1's zero-gap
     condition holds at v exactly when v lies in every other vertex's
     eccentric set, the last level from it.
-
-    With ``gates``, at most 14 tuples of terms ``(column, op, bound)``
-    (``column`` one of n, m, diam, nprime and self_centered, which is 0 or 1;
-    ``op`` one of ==, !=, >= and <=; ``bound`` an integer or a function of
-    n), it returns ``(words, reports)``: bit i of ``words[k]`` is set when
-    every term of gate i holds in graph k, evaluated on the packed columns,
-    the next two bits when L4.1 fails there and when it holds with equality,
-    and ``reports[k]`` is None unless some gate holds there.
-
-    Raises ``DisconnectedGraphError`` if a graph is disconnected.
     """
+    if len(gates) > 13:  # a word's bits must fit the narrowest lane, 16 bits
+        raise GraphError("lane reports take at most 13 gates")
     lanes = _Lanes(graphs)
     n, top, lane, ones, full, low = (
         lanes.n, lanes.top, lanes.lane, lanes.ones, lanes.full, lanes.low
     )
     nonzero, popcount, unpack = lanes.nonzero, lanes.popcount, lanes.unpack
-    ecc = lanes.ecc
-    tr = []
-    depth = max(map(len, lanes.levels))  # the largest eccentricity in any lane
+    ecc, tr, depth = lanes.ecc, lanes.tr, lanes.depth
     # at_least[a] = H_a: ecc(s) - a, biased by 2^top so no lane borrows, has
     # bit top set in the lanes where ecc(s) >= a
     at_least = [full] + [0] * depth
     cut = [(ones << top) - a * ones for a in range(depth + 1)]
-    for s, own in enumerate(lanes.levels):
-        tr_s = 0
-        e = ecc[s]
-        for d, level in enumerate(own, start=1):
-            tr_s += d * popcount(level)
-            at_least[d] |= ((e + cut[d]) >> top & ones) << s
-        tr.append(tr_s)
+    for s, e in enumerate(ecc):
+        for a in range(1, depth + 1):
+            h = (e + cut[a]) >> top & ones
+            if not h:  # no lane has ecc(s) >= a, so none has it for any larger a
+                break
+            at_least[a] |= h << s
     e1 = sum((2 * a - 1) * popcount(at_least[a]) for a in range(1, depth + 1))
 
     diam = rad = 0
@@ -381,49 +389,43 @@ def lane_reports(graphs, gates=None) -> tuple[list, list]:
 
     # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
     columns = (m2 >> 1, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, n_univ)
-    built = repeat(1)
-    if gates is not None:
-        if len(gates) > 14:  # a word's bits must fit the narrowest lane, 16 bits
-            raise GraphError("lane reports take at most 14 gates")
-        sc = ones ^ nonzero(diam ^ rad)
-        values = dict(n=n * ones, m=columns[0], diam=diam, nprime=n_univ, self_centered=sc)
-        word = failed << len(gates) | equal << len(gates) + 1
-        select = 0
-        terms = {}  # gates share terms: each is evaluated once
-        for i, gate in enumerate(gates):
-            held = ones
-            for term in gate:
-                if term not in terms:
-                    column, op, bound = term
-                    c = bound(n) if callable(bound) else bound
-                    ge = lanes.at_least(values[column], c)
-                    gt = lanes.at_least(values[column], c + 1)
-                    eq = ge ^ gt
-                    terms[term] = {">=": ge, "<=": ones ^ gt, "==": eq, "!=": ones ^ eq}[op]
-                held &= terms[term]
-            select |= held
-            word |= held << i
-        if select != ones:  # else every report is built, as without gates
-            built = unpack(select)
+    connected = lanes.connected
+    sc = ones ^ nonzero(diam ^ rad)
+    values = dict(n=n * ones, m=columns[0], diam=diam, nprime=n_univ, self_centered=sc)
+    ngates = len(gates)
+    word = (failed << ngates | equal << ngates + 1) & (connected << ngates) * 3
+    word |= (ones ^ connected) << ngates + 2
+    select = 0
+    terms = {}  # gates share terms: each is evaluated once
+    for i, gate in enumerate(gates):
+        held = connected
+        for term in gate:
+            if term not in terms:
+                column, op, bound = term
+                c = bound(n) if callable(bound) else bound
+                ge = lanes.at_least(values[column], c)
+                gt = lanes.at_least(values[column], c + 1)
+                eq = ge ^ gt
+                terms[term] = {">=": ge, "<=": ones ^ gt, "==": eq, "!=": ones ^ eq}[op]
+            held &= terms[term]
+        select |= held
+        word |= held << i
     reports = [
         InvariantReport(n, m, dm, rd, w, ec1, ec2, tot, x, nu, dm == rd) if b else None
-        for b, m, dm, rd, w, ec1, ec2, tot, x, nu in zip(built, *map(unpack, columns))
+        for b, m, dm, rd, w, ec1, ec2, tot, x, nu in zip(unpack(select), *map(unpack, columns))
     ]
-    if gates is not None:
-        return unpack(word), reports
-    l41 = [(True, not f, e == 1) for f, e in zip(unpack(failed), unpack(equal))]
-    return reports, l41
+    return unpack(word), reports
 
 
-def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], ...]]:
+def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], ...] | None]:
     """Every graph's eccentricities, eccentric sets and their transpose
     ``(ecc, sets, cols)``, for a non-empty block of graphs of one order
-    1 <= n <= 255: ``sets[v]`` is the bitmask of the vertices at distance
-    ``ecc[v]`` from v, the last non-empty BFS level from v (v itself in K1),
-    and ``cols[x]`` the bitmask of the w with x in ``sets[w]``.
-
-    Raises ``DisconnectedGraphError`` if a graph is disconnected.
+    1 <= n <= 255, and None for a disconnected graph: ``sets[v]`` is the
+    bitmask of the vertices at distance ``ecc[v]`` from v, the last
+    non-empty BFS level from v (v itself in K1), and ``cols[x]`` the bitmask
+    of the w with x in ``sets[w]``.
     """
     lanes = _Lanes(graphs)
     packed = (lanes.ecc, lanes.far, lanes.columns())
-    return list(zip(*(zip(*map(lanes.unpack, x)) for x in packed)))
+    sets = zip(*(zip(*map(lanes.unpack, x)) for x in packed))
+    return [t if c else None for c, t in zip(lanes.unpack(lanes.connected), sets)]

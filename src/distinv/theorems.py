@@ -51,7 +51,6 @@ from .graphs import (
     all_pairs_distances,
     complement,
     emit_graph6,
-    is_connected,
 )
 from .invariants import LANE_BLOCK, InvariantReport, full_report, lane_reports
 from .sweeps import SweepSpec, fold_sweep, visit_error
@@ -513,17 +512,22 @@ def check_c44(g, u, v, length, rep=None, dist=None):
 # product claims
 
 
+def _product_report(g, h):
+    """The box product's report, refused above 10^4 vertices."""
+    if g.n * h.n > 10**4:
+        raise GraphError("product too large to verify by direct BFS")
+    return full_report(cartesian_product(g, h))
+
+
 def check_product_identities(g, h):
     """Closed forms on the box product against direct BFS:
     E1 = n(H)E1(G) + n(G)E1(H) + 2 totecc(G) totecc(H),
     E2 = m(H)E1(G) + n(H)E2(G) + m(G)E1(H) + n(G)E2(H)
          + totecc(G)xic(H) + totecc(H)xic(G),
     W  = n(H)^2 W(G) + n(G)^2 W(H)."""
-    if g.n * h.n > 10**4:
-        raise GraphError("product too large to verify by direct BFS")
+    rp = _product_report(g, h)
     rg = full_report(g)
     rh = full_report(h)
-    rp = full_report(cartesian_product(g, h))
     e1_expected = h.n * rg.e1 + g.n * rh.e1 + 2 * rg.total_ecc * rh.total_ecc
     e2_expected = (
         rh.m * rg.e1
@@ -550,7 +554,7 @@ def check_t52(g, h):
     hyp = rg.wiener >= rg.e1 and rh.wiener >= rh.e1 and max(g.n, h.n) > 2
     concl = info = None
     if hyp:
-        rp = full_report(cartesian_product(g, h))
+        rp = _product_report(g, h)
         concl = rp.wiener > rp.e1
         info = {"W": rp.wiener, "E1": rp.e1}
     return TheoremVerdict("T5.2", hyp, concl, False, _gid(g, h), info)
@@ -573,7 +577,7 @@ def check_t54(g, h):
     )
     concl = info = None
     if hyp:
-        rp = full_report(cartesian_product(g, h))
+        rp = _product_report(g, h)
         concl = rp.wiener > rp.e2
         info = {"W": rp.wiener, "E2": rp.e2}
     return TheoremVerdict("T5.4", hyp, concl, False, _gid(g, h), info)
@@ -583,29 +587,20 @@ def check_t54(g, h):
 # the hunter
 
 
-def _lanes(block, gates=None, named=None):
-    """``lane_reports(block, gates)``; a disconnected graph in the block
-    becomes ``SweepVisitError`` naming it, or its entry in ``named``."""
-    try:
-        return lane_reports(block, gates)
-    except DisconnectedGraphError as exc:
-        i = next(i for i, g in enumerate(block) if not is_connected(g))
-        raise visit_error((named or block)[i], exc) from exc
-
-
 def _t33_complements(block, words, reports, bit):
     """The complement's lane report for each tree of a block whose word has
     T3.3's gate ``bit`` and whose complement decides T3.3, and None
     elsewhere.  The complements have the tree's order, so they go through
-    the lanes as one block."""
+    the lanes as one block.  A disconnected complement gets no lane report,
+    so T3.3's predicate takes the per-graph path for it and raises there,
+    naming the tree."""
     gated = [
         k for k, (word, rep) in enumerate(zip(words, reports))
         if word & bit and _t33_disjunct(rep) == "complement"
     ]
     creps = [None] * len(block)
     if gated:
-        trees = [block[k] for k in gated]
-        found, _ = _lanes([complement(t) for t in trees], named=trees)
+        _, found = lane_reports([complement(block[k]) for k in gated], [()])
         for k, crep in zip(gated, found):
             creps[k] = crep
     return creps
@@ -625,12 +620,13 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         if tid not in CLAIMS:
             raise GraphError(f"unknown or non-unary theorem id {tid!r}")
     claims = [CLAIMS[tid] for tid in ids]
-    # bit j of a lane's word is the gate of gated[j], and the next two bits
-    # L4.1's failure and equality, which the kernel decides
+    # bit j of a lane's word is the gate of gated[j], the next two bits
+    # L4.1's failure and equality, which the kernel decides, and the bit
+    # after them a disconnected graph
     gated = [tid for tid in dict.fromkeys(ids) if tid != "L4.1"]
     gates = [CLAIMS[tid].gate for tid in gated]
     bits = {tid: 1 << j for j, tid in enumerate(gated)}
-    failed, equal = 1 << len(gated), 2 << len(gated)
+    failed, equal, disconnected = 1 << len(gated), 2 << len(gated), 4 << len(gated)
     l41 = [i for i, tid in enumerate(ids) if tid == "L4.1"]
     t33 = bits.get("T3.3")
     plans = {}
@@ -650,6 +646,8 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
     def visit(acc, g, rep, word, crep):
+        if word & disconnected:
+            raise DisconnectedGraphError("graph is disconnected")
         hits, cexs, eqs = acc
         g6 = None
         for i, predicate, is_t33 in plan(word):
@@ -675,7 +673,7 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
 
     def fold(acc, graphs):
         for block in iter(lambda: list(islice(graphs, LANE_BLOCK)), []):
-            words, reports = _lanes(block, gates)
+            words, reports = lane_reports(block, gates)
             for i in l41:
                 acc[0][i] += len(block)
             creps = _t33_complements(block, words, reports, t33) if t33 else repeat(None)

@@ -248,6 +248,19 @@ class TestPendantGrowth:
         with pytest.raises(FamilyError):
             attach_pendant_paths_at(path(2), 0, 1, 0)
 
+    @pytest.mark.parametrize(
+        "base, u, v",
+        [(path(2), 0, 1), (path(6), 0, 5), (complete(3), 0, 1), (a_k(1), 4, 5), (a_k(3), 4, 7)],
+        ids=["P2", "P6", "K3", "A1", "A3"],
+    )
+    def test_direct_construction_is_the_iteration(self, base, u, v):
+        assert is_ud_pair(base, all_pairs_distances(base), u, v)
+        grown, tips = base, (u, v)
+        for length in range(1, 5):
+            grown = attach_pendants_at(grown, *tips)
+            tips = (grown.n - 2, grown.n - 1)
+            assert attach_pendant_paths_at(base, u, v, length) == grown
+
 
 class TestThm29Construction:
     def test_postconditions_spot(self):

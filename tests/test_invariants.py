@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distinv import (
-    DisconnectedGraphError,
     GraphError,
     all_pairs_distances,
     complement,
@@ -36,6 +36,7 @@ from oracles import (
     gap_equality_by_rows,
     gate_holds,
     random_connected_graph,
+    random_graph,
     report_columns,
     transpose,
     ud_certificate_by_table,
@@ -321,7 +322,48 @@ def _by_lanes(kernel, graphs, size):
 
 
 def _lane_reports(block):
-    return zip(*lane_reports(block))
+    # each graph's report and L4.1 triple, from the words of one empty gate
+    words, reports = lane_reports(block, [()])
+    assert all(word & 9 == 1 for word in words)  # the gate holds; connected
+    return [(rep, (True, not word & 2, bool(word & 4))) for word, rep in zip(words, reports)]
+
+
+# orders on each side of every lane width bound, and a small one
+MIXED_ORDERS = (5, 15, 16, 31, 32, 63, 64, 127, 128, LANE_MAX_N)
+
+
+def _mixed_block(n):
+    """A block of order-n graphs, connected and not, shuffled so that a
+    disconnected graph sits in various lanes, lane 0 among them; with
+    whether networkx finds each connected."""
+    rng = random.Random(n)
+    spine = [(i, i + 1) for i in range(n - 1)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    split = n // 2
+    graphs = [
+        # disconnected: vertex 0 isolated, vertex n-1 isolated, no edges,
+        # a path cut in two, two cliques, and a sparse random graph
+        from_edge_list(n, [(u, v) for u, v in pairs if u]),
+        from_edge_list(n, [(u, v) for u, v in pairs if v != n - 1]),
+        from_edge_list(n, []),
+        from_edge_list(n, [e for e in spine if e != (split - 1, split)]),
+        from_edge_list(n, [(u, v) for u, v in pairs if (u < split) == (v < split)]),
+        random_graph(rng, n, 1 / n),
+        # connected
+        path(n), cycle(n), star(n), complete(n),
+        random_connected_graph(rng, n, 2 / n),
+        random_connected_graph(rng, n, 0.3),
+    ]
+    rng.shuffle(graphs)
+    graphs.insert(0, graphs.pop(next(i for i, g in enumerate(graphs) if not g.bits[0])))
+    connected = []
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        connected.append(nx.is_connected(h))
+    assert 0 < sum(connected) < len(graphs)
+    return graphs, connected
 
 
 class TestLaneReports:
@@ -345,13 +387,41 @@ class TestLaneReports:
             for g, a, b in zip(graphs, got, expected):
                 assert a == b, (size, emit_graph6(g))
 
-    def test_disconnected_graph_in_a_block_raises(self):
-        block = list(enumerate_connected_graphs(5))[:7]
-        block.insert(4, from_edge_list(5, [(0, 1), (2, 3), (3, 4)]))
-        with pytest.raises(DisconnectedGraphError):
-            lane_reports(block)
-        with pytest.raises(DisconnectedGraphError):
-            lane_reports([from_edge_list(2, [])])
+    @pytest.mark.parametrize("n", MIXED_ORDERS)
+    def test_disconnected_lanes(self, n):
+        # a disconnected graph sets the bit after L4.1's two and no other,
+        # and gets no report; every other lane is as full_report and L4.1's
+        # predicate say.  The empty gate and the claims' 12 fill all 16 bits
+        gates = [()] + [c.gate for c in CLAIMS.values() if c.gate]
+        apart = 1 << len(gates) + 2
+        graphs, connected = _mixed_block(n)
+        words, reports = lane_reports(graphs, gates)
+        for g, ok, word, rep in zip(graphs, connected, words, reports, strict=True):
+            if not ok:
+                assert (word, rep) == (apart, None), emit_graph6(g)
+                continue
+            dist = all_pairs_distances(g)
+            want = full_report(g, dist)
+            _, held, eq = _l41(g, want, dist)
+            expected = sum(gate_holds(gate, want) << i for i, gate in enumerate(gates))
+            expected |= (not held) << len(gates) | eq << len(gates) + 1
+            assert (word, rep) == (expected, want), emit_graph6(g)
+        for block in ([from_edge_list(2, [])], [from_edge_list(3, [(1, 2)])] * 2):
+            words, reports = lane_reports(block, [()])
+            assert (list(words), reports) == ([8] * len(block), [None] * len(block))
+
+    def test_no_levels_kept(self):
+        # a block of P_255 has 16 x 255 sources of 127..254 levels each; the
+        # kernel keeps per-source sums, a few packed ints per source
+        block = [path(255)] * 16
+        for kernel in (lane_eccentric_sets, lambda block: lane_reports(block, [()])):
+            tracemalloc.start()
+            try:
+                kernel(block)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, peak
 
     @pytest.mark.parametrize(
         "block",
@@ -360,7 +430,7 @@ class TestLaneReports:
     )
     def test_outside_the_lane_bound_raises(self, block):
         with pytest.raises(GraphError, match="lane reports need"):
-            lane_reports(block)
+            lane_reports(block, [()])
 
 
 # claim-like gates, and terms whose bounds lie outside every column's range
@@ -407,9 +477,12 @@ class TestLaneGates:
         for g, a, b in zip(graphs, got, expected, strict=True):
             assert a == b, emit_graph6(g)
 
-    def test_at_most_14_gates(self):
-        with pytest.raises(GraphError, match="at most 14 gates"):
-            lane_reports([path(3)], [()] * 15)
+    def test_at_most_13_gates(self):
+        # 13 gate bits, L4.1's two and the disconnected bit fill 16 bits
+        words, _ = lane_reports([path(3)], [()] * 13)
+        assert list(words) == [(1 << 13) - 1 | 1 << 14]
+        with pytest.raises(GraphError, match="at most 13 gates"):
+            lane_reports([path(3)], [()] * 14)
 
 
 class TestL41Condition:
@@ -431,7 +504,7 @@ class TestL41Condition:
             equality = gap_equality_by_rows(rows)
             assert transmission_gap_equality_set(all_pairs_distances(g).far) == equality
             expected.append((True, min(gaps) >= 0 and zero == equality, zero != 0))
-        got = _by_lanes(lambda block: lane_reports(block)[1], graphs, LANE_BLOCK)
+        got = _by_lanes(lambda block: [t for _, t in _lane_reports(block)], graphs, LANE_BLOCK)
         for g, a, b in zip(graphs, got, expected, strict=True):
             assert a == b, emit_graph6(g)
 
@@ -469,11 +542,18 @@ class TestLaneEccentricSets:
             assert ud_certificate(ecc, sets) == cert, emit_graph6(g)
             assert ud_certificate(ecc, sets, cols=cols) == cert, emit_graph6(g)
 
-    def test_disconnected_graph_in_a_block_raises(self):
-        block = list(enumerate_connected_graphs(5))[:7]
-        block.insert(4, from_edge_list(5, [(0, 1), (2, 3), (3, 4)]))
-        with pytest.raises(DisconnectedGraphError):
-            lane_eccentric_sets(block)
+    @pytest.mark.parametrize("n", MIXED_ORDERS)
+    def test_disconnected_lanes(self, n):
+        # None for a disconnected graph, and every other lane as alone
+        graphs, connected = _mixed_block(n)
+        found = lane_eccentric_sets(graphs)
+        for g, ok, got in zip(graphs, connected, found, strict=True):
+            if not ok:
+                assert got is None, emit_graph6(g)
+                continue
+            dist = all_pairs_distances(g)
+            want = (tuple(dist.ecc), tuple(dist.far))
+            assert got == (*want, transpose(want[1])), emit_graph6(g)
 
 
 # graph sets for the row templates: every report from full_report and from
@@ -499,7 +579,7 @@ class TestRowTemplates:
     @pytest.mark.parametrize("name", ROW_SETS)
     def test_rows(self, name):
         graphs = ROW_SETS[name]()
-        lanes = _by_lanes(lambda block: lane_reports(block)[0], graphs, LANE_BLOCK)
+        lanes = _by_lanes(lambda block: lane_reports(block, [()])[1], graphs, LANE_BLOCK)
         assert len(lanes) == len(graphs)
         for g, lane in zip(graphs, lanes):
             rep = full_report(g)

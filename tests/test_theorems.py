@@ -1,6 +1,7 @@
 """Targeted verdicts for every claim checker, plus hunt smoke tests."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -408,6 +409,22 @@ class TestC44:
         rep = full_report(other)
         assert (v.detail["E1_grown"], v.detail["W_grown"]) == (rep.e1, rep.wiener)
 
+    def test_iteration_checked_against_the_direct_construction(self, monkeypatch):
+        # an iteration step that swaps the two tips grows a different
+        # labelled graph than the direct construction, so the check fails
+        from distinv import families, theorems
+
+        real = families.attach_pendants_at
+
+        def swapped(g, u, v):
+            return real(g, v, u)
+
+        assert check_c44(a_k(1), 4, 5, 2).conclusion_held
+        monkeypatch.setattr(families, "attach_pendants_at", swapped)
+        monkeypatch.setattr(theorems, "attach_pendants_at", swapped)
+        v = check_c44(a_k(1), 4, 5, 2)
+        assert v.hypothesis_met and v.conclusion_held is False
+
 
 class TestProducts:
     def test_p2_square_identities(self):
@@ -449,6 +466,17 @@ class TestProducts:
 
     def test_t54_p2_p2(self):
         assert not check_t54(path(2), path(2)).hypothesis_met
+
+    @pytest.mark.parametrize("check", [check_t52, check_t54])
+    def test_large_product_refused(self, check):
+        # K_101 and K_100 meet both hypotheses; their product would have
+        # 10,100 vertices, past the bound check_product_identities keeps
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match="product too large to verify by direct BFS"):
+            check(complete(101), complete(100))
+        assert time.perf_counter() - start < 5.0
+        # a verdict whose hypothesis fails is given as before, at any order
+        assert not check(path(101), path(100)).hypothesis_met
 
 
 class TestHunt:
