@@ -17,14 +17,21 @@ gates on the packed columns, and a disconnected graph is a bit of its word,
 not an exception.  :func:`lane_eccentric_sets` reads each vertex's
 eccentricity and eccentric set from the same lane BFS, and transposes the
 sets lane-wise for the UD scan.
+
+The kernel has one input, a :class:`Block`: the order, the number of lanes
+and the packed adjacency rows, with ``graph(j)`` for lane j's
+:class:`Graph`.  ``Block.of`` packs a list of graphs, as both kernel
+functions do with a list at their entry; the tree sweep builds its blocks'
+rows itself, and ``theorems.hunt`` takes T3.3's complements from a block's
+rows.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Callable, NamedTuple
 
 from .graphs import DistanceData, Graph, GraphError, all_pairs_distances
 
@@ -44,8 +51,7 @@ _JSON_ROW = "{{%s}}" % ", ".join(
 _TEXT = ("false", "true")  # a boolean's CSV and JSON text
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Every scalar invariant of one connected graph, all exact."""
 
     n: int
@@ -153,6 +159,21 @@ def lane_width(n: int) -> int:
     return max(16, 1 << n.bit_length())
 
 
+def lane_ones(width: int, k: int) -> int:
+    """1 in each of k lanes of ``width`` bits."""
+    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * k, "little")
+
+
+def pack_lanes(values, width: int) -> int:
+    """The int whose lanes, each ``width`` bits wide, hold ``values``, lane 0
+    first; the inverse of :func:`unpack_lanes`."""
+    word = _WORDS.get(width)
+    if word:
+        return int.from_bytes(struct.pack(f"<{len(values)}{word}", *values), "little")
+    size = width // 8
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
 def unpack_lanes(x: int, width: int, k: int):
     """The k lanes of x, each ``width`` bits wide, lane 0 first."""
     size = width // 8
@@ -163,48 +184,54 @@ def unpack_lanes(x: int, width: int, k: int):
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
-class _Lanes:
-    """A non-empty block of graphs of one order 1 <= n <= 255, graph k in
-    lane k of a Python int (``rows[u]`` holds row u of every graph), and one
-    lane-packed BFS per source s, run in every lane at once.  It keeps no
-    levels F_d(s), only each source's eccentricity ``ecc[s]`` (the number
-    of levels), transmission ``tr[s]`` (the sum of d * |F_d(s)|, counted from
-    log2(n) bit slices of the levels, not one popcount per level) and
-    eccentric set ``far[s]`` (the last level; s itself in K1).  ``depth`` is
-    the largest eccentricity in any lane; ``connected`` has bit 0 of a lane
-    set when the BFS from vertex 0 covers it, and every other lane is then
-    emptied, so the BFS costs nothing more there and leaves values no caller
-    reads.
-    """
+class Block(NamedTuple):
+    """The lane kernel's one input: k graphs of one order 1 <= n <= 255,
+    ``rows[u]`` holding row u of graph j in its lane j of ``lane_width(n)``
+    bits, and ``graph(j)``, which returns lane j's :class:`Graph`.  A block
+    that no caller names a graph of has None for ``graph``."""
 
-    def __init__(self, graphs):
-        k = len(graphs)
+    n: int
+    k: int
+    rows: list
+    graph: Callable[[int], Graph] | None
+
+    @classmethod
+    def of(cls, graphs):
+        """The block of a non-empty list of graphs of one order 1..255; it
+        keeps the list, so ``graph(j)`` costs nothing."""
         n = graphs[0].n
         if not 1 <= n <= LANE_MAX_N or any(g.n != n for g in graphs):
             raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
+        width = lane_width(n)
+        rows = [pack_lanes(col, width) for col in zip(*(g.bits for g in graphs))]
+        return cls(n, len(graphs), rows, graphs.__getitem__)
+
+
+class _Lanes:
+    """A block's lane-packed BFS, one per source s, run in every lane at
+    once.  It keeps no levels F_d(s), only each source's eccentricity
+    ``ecc[s]`` (the number of levels), transmission ``tr[s]`` (the sum of
+    d * |F_d(s)|, counted from log2(n) bit slices of the levels, not one
+    popcount per level) and eccentric set ``far[s]`` (the last level; s
+    itself in K1).  ``depth`` is the largest eccentricity in any lane;
+    ``connected`` has bit 0 of a lane set when the BFS from vertex 0 covers
+    it, and every other lane is then emptied, so the BFS costs nothing more
+    there and leaves values no caller reads.
+    """
+
+    def __init__(self, block: Block):
+        self.k = k = block.k
+        self.n = n = block.n
         self.width = width = lane_width(n)
-        self.k = k
-        self.n = n
         self.top = top = width - 1
-        size = width // 8  # bytes per lane
         self.lane = lane = (1 << width) - 1
-        self.ones = ones = int.from_bytes((b"\x01" + bytes(size - 1)) * k, "little")
+        self.ones = ones = lane_ones(width, k)
         self.full = full = ones * ((1 << n) - 1)
         self.low = low = ones * (lane >> 1)
         # 0x55.., 0x33.. and 0x0F.. over every lane, and each lane's low byte
         self._masks = tuple(ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
         self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
-        word = _WORDS.get(width)
-        columns = zip(*(g.bits for g in graphs))
-        if word:
-            fmt = f"<{k}{word}"
-            rows = [int.from_bytes(struct.pack(fmt, *col), "little") for col in columns]
-        else:
-            rows = [
-                int.from_bytes(b"".join(b.to_bytes(size, "little") for b in col), "little")
-                for col in columns
-            ]
-        self.rows = rows
+        self.rows = rows = block.rows
         # (shift, mask) steps that fold the upper half of the lanes onto the
         # lower half, ending with the union of every lane in lane 0
         self._halves = []
@@ -313,7 +340,8 @@ class _Lanes:
 
 def lane_reports(graphs, gates) -> tuple[list, list]:
     """Every graph's gate word and report ``(words, reports)``, for a
-    non-empty block of graphs of one order 1 <= n <= 255.
+    non-empty block of graphs of one order 1 <= n <= 255: a :class:`Block`,
+    or a list of graphs, packed here by ``Block.of``.
 
     ``gates`` are at most 13 tuples of terms ``(column, op, bound)``
     (``column`` one of n, m, diam, nprime and self_centered, which is 0 or
@@ -337,7 +365,7 @@ def lane_reports(graphs, gates) -> tuple[list, list]:
     """
     if len(gates) > 13:  # a word's bits must fit the narrowest lane, 16 bits
         raise GraphError("lane reports take at most 13 gates")
-    lanes = _Lanes(graphs)
+    lanes = _Lanes(graphs if isinstance(graphs, Block) else Block.of(graphs))
     n, top, lane, ones, full, low = (
         lanes.n, lanes.top, lanes.lane, lanes.ones, lanes.full, lanes.low
     )
@@ -425,7 +453,7 @@ def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], ...] | None]:
     non-empty BFS level from v (v itself in K1), and ``cols[x]`` the bitmask
     of the w with x in ``sets[w]``.
     """
-    lanes = _Lanes(graphs)
+    lanes = _Lanes(Block.of(graphs))
     packed = (lanes.ecc, lanes.far, lanes.columns())
     sets = zip(*(zip(*map(lanes.unpack, x)) for x in packed))
     return [t if c else None for c, t in zip(lanes.unpack(lanes.connected), sets)]

@@ -15,7 +15,10 @@ Three sweep targets feed the predicate checkers:
   ``struct`` in mask order.
 * ``trees`` - one representative per isomorphism class of free trees
   (2 <= n <= 18), generated through canonical level sequences with a
-  constant-amortized-time successor rule.
+  constant-amortized-time successor rule, ``LANE_BLOCK`` sequences at a
+  time.  A block's adjacency rows are built in every lane at once: vertex
+  i's parent is the latest vertex one level up, found by scanning down
+  with a lane-wise equality test.
 * ``diameter2_graphs`` - random connected graphs of diameter exactly 2 by
   rejection sampling from G(n, p).  Attempts cycle p over {0.3, 0.5, 0.7},
   samples do not: ``diam2:n=9..12,count=2000,seed=5`` keeps 8 of 2,901
@@ -45,12 +48,16 @@ adjacent.  A block yields its accepted graphs in sample order; a sample with
 no accepted attempt among ``_MAX_ATTEMPTS`` raises ``SweepError("sampling
 stalled")`` after the samples before it, as one attempt at a time would.
 
-Sweeps partition into chunks (edge-mask ranges, tree-ordinal residues,
+Sweeps partition into chunks (edge-mask ranges, residues of tree blocks,
 sample-index ranges) that merge associatively, so worker count never changes
 a result.  A chunk is one order and one stream of graphs, filtered and
 counted in one place; every walk over a sweep reads these streams (the
 enumerators above are ``iter_sweep`` over one order, and ``fold_sweep``
 states the contract), and ``SweepSpec.validate`` is the only bound check.
+A stream has two views.  Iterating it yields ``Graph``s one at a time; its
+``blocks()`` yields lane-kernel ``Block``s, and a tree chunk's blocks build
+a ``Graph`` only for a lane whose ``graph(j)`` is called.  The mask scan
+and the sampler still build each graph, which ``Block.of`` packs again.
 Parallel execution forks, so it is POSIX-only.
 """
 
@@ -70,7 +77,7 @@ from .graphs import (
     all_pairs_distances,
     emit_graph6,
 )
-from .invariants import lane_width, unpack_lanes
+from .invariants import LANE_BLOCK, Block, lane_ones, lane_width, pack_lanes, unpack_lanes
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -170,14 +177,23 @@ def enumerate_trees(n: int):
     return iter_sweep(SweepSpec("trees", n, n))
 
 
-def _tree_stream(n):
+def _tree_levels(n):
+    # every canonical level sequence of a free tree on n vertices, in sweep
+    # order; no yielded list is changed afterwards
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:
         levels = _free_canonical_or_jump(levels)
         if levels is None:
             break
-        yield _tree_from_levels(levels)
+        yield levels
         levels = _rooted_successor(levels)
+
+
+def _level_blocks(n, r, k):
+    # blocks r, r + k, ... of LANE_BLOCK consecutive level sequences of order n
+    levels = _tree_levels(n)
+    blocks = iter(lambda: list(itertools.islice(levels, LANE_BLOCK)), [])
+    return itertools.islice(blocks, r, None, k)
 
 
 def _rooted_successor(levels, pos=None):
@@ -247,6 +263,33 @@ def _tree_from_levels(levels):
         rows[j] |= 1 << i
         last[lev] = i
     return Graph._raw(n, rows)
+
+
+def _tree_block(n, levels):
+    # the trees of the level sequences as one lane block of order n, built in
+    # every lane at once: vertex i's parent is the latest j < i one level up,
+    # so j scans downward, and each lane whose level j equals that one takes
+    # edge ij and leaves the scan
+    k = len(levels)
+    width = lane_width(n)
+    top = width - 1
+    ones = lane_ones(width, k)
+    low = ones * ((1 << top) - 1)
+    cols = [pack_lanes(col, width) for col in zip(*levels)]
+    rows = [0] * n
+    for i in range(1, n):
+        up = cols[i] - ones  # the parent's level in every lane, as levels[i] >= 1
+        todo = ones
+        j = i
+        while todo:
+            j -= 1
+            # bit top of a lane of x + low is set iff that lane of x is nonzero
+            hit = todo & ~(((cols[j] ^ up) + low) >> top)
+            if hit:
+                rows[i] |= hit << j
+                rows[j] |= hit << i
+                todo ^= hit
+    return Block(n, k, rows, lambda j: _tree_from_levels(levels[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +397,7 @@ def _diam2_lanes(n, pairs, hits, k):
         col = int.from_bytes(buf, "little")
         rows[u] |= col << v
         rows[v] |= col << u
-    ones = int.from_bytes((b"\1" + bytes(stride - 1)) * k, "little")
+    ones = lane_ones(width, k)
     low = ones * ((1 << top) - 1)
     full = ones * ((1 << n) - 1)
     # u > v is within distance 2 of v iff row u meets N[v] = row v | v; bit 0
@@ -543,33 +586,74 @@ def _chunks(spec: SweepSpec, parts: int):
 
 
 class _Tally:
-    """What one chunk's stream handed out, dropped and raised."""
+    """What one chunk's stream handed out, dropped and raised: ``last`` is
+    the graph it handed out last, and ``block`` the block, if it handed out
+    blocks of its own rows."""
 
     visited = filtered = 0
-    last = error = None
+    last = block = error = None
+
+    def named(self):
+        """The graph handed out last, None before the first."""
+        return self.last if self.block is None else self.block.graph(self.block.k - 1)
 
 
-def _iter_chunk(spec: SweepSpec, chunk, tally: _Tally):
-    # one chunk's graphs, all of one order, with the sweep's filter applied
-    kind, n, a, b = chunk
-    if kind == "mask":
-        source = _connected_graphs_range(n, a, b)
-    elif kind == "mod":
-        source = itertools.islice(_tree_stream(n), a, None, b)
-    else:
-        source = _diam2_stream(spec.seed, n, a, b)
-    flt = FILTERS[spec.filter_name] if spec.filter_name else None
-    try:
-        for g in source:
-            if flt is not None and not flt(g):
-                tally.filtered += 1
-                continue
-            tally.visited += 1
-            tally.last = g
-            yield g
-    except Exception as exc:  # the stream's own error, not the fold's
-        tally.error = exc
-        raise
+class _Stream:
+    """One chunk's graphs, all of one order, with the sweep's filter
+    applied, in two views: iterating it yields ``Graph``s one at a time, and
+    ``blocks()`` yields ``Block``s of at most ``LANE_BLOCK`` graphs for the
+    lane kernel.  A fold reads one view; the tally counts graphs either way.
+    A tree chunk without a filter builds its blocks' rows lane-wise from
+    the level sequences, and a ``Graph`` only when ``graph(j)`` is called;
+    every other block is ``Block.of`` the graphs of the graph view."""
+
+    def __init__(self, spec: SweepSpec, chunk, tally: _Tally):
+        self._filtered = spec.filter_name is not None
+        self._chunk = chunk
+        self._tally = tally
+        kind, n, a, b = chunk
+        if kind == "mask":
+            source = _connected_graphs_range(n, a, b)
+        elif kind == "mod":
+            source = map(_tree_from_levels, itertools.chain.from_iterable(_level_blocks(n, a, b)))
+        else:
+            source = _diam2_stream(spec.seed, n, a, b)
+        self._graphs = self._graph_view(source, FILTERS.get(spec.filter_name))
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._graphs)
+
+    def _graph_view(self, source, flt):
+        tally = self._tally
+        try:
+            for g in source:
+                if flt is not None and not flt(g):
+                    tally.filtered += 1
+                    continue
+                tally.visited += 1
+                tally.last = g
+                yield g
+        except Exception as exc:  # the stream's own error, not the fold's
+            tally.error = exc
+            raise
+
+    def blocks(self):
+        """The chunk's graphs as lane blocks."""
+        kind, n, a, b = self._chunk
+        if kind != "mod" or self._filtered:
+            view = self._graphs
+            for graphs in iter(lambda: list(itertools.islice(view, LANE_BLOCK)), []):
+                yield Block.of(graphs)
+            return
+        tally = self._tally
+        for levels in _level_blocks(n, a, b):
+            block = _tree_block(n, levels)
+            tally.visited += block.k
+            tally.block = block
+            yield block
 
 
 def visit_error(g: Graph | None, exc: Exception) -> SweepVisitError:
@@ -583,13 +667,13 @@ def _fold_chunk(spec, chunk, fold, zero):
     tally = _Tally()
     acc = zero()
     try:
-        acc = fold(acc, _iter_chunk(spec, chunk, tally))
+        acc = fold(acc, _Stream(spec, chunk, tally))
     except SweepVisitError:
         raise  # the fold named the graph in hand itself
     except Exception as exc:
         if exc is tally.error:
             raise
-        raise visit_error(tally.last, exc) from exc
+        raise visit_error(tally.named(), exc) from exc
     return acc, tally.visited, tally.filtered
 
 
@@ -632,6 +716,8 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     ``(acc, SweepSummary)``.  The contract:
 
     * ``graphs`` is an iterator, never a list: a chunk can hold 2^28 masks;
+      ``graphs.blocks()`` hands out the same graphs as lane ``Block``s
+      instead, and a fold reads one of the two views;
     * every graph in one call has the same order;
     * the summary counts the graphs the stream handed out, so the fold must
       exhaust it;
@@ -681,4 +767,4 @@ def iter_sweep(spec: SweepSpec):
     spec.validate()
     tally = _Tally()
     for chunk in _chunks(spec, 1):
-        yield from _iter_chunk(spec, chunk, tally)
+        yield from _Stream(spec, chunk, tally)

@@ -19,16 +19,24 @@ definition:
   derived values the detail adds (branch, disjunct, gap counts);
 * ``gate``, a necessary condition of the hypothesis held as data: terms
   ``(column, op, bound)`` over hypothesis columns only, evaluated by
-  ``invariants.lane_reports``.  L4.1, which every graph meets, has none.
+  ``invariants.lane_reports``.  L4.1, which every graph meets, has none;
+* ``reads_graph``, set on P2.1 and C2.2, whose predicates read ``g`` (the
+  cycle test); every other predicate reads only ``rep`` and gets
+  ``g=None`` from :func:`hunt`.
 
-:func:`hunt` reads each chunk of a sweep in blocks of ``LANE_BLOCK`` graphs
-through the lane kernel, which takes every order a sweep makes, evaluates
-the gates and builds a report only for a graph some gate selects.  A
-predicate runs only where its gate holds, and re-checks its whole
-hypothesis.  The kernel decides L4.1, and the complements of T3.3's gated
-trees go through it as one more block.  A detailed :class:`TheoremVerdict`
-is built only for a counterexample, from the graph's BFS distances (and for
-T3.3 the complement's :func:`full_report`).  The public
+:func:`hunt` reads each chunk of a sweep as the stream's lane blocks
+(``blocks()``, at most ``LANE_BLOCK`` graphs each) through the lane kernel,
+which takes every order a sweep makes, evaluates the gates and builds a
+report only for a graph some gate selects.  A predicate runs only where its
+gate holds, and re-checks its whole hypothesis.  The kernel decides L4.1.
+The complements of the trees T3.3's complement disjunct decides are taken
+lane-wise from the block's rows and go through the kernel as one more
+block; a disconnected one ends the sweep as a disconnected graph does.  A
+lane's :class:`Graph` (``block.graph(j)``, which a tree block builds only
+then) is taken only for a claim row that reads it, a verdict or an equality
+case.  A detailed :class:`TheoremVerdict` is built only for a
+counterexample, from the graph's BFS distances (and for T3.3 the
+complement's :func:`full_report`).  The public
 ``check_p21`` ... ``check_l41`` (also ``UNARY_CHECKS``, by id) are thin
 wrappers that build one graph's verdict from the same row; ``detail=False``
 leaves a verdict's graph6 id and detail unset.  The pendant and product
@@ -39,7 +47,7 @@ instead, and their verdicts always carry the graph6 id and the detail.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from math import isqrt
 from typing import Callable
 
@@ -52,7 +60,16 @@ from .graphs import (
     complement,
     emit_graph6,
 )
-from .invariants import LANE_BLOCK, InvariantReport, full_report, lane_reports
+from .invariants import (  # LANE_BLOCK, the most graphs a block of hunt holds, is re-exported
+    LANE_BLOCK,
+    Block,
+    InvariantReport,
+    full_report,
+    lane_ones,
+    lane_reports,
+    lane_width,
+    pack_lanes,
+)
 from .sweeps import SweepSpec, fold_sweep, visit_error
 from .ud import is_ud_pair, transmission_gap, transmission_gap_equality_set
 
@@ -127,6 +144,7 @@ class Claim:
     fields: tuple[str, ...]
     extra: Callable | None = None
     gate: tuple = ()
+    reads_graph: bool = False
 
     def verdict(self, g, rep, dist, result, detail=True) -> TheoremVerdict:
         """The verdict on ``g`` from the predicate's ``result`` triple."""
@@ -352,8 +370,9 @@ CLAIMS = {
     c.theorem_id: c
     for c in (
         Claim("P2.1", _p21, ("n", "m", "E1", "E2"),
-              gate=(_SELF_CENTERED, ("m", "!=", lambda n: n * (n - 1) // 2))),
-        Claim("C2.2", _c22, ("n", "m", "E1", "E2"), gate=(_SELF_CENTERED, _DIAM2)),
+              gate=(_SELF_CENTERED, ("m", "!=", lambda n: n * (n - 1) // 2)), reads_graph=True),
+        Claim("C2.2", _c22, ("n", "m", "E1", "E2"), gate=(_SELF_CENTERED, _DIAM2),
+              reads_graph=True),
         Claim("T2.3", _t23, ("n", "m", "nprime", "E1", "E2"), _t23_detail,
               gate=(_DIAM2, ("self_centered", "==", 0))),
         Claim("P2.4", _p24, ("n", "m", "W"), gate=(_DIAM2,)),
@@ -590,20 +609,32 @@ def check_t54(g, h):
 def _t33_complements(block, words, reports, bit):
     """The complement's lane report for each tree of a block whose word has
     T3.3's gate ``bit`` and whose complement decides T3.3, and None
-    elsewhere.  The complements have the tree's order, so they go through
-    the lanes as one block.  A disconnected complement gets no lane report,
-    so T3.3's predicate takes the per-graph path for it and raises there,
-    naming the tree."""
-    gated = [
-        k for k, (word, rep) in enumerate(zip(words, reports))
-        if word & bit and _t33_disjunct(rep) == "complement"
+    elsewhere; and the set of lanes of those trees whose complement is
+    disconnected.  The complements are taken lane-wise
+    from the block's rows: row u of a kept lane's complement is every
+    vertex but u and u's tree neighbours, and the other lanes are empty.
+    They go through the kernel as one block."""
+    n, k = block.n, block.k
+    width = lane_width(n)
+    vertices = (1 << n) - 1
+    kept = [
+        vertices if word & bit and _t33_disjunct(rep) == "complement" else 0
+        for word, rep in zip(words, reports)
     ]
-    creps = [None] * len(block)
-    if gated:
-        _, found = lane_reports([complement(block[k]) for k in gated], [()])
-        for k, crep in zip(gated, found):
-            creps[k] = crep
-    return creps
+    creps = [None] * k
+    split = set()
+    if not any(kept):
+        return creps, split
+    keep = pack_lanes(kept, width)
+    ones = lane_ones(width, k)
+    rows = [keep & ~(row | ones << u) for u, row in enumerate(block.rows)]
+    _, found = lane_reports(Block(n, k, rows, None), [()])
+    for j, crep in enumerate(found):
+        if kept[j]:
+            creps[j] = crep
+            if crep is None:  # the empty gate holds on every connected graph
+                split.add(j)
+    return creps, split
 
 
 def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]:
@@ -632,10 +663,11 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
     plans = {}
 
     def plan(word):
-        # (index, predicate, is T3.3) of each claim the word's gates select
+        # (index, predicate, is T3.3, reads its graph) of each claim the
+        # word's gates select
         if word not in plans:
             plans[word] = [
-                (i, claim.predicate, tid == "T3.3")
+                (i, claim.predicate, tid == "T3.3", claim.reads_graph)
                 for i, (tid, claim) in enumerate(zip(ids, claims))
                 if word & bits.get(tid, 0)
             ]
@@ -645,46 +677,58 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         # per claim: hypothesis hits, counterexample verdicts, equality graph6
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
-    def visit(acc, g, rep, word, crep):
+    def visit(acc, block, j, rep, word, crep):
+        # lane j's claims; its Graph is built only for a claim row that reads
+        # it, a verdict or an equality case
         if word & disconnected:
             raise DisconnectedGraphError("graph is disconnected")
         hits, cexs, eqs = acc
-        g6 = None
-        for i, predicate, is_t33 in plan(word):
+        g = g6 = None
+        for i, predicate, is_t33, reads_graph in plan(word):
+            if reads_graph:
+                g = g or block.graph(j)
             hyp, held, eq = (
                 predicate(g, rep, None, crep) if is_t33 else predicate(g, rep, None)
             )
             if hyp:
                 hits[i] += 1
                 if not held:
+                    g = g or block.graph(j)
                     dist = all_pairs_distances(g)
                     cexs[i].append(claims[i].verdict(g, rep, dist, (hyp, held, eq)))
             if eq:
-                g6 = g6 or emit_graph6(g)
+                g6 = g6 or emit_graph6(g or block.graph(j))
                 eqs[i].add(g6)
         if word & failed:
+            g = g or block.graph(j)
             rep, dist = _prep(g, rep, None)
             for i in l41:
                 cexs[i].append(claims[i].verdict(g, rep, dist, (True, False, bool(word & equal))))
         if word & equal:
-            g6 = g6 or emit_graph6(g)
+            g6 = g6 or emit_graph6(g or block.graph(j))
             for i in l41:
                 eqs[i].add(g6)
 
-    def fold(acc, graphs):
-        for block in iter(lambda: list(islice(graphs, LANE_BLOCK)), []):
+    def fold(acc, stream):
+        for block in stream.blocks():
             words, reports = lane_reports(block, gates)
             for i in l41:
-                acc[0][i] += len(block)
-            creps = _t33_complements(block, words, reports, t33) if t33 else repeat(None)
-            for g, word, rep, crep in zip(block, words, reports, creps):
+                acc[0][i] += block.k
+            creps, split = repeat(None), ()
+            if t33:
+                creps, split = _t33_complements(block, words, reports, t33)
+            for j, (word, rep, crep) in enumerate(zip(words, reports, creps)):
                 if not word:
                     continue
+                if j in split:
+                    # T3.3 fails on a disconnected complement as the
+                    # per-graph path does, naming the tree
+                    word |= disconnected
                 try:
-                    visit(acc, g, rep, word, crep)
+                    visit(acc, block, j, rep, word, crep)
                 except Exception as exc:
-                    # the stream has read ahead to the block's end: name g here
-                    raise visit_error(g, exc) from exc
+                    # the stream has read ahead to the block's end: name lane j here
+                    raise visit_error(block.graph(j), exc) from exc
         return acc
 
     def combine(a, b):

@@ -583,6 +583,11 @@ GOLDEN = {
          "--format", "json", "--verbose"],
         "4804921a8bbd14709b310abc8621c9c92578a7f569d1e912acbc356ddf459d08",
     ),
+    # the tree stream's graphs and their order, in 16- and 32-bit lanes
+    "enumerate-trees-18": (
+        ["enumerate", "trees:2..18"],
+        "83fa5be234e690d2ec7229a024b080a39cee13e94d1ac37e125a727eb45a2483",
+    ),
     # "{mixed}" stands for the files of _write_mixed plus stdin: orders
     # across every lane width bound, malformed lines among the graphs, a
     # disconnected graph in a group of its order, orders 0, 1, 2 and 256

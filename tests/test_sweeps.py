@@ -32,7 +32,10 @@ from distinv import (
 )
 from distinv import sweeps as sweeps_mod
 from distinv.graphs import _pairs_from_rows, _rows_from_pairs
+from distinv.invariants import lane_width, unpack_lanes
 from distinv.sweeps import (
+    TREE_MAX_N,
+    TREE_MIN_N,
     SweepVisitError,
     _DIAM2_THRESH,
     _GOLDEN,
@@ -46,6 +49,9 @@ from distinv.sweeps import (
     _pair_steps,
     _pool_size,
     _stream_key,
+    _Stream,
+    _Tally,
+    _tree_from_levels,
     mix64,
     rand64,
 )
@@ -164,6 +170,37 @@ class TestTreeEnumeration:
     def test_bounds(self, n):
         with pytest.raises(SweepError):
             list(enumerate_trees(n))
+
+
+class TestTreeBlocks:
+    """A tree chunk's blocks are built lane-wise from its level sequences,
+    and hold the graph view's trees, row for row and in order."""
+
+    @pytest.mark.parametrize("n", range(TREE_MIN_N, TREE_MAX_N + 1))
+    def test_lane_rows_equal_the_tree_rows(self, n):
+        # orders 2..15 in 16-bit lanes, 16..18 in 32-bit lanes
+        width = lane_width(n)
+        count = 0
+        for levels in sweeps_mod._level_blocks(n, 0, 1):
+            block = sweeps_mod._tree_block(n, levels)
+            lanes = zip(*(unpack_lanes(row, width, block.k) for row in block.rows))
+            assert list(lanes) == [tuple(_tree_from_levels(lv).bits) for lv in levels]
+            count += block.k
+        assert count == {**TREE_COUNTS, 17: 48629, 18: 123867}[n]
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("spec", [SweepSpec("trees", 2, 16),
+                                      parse_sweep_spec("trees:2..12,filter=non_self_centered")],
+                             ids=str)
+    def test_block_view_equals_graph_view(self, spec, parts):
+        for chunk in _chunks(spec, parts):
+            graph_tally, block_tally = _Tally(), _Tally()
+            graphs = list(_Stream(spec, chunk, graph_tally))
+            blocks = list(_Stream(spec, chunk, block_tally).blocks())
+            assert [b.graph(j) for b in blocks for j in range(b.k)] == graphs
+            assert all(b.n == chunk[1] for b in blocks)
+            assert block_tally.visited == graph_tally.visited == len(graphs)
+            assert block_tally.named() == graph_tally.named()
 
 
 class TestDiameter2Sampler:

@@ -35,9 +35,11 @@ from distinv import invariants as invariants_mod
 from distinv import sweeps as sweeps_mod
 from distinv import theorems as theorems_mod
 from distinv.graphs import emit_graph6
-from distinv.invariants import LANE_BLOCK, lane_reports
+from distinv.invariants import LANE_BLOCK, lane_reports, lane_width, unpack_lanes
 from distinv.sweeps import (
     SweepVisitError,
+    _Stream,
+    _Tally,
     enumerate_connected_graphs,
     iter_sweep,
     parse_sweep_spec,
@@ -716,7 +718,9 @@ class TestHuntNamesTheGraphInHand:
                 raise ValueError("nope")
             return claim.predicate(g, rep, dist)
 
-        monkeypatch.setitem(CLAIMS, "P2.4", dataclasses.replace(claim, predicate=boom))
+        # hunt hands a predicate its graph only on a row that reads one
+        boom_row = dataclasses.replace(claim, predicate=boom, reads_graph=True)
+        monkeypatch.setitem(CLAIMS, "P2.4", boom_row)
         with pytest.raises(SweepVisitError) as info:
             hunt(parse_sweep_spec(text), ["P2.1", "P2.4", "L4.1"])
         assert str(info.value) == (
@@ -782,11 +786,12 @@ class TestT33ComplementBlocks:
         # a star's complement is disconnected; gate every tree of order > 8 so
         # that it joins its block's complements, which the kernel then
         # rejects; the star comes early, so the block reads on past it
-        trees = list(iter_sweep(parse_sweep_spec("trees:9..9")))
-        star9 = next(g for g in trees if max(map(g.degree, range(9))) == 8)
-        trees.remove(star9)
-        trees.insert(2, star9)
-        monkeypatch.setattr(sweeps_mod, "_tree_stream", lambda n: iter(trees))
+        levels = list(sweeps_mod._tree_levels(9))
+        star = [0] + [1] * 8
+        levels.remove(star)
+        levels.insert(2, star)
+        star9 = sweeps_mod._tree_from_levels(star)
+        monkeypatch.setattr(sweeps_mod, "_tree_levels", lambda n: iter(levels))
         gate = theorems_mod._t33_disjunct
         monkeypatch.setattr(
             theorems_mod, "_t33_disjunct", lambda rep: gate(rep) and "complement"
@@ -797,3 +802,76 @@ class TestT33ComplementBlocks:
             f"visitor failed on {emit_graph6(star9)}: "
             "DisconnectedGraphError('graph is disconnected')"
         )
+
+    @pytest.mark.parametrize("n", [9, 12, 15, 16])
+    def test_complement_rows_lane_by_lane(self, monkeypatch, n):
+        # orders 9..15 in 16-bit lanes, 16 in 32-bit lanes
+        handed = []
+        real = theorems_mod.lane_reports
+
+        def capture(block, gates):
+            handed.append(block)
+            return real(block, gates)
+
+        monkeypatch.setattr(theorems_mod, "lane_reports", capture)
+        spec = SweepSpec("trees", n, n)
+        width = lane_width(n)
+        for block in _Stream(spec, ("mod", n, 0, 1), _Tally()).blocks():
+            words, reports = real(block, [CLAIMS["T3.3"].gate])
+            creps, split = theorems_mod._t33_complements(block, words, reports, 1)
+            (comp,) = handed
+            handed.clear()
+            lanes = zip(*(unpack_lanes(row, width, block.k) for row in comp.rows))
+            for j, (word, rep, lane) in enumerate(zip(words, reports, lanes)):
+                if word & 1 and rep.wiener <= rep.e1:
+                    c = complement(block.graph(j))
+                    assert lane == tuple(c.bits)
+                    assert creps[j] == full_report(c)
+                else:
+                    assert lane == (0,) * n and creps[j] is None
+            assert split == set()
+
+
+class TestTreeHuntGraphs:
+    """hunt reads a tree chunk as lane blocks built from level sequences,
+    and builds a Graph only for a tree that a verdict or an equality case
+    names."""
+
+    IDS = ["T3.1", "T3.2", "T3.3", "L4.1"]
+
+    def test_graphs_only_for_named_trees(self, monkeypatch):
+        built, complements = [], []
+        tree, comp = sweeps_mod._tree_from_levels, theorems_mod.complement
+        monkeypatch.setattr(
+            sweeps_mod, "_tree_from_levels", lambda levels: built.append(levels) or tree(levels)
+        )
+        monkeypatch.setattr(theorems_mod, "complement", lambda g: complements.append(g) or comp(g))
+        reports = hunt(parse_sweep_spec("trees:2..15"), self.IDS)
+        named = [c.graph_id for r in reports for c in r.counterexamples]
+        named += [g6 for r in reports for g6 in r.equality_cases]
+        # the HkaCCA? counterexample of T3.3, T3.1's 3-path and 14 L4.1 cases
+        assert len(named) == 16
+        assert sorted(emit_graph6(tree(levels)) for levels in built) == sorted(set(named))
+        # the counterexample's detail, and nothing else, takes complement()
+        assert [emit_graph6(g) for g in complements] == ["HkaCCA?"]
+
+    def test_workers_build_each_block_once(self, monkeypatch):
+        spec = parse_sweep_spec("trees:2..15")
+        one = hunt(spec, self.IDS)
+        assert hunt(spec, self.IDS, workers=2) == one
+        made = []
+        real = sweeps_mod._tree_block
+
+        def counted(n, levels):
+            made.append((n, tuple(levels[0])))
+            return real(n, levels)
+
+        monkeypatch.setattr(sweeps_mod, "_tree_block", counted)
+        hunt(spec, self.IDS)
+        blocks = sorted(made)
+        made.clear()
+        # two chunks an order, folded in this process
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweeps_mod, "_pool_size", lambda workers, chunks: 1)
+        assert hunt(spec, self.IDS, workers=2) == one
+        assert sorted(made) == blocks and len(set(blocks)) == len(blocks)
