@@ -12,18 +12,21 @@ seed of a ``diam2:`` sweep and is an error on any other sweep.  The
 before writing leaves an existing file as it was; a file that cannot be
 opened is an error (exit 2).
 
-``invariants`` and ``ud`` read their input ``LANE_BLOCK`` graphs at a time
-and send each window's graphs of one order through the lane kernel together
-(``lane_reports``, ``lane_eccentric_sets``); rows on stdout and error lines
-on stderr come out in input order.  A graph takes the per-graph path
-(``full_report``, ``find_ud_certificate``) in three cases: it is the only
-graph of its order in the window, its order is 0 or above ``LANE_MAX_N``,
-or the kernel reports it disconnected (a None where its report or
-eccentric sets would be), which leaves it in place for the per-graph error
-line while the rest of its order keeps what the lanes gave.  Only the
-graphs of order 1..``LANE_MAX_N`` wait for the end of their window; every
-other graph and every unreadable line becomes its output or error line as
-it is read.
+``invariants`` and ``ud`` read their input ``LANE_BLOCK`` graphs at a time.
+A window holds each graph as its order and pair bits ``(n, pairs)``
+(``graphs.decode_graph6``; an edge-list graph's from its rows), and each of
+its orders becomes one lane block built from the pairs (``Block.of_pairs``)
+for the lane kernel (``lane_reports``, ``lane_eccentric_sets``), so no
+graph6 line of a block becomes a :class:`Graph`; rows on stdout and error
+lines on stderr come out in input order.  A graph takes the per-graph path
+(``full_report``, ``find_ud_certificate``), as a :class:`Graph` built from
+its pairs, in three cases: it is the only graph of its order in the window,
+its order is 0 or above ``LANE_MAX_N``, or the kernel reports it
+disconnected (a None where its report or eccentric sets would be), which
+leaves its pairs in place for the per-graph error line while the rest of its
+order keeps what the lanes gave.  Only the graphs of order 1..``LANE_MAX_N``
+wait for the end of their window; every other graph and every unreadable
+line becomes its output or error line as it is read.
 Each row is formatted from a template (``InvariantReport.csv_row`` and
 ``json_row``, ``UdCertificate.json_row``); a JSON row is the text of
 ``json.dumps(to_json_dict(), sort_keys=True)``.
@@ -31,30 +34,18 @@ Each row is formatted from a template (``InvariantReport.csv_row`` and
 Exit codes: 0 success, 1 a claim check found a counterexample, 2 usage or
 input error.  Output is byte-identical for identical inputs, seed and
 format, independent of the worker count.
+
+Each command imports the modules it runs in its handler, so ``--version``
+loads no other module of the package, and ``invariants`` and ``ud`` load
+neither ``sweeps``, ``theorems`` nor ``families``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 
 from . import __version__
-from .families import build_family, parse_family_spec
-from .graphs import Graph, GraphError, emit_graph6, parse_edge_list, parse_graph6
-from .invariants import (
-    CSV_HEADER,
-    LANE_BLOCK,
-    LANE_MAX_N,
-    InvariantReport,
-    full_report,
-    lane_eccentric_sets,
-    lane_reports,
-)
-from .sweeps import SweepError, iter_sweep, parse_sweep_spec
-from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, hunt
-from .ud import UdCertificate, find_ud_certificate, ud_certificate
 
 
 # add_argument keywords of the options only some commands read; each command
@@ -108,11 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graphs(files):
-    """Yield (source_label, Graph or GraphError) per input graph.
+    """Yield (source_label, (n, pairs) or GraphError) per input graph, with
+    ``pairs`` the graph's pair bits in graph6's order.
 
     Edge-list files (first payload line contains a space) hold one graph;
     anything else is treated as one graph6 line per graph.
     """
+    from .graphs import GraphError, _pairs_from_rows, decode_graph6, parse_edge_list
+
     sources = files if files else ["-"]
     for name in sources:
         if name == "-":
@@ -133,13 +127,14 @@ def _read_graphs(files):
             continue
         if " " in payload[0].strip():
             try:
-                yield label, parse_edge_list(text)
+                g = parse_edge_list(text)
+                yield label, (g.n, _pairs_from_rows(g.bits))
             except GraphError as exc:
                 yield label, exc
         else:
             for i, line in enumerate(payload, start=1):
                 try:
-                    yield f"{label}:{i}", parse_graph6(line)
+                    yield f"{label}:{i}", decode_graph6(line)
                 except GraphError as exc:
                     yield f"{label}:{i}", exc
 
@@ -149,33 +144,37 @@ def _per_graph(files, out, compute, block, render) -> int:
     stderr, the loop goes on, and the exit code becomes 2.
 
     The input is read in windows of ``LANE_BLOCK`` items.  A graph of order
-    1..``LANE_MAX_N`` waits for the end of its window, where ``block`` maps
-    the window's graphs of one order to one value each, None for a
-    disconnected graph; every other item is turned into its output line or
-    error as it is read, so no larger graph is held.  ``compute`` takes the
-    graphs of the three per-graph cases in the module docstring one by one,
-    so a disconnected graph gets its error line from ``compute``.
+    1..``LANE_MAX_N`` waits, as ``(n, pairs)``, for the end of its window,
+    where ``block`` maps the ``Block`` of the window's graphs of one order to
+    one value each, None for a disconnected graph; every other item is turned
+    into its output line or error as it is read, so no larger graph is held.
+    ``compute`` takes the graphs of the three per-graph cases in the module
+    docstring one by one, so a disconnected graph gets its error line from
+    ``compute``.
     """
+    from .graphs import Graph, GraphError, _rows_from_pairs
+    from .invariants import LANE_BLOCK, LANE_MAX_N, Block
 
-    def line(g):
+    def line(n, pairs):
         # the output line of one graph on the per-graph path, or its error
         try:
-            return render(compute(g))
+            return render(compute(Graph._raw(n, _rows_from_pairs(n, pairs))))
         except GraphError as exc:
             return exc
 
     def flush(window, by_order) -> bool:
         # write the window in input order; True when it held an error
-        for idx in by_order.values():
+        for n, idx in by_order.items():
             if len(idx) < 2:
                 continue
-            for i, value in zip(idx, block([window[i][1] for i in idx])):
+            lanes = Block.of_pairs(n, [window[i][1][1] for i in idx])
+            for i, value in zip(idx, block(lanes)):
                 if value is not None:  # else disconnected: the per-graph error
                     window[i][1] = render(value)
         failed = False
         for label, item in window:
-            if isinstance(item, Graph):
-                item = line(item)
+            if isinstance(item, tuple):
+                item = line(*item)
             if isinstance(item, GraphError):
                 print(f"error: {label}: {item}", file=sys.stderr)
                 failed = True
@@ -184,14 +183,14 @@ def _per_graph(files, out, compute, block, render) -> int:
         return failed
 
     failed = False
-    window = []  # [label, output line, error, or a graph waiting for its block]
+    window = []  # [label, output line, error, or the (n, pairs) of a waiting graph]
     by_order = {}  # order -> the window indices of its waiting graphs
     for label, item in _read_graphs(files):
-        if isinstance(item, Graph):
-            if 1 <= item.n <= LANE_MAX_N:
-                by_order.setdefault(item.n, []).append(len(window))
+        if isinstance(item, tuple):
+            if 1 <= item[0] <= LANE_MAX_N:
+                by_order.setdefault(item[0], []).append(len(window))
             else:
-                item = line(item)
+                item = line(*item)
         window.append([label, item])
         if len(window) == LANE_BLOCK:
             failed |= flush(window, by_order)
@@ -202,16 +201,21 @@ def _per_graph(files, out, compute, block, render) -> int:
 
 
 def _cmd_invariants(args, out) -> int:
+    from .invariants import CSV_HEADER, InvariantReport, full_report, lane_reports
+
     render = InvariantReport.json_row
     if args.format == "csv":
         print(CSV_HEADER, file=out)
         render = InvariantReport.csv_row
     return _per_graph(
-        args.files, out, full_report, lambda graphs: lane_reports(graphs, [()])[1], render
+        args.files, out, full_report, lambda block: lane_reports(block, [()])[1], render
     )
 
 
 def _cmd_family(args, out) -> int:
+    from .families import build_family, parse_family_spec
+    from .graphs import emit_graph6
+
     g = build_family(parse_family_spec(args.spec))
     print(emit_graph6(g), file=out)
     return 0
@@ -219,6 +223,10 @@ def _cmd_family(args, out) -> int:
 
 def _sweep_spec(text, seed):
     # the spec as parsed, with ``--seed`` overriding a diam2: sweep's seed
+    import dataclasses
+
+    from .sweeps import SweepError, parse_sweep_spec
+
     spec = parse_sweep_spec(text)
     if seed is not None:
         if spec.target != "diameter2_graphs":
@@ -229,12 +237,19 @@ def _sweep_spec(text, seed):
 
 
 def _cmd_enumerate(args, out) -> int:
+    from .graphs import emit_graph6
+    from .sweeps import iter_sweep
+
     for g in iter_sweep(_sweep_spec(args.sweep, args.seed)):
         print(emit_graph6(g), file=out)
     return 0
 
 
 def _cmd_verify(args, out) -> int:
+    import json
+
+    from .theorems import ALL_UNARY_IDS, CHECK_CSV_HEADER, hunt
+
     spec = _sweep_spec(args.sweep, args.seed)
     token = args.theorems.strip()
     ids = list(ALL_UNARY_IDS) if token == "all-unary" else [
@@ -268,10 +283,13 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_ud(args, out) -> int:
-    def block(graphs):
+    from .invariants import lane_eccentric_sets
+    from .ud import UdCertificate, find_ud_certificate, ud_certificate
+
+    def block(lanes):
         return [
             None if found is None else ud_certificate(found[0], found[1], cols=found[2])
-            for found in lane_eccentric_sets(graphs)
+            for found in lane_eccentric_sets(lanes)
         ]
 
     return _per_graph(args.files, out, find_ud_certificate, block, UdCertificate.json_row)
@@ -315,6 +333,8 @@ class _OutputFile:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    from .graphs import GraphError  # a sweep's, a family's and an input's errors
+
     out = _OutputFile(args.output) if args.output else sys.stdout
     code = 2
     try:
@@ -323,7 +343,7 @@ def main(argv=None) -> int:
         finally:
             if out is not sys.stdout:
                 out.close(create=code != 2)
-    except (GraphError, SweepError, _OutputError) as exc:
+    except (GraphError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     return code

@@ -16,6 +16,13 @@ Supported interchange formats:
 * edge list - UTF-8 text, ``#`` comment lines, a header line ``n m`` and
   then ``m`` lines ``u v`` with 0-based endpoints.
 
+:func:`decode_graph6` makes every check of a graph6 line and returns its
+order and pair bits ``(n, pairs)``; :func:`parse_graph6` builds the
+:class:`Graph` from them.  The ``invariants`` and ``ud`` commands hold a
+window of ``(n, pairs)`` and build each order's lane block straight from the
+pairs (``invariants.Block.of_pairs``), so a line becomes a :class:`Graph`
+only on the per-graph path.
+
 Both parsers reject an order above ``MAX_INPUT_ORDER`` with a
 :class:`FormatError` before allocating anything for it: a header such as
 ``1000000000 0`` would otherwise allocate a billion neighbor rows, and the
@@ -189,6 +196,14 @@ _GRAPH6_BITS = str.maketrans({chr(63 + code): f"{code:06b}" for code in range(64
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (trailing newline optional)."""
+    n, pairs = decode_graph6(text)
+    return Graph._raw(n, _rows_from_pairs(n, pairs))
+
+
+def decode_graph6(text: str) -> tuple[int, int]:
+    """The order n and the pair bits of one graph6 line, every check of
+    :func:`parse_graph6` made: edge (u, v), u < v, is bit ``v(v-1)/2 + u``
+    of ``pairs``, the order of :func:`_rows_from_pairs`."""
     s = text.rstrip("\r\n")
     if not s:
         raise FormatError("empty graph6 line")
@@ -223,7 +238,7 @@ def parse_graph6(text: str) -> Graph:
     data = data[6 * pos :]
     if "1" in data[nbits:]:
         raise FormatError("nonzero graph6 padding bits")
-    return Graph._raw(n, _rows_from_pairs(n, int(data[:nbits][::-1] or "0", 2)))
+    return n, int(data[:nbits][::-1] or "0", 2)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -248,7 +263,8 @@ def _rows_from_pairs(n: int, pairs: int) -> list[int]:
     """Neighbor rows of the order-n graph whose edge (u, v), u < v, is bit
     ``v(v-1)/2 + u`` of ``pairs``: the column-major pair order (0,1), (0,2),
     (1,2), (0,3), ... of graph6.  This and :func:`_pairs_from_rows` are the
-    package's one definition of that order."""
+    package's one definition of that order; ``invariants.Block.of_pairs``
+    splits the pairs into the same columns, in every lane at once."""
     rows = [0] * n
     for v in range(1, n):
         col = pairs & ((1 << v) - 1)

@@ -21,19 +21,22 @@ sets lane-wise for the UD scan.
 The kernel has one input, a :class:`Block`: the order, the number of lanes
 and the packed adjacency rows, with ``graph(j)`` for lane j's
 :class:`Graph`.  ``Block.of`` packs a list of graphs, as both kernel
-functions do with a list at their entry; the tree sweep builds its blocks'
-rows itself, and ``theorems.hunt`` takes T3.3's complements from a block's
-rows.
+functions do with a list at their entry; ``Block.of_pairs`` builds the rows
+of graph6 input from its pair bits, with no :class:`Graph` per line (the
+``invariants`` and ``ud`` commands); the tree sweep builds its blocks' rows
+itself, and ``theorems.hunt`` takes T3.3's complements from a block's rows.
 """
 
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .graphs import DistanceData, Graph, GraphError, all_pairs_distances
+from .graphs import DistanceData, Graph, GraphError, _rows_from_pairs, all_pairs_distances
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # CSV and JSON columns, in output order
@@ -69,11 +72,15 @@ class InvariantReport(NamedTuple):
     @property
     def avd(self) -> Fraction:
         """Average degree 2m/n."""
+        from fractions import Fraction
+
         return Fraction(2 * self.m, self.n)
 
     @property
     def avt(self) -> Fraction:
         """Average transmission 2W/n."""
+        from fractions import Fraction
+
         return Fraction(2 * self.wiener, self.n)
 
     def _values(self, bools=(False, True)) -> tuple:
@@ -184,6 +191,18 @@ def unpack_lanes(x: int, width: int, k: int):
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
+def _halves(width: int, k: int) -> list:
+    """The (shift, mask) steps that fold the upper half of k lanes of
+    ``width`` bits onto the lower half, ending with the union of every lane
+    in lane 0."""
+    steps = []
+    span = width << (k - 1).bit_length()
+    while span > width:
+        span >>= 1
+        steps.append((span, (1 << span) - 1))
+    return steps
+
+
 class Block(NamedTuple):
     """The lane kernel's one input: k graphs of one order 1 <= n <= 255,
     ``rows[u]`` holding row u of graph j in its lane j of ``lane_width(n)``
@@ -206,6 +225,38 @@ class Block(NamedTuple):
         rows = [pack_lanes(col, width) for col in zip(*(g.bits for g in graphs))]
         return cls(n, len(graphs), rows, graphs.__getitem__)
 
+    @classmethod
+    def of_pairs(cls, n: int, pairs: list):
+        """The block of a non-empty list of graphs of one order 1..255, each
+        given by its pair bits (``graphs.decode_graph6``), built in every
+        lane at once.  Column v of the pairs, ``(pairs >> v(v-1)/2) &
+        (2^v - 1)``, is the lower half of row v, the column split of
+        ``graphs._rows_from_pairs``; the upper halves are its transpose,
+        which for each v visits only the u in some lane's column v.
+        ``graph(j)`` builds lane j's :class:`Graph`."""
+        if not 1 <= n <= LANE_MAX_N:
+            raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
+        k = len(pairs)
+        width = lane_width(n)
+        ones = lane_ones(width, k)
+        halves = _halves(width, k)
+        rows = [0] * n
+        shift = 0
+        for v in range(1, n):
+            mask = (1 << v) - 1
+            col = pack_lanes([p >> shift & mask for p in pairs], width)
+            shift += v
+            rows[v] = col  # the later columns add row v's upper half
+            hull = col
+            for span, keep in halves:
+                hull = (hull | hull >> span) & keep
+            while hull:  # each u in some lane's column v
+                bit = hull & -hull
+                u = bit.bit_length() - 1
+                rows[u] |= (col >> u & ones) << v
+                hull ^= bit
+        return cls(n, k, rows, lambda j: Graph._raw(n, _rows_from_pairs(n, pairs[j])))
+
 
 class _Lanes:
     """A block's lane-packed BFS, one per source s, run in every lane at
@@ -219,7 +270,9 @@ class _Lanes:
     there and leaves values no caller reads.
     """
 
-    def __init__(self, block: Block):
+    def __init__(self, block):
+        if not isinstance(block, Block):
+            block = Block.of(block)
         self.k = k = block.k
         self.n = n = block.n
         self.width = width = lane_width(n)
@@ -232,13 +285,7 @@ class _Lanes:
         self._masks = tuple(ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
         self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
         self.rows = rows = block.rows
-        # (shift, mask) steps that fold the upper half of the lanes onto the
-        # lower half, ending with the union of every lane in lane 0
-        self._halves = []
-        span = width << (k - 1).bit_length()
-        while span > width:
-            span >>= 1
-            self._halves.append((span, (1 << span) - 1))
+        self._halves = _halves(width, k)
         popcount = self.popcount
         self.ecc = eccs = []
         self.tr = trs = []
@@ -365,7 +412,7 @@ def lane_reports(graphs, gates) -> tuple[list, list]:
     """
     if len(gates) > 13:  # a word's bits must fit the narrowest lane, 16 bits
         raise GraphError("lane reports take at most 13 gates")
-    lanes = _Lanes(graphs if isinstance(graphs, Block) else Block.of(graphs))
+    lanes = _Lanes(graphs)
     n, top, lane, ones, full, low = (
         lanes.n, lanes.top, lanes.lane, lanes.ones, lanes.full, lanes.low
     )
@@ -448,12 +495,13 @@ def lane_reports(graphs, gates) -> tuple[list, list]:
 def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], ...] | None]:
     """Every graph's eccentricities, eccentric sets and their transpose
     ``(ecc, sets, cols)``, for a non-empty block of graphs of one order
-    1 <= n <= 255, and None for a disconnected graph: ``sets[v]`` is the
+    1 <= n <= 255 (a :class:`Block` or a list of graphs, as for
+    :func:`lane_reports`), and None for a disconnected graph: ``sets[v]`` is the
     bitmask of the vertices at distance ``ecc[v]`` from v, the last
     non-empty BFS level from v (v itself in K1), and ``cols[x]`` the bitmask
     of the w with x in ``sets[w]``.
     """
-    lanes = _Lanes(Block.of(graphs))
+    lanes = _Lanes(graphs)
     packed = (lanes.ecc, lanes.far, lanes.columns())
     sets = zip(*(zip(*map(lanes.unpack, x)) for x in packed))
     return [t if c else None for c, t in zip(lanes.unpack(lanes.connected), sets)]

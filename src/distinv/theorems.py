@@ -51,7 +51,6 @@ from itertools import repeat
 from math import isqrt
 from typing import Callable
 
-from .families import attach_pendant_paths_at, attach_pendants_at, cartesian_product
 from .graphs import (
     DisconnectedGraphError,
     Graph,
@@ -453,6 +452,8 @@ def _t42(g, u, v, rep, dist, grep):
     info = {"n": n, "diam": d, "ud_pair": ud, "E1": rep.e1, "W": rep.wiener}
     if hyp:
         if grep is None:
+            from .families import attach_pendants_at
+
             grep = full_report(attach_pendants_at(g, u, v))
         e1_expected = rep.e1 + 2 * rep.total_ecc + n + 2 * (d + 2) ** 2
         w_expected = rep.wiener + dist.tr[u] + dist.tr[v] + 2 * n + d + 2
@@ -480,6 +481,8 @@ def check_t43(g, u, v, rep=None, dist=None):
     concl = None
     info = {"n": n, "m": rep.m, "diam": d, "ud_pair": ud, "E1": rep.e1, "E2": rep.e2}
     if hyp:
+        from .families import attach_pendants_at
+
         grep = full_report(attach_pendants_at(g, u, v))
         e2_expected = 2 * (d + 2) * (d + 1) + rep.e2 + rep.m + rep.ecc_connectivity
         concl = grep.e2 > grep.e1 and grep.e2 == e2_expected
@@ -508,6 +511,8 @@ def check_c44(g, u, v, length, rep=None, dist=None):
     concl = None
     info = {"n": n, "diam": d, "length": length, "ud_pair": ud}
     if hyp:
+        from .families import attach_pendant_paths_at, attach_pendants_at
+
         grown = attach_pendant_paths_at(g, u, v, length)
         # each step's grown graph is the next step's input: one BFS per graph
         cur, cu, cv, crep, cdist = g, u, v, rep, dist
@@ -535,6 +540,8 @@ def _product_report(g, h):
     """The box product's report, refused above 10^4 vertices."""
     if g.n * h.n > 10**4:
         raise GraphError("product too large to verify by direct BFS")
+    from .families import cartesian_product
+
     return full_report(cartesian_product(g, h))
 
 

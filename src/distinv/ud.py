@@ -24,7 +24,7 @@ K1 has no vertex pair at all and is reported UD with ``pair=None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import DistanceData, Graph, GraphError, _iter_bits, all_pairs_distances
 
@@ -48,14 +48,13 @@ def is_ud_pair(g: Graph, dist: DistanceData, u: int, v: int) -> bool:
     return ud_certificate(dist.ecc, [f & pair for f in dist.far], [(u, v)]).is_ud
 
 
-@dataclass(frozen=True, slots=True)
-class UdCertificate:
+class UdCertificate(NamedTuple):
     """Outcome of the UD scan: the first UD pair, or per-pair witnesses."""
 
     is_ud: bool
     pair: tuple[int, int] | None
     diam: int
-    failures: tuple[tuple[tuple[int, int], int], ...] = field(default=())
+    failures: tuple[tuple[tuple[int, int], int], ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,8 +87,10 @@ def ud_certificate(ecc, sets, pairs=None, cols=None) -> UdCertificate:
 
     The diametrical pairs are the ``(u, v)``, ``v > u``, with ``ecc[u]`` the
     diameter and v in ``sets[u]``, in lexicographic order, unless ``pairs``
-    names the pairs to scan.  A pair fails at the lowest vertex w other than
-    u and v with neither in ``sets[w]``, and is UD when there is none.  The
+    names the pairs to scan (taken u by u, in the order each u first
+    appears, and each u's partners v in increasing order).  A pair fails at
+    the lowest vertex w other than u and v with neither in ``sets[w]``, and
+    is UD when there is none; u's half of that test is made once per u.  The
     scan reads the transpose ``cols[x] = {w : x in sets[w]}``, computed here
     unless given (the lane path transposes a block's sets at once).
     """
@@ -113,19 +114,29 @@ def ud_certificate(ecc, sets, pairs=None, cols=None) -> UdCertificate:
                 ws ^= low
         if flip:
             col = [full ^ c for c in col]
-    if pairs is None:
-        pairs = (
-            (u, v)
-            for u in range(n)
-            if ecc[u] == diam
-            for v in _iter_bits(sets[u] >> (u + 1) << (u + 1))
-        )
+    named = None
+    if pairs is not None:  # each u of a named pair, with its partners v as a bitmask
+        named = {}
+        for u, v in pairs:
+            named[u] = named.get(u, 0) | 1 << v
     failures = []
-    for u, v in pairs:
-        bad = full & ~(col[u] | col[v] | 1 << u | 1 << v)
-        if not bad:
-            return UdCertificate(is_ud=True, pair=(u, v), diam=diam)
-        failures.append(((u, v), (bad & -bad).bit_length() - 1))
+    for u in range(n) if named is None else named:
+        if named is not None:
+            vs = named[u]
+        elif ecc[u] == diam:
+            vs = sets[u] >> u + 1 << u + 1
+        else:
+            continue
+        rest = full & ~(col[u] | 1 << u)  # the w that u alone does not cover
+        v = -1
+        while vs:  # v steps to each partner in turn
+            step = (vs & -vs).bit_length()
+            v += step
+            vs >>= step
+            bad = rest & ~(col[v] | 1 << v)
+            if not bad:
+                return UdCertificate(is_ud=True, pair=(u, v), diam=diam)
+            failures.append(((u, v), (bad & -bad).bit_length() - 1))
     return UdCertificate(
         is_ud=False, pair=None, diam=diam, failures=tuple(failures)
     )

@@ -10,8 +10,10 @@ import time
 
 import pytest
 
-from distinv import emit_graph6, from_edge_list, parse_graph6
-from distinv import cli as cli_mod
+from distinv import Graph, emit_graph6, from_edge_list, parse_graph6
+from distinv import graphs as graphs_mod
+from distinv import invariants as invariants_mod
+from distinv import ud as ud_mod
 from distinv.cli import _build_parser, main
 from distinv.families import path
 from distinv.graphs import MAX_INPUT_ORDER
@@ -269,14 +271,15 @@ class TestUdCommand:
         f.write_text("A_\nBw\nCK\n" * LANE_BLOCK)
         written = _LineCounter()
         parsed = 0
+        real_decode = graphs_mod.decode_graph6
 
         def parse(line):
             nonlocal parsed
             parsed += 1
             assert parsed - written.rows <= LANE_BLOCK
-            return parse_graph6(line)
+            return real_decode(line)
 
-        monkeypatch.setattr(cli_mod, "parse_graph6", parse)
+        monkeypatch.setattr(graphs_mod, "decode_graph6", parse)
         monkeypatch.setattr(sys, "stdout", written)
         monkeypatch.setattr(sys, "stderr", written)
         assert main([command, str(f)]) == 2
@@ -294,22 +297,23 @@ class TestUdCommand:
         big = emit_graph6(path(LANE_MAX_N + 1))
         f.write_text("\n".join(["A_", big, "Bw", big, "A_"]) + "\n")
         pending = []
-        real_parse, real_compute = parse_graph6, getattr(cli_mod, compute)
+        module = ud_mod if command == "ud" else invariants_mod
+        real_decode, real_compute = graphs_mod.decode_graph6, getattr(module, compute)
 
         def parse(line):
             assert not pending
-            g = real_parse(line)
-            if g.n > LANE_MAX_N:
-                pending.append(g)
-            return g
+            n, pairs = real_decode(line)
+            if n > LANE_MAX_N:
+                pending.append(Graph._raw(n, graphs_mod._rows_from_pairs(n, pairs)))
+            return n, pairs
 
         def run(g, *args):
             if g.n > LANE_MAX_N:
                 pending.remove(g)
             return real_compute(g, *args)
 
-        monkeypatch.setattr(cli_mod, "parse_graph6", parse)
-        monkeypatch.setattr(cli_mod, compute, run)
+        monkeypatch.setattr(graphs_mod, "decode_graph6", parse)
+        monkeypatch.setattr(module, compute, run)
         assert main([command, str(f)]) == 0
         assert not pending
 

@@ -24,6 +24,7 @@ from distinv import (
     parse_graph6,
 )
 from distinv import graphs as graphs_mod
+from distinv.graphs import decode_graph6
 from distinv.families import complete, cycle, path, star
 from distinv.sweeps import enumerate_connected_graphs
 
@@ -64,6 +65,36 @@ class TestFromEdgeList:
         assert g.adjacency[0] == (2, 3, 4)
 
 
+# each malformed graph6 line and its FormatError text
+MALFORMED_GRAPH6 = [
+    ("", "empty graph6 line"),
+    ("\r\n", "empty graph6 line"),
+    ("A ", "graph6 byte out of range: ' '"),
+    ("A! ", "graph6 byte out of range: '!'"),
+    ("A\x7f", "graph6 byte out of range: '\\x7f'"),
+    ("Aé", "graph6 byte out of range: 'é'"),
+    # a bad byte is reported before a bad order field
+    ("~ ", "graph6 byte out of range: ' '"),
+    ("~?", "truncated graph6 order field"),
+    ("~??", "truncated graph6 order field"),
+    ("~~?????", "truncated graph6 order field"),
+    ("~???", "non-canonical graph6 order field"),
+    ("~??}", "non-canonical graph6 order field"),
+    ("~~??????", "non-canonical graph6 order field"),
+    ("~~???^~~", "non-canonical graph6 order field"),
+    # the order bound is checked before the data length
+    ("~?_@", "graph order 2049 exceeds the input bound of 2048"),
+    ("~~???~??", "graph order 258048 exceeds the input bound of 2048"),
+    ("A", "graph6 data for n=2 needs 1 bytes, got 0"),
+    ("D?", "graph6 data for n=5 needs 2 bytes, got 1"),
+    ("D?{{", "graph6 data for n=5 needs 2 bytes, got 3"),
+    ("@?", "graph6 data for n=1 needs 0 bytes, got 1"),
+    ("A`", "nonzero graph6 padding bits"),
+    ("Bx", "nonzero graph6 padding bits"),
+    ("D?}", "nonzero graph6 padding bits"),
+]
+
+
 class TestGraph6:
     def test_k1(self):
         assert emit_graph6(complete(1)) == "@"
@@ -93,39 +124,17 @@ class TestGraph6:
         with pytest.raises(FormatError):
             parse_graph6(bad)
 
-    @pytest.mark.parametrize(
-        "bad,message",
-        [
-            ("", "empty graph6 line"),
-            ("\r\n", "empty graph6 line"),
-            ("A ", "graph6 byte out of range: ' '"),
-            ("A! ", "graph6 byte out of range: '!'"),
-            ("A\x7f", "graph6 byte out of range: '\\x7f'"),
-            ("Aé", "graph6 byte out of range: 'é'"),
-            # a bad byte is reported before a bad order field
-            ("~ ", "graph6 byte out of range: ' '"),
-            ("~?", "truncated graph6 order field"),
-            ("~??", "truncated graph6 order field"),
-            ("~~?????", "truncated graph6 order field"),
-            ("~???", "non-canonical graph6 order field"),
-            ("~??}", "non-canonical graph6 order field"),
-            ("~~??????", "non-canonical graph6 order field"),
-            ("~~???^~~", "non-canonical graph6 order field"),
-            # the order bound is checked before the data length
-            ("~?_@", "graph order 2049 exceeds the input bound of 2048"),
-            ("~~???~??", "graph order 258048 exceeds the input bound of 2048"),
-            ("A", "graph6 data for n=2 needs 1 bytes, got 0"),
-            ("D?", "graph6 data for n=5 needs 2 bytes, got 1"),
-            ("D?{{", "graph6 data for n=5 needs 2 bytes, got 3"),
-            ("@?", "graph6 data for n=1 needs 0 bytes, got 1"),
-            ("A`", "nonzero graph6 padding bits"),
-            ("Bx", "nonzero graph6 padding bits"),
-            ("D?}", "nonzero graph6 padding bits"),
-        ],
-    )
+    @pytest.mark.parametrize("bad,message", MALFORMED_GRAPH6)
     def test_malformed_message(self, bad, message):
         with pytest.raises(FormatError) as exc:
             parse_graph6(bad)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad,message", MALFORMED_GRAPH6)
+    def test_decode_gives_the_same_error(self, bad, message):
+        # the ingest commands read graph6 through decode_graph6 alone
+        with pytest.raises(FormatError) as exc:
+            decode_graph6(bad)
         assert str(exc.value) == message
 
     def test_round_trip_enumerated_small(self):

@@ -17,9 +17,11 @@ from distinv import (
     emit_graph6,
     from_edge_list,
     full_report,
+    parse_graph6,
 )
 from distinv.families import complete, cycle, path, star
-from distinv.invariants import LANE_MAX_N, lane_eccentric_sets, lane_reports
+from distinv.graphs import decode_graph6
+from distinv.invariants import LANE_MAX_N, Block, lane_eccentric_sets, lane_reports
 from distinv.sweeps import (
     _connected_graphs_range,
     enumerate_connected_graphs,
@@ -554,6 +556,83 @@ class TestLaneEccentricSets:
             dist = all_pairs_distances(g)
             want = (tuple(dist.ecc), tuple(dist.far))
             assert got == (*want, transpose(want[1])), emit_graph6(g)
+
+
+def _pair_blocks(lines, size):
+    """``(chunk, block)`` for each run of at most ``size`` lines of one order,
+    in order of first appearance, ``block`` built by ``Block.of_pairs`` from
+    the decoded pairs of ``chunk``."""
+    by_order = {}
+    for line in lines:
+        n, pairs = decode_graph6(line)
+        by_order.setdefault(n, []).append((line, pairs))
+    for n, items in by_order.items():
+        for i in range(0, len(items), size):
+            chunk = items[i : i + size]
+            yield [line for line, _ in chunk], Block.of_pairs(n, [p for _, p in chunk])
+
+
+def _check_pair_blocks(lines, size):
+    # every block from pairs against Block.of the parsed graphs; returns the
+    # largest block's lane count
+    largest = 0
+    for chunk, block in _pair_blocks(lines, size):
+        graphs = [parse_graph6(line) for line in chunk]
+        want = Block.of(graphs)
+        assert (block.n, block.k, block.rows) == (want.n, want.k, want.rows), chunk[0]
+        assert [block.graph(j) for j in range(block.k)] == graphs, chunk[0]
+        largest = max(largest, block.k)
+    return largest
+
+
+def _emitted(*specs):
+    return lambda: [emit_graph6(g) for spec in specs for g in iter_sweep(parse_sweep_spec(spec))]
+
+
+# graph6 line sets for Block.of_pairs, with the lane count of their largest
+# block of LANE_BLOCK
+PAIR_SETS = {
+    "connected:1..6": (LANE_BLOCK, _emitted("connected:1..6")),
+    "trees:2..12": (551, _emitted("trees:2..12")),
+    "diam2 at 9..12, 16, 32, 64 and 128": (LANE_BLOCK, _emitted(
+        "diam2:n=9..12,count=1030,seed=5", "diam2:n=16,count=30,seed=5",
+        "diam2:n=32,count=12,seed=5", "diam2:n=64,count=6,seed=5",
+        "diam2:n=128,count=3,seed=5",
+    )),
+}  # fmt: skip
+
+
+class TestBlockOfPairs:
+    """``Block.of_pairs`` builds a block's rows from graph6 pair bits lane by
+    lane; its rows and graphs must be those of ``Block.of`` over
+    ``parse_graph6``, which goes through ``_rows_from_pairs`` graph by
+    graph."""
+
+    @pytest.mark.parametrize("size", (2, LANE_BLOCK))
+    @pytest.mark.parametrize("name", sorted(PAIR_SETS))
+    def test_rows_match_parsed_graphs(self, name, size):
+        largest, lines = PAIR_SETS[name]
+        assert _check_pair_blocks(lines(), size) == min(size, largest)
+
+    @pytest.mark.parametrize("size", (2, LANE_BLOCK))
+    def test_long_header_orders(self, size):
+        # every order with the "~" header, 63..255: a sparse random graph and
+        # a path at each, and dense graphs, whose columns are nearly full, at
+        # the lane width bounds
+        rng = random.Random(63)
+        graphs = []
+        for n in range(63, LANE_MAX_N + 1):
+            graphs += [random_graph(rng, n, 2 / n), path(n)]
+        for n in (63, 64, 127, 128, LANE_MAX_N):
+            graphs += [complete(n), random_graph(rng, n, 0.9), star(n)]
+        lines = [emit_graph6(g) for g in graphs]
+        assert all(line.startswith("~") for line in lines)
+        assert _check_pair_blocks(lines, size) == min(size, 5)
+
+    def test_one_order_in_range(self):
+        for n in (0, LANE_MAX_N + 1):
+            with pytest.raises(GraphError):
+                Block.of_pairs(n, [0, 0])
 
 
 # graph sets for the row templates: every report from full_report and from

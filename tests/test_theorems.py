@@ -402,10 +402,10 @@ class TestC44:
     def test_detail_reports_the_directly_built_graph(self, monkeypatch):
         # when the iteration and the direct construction disagree, the
         # verdict fails and its detail describes the direct construction
-        from distinv import theorems
+        from distinv import families
 
         other = path(12)
-        monkeypatch.setattr(theorems, "attach_pendant_paths_at", lambda *a: other)
+        monkeypatch.setattr(families, "attach_pendant_paths_at", lambda *a: other)
         v = check_c44(a_k(1), 4, 5, 2)
         assert v.hypothesis_met and v.conclusion_held is False
         rep = full_report(other)
@@ -414,7 +414,7 @@ class TestC44:
     def test_iteration_checked_against_the_direct_construction(self, monkeypatch):
         # an iteration step that swaps the two tips grows a different
         # labelled graph than the direct construction, so the check fails
-        from distinv import families, theorems
+        from distinv import families
 
         real = families.attach_pendants_at
 
@@ -423,7 +423,6 @@ class TestC44:
 
         assert check_c44(a_k(1), 4, 5, 2).conclusion_held
         monkeypatch.setattr(families, "attach_pendants_at", swapped)
-        monkeypatch.setattr(theorems, "attach_pendants_at", swapped)
         v = check_c44(a_k(1), 4, 5, 2)
         assert v.hypothesis_met and v.conclusion_held is False
 

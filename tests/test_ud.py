@@ -261,6 +261,25 @@ class TestCertificateDefinition:
                         pairs += 1
         assert pairs == 4554
 
+    def test_named_pairs_are_scanned_alone(self):
+        # ud_certificate scans the pairs it is given and no other: a UD pair
+        # comes back as named, in either order, and a failing one as its
+        # only failure, with the first witness of the whole scan
+        for h in nx.graph_atlas_g()[3:400]:
+            if not nx.is_connected(h):
+                continue
+            g = from_edge_list(h.number_of_nodes(), h.edges())
+            dist = all_pairs_distances(g)
+            full = find_ud_certificate(g, dist)
+            scanned = full.failures + ((full.pair, None),) if full.is_ud else full.failures
+            for (u, v), witness in scanned:
+                for pair in ((u, v), (v, u)):
+                    cert = ud_certificate(dist.ecc, dist.far, [pair])
+                    if witness is None:
+                        assert (cert.is_ud, cert.pair, cert.failures) == (True, pair, ())
+                    else:
+                        assert cert.failures == ((pair, witness),) and not cert.is_ud
+
 
 class TestJsonRow:
     """``UdCertificate.json_row`` is the text of ``json.dumps(to_json_dict(),
