@@ -12,21 +12,22 @@ seed of a ``diam2:`` sweep and is an error on any other sweep.  The
 before writing leaves an existing file as it was; a file that cannot be
 opened is an error (exit 2).
 
-``invariants`` and ``ud`` read their input ``LANE_BLOCK`` graphs at a time.
-A window holds each graph as its order and pair bits ``(n, pairs)``
-(``graphs.decode_graph6``; an edge-list graph's from its rows), and each of
-its orders becomes one lane block built from the pairs (``Block.of_pairs``)
-for the lane kernel (``lane_reports``, ``lane_eccentric_sets``), so no
-graph6 line of a block becomes a :class:`Graph`; rows on stdout and error
-lines on stderr come out in input order.  A graph takes the per-graph path
-(``full_report``, ``find_ud_certificate``), as a :class:`Graph` built from
-its pairs, in three cases: it is the only graph of its order in the window,
-its order is 0 or above ``LANE_MAX_N``, or the kernel reports it
-disconnected (a None where its report or eccentric sets would be), which
-leaves its pairs in place for the per-graph error line while the rest of its
-order keeps what the lanes gave.  Only the graphs of order 1..``LANE_MAX_N``
-wait for the end of their window; every other graph and every unreadable
-line becomes its output or error line as it is read.
+``invariants`` and ``ud`` read each input line by line (an edge list, one
+graph, whole), and ``LANE_BLOCK`` graphs at a time.  A window holds each
+graph as its order and pair bits ``(n, pairs)`` (``graphs.decode_graph6``;
+an edge-list graph's from its rows), and each of its orders becomes one lane
+block built from the pairs (``Block.of_pairs``) for the lane kernel
+(``lane_reports``, ``lane_eccentric_sets``), so no graph6 line of a block
+becomes a :class:`Graph`; rows on stdout and error lines on stderr come out
+in input order.  A graph takes the per-graph path (``full_report``,
+``find_ud_certificate``), as a :class:`Graph` built from its pairs, in three
+cases: it is the only graph of its order in the window, its order is 0 or
+above ``LANE_MAX_N``, or the kernel reports it disconnected (a None where
+its report or eccentric sets would be), which leaves its pairs in place for
+the per-graph error line while the rest of its order keeps what the lanes
+gave.  Only the graphs of order 1..``LANE_MAX_N`` wait for the end of their
+window; every other graph and every unreadable line becomes its output or
+error line as it is read.
 Each row is formatted from a template (``InvariantReport.csv_row`` and
 ``json_row``, ``UdCertificate.json_row``); a JSON row is the text of
 ``json.dumps(to_json_dict(), sort_keys=True)``.
@@ -100,43 +101,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_graphs(files):
     """Yield (source_label, (n, pairs) or GraphError) per input graph, with
-    ``pairs`` the graph's pair bits in graph6's order.
+    ``pairs`` the graph's pair bits in graph6's order, reading each input
+    line by line.
 
-    Edge-list files (first payload line contains a space) hold one graph;
-    anything else is treated as one graph6 line per graph.
+    An input whose first payload line has more than one field (an edge
+    list's ``n m`` header; graph6 bytes are never whitespace) is one
+    edge-list graph, read whole; anything else is one graph6 line per graph.
     """
     from .graphs import GraphError, _pairs_from_rows, decode_graph6, parse_edge_list
 
-    sources = files if files else ["-"]
-    for name in sources:
-        if name == "-":
-            text = sys.stdin.read()
-            label = "<stdin>"
-        else:
-            try:
-                with open(name, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                yield f"{name}", GraphError(str(exc))
-                continue
-            label = name
-        payload = [
-            ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
-        ]
-        if not payload:
+    for name in files or ["-"]:
+        label = "<stdin>" if name == "-" else name
+        try:
+            fh = sys.stdin if name == "-" else open(name, "r", encoding="utf-8")
+        except OSError as exc:
+            yield name, GraphError(str(exc))
             continue
-        if " " in payload[0].strip():
-            try:
-                g = parse_edge_list(text)
-                yield label, (g.n, _pairs_from_rows(g.bits))
-            except GraphError as exc:
-                yield label, exc
-        else:
-            for i, line in enumerate(payload, start=1):
+        try:
+            lines = (ln for chunk in fh for ln in chunk.splitlines())
+            lines = (ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#"))
+            for i, line in enumerate(lines, start=1):
+                if i == 1 and len(line.split()) > 1:
+                    try:
+                        g = parse_edge_list("\n".join([line, *lines]))
+                        yield label, (g.n, _pairs_from_rows(g.bits))
+                    except GraphError as exc:
+                        yield label, exc
+                    break
                 try:
                     yield f"{label}:{i}", decode_graph6(line)
                 except GraphError as exc:
                     yield f"{label}:{i}", exc
+        except OSError as exc:
+            yield label, GraphError(str(exc))
+        finally:
+            if fh is not sys.stdin:
+                fh.close()
 
 
 def _per_graph(files, out, compute, block, render) -> int:

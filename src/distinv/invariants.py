@@ -19,9 +19,11 @@ eccentricity and eccentric set from the same lane BFS, and transposes the
 sets lane-wise for the UD scan.
 
 The kernel has one input, a :class:`Block`: the order, the number of lanes
-and the packed adjacency rows, with ``graph(j)`` for lane j's
-:class:`Graph`.  ``Block.of`` packs a list of graphs, as both kernel
-functions do with a list at their entry; ``Block.of_pairs`` builds the rows
+and the packed adjacency rows; ``graph(j)`` unpacks lane j's :class:`Graph`
+only when called.  ``Block.of`` keeps the row tuples of a list of graphs
+(the mask scan's and the sampler's accepted lanes, and a filtered sweep's
+kept graphs) and packs them when the kernel first reads its rows, so a
+sweep read graph by graph packs nothing; ``Block.of_pairs`` builds the rows
 of graph6 input from its pair bits, with no :class:`Graph` per line (the
 ``invariants`` and ``ud`` commands); the tree sweep builds its blocks' rows
 itself, and ``theorems.hunt`` takes T3.3's complements from a block's rows.
@@ -31,9 +33,9 @@ from __future__ import annotations
 
 import struct
 from math import gcd
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .graphs import DistanceData, Graph, GraphError, _rows_from_pairs, all_pairs_distances
+from .graphs import DistanceData, Graph, GraphError, all_pairs_distances
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -203,27 +205,38 @@ def _halves(width: int, k: int) -> list:
     return steps
 
 
-class Block(NamedTuple):
+def _union(x: int, halves) -> int:
+    """The union of every lane of x, as one lane, by the ``_halves`` steps."""
+    for shift, mask in halves:
+        x = (x | x >> shift) & mask
+    return x
+
+
+class Block:
     """The lane kernel's one input: k graphs of one order 1 <= n <= 255,
     ``rows[u]`` holding row u of graph j in its lane j of ``lane_width(n)``
-    bits, and ``graph(j)``, which returns lane j's :class:`Graph`.  A block
-    that no caller names a graph of has None for ``graph``."""
+    bits.  A block keeps the rows or the row tuples it was built from and
+    makes the other at its first read: ``rows`` packs the tuples, and
+    ``graph(j)``, lane j's :class:`Graph`, reads one transpose of the rows."""
 
-    n: int
-    k: int
-    rows: list
-    graph: Callable[[int], Graph] | None
+    __slots__ = ("n", "k", "_rows", "_lanes")
+
+    def __init__(self, n: int, k: int, rows: list | None, lanes=None):
+        self.n, self.k, self._rows, self._lanes = n, k, rows, lanes
 
     @classmethod
-    def of(cls, graphs):
-        """The block of a non-empty list of graphs of one order 1..255; it
-        keeps the list, so ``graph(j)`` costs nothing."""
-        n = graphs[0].n
-        if not 1 <= n <= LANE_MAX_N or any(g.n != n for g in graphs):
+    def of(cls, n: int, lanes):
+        """The block of a non-empty list of graphs of one order 1..255, each
+        given by its row tuple, as ``Graph.bits``."""
+        if not 1 <= n <= LANE_MAX_N or any(len(lane) != n for lane in lanes):
             raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
-        width = lane_width(n)
-        rows = [pack_lanes(col, width) for col in zip(*(g.bits for g in graphs))]
-        return cls(n, len(graphs), rows, graphs.__getitem__)
+        return cls(n, len(lanes), None, lanes)
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            self._rows = [pack_lanes(col, lane_width(self.n)) for col in zip(*self._lanes)]
+        return self._rows
 
     @classmethod
     def of_pairs(cls, n: int, pairs: list):
@@ -232,8 +245,7 @@ class Block(NamedTuple):
         lane at once.  Column v of the pairs, ``(pairs >> v(v-1)/2) &
         (2^v - 1)``, is the lower half of row v, the column split of
         ``graphs._rows_from_pairs``; the upper halves are its transpose,
-        which for each v visits only the u in some lane's column v.
-        ``graph(j)`` builds lane j's :class:`Graph`."""
+        which for each v visits only the u in some lane's column v."""
         if not 1 <= n <= LANE_MAX_N:
             raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
         k = len(pairs)
@@ -247,15 +259,20 @@ class Block(NamedTuple):
             col = pack_lanes([p >> shift & mask for p in pairs], width)
             shift += v
             rows[v] = col  # the later columns add row v's upper half
-            hull = col
-            for span, keep in halves:
-                hull = (hull | hull >> span) & keep
+            hull = _union(col, halves)
             while hull:  # each u in some lane's column v
                 bit = hull & -hull
                 u = bit.bit_length() - 1
                 rows[u] |= (col >> u & ones) << v
                 hull ^= bit
-        return cls(n, k, rows, lambda j: Graph._raw(n, _rows_from_pairs(n, pairs[j])))
+        return cls(n, k, rows)
+
+    def graph(self, j: int) -> Graph:
+        """Lane j's :class:`Graph`."""
+        if self._lanes is None:
+            width = lane_width(self.n)
+            self._lanes = list(zip(*(unpack_lanes(row, width, self.k) for row in self.rows)))
+        return Graph._raw(self.n, self._lanes[j])
 
 
 class _Lanes:
@@ -272,7 +289,7 @@ class _Lanes:
 
     def __init__(self, block):
         if not isinstance(block, Block):
-            block = Block.of(block)
+            raise TypeError("the lane kernel takes a Block")
         self.k = k = block.k
         self.n = n = block.n
         self.width = width = lane_width(n)
@@ -285,7 +302,7 @@ class _Lanes:
         self._masks = tuple(ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
         self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
         self.rows = rows = block.rows
-        self._halves = _halves(width, k)
+        self._halves = halves = _halves(width, k)
         popcount = self.popcount
         self.ecc = eccs = []
         self.tr = trs = []
@@ -296,7 +313,7 @@ class _Lanes:
             ecc = d = 0
             slices = [0] * n.bit_length()  # [b]: the levels d with bit b of d set
             while True:
-                union = self.union(front)
+                union = _union(front, halves)
                 nxt = 0
                 while union:  # each vertex in some lane's frontier
                     bit = union & -union
@@ -329,12 +346,6 @@ class _Lanes:
             trs.append(tr)
             far.append(last)
 
-    def union(self, x):
-        """The union of every lane of x, as one lane."""
-        for shift, mask in self._halves:
-            x = (x | x >> shift) & mask
-        return x
-
     def columns(self):
         """``col[x]``, bit w of a lane set when x is in ``far[w]`` there: the
         transpose of the eccentric sets, visiting for each w only the
@@ -350,7 +361,7 @@ class _Lanes:
             flip = self.at_least(self.popcount(f), dense)
             f ^= full & flip * lane
             flipped |= flip << w
-            hull = self.union(f)
+            hull = _union(f, self._halves)
             while hull:
                 bit = hull & -hull
                 x = bit.bit_length() - 1
@@ -385,10 +396,9 @@ class _Lanes:
         return unpack_lanes(x, self.width, self.k)
 
 
-def lane_reports(graphs, gates) -> tuple[list, list]:
+def lane_reports(block: Block, gates) -> tuple[list, list]:
     """Every graph's gate word and report ``(words, reports)``, for a
-    non-empty block of graphs of one order 1 <= n <= 255: a :class:`Block`,
-    or a list of graphs, packed here by ``Block.of``.
+    :class:`Block` of graphs of one order 1 <= n <= 255.
 
     ``gates`` are at most 13 tuples of terms ``(column, op, bound)``
     (``column`` one of n, m, diam, nprime and self_centered, which is 0 or
@@ -412,7 +422,7 @@ def lane_reports(graphs, gates) -> tuple[list, list]:
     """
     if len(gates) > 13:  # a word's bits must fit the narrowest lane, 16 bits
         raise GraphError("lane reports take at most 13 gates")
-    lanes = _Lanes(graphs)
+    lanes = _Lanes(block)
     n, top, lane, ones, full, low = (
         lanes.n, lanes.top, lanes.lane, lanes.ones, lanes.full, lanes.low
     )
@@ -492,16 +502,15 @@ def lane_reports(graphs, gates) -> tuple[list, list]:
     return unpack(word), reports
 
 
-def lane_eccentric_sets(graphs) -> list[tuple[tuple[int, ...], ...] | None]:
+def lane_eccentric_sets(block: Block) -> list[tuple[tuple[int, ...], ...] | None]:
     """Every graph's eccentricities, eccentric sets and their transpose
-    ``(ecc, sets, cols)``, for a non-empty block of graphs of one order
-    1 <= n <= 255 (a :class:`Block` or a list of graphs, as for
-    :func:`lane_reports`), and None for a disconnected graph: ``sets[v]`` is the
+    ``(ecc, sets, cols)``, for a :class:`Block` of graphs of one order
+    1 <= n <= 255, and None for a disconnected graph: ``sets[v]`` is the
     bitmask of the vertices at distance ``ecc[v]`` from v, the last
     non-empty BFS level from v (v itself in K1), and ``cols[x]`` the bitmask
     of the w with x in ``sets[w]``.
     """
-    lanes = _Lanes(graphs)
+    lanes = _Lanes(block)
     packed = (lanes.ecc, lanes.far, lanes.columns())
     sets = zip(*(zip(*map(lanes.unpack, x)) for x in packed))
     return [t if c else None for c, t in zip(lanes.unpack(lanes.connected), sets)]

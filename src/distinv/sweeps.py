@@ -11,8 +11,9 @@ Three sweep targets feed the predicate checkers:
   row is the codec's rows of ``k``, decoded once per scan, or'ed with those
   of ``base`` spread to every lane.  Connectivity is a closure from vertex 0
   over all lanes at once, at most n - 1 rounds of ``reach |= row[u]`` in the
-  lanes whose reach holds u; the lanes whose reach is full are unpacked with
-  ``struct`` in mask order.
+  lanes whose reach holds u.  The lanes whose reach is full are unpacked
+  with ``struct`` in mask order into one ``Block.of`` per window, compacted
+  and not re-buffered to ``LANE_BLOCK`` lanes.
 * ``trees`` - one representative per isomorphism class of free trees
   (2 <= n <= 18), generated through canonical level sequences with a
   constant-amortized-time successor rule, ``LANE_BLOCK`` sequences at a
@@ -44,9 +45,10 @@ chunk: round j draws attempt j of every sample not yet accepted (``_draw``
 mixes many attempts' pairs per int, grouped by p), puts one attempt in each
 lane of adjacency rows of the lane kernel's width, and tests every lane at
 once: the closed 2-neighbourhood of each vertex is full, and some pair is not
-adjacent.  A block yields its accepted graphs in sample order; a sample with
-no accepted attempt among ``_MAX_ATTEMPTS`` raises ``SweepError("sampling
-stalled")`` after the samples before it, as one attempt at a time would.
+adjacent.  A block of samples yields one ``Block`` of its accepted graphs in
+sample order; a sample with no accepted attempt among ``_MAX_ATTEMPTS``
+raises ``SweepError("sampling stalled")`` after the ``Block`` of the samples
+before it, as one attempt at a time would.
 
 Sweeps partition into chunks (edge-mask ranges, residues of tree blocks,
 sample-index ranges) that merge associatively, so worker count never changes
@@ -54,16 +56,15 @@ a result.  A chunk is one order and one stream of graphs, filtered and
 counted in one place; every walk over a sweep reads these streams (the
 enumerators above are ``iter_sweep`` over one order, and ``fold_sweep``
 states the contract), and ``SweepSpec.validate`` is the only bound check.
-A stream has two views.  Iterating it yields ``Graph``s one at a time; its
-``blocks()`` yields lane-kernel ``Block``s, and a tree chunk's blocks build
-a ``Graph`` only for a lane whose ``graph(j)`` is called.  The mask scan
-and the sampler still build each graph, which ``Block.of`` packs again.
+Each generator yields lane-kernel ``Block``s of its own rows, which build a
+``Graph`` only for a lane whose ``graph(j)`` is called.  A stream has two
+views of them: its ``blocks()`` yields them, and iterating it yields their
+``Graph``s one at a time.
 Parallel execution forks, so it is POSIX-only.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import struct
@@ -136,7 +137,8 @@ def enumerate_connected_graphs(n: int):
 
 def _connected_graphs_range(n, lo, hi):
     # masks in blocks of 2^b, b = min(pairs, 10): mask base + k sits in the
-    # 16-bit lane k of each row, which is row k's lane or'ed with base's rows
+    # 16-bit lane k of each row, which is row k's lane or'ed with base's rows;
+    # one Block of each window's connected lanes, in mask order
     lanes = 1 << min(n * (n - 1) // 2, 10)
     fmt = f"<{lanes}H"
     ones = int.from_bytes(b"\1\0" * lanes, "little")
@@ -145,7 +147,6 @@ def _connected_graphs_range(n, lo, hi):
         int.from_bytes(struct.pack(fmt, *col), "little")
         for col in zip(*(_rows_from_pairs(n, k) for k in range(lanes)))
     ]
-    raw = functools.partial(Graph._raw, n)
     for base in range(lo & -lanes, hi, lanes):
         rows = [r | ones * h for r, h in zip(low, _rows_from_pairs(n, base))]
         # closure from vertex 0: each round adds the rows of reached vertices
@@ -158,13 +159,13 @@ def _connected_graphs_range(n, lo, hi):
                 break
         # lane k is kept iff its reach is full, so adding 1 carries into bit
         # n, and lo <= base + k < hi
-        skip = 16 * max(lo - base, 0)
-        ok = ((reach + ones) >> n) & (ones >> skip << skip)
+        first, end = 16 * max(lo - base, 0), 16 * min(hi - base, lanes)
+        ok = ((reach + ones) >> n) & ones & ((1 << end) - (1 << first))
         if not ok:
             continue
-        keep = ok.to_bytes(2 * lanes, "little")[: 2 * (hi - base) : 2]
+        keep = ok.to_bytes(2 * lanes, "little")[::2]
         cols = [struct.unpack(fmt, r.to_bytes(2 * lanes, "little")) for r in rows]
-        yield from map(raw, itertools.compress(zip(*cols), keep))
+        yield Block.of(n, list(itertools.compress(zip(*cols), keep)))
 
 
 def enumerate_trees(n: int):
@@ -251,20 +252,6 @@ def _free_canonical_or_jump(levels):
     return nxt
 
 
-def _tree_from_levels(levels):
-    # a vertex's parent is the latest vertex one level up; the root is vertex 0
-    n = len(levels)
-    rows = [0] * n
-    last = [0] * n
-    for i in range(1, n):
-        lev = levels[i]
-        j = last[lev - 1]
-        rows[i] = 1 << j
-        rows[j] |= 1 << i
-        last[lev] = i
-    return Graph._raw(n, rows)
-
-
 def _tree_block(n, levels):
     # the trees of the level sequences as one lane block of order n, built in
     # every lane at once: vertex i's parent is the latest j < i one level up,
@@ -289,7 +276,7 @@ def _tree_block(n, levels):
                 rows[i] |= hit << j
                 rows[j] |= hit << i
                 todo ^= hit
-    return Block(n, k, rows, lambda j: _tree_from_levels(levels[j]))
+    return Block(n, k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +291,14 @@ def sample_diameter2_graphs(n: int, count: int, seed: int):
 
 
 def _diam2_stream(seed, n, lo, hi):
-    # blocks of samples; round j draws attempt j of every sample still pending
+    # one Block per block of samples; round j draws attempt j of every sample
+    # still pending
     key = _stream_key(seed, n)
     pairs = _pair_list(n)
     steps = _pair_steps(n)
     for first in range(lo, hi, _SAMPLE_BLOCK):
-        graphs = [None] * (min(first + _SAMPLE_BLOCK, hi) - first)
-        pending = range(first, first + len(graphs))
+        lanes = [None] * (min(first + _SAMPLE_BLOCK, hi) - first)
+        pending = range(first, first + len(lanes))
         for attempt in range(_MAX_ATTEMPTS):
             if not pending:
                 break
@@ -328,11 +316,12 @@ def _diam2_stream(seed, n, lo, hi):
             kept = _diam2_lanes(n, pairs, hits, len(order))
             pending = [i for i, g in zip(order, kept) if g is None]
             for i, g in zip(order, kept):
-                graphs[i - first] = g
+                lanes[i - first] = g
         if pending:
-            yield from graphs[: min(pending) - first]
+            if min(pending) > first:
+                yield Block.of(n, lanes[: min(pending) - first])
             raise SweepError("sampling stalled")
-        yield from graphs
+        yield Block.of(n, lanes)
 
 
 def _pair_list(n):
@@ -383,9 +372,9 @@ def _draw(steps, starts, p_index):
 
 
 def _diam2_lanes(n, pairs, hits, k):
-    # the k attempts of _draw's bytes as graphs, attempt a in lane a of each
-    # row (the lane kernel's width); a lane is kept iff every pair is adjacent
-    # or has a common neighbour, and some pair is not adjacent
+    # the k attempts of _draw's bytes, attempt a in lane a of each row (the
+    # lane kernel's width), as row tuples or None: a lane is kept iff every
+    # pair is adjacent or has a common neighbour, and some pair is not adjacent
     width = lane_width(n)
     stride = width // 8
     top = width - 1
@@ -416,9 +405,8 @@ def _diam2_lanes(n, pairs, hits, k):
     if not good:
         return [None] * k
     keep = good.to_bytes(stride * k, "little")[::stride]
-    raw = functools.partial(Graph._raw, n)
     cols = [unpack_lanes(r, width, k) for r in rows]
-    return [raw(g) if ok else None for ok, g in zip(keep, zip(*cols))]
+    return [g if ok else None for ok, g in zip(keep, zip(*cols))]
 
 
 # ---------------------------------------------------------------------------
@@ -586,39 +574,36 @@ def _chunks(spec: SweepSpec, parts: int):
 
 
 class _Tally:
-    """What one chunk's stream handed out, dropped and raised: ``last`` is
-    the graph it handed out last, and ``block`` the block, if it handed out
-    blocks of its own rows."""
+    """What one chunk's stream handed out, dropped and raised: ``block`` is
+    the block it handed out last, and lane ``j`` of it the graph."""
 
-    visited = filtered = 0
-    last = block = error = None
+    visited = filtered = j = 0
+    block = error = None
 
     def named(self):
         """The graph handed out last, None before the first."""
-        return self.last if self.block is None else self.block.graph(self.block.k - 1)
+        return None if self.block is None else self.block.graph(self.j)
 
 
 class _Stream:
     """One chunk's graphs, all of one order, with the sweep's filter
-    applied, in two views: iterating it yields ``Graph``s one at a time, and
-    ``blocks()`` yields ``Block``s of at most ``LANE_BLOCK`` graphs for the
-    lane kernel.  A fold reads one view; the tally counts graphs either way.
-    A tree chunk without a filter builds its blocks' rows lane-wise from
-    the level sequences, and a ``Graph`` only when ``graph(j)`` is called;
-    every other block is ``Block.of`` the graphs of the graph view."""
+    applied, in two views of its generator's blocks: ``blocks()`` yields
+    them, and iterating the stream yields their ``Graph``s one at a time,
+    unpacked by ``block.graph(j)``.  A filter runs on each block's graphs
+    and packs the kept ones into a block of their own.  A fold reads one
+    view; the tally counts graphs either way."""
 
     def __init__(self, spec: SweepSpec, chunk, tally: _Tally):
-        self._filtered = spec.filter_name is not None
-        self._chunk = chunk
         self._tally = tally
         kind, n, a, b = chunk
         if kind == "mask":
             source = _connected_graphs_range(n, a, b)
         elif kind == "mod":
-            source = map(_tree_from_levels, itertools.chain.from_iterable(_level_blocks(n, a, b)))
+            source = (_tree_block(n, levels) for levels in _level_blocks(n, a, b))
         else:
             source = _diam2_stream(spec.seed, n, a, b)
-        self._graphs = self._graph_view(source, FILTERS.get(spec.filter_name))
+        self._blocks = self._filtered(source, FILTERS.get(spec.filter_name))
+        self._graphs = self._graph_view()
 
     def __iter__(self):
         return self
@@ -626,33 +611,36 @@ class _Stream:
     def __next__(self):
         return next(self._graphs)
 
-    def _graph_view(self, source, flt):
+    def _filtered(self, source, flt):
         tally = self._tally
         try:
-            for g in source:
-                if flt is not None and not flt(g):
-                    tally.filtered += 1
-                    continue
-                tally.visited += 1
-                tally.last = g
-                yield g
+            for block in source:
+                if flt is not None:
+                    kept = [g.bits for g in map(block.graph, range(block.k)) if flt(g)]
+                    tally.filtered += block.k - len(kept)
+                    if not kept:
+                        continue
+                    block = Block.of(block.n, kept)
+                yield block
         except Exception as exc:  # the stream's own error, not the fold's
             tally.error = exc
             raise
 
+    def _graph_view(self):
+        tally = self._tally
+        for block in self._blocks:
+            tally.block = block
+            for j in range(block.k):
+                tally.visited += 1
+                tally.j = j
+                yield block.graph(j)
+
     def blocks(self):
         """The chunk's graphs as lane blocks."""
-        kind, n, a, b = self._chunk
-        if kind != "mod" or self._filtered:
-            view = self._graphs
-            for graphs in iter(lambda: list(itertools.islice(view, LANE_BLOCK)), []):
-                yield Block.of(graphs)
-            return
         tally = self._tally
-        for levels in _level_blocks(n, a, b):
-            block = _tree_block(n, levels)
+        for block in self._blocks:
             tally.visited += block.k
-            tally.block = block
+            tally.block, tally.j = block, block.k - 1
             yield block
 
 

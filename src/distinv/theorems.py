@@ -24,24 +24,24 @@ definition:
   cycle test); every other predicate reads only ``rep`` and gets
   ``g=None`` from :func:`hunt`.
 
-:func:`hunt` reads each chunk of a sweep as the stream's lane blocks
-(``blocks()``, at most ``LANE_BLOCK`` graphs each) through the lane kernel,
-which takes every order a sweep makes, evaluates the gates and builds a
-report only for a graph some gate selects.  A predicate runs only where its
-gate holds, and re-checks its whole hypothesis.  The kernel decides L4.1.
-The complements of the trees T3.3's complement disjunct decides are taken
-lane-wise from the block's rows and go through the kernel as one more
-block; a disconnected one ends the sweep as a disconnected graph does.  A
-lane's :class:`Graph` (``block.graph(j)``, which a tree block builds only
-then) is taken only for a claim row that reads it, a verdict or an equality
-case.  A detailed :class:`TheoremVerdict` is built only for a
-counterexample, from the graph's BFS distances (and for T3.3 the
-complement's :func:`full_report`).  The public
-``check_p21`` ... ``check_l41`` (also ``UNARY_CHECKS``, by id) are thin
-wrappers that build one graph's verdict from the same row; ``detail=False``
-leaves a verdict's graph6 id and detail unset.  The pendant and product
-claims take explicit extra arguments, are exercised by dedicated generators
-instead, and their verdicts always carry the graph6 id and the detail.
+:func:`hunt` reads each chunk of a sweep as the lane blocks its generator
+makes (``blocks()``, at most ``LANE_BLOCK`` graphs each) through the lane
+kernel, which takes every order a sweep makes, evaluates the gates and
+builds a report only for a graph some gate selects.  A predicate runs only
+where its gate holds, and re-checks its whole hypothesis.  The kernel
+decides L4.1.  The complements of the trees T3.3's complement disjunct
+decides are taken lane-wise from the block's rows and go through the kernel
+as one more block; a disconnected one ends the sweep as a disconnected
+graph does.  A lane's :class:`Graph` (``block.graph(j)``, unpacked from the
+block only then) is taken only for a claim row that reads it, a verdict or
+an equality case, on every sweep target.  A detailed :class:`TheoremVerdict`
+is built only for a counterexample, from the graph's BFS distances (and for
+T3.3 the complement's :func:`full_report`).  The public ``check_p21`` ...
+``check_l41`` (also ``UNARY_CHECKS``, by id) are thin wrappers that build
+one graph's verdict from the same row; ``detail=False`` leaves a verdict's
+graph6 id and detail unset.  The pendant and product claims take explicit
+extra arguments, are exercised by dedicated generators instead, and their
+verdicts always carry the graph6 id and the detail.
 """
 
 from __future__ import annotations
@@ -635,7 +635,7 @@ def _t33_complements(block, words, reports, bit):
     keep = pack_lanes(kept, width)
     ones = lane_ones(width, k)
     rows = [keep & ~(row | ones << u) for u, row in enumerate(block.rows)]
-    _, found = lane_reports(Block(n, k, rows, None), [()])
+    _, found = lane_reports(Block(n, k, rows), [()])
     for j, crep in enumerate(found):
         if kept[j]:
             creps[j] = crep
@@ -664,8 +664,10 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
     gated = [tid for tid in dict.fromkeys(ids) if tid != "L4.1"]
     gates = [CLAIMS[tid].gate for tid in gated]
     bits = {tid: 1 << j for j, tid in enumerate(gated)}
-    failed, equal, disconnected = 1 << len(gated), 2 << len(gated), 4 << len(gated)
     l41 = [i for i, tid in enumerate(ids) if tid == "L4.1"]
+    # L4.1's bits are read only when it is asked for
+    failed, equal = (1 << len(gated), 2 << len(gated)) if l41 else (0, 0)
+    disconnected = 4 << len(gated)
     t33 = bits.get("T3.3")
     plans = {}
 

@@ -38,6 +38,7 @@ from distinv import (
     is_connected,
 )
 from distinv.graphs import _rows_from_pairs
+from distinv.invariants import Block
 from distinv.sweeps import iter_sweep
 from distinv.theorems import UNARY_CHECKS, CheckReport
 
@@ -241,6 +242,35 @@ def connected_graphs_by_mask(n: int, lo: int, hi: int):
         g = Graph._raw(n, _rows_from_pairs(n, mask))
         if is_connected(g):
             yield g
+
+
+def tree_from_levels(levels) -> Graph:
+    """The tree of a level sequence, one vertex at a time: vertex 0 is the
+    root, and vertex i's parent the latest vertex one level up.  The
+    reference for the lane-built tree blocks of ``distinv.sweeps``."""
+    n = len(levels)
+    rows = [0] * n
+    last = [0] * n
+    for i in range(1, n):
+        lev = levels[i]
+        j = last[lev - 1]
+        rows[i] = 1 << j
+        rows[j] |= 1 << i
+        last[lev] = i
+    return Graph._raw(n, rows)
+
+
+def block_of(graphs) -> Block:
+    """The lane block of a non-empty list of graphs, of the first one's
+    order (not a reference: the package's ``Block.of``)."""
+    return Block.of(graphs[0].n, [g.bits for g in graphs])
+
+
+def lanes_of(blocks):
+    """Each lane's graph of a stream of blocks, in order, by ``graph(j)``."""
+    for block in blocks:
+        for j in range(block.k):
+            yield block.graph(j)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -51,6 +51,39 @@ class TestInvariantsCommand:
         rec = json.loads(out.strip())
         assert rec["W"] == 4 and rec["E2"] == 4
 
+    def test_tab_separated_edge_list(self, capsys, tmp_path):
+        # an edge list is told from graph6 by its header's two fields,
+        # whatever whitespace parts them
+        spaced, tabbed = tmp_path / "p3.edges", tmp_path / "p3-tabs.edges"
+        spaced.write_text("# path\n3 2\n0 1\n1 2\n")
+        tabbed.write_text("# path\n3\t2\n0\t1\n1\t2\n")
+        for command in ("invariants", "ud"):
+            want = run_cli(capsys, command, str(spaced))
+            assert want[0] == 0 and want[2] == ""
+            assert run_cli(capsys, command, str(tabbed)) == want
+
+    @pytest.mark.parametrize("command", ["invariants", "ud"])
+    def test_stdin_read_line_by_line(self, monkeypatch, command):
+        # the first row is written after at most one window of lines is read
+        lines = ["Bw\n"] * (3 * LANE_BLOCK)
+        stdin = _CountingStdin(lines)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", stdin)
+        argv = [command] + (["--format", "json"] if command == "invariants" else [])
+        assert main(argv) == 0
+        assert stdin.read_lines == len(lines)
+        assert stdin.at_first_write <= LANE_BLOCK + 1
+
+    def test_read_error_names_the_input_and_goes_on(self, capsys, monkeypatch, tmp_path):
+        # an OSError while reading, after the open, is that input's error line
+        good = tmp_path / "good.g6"
+        good.write_text("Bw\n")
+        monkeypatch.setattr(sys, "stdin", _FailingStdin(["A_\n"]))
+        code, out, err = run_cli(capsys, "invariants", "-", str(good))
+        assert code == 2
+        assert err == "error: <stdin>: [Errno 5] Input/output error\n"
+        assert len(out.splitlines()) == 3  # header, <stdin>:1 and good.g6:1
+
     def test_petersen_fixture(self, capsys, data_dir):
         code, out, err = run_cli(
             capsys, "invariants", "--format", "json", str(data_dir / "petersen.edges")
@@ -730,3 +763,43 @@ class _FakeStdin:
 
     def read(self):
         return self._text
+
+    def __iter__(self):
+        return iter(self._text.splitlines(keepends=True))
+
+
+class _FailingStdin:
+    """Stdin whose lines raise EIO once the given ones are read."""
+
+    def __init__(self, lines):
+        self._lines = lines
+
+    def __iter__(self):
+        yield from self._lines
+        raise OSError(5, "Input/output error")
+
+
+class _CountingStdin:
+    """Lines of stdin, counted as they are read, one at a time or all at
+    once; ``at_first_write`` is the count when the output is first
+    written to."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+        self.read_lines = 0
+        self.at_first_write = None
+
+    def __iter__(self):
+        for line in self._lines:
+            self.read_lines += 1
+            yield line
+
+    def read(self):
+        return "".join(self)
+
+    def write(self, text):
+        if self.at_first_write is None:
+            self.at_first_write = self.read_lines
+
+    def flush(self):
+        pass

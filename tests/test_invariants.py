@@ -34,9 +34,11 @@ from distinv.ud import find_ud_certificate, transmission_gap_equality_set, ud_ce
 
 from oracles import (
     bfs_rows,
+    block_of,
     csv_row_by_columns,
     gap_equality_by_rows,
     gate_holds,
+    lanes_of,
     random_connected_graph,
     random_graph,
     report_columns,
@@ -280,7 +282,7 @@ WIDTH_BOUNDS = (16, 31, 32, 63, 64, 127, 128, LANE_MAX_N)
 LANE_SETS = {
     "connected:1..6": (27476, _sweep("connected:1..6")),
     # the first 1/16 of the n = 7 masks
-    "connected:7/16": (81968, lambda: list(_connected_graphs_range(7, 0, 1 << 17))),
+    "connected:7/16": (81968, lambda: list(lanes_of(_connected_graphs_range(7, 0, 1 << 17)))),
     "trees:2..15": (13187, _sweep("trees:2..15")),
     "diam2:n=9..12,count=2000,seed=9001": (
         8000, _sweep("diam2:n=9..12,count=2000,seed=9001")
@@ -318,7 +320,7 @@ def _by_lanes(kernel, graphs, size):
         j = i + 1
         while j < len(graphs) and j - i < size and graphs[j].n == graphs[i].n:
             j += 1
-        out.extend(kernel(graphs[i:j]))
+        out.extend(kernel(block_of(graphs[i:j])))
         i = j
     return out
 
@@ -397,7 +399,7 @@ class TestLaneReports:
         gates = [()] + [c.gate for c in CLAIMS.values() if c.gate]
         apart = 1 << len(gates) + 2
         graphs, connected = _mixed_block(n)
-        words, reports = lane_reports(graphs, gates)
+        words, reports = lane_reports(block_of(graphs), gates)
         for g, ok, word, rep in zip(graphs, connected, words, reports, strict=True):
             if not ok:
                 assert (word, rep) == (apart, None), emit_graph6(g)
@@ -409,13 +411,13 @@ class TestLaneReports:
             expected |= (not held) << len(gates) | eq << len(gates) + 1
             assert (word, rep) == (expected, want), emit_graph6(g)
         for block in ([from_edge_list(2, [])], [from_edge_list(3, [(1, 2)])] * 2):
-            words, reports = lane_reports(block, [()])
+            words, reports = lane_reports(block_of(block), [()])
             assert (list(words), reports) == ([8] * len(block), [None] * len(block))
 
     def test_no_levels_kept(self):
         # a block of P_255 has 16 x 255 sources of 127..254 levels each; the
         # kernel keeps per-source sums, a few packed ints per source
-        block = [path(255)] * 16
+        block = block_of([path(255)] * 16)
         for kernel in (lane_eccentric_sets, lambda block: lane_reports(block, [()])):
             tracemalloc.start()
             try:
@@ -432,7 +434,13 @@ class TestLaneReports:
     )
     def test_outside_the_lane_bound_raises(self, block):
         with pytest.raises(GraphError, match="lane reports need"):
-            lane_reports(block, [()])
+            lane_reports(block_of(block), [()])
+
+    def test_a_list_is_refused(self):
+        # the kernel's one input is a Block
+        for kernel in (lane_eccentric_sets, lambda block: lane_reports(block, [()])):
+            with pytest.raises(TypeError, match="takes a Block"):
+                kernel([path(3)])
 
 
 # claim-like gates, and terms whose bounds lie outside every column's range
@@ -481,10 +489,10 @@ class TestLaneGates:
 
     def test_at_most_13_gates(self):
         # 13 gate bits, L4.1's two and the disconnected bit fill 16 bits
-        words, _ = lane_reports([path(3)], [()] * 13)
+        words, _ = lane_reports(block_of([path(3)]), [()] * 13)
         assert list(words) == [(1 << 13) - 1 | 1 << 14]
         with pytest.raises(GraphError, match="at most 13 gates"):
-            lane_reports([path(3)], [()] * 14)
+            lane_reports(block_of([path(3)]), [()] * 14)
 
 
 class TestL41Condition:
@@ -548,7 +556,7 @@ class TestLaneEccentricSets:
     def test_disconnected_lanes(self, n):
         # None for a disconnected graph, and every other lane as alone
         graphs, connected = _mixed_block(n)
-        found = lane_eccentric_sets(graphs)
+        found = lane_eccentric_sets(block_of(graphs))
         for g, ok, got in zip(graphs, connected, found, strict=True):
             if not ok:
                 assert got is None, emit_graph6(g)
@@ -578,7 +586,7 @@ def _check_pair_blocks(lines, size):
     largest = 0
     for chunk, block in _pair_blocks(lines, size):
         graphs = [parse_graph6(line) for line in chunk]
-        want = Block.of(graphs)
+        want = block_of(graphs)
         assert (block.n, block.k, block.rows) == (want.n, want.k, want.rows), chunk[0]
         assert [block.graph(j) for j in range(block.k)] == graphs, chunk[0]
         largest = max(largest, block.k)

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -30,9 +31,10 @@ from distinv import (
     parse_sweep_spec,
     sample_diameter2_graphs,
 )
+from distinv import invariants as invariants_mod
 from distinv import sweeps as sweeps_mod
 from distinv.graphs import _pairs_from_rows, _rows_from_pairs
-from distinv.invariants import lane_width, unpack_lanes
+from distinv.invariants import LANE_BLOCK, lane_width, unpack_lanes
 from distinv.sweeps import (
     TREE_MAX_N,
     TREE_MIN_N,
@@ -51,7 +53,6 @@ from distinv.sweeps import (
     _stream_key,
     _Stream,
     _Tally,
-    _tree_from_levels,
     mix64,
     rand64,
 )
@@ -62,7 +63,9 @@ from oracles import (
     diam2_attempts,
     diam2_stream_by_attempt,
     is_diameter2,
+    lanes_of,
     tree_canonical_form,
+    tree_from_levels,
     unmix64,
 )
 
@@ -107,7 +110,7 @@ class TestMaskScan:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_mask(self, n):
         total = 1 << (n * (n - 1) // 2)
-        ours = list(_connected_graphs_range(n, 0, total))
+        ours = list(lanes_of(_connected_graphs_range(n, 0, total)))
         assert ours == list(connected_graphs_by_mask(n, 0, total))
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 7])
@@ -115,7 +118,7 @@ class TestMaskScan:
     def test_chunk_ranges(self, n, parts):
         whole = []
         for _, _, lo, hi in _chunks(SweepSpec("connected_graphs", n, n), parts):
-            ours = list(_connected_graphs_range(n, lo, hi))
+            ours = list(lanes_of(_connected_graphs_range(n, lo, hi)))
             assert ours == list(connected_graphs_by_mask(n, lo, hi)), (lo, hi)
             whole += ours
         assert whole == list(enumerate_connected_graphs(n))
@@ -125,15 +128,26 @@ class TestMaskScan:
         # 1,500 masks on each side of every chunk boundary
         for _, _, lo, hi in _chunks(SweepSpec("connected_graphs", 7, 7), parts):
             for a, b in ((lo, lo + 1500), (hi - 1500, hi)):
-                ours = list(_connected_graphs_range(7, a, b))
+                ours = list(lanes_of(_connected_graphs_range(7, a, b)))
                 assert ours == list(connected_graphs_by_mask(7, a, b)), (a, b)
 
     @pytest.mark.parametrize(
         "lo,hi", [(0, 0), (5, 5), (1023, 1025), (1024, 2048), (3000, 3001)]
     )
     def test_short_ranges(self, lo, hi):
-        ours = list(_connected_graphs_range(6, lo, hi))
+        ours = list(lanes_of(_connected_graphs_range(6, lo, hi)))
         assert ours == list(connected_graphs_by_mask(6, lo, hi))
+
+    def test_window_cut_is_one_window_wide(self):
+        # the lo..hi cut of each 1,024-mask window spans that window, not the
+        # rest of the chunk: at order 8 the first connected window is 2^21
+        tracemalloc.start()
+        try:
+            block = next(_connected_graphs_range(8, 0, 1 << 24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.k > 0 and peak < 1 << 20
 
 
 class TestTreeEnumeration:
@@ -173,8 +187,9 @@ class TestTreeEnumeration:
 
 
 class TestTreeBlocks:
-    """A tree chunk's blocks are built lane-wise from its level sequences,
-    and hold the graph view's trees, row for row and in order."""
+    """A tree chunk's blocks are built lane-wise from its level sequences;
+    and every chunk's two views hand out the same graphs: its generator's
+    blocks, lane by lane, and the graph view, graph by graph."""
 
     @pytest.mark.parametrize("n", range(TREE_MIN_N, TREE_MAX_N + 1))
     def test_lane_rows_equal_the_tree_rows(self, n):
@@ -184,22 +199,40 @@ class TestTreeBlocks:
         for levels in sweeps_mod._level_blocks(n, 0, 1):
             block = sweeps_mod._tree_block(n, levels)
             lanes = zip(*(unpack_lanes(row, width, block.k) for row in block.rows))
-            assert list(lanes) == [tuple(_tree_from_levels(lv).bits) for lv in levels]
+            assert list(lanes) == [tuple(tree_from_levels(lv).bits) for lv in levels]
             count += block.k
         assert count == {**TREE_COUNTS, 17: 48629, 18: 123867}[n]
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
-    @pytest.mark.parametrize("spec", [SweepSpec("trees", 2, 16),
-                                      parse_sweep_spec("trees:2..12,filter=non_self_centered")],
-                             ids=str)
-    def test_block_view_equals_graph_view(self, spec, parts):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "trees:2..16",
+            "connected:1..7",
+            # 16-, 32- and 64-bit lanes
+            "diam2:n=9..12,count=1100,seed=5",
+            "diam2:n=16,count=40,seed=5",
+            "diam2:n=31..32,count=30,seed=5",
+            # each filter
+            "trees:2..12,filter=non_self_centered",
+            "connected:1..6,filter=self_centered",
+            "diam2:n=9..10,count=300,seed=5,filter=min_degree_2",
+        ],
+    )
+    def test_block_view_equals_graph_view(self, text, parts):
+        spec = parse_sweep_spec(text)
         for chunk in _chunks(spec, parts):
             graph_tally, block_tally = _Tally(), _Tally()
-            graphs = list(_Stream(spec, chunk, graph_tally))
-            blocks = list(_Stream(spec, chunk, block_tally).blocks())
-            assert [b.graph(j) for b in blocks for j in range(b.k)] == graphs
-            assert all(b.n == chunk[1] for b in blocks)
-            assert block_tally.visited == graph_tally.visited == len(graphs)
+            graphs = _Stream(spec, chunk, graph_tally)
+            count = 0
+            for block in _Stream(spec, chunk, block_tally).blocks():
+                assert block.n == chunk[1] and 1 <= block.k <= LANE_BLOCK
+                for j in range(block.k):
+                    assert block.graph(j) == next(graphs), (chunk, count + j)
+                count += block.k
+            assert next(graphs, None) is None
+            assert block_tally.visited == graph_tally.visited == count
+            assert block_tally.filtered == graph_tally.filtered
             assert block_tally.named() == graph_tally.named()
 
 
@@ -291,7 +324,8 @@ class TestPackedSampler:
         width = n * (n - 1) // 2
         masks = [_pairs_from_rows(g.bits) for g in graphs]
         hits = b"".join(bytes(m >> e & 1 for e in range(width)) for m in masks)
-        return _diam2_lanes(n, _pair_list(n), hits, len(graphs))
+        kept = _diam2_lanes(n, _pair_list(n), hits, len(graphs))
+        return [None if rows is None else Graph._raw(n, rows) for rows in kept]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_diameter2_test_matches_bfs(self, n):
@@ -361,7 +395,7 @@ class TestBlockSampler:
     )
     def test_matches_reference(self, n, count):
         for seed in (0, 5, 9001):
-            ours = list(_diam2_stream(seed, n, 0, count))
+            ours = list(lanes_of(_diam2_stream(seed, n, 0, count)))
             assert ours == list(diam2_stream_by_attempt(seed, n, 0, count)), seed
 
     @pytest.mark.parametrize("n, count", [(9, 2500), (12, 1100)])
@@ -371,12 +405,13 @@ class TestBlockSampler:
         spec = SweepSpec("diameter2_graphs", n, n, sample_count=count, seed=7)
         for parts in (1, 2, 3, 7):
             for _, _, lo, hi in _chunks(spec, parts):
-                assert list(_diam2_stream(7, n, lo, hi)) == whole[lo:hi], (parts, lo, hi)
+                ours = list(lanes_of(_diam2_stream(7, n, lo, hi)))
+                assert ours == whole[lo:hi], (parts, lo, hi)
 
     @pytest.mark.parametrize("index", [0, 1, 5, 1023, 1024, 2047, 2048, 10**6])
     def test_one_sample_ranges(self, index):
         for n in (9, 12):
-            ours = list(_diam2_stream(3, n, index, index + 1))
+            ours = list(lanes_of(_diam2_stream(3, n, index, index + 1)))
             assert ours == list(diam2_stream_by_attempt(3, n, index, index + 1))
 
     @pytest.mark.parametrize("limit", [1, 2])
@@ -392,7 +427,7 @@ class TestBlockSampler:
                     want.append(g)
             got = []
             with pytest.raises(SweepError, match="sampling stalled") as info:
-                for g in _diam2_stream(seed, n, lo, lo + 2000):
+                for g in lanes_of(_diam2_stream(seed, n, lo, lo + 2000)):
                     got.append(g)
             assert type(info.value) is type(ref.value) is SweepError
             assert got == want, (n, seed, lo)
@@ -619,6 +654,15 @@ class TestStreamContract:
 
         with pytest.raises(SweepVisitError, match=r"on no graph yet: ValueError"):
             fold_sweep(SweepSpec("trees", 4, 4), boom, operator.add, int)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_graph_view_packs_no_rows(self, spec, monkeypatch):
+        # a block packs its row tuples only when the kernel reads its rows
+        packed = []
+        pack = invariants_mod.pack_lanes
+        monkeypatch.setattr(invariants_mod, "pack_lanes", lambda *a: packed.append(1) or pack(*a))
+        graphs = list(iter_sweep(spec))
+        assert graphs and not packed
 
     def test_stream_error_propagates_unwrapped(self, monkeypatch):
         monkeypatch.setattr(sweeps_mod, "_MAX_ATTEMPTS", 0)

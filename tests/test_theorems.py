@@ -6,6 +6,7 @@ import time
 import pytest
 
 from distinv import (
+    Graph,
     GraphError,
     SweepSpec,
     all_pairs_distances,
@@ -62,7 +63,7 @@ from distinv.theorems import (
     check_t33,
 )
 
-from oracles import petersen, reference_hunt
+from oracles import block_of, gate_holds, petersen, reference_hunt, tree_from_levels
 
 
 def wheel5():
@@ -658,7 +659,7 @@ class TestClaimGates:
     def test_unmet_wherever_the_gate_fails(self, text):
         claims = list(CLAIMS.values())
         for block in _blocks(text):
-            words, _ = lane_reports(block, [claim.gate for claim in claims])
+            words, _ = lane_reports(block_of(block), [claim.gate for claim in claims])
             for g, word in zip(block, words):
                 dist = all_pairs_distances(g)
                 rep = full_report(g, dist)
@@ -732,7 +733,9 @@ class TestHuntNamesTheGraphInHand:
         connected = list(enumerate_connected_graphs(5))[:9]
         bad = from_edge_list(5, [(0, 1), (2, 3), (3, 4)])
         stream = connected[:4] + [bad] + connected[4:]
-        monkeypatch.setattr(sweeps_mod, "_connected_graphs_range", lambda n, a, b: iter(stream))
+        monkeypatch.setattr(
+            sweeps_mod, "_connected_graphs_range", lambda n, a, b: iter([block_of(stream)])
+        )
         with pytest.raises(SweepVisitError) as info:
             hunt(SweepSpec("connected_graphs", 5, 5), ["P2.4", "L4.1"])
         assert str(info.value) == (
@@ -789,7 +792,7 @@ class TestT33ComplementBlocks:
         star = [0] + [1] * 8
         levels.remove(star)
         levels.insert(2, star)
-        star9 = sweeps_mod._tree_from_levels(star)
+        star9 = tree_from_levels(star)
         monkeypatch.setattr(sweeps_mod, "_tree_levels", lambda n: iter(levels))
         gate = theorems_mod._t33_disjunct
         monkeypatch.setattr(
@@ -832,27 +835,66 @@ class TestT33ComplementBlocks:
 
 
 class TestTreeHuntGraphs:
-    """hunt reads a tree chunk as lane blocks built from level sequences,
-    and builds a Graph only for a tree that a verdict or an equality case
-    names."""
+    """hunt reads every sweep as its generator's lane blocks, and builds a
+    Graph only for a lane that P2.1 or C2.2 reads or that a verdict or an
+    equality case names."""
 
     IDS = ["T3.1", "T3.2", "T3.3", "L4.1"]
 
-    def test_graphs_only_for_named_trees(self, monkeypatch):
-        built, complements = [], []
-        tree, comp = sweeps_mod._tree_from_levels, theorems_mod.complement
-        monkeypatch.setattr(
-            sweeps_mod, "_tree_from_levels", lambda levels: built.append(levels) or tree(levels)
-        )
-        monkeypatch.setattr(theorems_mod, "complement", lambda g: complements.append(g) or comp(g))
-        reports = hunt(parse_sweep_spec("trees:2..15"), self.IDS)
+    @staticmethod
+    def _count_graphs(monkeypatch):
+        # every Graph built from here on, by Graph._raw
+        built = []
+        raw = Graph._raw
+
+        def counted(cls, n, bits):
+            g = raw(n, bits)
+            built.append(g)
+            return g
+
+        monkeypatch.setattr(Graph, "_raw", classmethod(counted))
+        return built
+
+    @staticmethod
+    def _named(reports):
         named = [c.graph_id for r in reports for c in r.counterexamples]
-        named += [g6 for r in reports for g6 in r.equality_cases]
+        return named + [g6 for r in reports for g6 in r.equality_cases]
+
+    def test_graphs_only_for_named_trees(self, monkeypatch):
+        hkacca = complement(parse_graph6("HkaCCA?"))
+        complements = []
+        comp = theorems_mod.complement
+        monkeypatch.setattr(theorems_mod, "complement", lambda g: complements.append(g) or comp(g))
+        built = self._count_graphs(monkeypatch)
+        named = self._named(hunt(parse_sweep_spec("trees:2..15"), self.IDS))
         # the HkaCCA? counterexample of T3.3, T3.1's 3-path and 14 L4.1 cases
         assert len(named) == 16
-        assert sorted(emit_graph6(tree(levels)) for levels in built) == sorted(set(named))
+        trees = [emit_graph6(g) for g in built if g.m == g.n - 1]
+        assert sorted(trees) == sorted(set(named))
         # the counterexample's detail, and nothing else, takes complement()
         assert [emit_graph6(g) for g in complements] == ["HkaCCA?"]
+        assert [g for g in built if g.m != g.n - 1] == [hkacca]
+
+    def test_no_graphs_on_the_sampled_claims(self, monkeypatch):
+        # the diam2-sampled benchmark's sweep and claims, in this process: no
+        # claim reads a graph, and none has a verdict or an equality case
+        spec = parse_sweep_spec("diam2:n=9..12,count=2000,seed=5")
+        built = self._count_graphs(monkeypatch)
+        reports = hunt(spec, ["T2.3", "P2.4", "T2.5", "T2.7", "C2.8i", "C2.8ii"])
+        assert self._named(reports) == [] and reports[0].graphs_visited == 8000
+        assert built == []
+
+    def test_labeled_graphs_only_where_read_or_named(self, monkeypatch):
+        spec = parse_sweep_spec("connected:3..6")
+        gates = [CLAIMS[tid].gate for tid in ("P2.1", "C2.2")]
+        read = {
+            emit_graph6(g) for g in iter_sweep(spec)
+            if any(gate_holds(gate, full_report(g)) for gate in gates)
+        }  # fmt: skip
+        built = self._count_graphs(monkeypatch)
+        named = self._named(hunt(spec, list(ALL_UNARY_IDS)))
+        assert read and set(named) - read
+        assert sorted(emit_graph6(g) for g in built) == sorted(read | set(named))
 
     def test_workers_build_each_block_once(self, monkeypatch):
         spec = parse_sweep_spec("trees:2..15")

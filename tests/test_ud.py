@@ -30,6 +30,7 @@ from distinv.ud import ud_certificate
 
 from oracles import (
     bfs_rows,
+    block_of,
     diametrical_pairs,
     floyd_warshall,
     gap_equality_by_rows,
@@ -301,7 +302,7 @@ def _lane_ud(graphs):
     # the lane UD path of ``distinv ud`` on one block of one order
     return [
         ud_certificate(ecc, sets, cols=cols)
-        for ecc, sets, cols in lane_eccentric_sets(graphs)
+        for ecc, sets, cols in lane_eccentric_sets(block_of(graphs))
     ]
 
 
@@ -326,7 +327,7 @@ class TestLaneColumns:
         dense = [complete(n), _minus_edge(n, 0, 1), _minus_edge(n, 3, n - 1)]
         for block in (dense, dense + [path(n), cycle(n)]):
             assert _lane_ud(block) == [find_ud_certificate(g) for g in block]
-            for ecc, sets, cols in lane_eccentric_sets(block):
+            for ecc, sets, cols in lane_eccentric_sets(block_of(block)):
                 assert cols == transpose(sets)
 
 
