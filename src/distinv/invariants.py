@@ -26,7 +26,8 @@ kept graphs) and packs them when the kernel first reads its rows, so a
 sweep read graph by graph packs nothing; ``Block.of_pairs`` builds the rows
 of graph6 input from its pair bits, with no :class:`Graph` per line (the
 ``invariants`` and ``ud`` commands); the tree sweep builds its blocks' rows
-itself, and ``theorems.hunt`` takes T3.3's complements from a block's rows.
+itself, and ``Block.sums`` of its blocks gives the kernel the BFS's sums in
+closed form; ``theorems.hunt`` takes T3.3's complements from a block's rows.
 """
 
 from __future__ import annotations
@@ -274,6 +275,13 @@ class Block:
             self._lanes = list(zip(*(unpack_lanes(row, width, self.k) for row in self.rows)))
         return Graph._raw(self.n, self._lanes[j])
 
+    def sums(self):
+        """The kernel's per-source sums ``(ecc, tr, far, depth)`` of a block
+        of connected graphs, as ``_Lanes`` keeps them, where the block has
+        them without a BFS, and else None: the kernel then runs its BFS.  The
+        tree sweep's blocks have them in closed form."""
+        return None
+
 
 class _Lanes:
     """A block's lane-packed BFS, one per source s, run in every lane at
@@ -284,7 +292,8 @@ class _Lanes:
     itself in K1).  ``depth`` is the largest eccentricity in any lane;
     ``connected`` has bit 0 of a lane set when the BFS from vertex 0 covers
     it, and every other lane is then emptied, so the BFS costs nothing more
-    there and leaves values no caller reads.
+    there and leaves values no caller reads.  A block whose ``sums()`` has
+    them, every graph connected, skips the BFS.
     """
 
     def __init__(self, block):
@@ -303,6 +312,11 @@ class _Lanes:
         self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
         self.rows = rows = block.rows
         self._halves = halves = _halves(width, k)
+        sums = block.sums()
+        if sums is not None:
+            self.ecc, self.tr, self.far, self.depth = sums
+            self.connected = ones
+            return
         popcount = self.popcount
         self.ecc = eccs = []
         self.tr = trs = []

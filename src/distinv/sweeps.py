@@ -19,7 +19,9 @@ Three sweep targets feed the predicate checkers:
   constant-amortized-time successor rule, ``LANE_BLOCK`` sequences at a
   time.  A block's adjacency rows are built in every lane at once: vertex
   i's parent is the latest vertex one level up, found by scanning down
-  with a lane-wise equality test.
+  with a lane-wise equality test.  From the level columns and those parents
+  a tree block gives the kernel each vertex's eccentricity, transmission
+  and eccentric set in closed form, with no BFS (``_TreeBlock``).
 * ``diameter2_graphs`` - random connected graphs of diameter exactly 2 by
   rejection sampling from G(n, p).  Attempts cycle p over {0.3, 0.5, 0.7},
   samples do not: ``diam2:n=9..12,count=2000,seed=5`` keeps 8 of 2,901
@@ -217,37 +219,35 @@ def _rooted_successor(levels, pos=None):
     return out
 
 
-def _split_first_subtree(levels):
-    # split off the subtree hanging from the root's first child
-    cut = len(levels)
-    seen_one = False
-    for i, lev in enumerate(levels):
-        if lev == 1:
-            if seen_one:
-                cut = i
-                break
-            seen_one = True
-    return [lev - 1 for lev in levels[1:cut]], [0] + levels[cut:]
+def _first_end(levels):
+    # the end of the root's first subtree: its second level-1 vertex, if any
+    try:
+        return levels.index(1, 2)
+    except ValueError:
+        return len(levels)
 
 
 def _free_canonical_or_jump(levels):
-    # a rooted sequence represents a free tree iff the first root subtree is
-    # no taller, no bigger, and no later lexicographically than the rest;
-    # otherwise skip straight to the next sequence satisfying that
-    first, rest = _split_first_subtree(levels)
-    h_first = max(first)
-    h_rest = max(rest)
-    ok = h_rest >= h_first
-    if ok and h_rest == h_first:
-        if len(first) > len(rest) or (len(first) == len(rest) and first > rest):
-            ok = False
-    if ok:
+    # a rooted sequence represents a free tree iff the first root subtree
+    # (the vertices 1..cut - 1, one level lower seen from its own root) is no
+    # taller, no bigger, and no later lexicographically than the rest (the
+    # root and the vertices from cut on); otherwise skip straight to the next
+    # sequence satisfying that.  The subtrees are copied only on a tie
+    cut = _first_end(levels)
+    h_first = max(levels[1:cut]) - 1
+    h_rest = max(levels[cut:], default=0)
+    if h_rest > h_first:
         return levels
-    pos = len(first)
+    if h_rest == h_first:
+        size, rest = cut - 1, len(levels) - cut + 1
+        if size < rest or (
+            size == rest and [lev - 1 for lev in levels[1:cut]] <= [0] + levels[cut:]
+        ):
+            return levels
+    pos = cut - 1
     nxt = _rooted_successor(levels, pos)
     if levels[pos] > 2:
-        new_first, _ = _split_first_subtree(nxt)
-        tail = list(range(1, max(new_first) + 2))
+        tail = list(range(1, max(nxt[1 : _first_end(nxt)]) + 1))
         nxt[len(nxt) - len(tail) :] = tail
     return nxt
 
@@ -264,6 +264,7 @@ def _tree_block(n, levels):
     low = ones * ((1 << top) - 1)
     cols = [pack_lanes(col, width) for col in zip(*levels)]
     rows = [0] * n
+    hits = []
     for i in range(1, n):
         up = cols[i] - ones  # the parent's level in every lane, as levels[i] >= 1
         todo = ones
@@ -276,7 +277,87 @@ def _tree_block(n, levels):
                 rows[i] |= hit << j
                 rows[j] |= hit << i
                 todo ^= hit
-    return Block(n, k, rows)
+                hits.append((i, j, hit))
+    return _TreeBlock(n, k, rows, cols, hits)
+
+
+class _TreeBlock(Block):
+    """A block of ``_tree_levels``' trees, which keeps its level columns and
+    the parent scan's ``(i, j, hit)``, vertex i's parent being j in the
+    lanes of ``hit``, and from them computes the kernel's per-source sums
+    lane-wise, with no BFS.  The root is a centre, and the first root
+    subtree (the vertices before the second level-1 vertex) reaches the
+    largest level H: the sequence is centre-rooted (Wright, Richmond,
+    Odlyzko and McKay, SIAM J. Comput. 15, 1986).  The tree is bicentral iff
+    no vertex outside the first subtree has level H.  Then:
+
+    * ecc(v) = level(v) + H - [bicentral and v in the first subtree];
+    * Tr(root) = sum of the levels, and Tr(c) = Tr(parent) + n - 2 size(c)
+      with size(c) the order of c's subtree (Wiener 1947);
+    * far(root) is every level-H vertex, and far(u) every level-H vertex
+      outside u's root branch, and in a bicentral tree for u in the first
+      subtree every level-(H - 1) vertex outside it instead.
+    """
+
+    __slots__ = ("_cols", "_hits")
+
+    def __init__(self, n, k, rows, cols, hits):
+        super().__init__(n, k, rows)
+        self._cols, self._hits = cols, hits
+
+    def sums(self):
+        n, k, cols = self.n, self.k, self._cols
+        width = lane_width(n)
+        top = width - 1
+        lane = (1 << width) - 1
+        ones = lane_ones(width, k)
+        low = ones * (lane >> 1)
+        bias = ones << top
+
+        def zero(x):  # 1 in each lane of x that is zero
+            return ones ^ (((x + low) >> top) & ones)
+
+        # the largest level, and the first subtree's vertices in each lane;
+        # each root branch starts at a level-1 vertex
+        starts = [zero(c ^ ones) for c in cols]
+        h = ones
+        first = [0, ones]
+        for c, start in zip(cols[2:], starts[2:]):
+            # h = max(h, c): bit top of a lane of c + 2^top - h is c >= h
+            h ^= (h ^ c) & ((((c + bias - h) >> top) & ones) * lane)
+            first.append(first[-1] & ~start)
+        inside = sum(f << v for v, f in enumerate(first))
+        tops = sum(zero(c ^ h) << v for v, c in enumerate(cols))
+        bicentral = zero(tops & ~inside)
+        ecc = [c + h - (f & bicentral) for c, f in zip(cols, first)]
+        depth = max(unpack_lanes(2 * h - bicentral, width, k))
+
+        parents = [(i, j, hit * lane) for i, j, hit in self._hits]
+        size = [ones] * n
+        for i, j, mask in reversed(parents):
+            size[j] += size[i] & mask
+        # a lane of n - 2 size(c) may be negative, but the packed sums are
+        # exact and each lane ends at Tr(c) >= 0 once Tr(parent) is added
+        tr = [sum(cols)] + [n * ones - 2 * s for s in size[1:]]
+        for i, j, mask in parents:
+            tr[i] += tr[j] & mask
+
+        # the level-H vertices before u's root branch, then those after it
+        far = [tops]
+        before = after = 0
+        for u in range(1, n):
+            below = tops & ones * ((1 << u) - 1)
+            before ^= (before ^ below) & starts[u] * lane
+            far.append(before)
+        for u in range(n - 1, 0, -1):
+            far[u] |= after
+            after ^= (after ^ (tops & ~(ones * ((1 << u) - 1)))) & starts[u] * lane
+        # in a bicentral tree the first subtree's far side is the other
+        # centre's: its level-(H - 1) vertices
+        near = sum(zero(c + ones ^ h) << v for v, c in enumerate(cols)) & ~inside
+        for u in range(1, n):
+            far[u] |= near & (first[u] & bicentral) * lane
+        return ecc, tr, far, depth
 
 
 # ---------------------------------------------------------------------------

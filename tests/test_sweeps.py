@@ -1,6 +1,7 @@
 """Enumeration counts, sampler reproducibility, and the parallel fold."""
 
 import hashlib
+import itertools
 import re
 import multiprocessing
 import operator
@@ -34,7 +35,7 @@ from distinv import (
 from distinv import invariants as invariants_mod
 from distinv import sweeps as sweeps_mod
 from distinv.graphs import _pairs_from_rows, _rows_from_pairs
-from distinv.invariants import LANE_BLOCK, lane_width, unpack_lanes
+from distinv.invariants import LANE_BLOCK, Block, _Lanes, lane_reports, lane_width, unpack_lanes
 from distinv.sweeps import (
     TREE_MAX_N,
     TREE_MIN_N,
@@ -56,6 +57,7 @@ from distinv.sweeps import (
     mix64,
     rand64,
 )
+from distinv.theorems import CLAIMS, hunt
 
 from oracles import (
     bernoulli_rows,
@@ -202,6 +204,26 @@ class TestTreeBlocks:
             assert list(lanes) == [tuple(tree_from_levels(lv).bits) for lv in levels]
             count += block.k
         assert count == {**TREE_COUNTS, 17: 48629, 18: 123867}[n]
+
+    @pytest.mark.parametrize(
+        "n, size",
+        [(n, LANE_BLOCK) for n in range(TREE_MIN_N, TREE_MAX_N + 1)]
+        + [(n, size) for size in (1, 3) for n in range(TREE_MIN_N, 13)],
+    )
+    def test_closed_form_equals_the_bfs(self, n, size):
+        # a tree block's sums are the BFS kernel's on a plain block of the
+        # same rows, and so are its words and reports; the empty gate gives
+        # every lane a report
+        gates = [()] + [c.gate for c in CLAIMS.values() if c.gate]
+        levels = sweeps_mod._tree_levels(n)
+        for chunk in iter(lambda: list(itertools.islice(levels, size)), []):
+            block = sweeps_mod._tree_block(n, chunk)
+            plain = Block(n, block.k, block.rows)
+            assert block.sums() is not None and plain.sums() is None
+            got, want = _Lanes(block), _Lanes(plain)
+            for name in ("ecc", "tr", "far", "depth", "connected"):
+                assert getattr(got, name) == getattr(want, name), (name, chunk[0])
+            assert lane_reports(block, gates) == lane_reports(plain, gates), chunk[0]
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -663,6 +685,20 @@ class TestStreamContract:
         monkeypatch.setattr(invariants_mod, "pack_lanes", lambda *a: packed.append(1) or pack(*a))
         graphs = list(iter_sweep(spec))
         assert graphs and not packed
+
+    def test_graph_view_runs_no_closed_form(self, monkeypatch):
+        # only the kernel reads a tree block's sums, and a filtered tree
+        # sweep's blocks, repacked with Block.of, have none
+        calls = []
+        sums = sweeps_mod._TreeBlock.sums
+        monkeypatch.setattr(
+            sweeps_mod._TreeBlock, "sums", lambda self: calls.append(self.k) or sums(self)
+        )
+        assert len(list(iter_sweep(parse_sweep_spec("trees:2..15")))) == 13187
+        hunt(parse_sweep_spec("trees:2..12,filter=non_self_centered"), ["T3.1", "L4.1"])
+        assert not calls
+        hunt(parse_sweep_spec("trees:2..9"), ["T3.1", "L4.1"])
+        assert sum(calls) == sum(TREE_COUNTS[n] for n in range(2, 10))
 
     def test_stream_error_propagates_unwrapped(self, monkeypatch):
         monkeypatch.setattr(sweeps_mod, "_MAX_ATTEMPTS", 0)
