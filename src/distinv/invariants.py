@@ -16,7 +16,7 @@ levels, so a block is O(n) packed ints at any diameter.  It evaluates claim
 gates on the packed columns, and a disconnected graph is a bit of its word,
 not an exception.  :func:`lane_eccentric_sets` reads each vertex's
 eccentricity and eccentric set from the same lane BFS, and transposes the
-sets lane-wise for the UD scan.
+sets lane-wise for the UD scan; :func:`lane_wiener_e1` reads only W and E1.
 
 The kernel has one input, a :class:`Block`: the order, the number of lanes
 and the packed adjacency rows; ``graph(j)`` unpacks lane j's :class:`Graph`
@@ -27,7 +27,8 @@ sweep read graph by graph packs nothing; ``Block.of_pairs`` builds the rows
 of graph6 input from its pair bits, with no :class:`Graph` per line (the
 ``invariants`` and ``ud`` commands); the tree sweep builds its blocks' rows
 itself, and ``Block.sums`` of its blocks gives the kernel the BFS's sums in
-closed form; ``theorems.hunt`` takes T3.3's complements from a block's rows.
+closed form and ``Block.edges`` their parent edges; ``theorems.hunt`` takes
+T3.3's complements from a block's rows.
 """
 
 from __future__ import annotations
@@ -213,6 +214,12 @@ def _union(x: int, halves) -> int:
     return x
 
 
+def _times(a: int, b: int, ones: int, lane: int, bound: int) -> int:
+    """Each lane's product of a and b, for lanes of b at most ``bound`` and
+    products that fit a lane: a << k summed over the set bits k of b."""
+    return sum((a << k) & ((b >> k) & ones) * lane for k in range(bound.bit_length()))
+
+
 class Block:
     """The lane kernel's one input: k graphs of one order 1 <= n <= 255,
     ``rows[u]`` holding row u of graph j in its lane j of ``lane_width(n)``
@@ -280,6 +287,12 @@ class Block:
         of connected graphs, as ``_Lanes`` keeps them, where the block has
         them without a BFS, and else None: the kernel then runs its BFS.  The
         tree sweep's blocks have them in closed form."""
+        return None
+
+    def edges(self):
+        """A block of trees' parent edges ``(i, j, hit)``, each vertex i >= 1
+        with one parent j < i in every lane (in the lanes of ``hit``), where
+        it lists them (the tree sweep's blocks), and else None."""
         return None
 
 
@@ -459,15 +472,25 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
         diam += nonzero(at_least[a])
         rad += ones ^ nonzero(full ^ at_least[a])
     m2 = xic = e2x2 = n_univ = 0
+    edges = block.edges()
     for u, row in enumerate(lanes.rows):
         m2 += popcount(row)
         n_univ += ones ^ nonzero(row ^ (full ^ (ones << u)))
-        cu = 0
-        for a in range(1, depth + 1):
-            cu += popcount(row & at_least[a])
-        xic += cu
-        for a in range(1, depth + 1):
-            e2x2 += cu & (((at_least[a] >> u) & ones) * lane)
+        if edges is None:
+            cu = 0
+            for a in range(1, depth + 1):
+                cu += popcount(row & at_least[a])
+            xic += cu
+            for a in range(1, depth + 1):
+                e2x2 += cu & (((at_least[a] >> u) & ones) * lane)
+    if edges is not None:
+        # a tree's n - 1 edges, each once as vertex i >= 1 and its parent,
+        # whose eccentricity is pe[i]: xic sums both ends, E2 their product
+        pe = [0] * n
+        for i, j, hit in edges:
+            pe[i] |= ecc[j] & hit * lane
+        xic = sum(ecc[1:]) + sum(pe)
+        e2x2 = sum(_times(e, p, ones, lane, depth) for e, p in zip(ecc[1:], pe[1:])) << 1
     total = sum(ecc)
 
     # L4.1: gap(v) = totecc - ecc(v) - Tr(v), biased by 2^top so no lane
@@ -528,3 +551,14 @@ def lane_eccentric_sets(block: Block) -> list[tuple[tuple[int, ...], ...] | None
     packed = (lanes.ecc, lanes.far, lanes.columns())
     sets = zip(*(zip(*map(lanes.unpack, x)) for x in packed))
     return [t if c else None for c, t in zip(lanes.unpack(lanes.connected), sets)]
+
+
+def lane_wiener_e1(block: Block) -> list[tuple[int, int] | None]:
+    """Every graph's ``(W, E1)`` and no other column, for a :class:`Block` of
+    graphs of one order 1 <= n <= 255, and None for a disconnected graph: W
+    is half the sum of the lane BFS's Tr(s), and E1 the sum of ecc(s)^2."""
+    lanes = _Lanes(block)
+    ones, lane, depth = lanes.ones, lanes.lane, lanes.depth
+    e1 = sum(_times(e, e, ones, lane, depth) for e in lanes.ecc)
+    packed = map(lanes.unpack, (lanes.connected, sum(lanes.tr) >> 1, e1))
+    return [(w, e) if c else None for c, w, e in zip(*packed)]

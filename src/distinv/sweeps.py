@@ -21,7 +21,8 @@ Three sweep targets feed the predicate checkers:
   i's parent is the latest vertex one level up, found by scanning down
   with a lane-wise equality test.  From the level columns and those parents
   a tree block gives the kernel each vertex's eccentricity, transmission
-  and eccentric set in closed form, with no BFS (``_TreeBlock``).
+  and eccentric set in closed form, with no BFS, and its parent edges, over
+  which the kernel sums xic and E2 (``_TreeBlock``).
 * ``diameter2_graphs`` - random connected graphs of diameter exactly 2 by
   rejection sampling from G(n, p).  Attempts cycle p over {0.3, 0.5, 0.7},
   samples do not: ``diam2:n=9..12,count=2000,seed=5`` keeps 8 of 2,901
@@ -283,13 +284,13 @@ def _tree_block(n, levels):
 
 class _TreeBlock(Block):
     """A block of ``_tree_levels``' trees, which keeps its level columns and
-    the parent scan's ``(i, j, hit)``, vertex i's parent being j in the
-    lanes of ``hit``, and from them computes the kernel's per-source sums
-    lane-wise, with no BFS.  The root is a centre, and the first root
-    subtree (the vertices before the second level-1 vertex) reaches the
-    largest level H: the sequence is centre-rooted (Wright, Richmond,
-    Odlyzko and McKay, SIAM J. Comput. 15, 1986).  The tree is bicentral iff
-    no vertex outside the first subtree has level H.  Then:
+    the parent scan's ``(i, j, hit)`` (its ``edges()``), vertex i's parent
+    being j in the lanes of ``hit``, and from them computes the kernel's
+    per-source sums lane-wise, with no BFS.  The root is a centre, and the
+    first root subtree (the vertices before the second level-1 vertex)
+    reaches the largest level H: the sequence is centre-rooted (Wright,
+    Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986).  The tree is
+    bicentral iff no vertex outside the first subtree has level H.  Then:
 
     * ecc(v) = level(v) + H - [bicentral and v in the first subtree];
     * Tr(root) = sum of the levels, and Tr(c) = Tr(parent) + n - 2 size(c)
@@ -358,6 +359,9 @@ class _TreeBlock(Block):
         for u in range(1, n):
             far[u] |= near & (first[u] & bicentral) * lane
         return ecc, tr, far, depth
+
+    def edges(self):
+        return self._hits
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ kernel, which takes every order a sweep makes, evaluates the gates and
 builds a report only for a graph some gate selects.  A predicate runs only
 where its gate holds, and re-checks its whole hypothesis.  The kernel
 decides L4.1.  The complements of the trees T3.3's complement disjunct
-decides are taken lane-wise from the block's rows and go through the kernel
-as one more block; a disconnected one ends the sweep as a disconnected
-graph does.  A lane's :class:`Graph` (``block.graph(j)``, unpacked from the
-block only then) is taken only for a claim row that reads it, a verdict or
-an equality case, on every sweep target.  A detailed :class:`TheoremVerdict`
+decides are taken lane-wise from the block's rows and go through the
+kernel's BFS as one more block, which yields only their W and E1; a
+disconnected one ends the sweep as a disconnected graph does.  A lane's
+:class:`Graph` (``block.graph(j)``, unpacked from the block only then) is
+taken only for a claim row that reads it, a verdict or an equality case, on
+every sweep target.  A detailed :class:`TheoremVerdict`
 is built only for a counterexample, from the graph's BFS distances (and for
 T3.3 the complement's :func:`full_report`).  The public ``check_p21`` ...
 ``check_l41`` (also ``UNARY_CHECKS``, by id) are thin wrappers that build
@@ -67,6 +68,7 @@ from .invariants import (  # LANE_BLOCK, the most graphs a block of hunt holds, 
     lane_ones,
     lane_reports,
     lane_width,
+    lane_wiener_e1,
     pack_lanes,
 )
 from .sweeps import SweepSpec, fold_sweep, visit_error
@@ -320,18 +322,19 @@ def _t33_disjunct(rep):
     return "tree" if rep.wiener > rep.e1 else "complement"
 
 
-def _t33(g, rep, dist, crep=None):
+def _t33(g, rep, dist, decided=None):
     """Trees with n > 8: W > E1 holds for the tree or for its complement.
 
-    ``crep`` is the complement's report where the caller already has it."""
-    disjunct = _t33_disjunct(rep)
+    ``decided`` is the caller's (disjunct, the complement's (W, E1) or None)."""
+    disjunct, comp = decided or (_t33_disjunct(rep), None)
     if disjunct is None:
         return _UNMET
     if disjunct == "tree":
         return True, True, False
-    if crep is None:
+    if comp is None:
         crep = full_report(complement(g))
-    return True, crep.wiener > crep.e1, False
+        comp = crep.wiener, crep.e1
+    return True, comp[0] > comp[1], False
 
 
 def _t33_detail(g, rep, dist, hyp):
@@ -614,34 +617,32 @@ def check_t54(g, h):
 
 
 def _t33_complements(block, words, reports, bit):
-    """The complement's lane report for each tree of a block whose word has
-    T3.3's gate ``bit`` and whose complement decides T3.3, and None
-    elsewhere; and the set of lanes of those trees whose complement is
-    disconnected.  The complements are taken lane-wise
-    from the block's rows: row u of a kept lane's complement is every
-    vertex but u and u's tree neighbours, and the other lanes are empty.
-    They go through the kernel as one block."""
+    """T3.3's ``decided`` (see ``_t33``) for each tree of a block whose word
+    has T3.3's gate ``bit``, and None elsewhere; and the set of lanes whose
+    complement decides T3.3 and is disconnected.  The complements are taken
+    lane-wise from the block's rows: row u of a kept lane's complement is
+    every vertex but u and u's tree neighbours, and the other lanes are
+    empty.  They go through the kernel's BFS as one block, which yields
+    only their W and E1."""
     n, k = block.n, block.k
     width = lane_width(n)
     vertices = (1 << n) - 1
-    kept = [
-        vertices if word & bit and _t33_disjunct(rep) == "complement" else 0
-        for word, rep in zip(words, reports)
+    decided = [
+        (_t33_disjunct(rep), None) if word & bit else None for word, rep in zip(words, reports)
     ]
-    creps = [None] * k
+    kept = [vertices if d and d[0] == "complement" else 0 for d in decided]
     split = set()
     if not any(kept):
-        return creps, split
+        return decided, split
     keep = pack_lanes(kept, width)
     ones = lane_ones(width, k)
     rows = [keep & ~(row | ones << u) for u, row in enumerate(block.rows)]
-    _, found = lane_reports(Block(n, k, rows), [()])
-    for j, crep in enumerate(found):
+    for j, comp in enumerate(lane_wiener_e1(Block(n, k, rows))):
         if kept[j]:
-            creps[j] = crep
-            if crep is None:  # the empty gate holds on every connected graph
+            decided[j] = "complement", comp
+            if comp is None:
                 split.add(j)
-    return creps, split
+    return decided, split
 
 
 def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]:
@@ -686,7 +687,7 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         # per claim: hypothesis hits, counterexample verdicts, equality graph6
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
-    def visit(acc, block, j, rep, word, crep):
+    def visit(acc, block, j, rep, word, decided):
         # lane j's claims; its Graph is built only for a claim row that reads
         # it, a verdict or an equality case
         if word & disconnected:
@@ -697,7 +698,7 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
             if reads_graph:
                 g = g or block.graph(j)
             hyp, held, eq = (
-                predicate(g, rep, None, crep) if is_t33 else predicate(g, rep, None)
+                predicate(g, rep, None, decided) if is_t33 else predicate(g, rep, None)
             )
             if hyp:
                 hits[i] += 1
@@ -723,10 +724,10 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
             words, reports = lane_reports(block, gates)
             for i in l41:
                 acc[0][i] += block.k
-            creps, split = repeat(None), ()
+            decided, split = repeat(None), ()
             if t33:
-                creps, split = _t33_complements(block, words, reports, t33)
-            for j, (word, rep, crep) in enumerate(zip(words, reports, creps)):
+                decided, split = _t33_complements(block, words, reports, t33)
+            for j, (word, rep, dec) in enumerate(zip(words, reports, decided)):
                 if not word:
                     continue
                 if j in split:
@@ -734,7 +735,7 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
                     # per-graph path does, naming the tree
                     word |= disconnected
                 try:
-                    visit(acc, block, j, rep, word, crep)
+                    visit(acc, block, j, rep, word, dec)
                 except Exception as exc:
                     # the stream has read ahead to the block's end: name lane j here
                     raise visit_error(block.graph(j), exc) from exc

@@ -21,8 +21,22 @@ from distinv import (
 )
 from distinv.families import complete, cycle, path, star
 from distinv.graphs import decode_graph6
-from distinv.invariants import LANE_MAX_N, Block, lane_eccentric_sets, lane_reports
+from distinv.invariants import (
+    LANE_MAX_N,
+    Block,
+    _times,
+    lane_eccentric_sets,
+    lane_ones,
+    lane_reports,
+    lane_width,
+    lane_wiener_e1,
+    pack_lanes,
+    unpack_lanes,
+)
 from distinv.sweeps import (
+    SweepSpec,
+    _Stream,
+    _Tally,
     _connected_graphs_range,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -564,6 +578,53 @@ class TestLaneEccentricSets:
             dist = all_pairs_distances(g)
             want = (tuple(dist.ecc), tuple(dist.far))
             assert got == (*want, transpose(want[1])), emit_graph6(g)
+
+
+class TestLaneProduct:
+    @pytest.mark.parametrize("width", [16, 32, 64, 128, 256])
+    def test_every_pair_up_to_the_eccentricity_bound(self, width):
+        # the largest order of this lane width, whose eccentricities are at
+        # most n - 1; every pair (a, b) of values up to that, one per lane
+        n = max(n for n in range(1, LANE_MAX_N + 1) if lane_width(n) == width)
+        values = range(n)
+        pairs = [(a, b) for a in values for b in values]
+        a, b = (pack_lanes(col, width) for col in zip(*pairs))
+        ones = lane_ones(width, len(pairs))
+        lane = (1 << width) - 1
+        got = _times(a, b, ones, lane, n - 1)
+        assert list(unpack_lanes(got, width, len(pairs))) == [x * y for x, y in pairs]
+
+
+class TestLaneWienerE1:
+    """The complement reader's connectivity, W and E1 against the complement's
+    ``full_report``."""
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_tree_complements(self, n):
+        # every tree of the order in blocks of LANE_BLOCK, the star among
+        # them: its complement, K_{n-1} and an isolated vertex, is disconnected
+        seen = False
+        full = (1 << n) - 1
+        for block in _Stream(SweepSpec("trees", n, n), ("mod", n, 0, 1), _Tally()).blocks():
+            ones = lane_ones(lane_width(n), block.k)
+            rows = [ones * full & ~(row | ones << u) for u, row in enumerate(block.rows)]
+            for j, got in enumerate(lane_wiener_e1(Block(n, block.k, rows))):
+                tree = block.graph(j)
+                if max(b.bit_count() for b in tree.bits) == n - 1:  # the star
+                    assert got is None
+                    seen = True
+                    continue
+                rep = full_report(complement(tree))
+                assert got == (rep.wiener, rep.e1), emit_graph6(tree)
+        assert seen
+
+    @pytest.mark.parametrize("n", MIXED_ORDERS)
+    def test_disconnected_lanes(self, n):
+        graphs, connected = _mixed_block(n)
+        found = lane_wiener_e1(block_of(graphs))
+        for g, ok, got in zip(graphs, connected, found, strict=True):
+            rep = full_report(g) if ok else None
+            assert got == (rep and (rep.wiener, rep.e1)), emit_graph6(g)
 
 
 def _pair_blocks(lines, size):

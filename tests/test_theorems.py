@@ -809,17 +809,17 @@ class TestT33ComplementBlocks:
     def test_complement_rows_lane_by_lane(self, monkeypatch, n):
         # orders 9..15 in 16-bit lanes, 16 in 32-bit lanes
         handed = []
-        real = theorems_mod.lane_reports
+        real = theorems_mod.lane_wiener_e1
 
-        def capture(block, gates):
+        def capture(block):
             handed.append(block)
-            return real(block, gates)
+            return real(block)
 
-        monkeypatch.setattr(theorems_mod, "lane_reports", capture)
+        monkeypatch.setattr(theorems_mod, "lane_wiener_e1", capture)
         spec = SweepSpec("trees", n, n)
         width = lane_width(n)
         for block in _Stream(spec, ("mod", n, 0, 1), _Tally()).blocks():
-            words, reports = real(block, [CLAIMS["T3.3"].gate])
+            words, reports = lane_reports(block, [CLAIMS["T3.3"].gate])
             creps, split = theorems_mod._t33_complements(block, words, reports, 1)
             (comp,) = handed
             handed.clear()
@@ -828,9 +828,11 @@ class TestT33ComplementBlocks:
                 if word & 1 and rep.wiener <= rep.e1:
                     c = complement(block.graph(j))
                     assert lane == tuple(c.bits)
-                    assert creps[j] == full_report(c)
+                    crep = full_report(c)
+                    assert creps[j] == ("complement", (crep.wiener, crep.e1))
                 else:
-                    assert lane == (0,) * n and creps[j] is None
+                    assert lane == (0,) * n
+                    assert creps[j] == (("tree", None) if word & 1 else None)
             assert split == set()
 
 
