@@ -17,24 +17,25 @@ graph, whole), and ``LANE_BLOCK`` graphs at a time.  A window holds each
 graph as its order and pair bits ``(n, pairs)`` (``graphs.decode_graph6``;
 an edge-list graph's from its rows), and each of its orders becomes one lane
 block built from the pairs (``Block.of_pairs``) for the lane kernel
-(``lane_reports``, ``lane_eccentric_sets``), so no graph6 line of a block
-becomes a :class:`Graph`; rows on stdout and error lines on stderr come out
-in input order.  A graph takes the per-graph path (``full_report``,
-``find_ud_certificate``), as a :class:`Graph` built from its pairs, in three
-cases: it is the only graph of its order in the window, its order is 0 or
-above ``LANE_MAX_N``, or the kernel reports it disconnected (a None where
-its report or eccentric sets would be), which leaves its pairs in place for
-the per-graph error line while the rest of its order keeps what the lanes
-gave.  Only the graphs of order 1..``LANE_MAX_N`` wait for the end of their
-window; every other graph and every unreadable line becomes its output or
-error line as it is read.
+(``lane_reports``) or the lane UD scan (``ud.lane_ud_certificates``), so no
+graph6 line of a block becomes a :class:`Graph`; rows on stdout and error
+lines on stderr come out in input order.  A graph takes the per-graph path
+(``full_report``, ``find_ud_certificate``), as a :class:`Graph` built from
+its pairs, in three cases: it is the only graph of its order in the window,
+its order is 0 or above ``LANE_MAX_N``, or the kernel reports it
+disconnected (a None where its report or certificate would be), which leaves
+its pairs in place for the per-graph error line while the rest of its order
+keeps what the lanes gave.  Only the graphs of order 1..``LANE_MAX_N`` wait
+for the end of their window; every other graph and every unreadable line
+becomes its output or error line as it is read.
 Each row is formatted from a template (``InvariantReport.csv_row`` and
 ``json_row``, ``UdCertificate.json_row``); a JSON row is the text of
 ``json.dumps(to_json_dict(), sort_keys=True)``.
 
 Exit codes: 0 success, 1 a claim check found a counterexample, 2 usage or
-input error.  Output is byte-identical for identical inputs, seed and
-format, independent of the worker count.
+input error, or stdout closed before the command finished (``distinv ud
+FILE | head -1``: one error line, no traceback).  Output is byte-identical
+for identical inputs, seed and format, independent of the worker count.
 
 Each command imports the modules it runs in its handler, so ``--version``
 loads no other module of the package, and ``invariants`` and ``ud`` load
@@ -44,6 +45,7 @@ neither ``sweeps``, ``theorems`` nor ``families``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -283,16 +285,11 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_ud(args, out) -> int:
-    from .invariants import lane_eccentric_sets
-    from .ud import UdCertificate, find_ud_certificate, ud_certificate
+    from .ud import UdCertificate, find_ud_certificate, lane_ud_certificates
 
-    def block(lanes):
-        return [
-            None if found is None else ud_certificate(found[0], found[1], cols=found[2])
-            for found in lane_eccentric_sets(lanes)
-        ]
-
-    return _per_graph(args.files, out, find_ud_certificate, block, UdCertificate.json_row)
+    return _per_graph(
+        args.files, out, find_ud_certificate, lane_ud_certificates, UdCertificate.json_row
+    )
 
 
 _COMMANDS = {
@@ -340,11 +337,17 @@ def main(argv=None) -> int:
     try:
         try:
             code = _COMMANDS[args.command](args, out)
+            sys.stdout.flush()  # a closed stdout raises here, not at exit
         finally:
             if out is not sys.stdout:
                 out.close(create=code != 2)
     except (GraphError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except BrokenPipeError:
+        # stdout closed early: at os.devnull, it takes the last flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed before the command finished", file=sys.stderr)
         code = 2
     return code
 

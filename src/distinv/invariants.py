@@ -14,9 +14,9 @@ by the order; its reports are checked field by field against
 :func:`full_report` in the tests.  Its lane BFS keeps per-source sums, not
 levels, so a block is O(n) packed ints at any diameter.  It evaluates claim
 gates on the packed columns, and a disconnected graph is a bit of its word,
-not an exception.  :func:`lane_eccentric_sets` reads each vertex's
-eccentricity and eccentric set from the same lane BFS, and transposes the
-sets lane-wise for the UD scan; :func:`lane_wiener_e1` reads only W and E1.
+not an exception.  ``ud.lane_ud_certificates`` scans each block's UD pairs
+over the same lane BFS's eccentricities and transposed eccentric sets
+(``_Lanes.columns``); :func:`lane_wiener_e1` reads only W and E1.
 
 The kernel has one input, a :class:`Block`: the order, the number of lanes
 and the packed adjacency rows; ``graph(j)`` unpacks lane j's :class:`Graph`
@@ -537,20 +537,6 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
         for b, m, dm, rd, w, ec1, ec2, tot, x, nu in zip(unpack(select), *map(unpack, columns))
     ]
     return unpack(word), reports
-
-
-def lane_eccentric_sets(block: Block) -> list[tuple[tuple[int, ...], ...] | None]:
-    """Every graph's eccentricities, eccentric sets and their transpose
-    ``(ecc, sets, cols)``, for a :class:`Block` of graphs of one order
-    1 <= n <= 255, and None for a disconnected graph: ``sets[v]`` is the
-    bitmask of the vertices at distance ``ecc[v]`` from v, the last
-    non-empty BFS level from v (v itself in K1), and ``cols[x]`` the bitmask
-    of the w with x in ``sets[w]``.
-    """
-    lanes = _Lanes(block)
-    packed = (lanes.ecc, lanes.far, lanes.columns())
-    sets = zip(*(zip(*map(lanes.unpack, x)) for x in packed))
-    return [t if c else None for c, t in zip(lanes.unpack(lanes.connected), sets)]
 
 
 def lane_wiener_e1(block: Block) -> list[tuple[int, int] | None]:

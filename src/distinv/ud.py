@@ -6,13 +6,13 @@ vertex ``w`` has ``u`` or ``v`` in its eccentric set, equivalently
 pairs in lexicographic order so reports are deterministic.
 
 A vertex's eccentric set is the last level of a BFS from it, kept as a
-bitmask by both BFS paths: ``DistanceData.far`` for one graph and
-``invariants.lane_eccentric_sets`` for a block of graphs of one order
-(which ``distinv ud`` uses).  :func:`ud_certificate` is the one scan over
-those bitmasks, read through their transpose ``cols[x] = {w : x in
-sets[w]}``: the lane path transposes a whole block's sets lane-wise and
-hands it the unpacked columns, while :func:`find_ud_certificate` and
-:func:`is_ud_pair` hand it ``far`` and it transposes them itself.
+bitmask by both BFS paths: ``DistanceData.far`` for one graph and the lane
+BFS's ``far`` for a block of graphs of one order.  :func:`ud_certificate`
+is the definition of the scan, read through the transpose ``col[x] = {w :
+x in sets[w]}``; :func:`find_ud_certificate` and :func:`is_ud_pair` hand it
+``far``.  :func:`lane_ud_certificates` (which ``distinv ud`` uses) runs the
+same scan in every lane of a block at once, one packed pass per pair over
+the lane BFS's transposed sets, with no per-graph loop.
 :meth:`UdCertificate.json_row` is the certificate's JSON text, formatted
 from templates.  L4.1's zero-gap condition, that every other vertex u has
 ``ecc(u) == d(v, u)``, says that v lies in every other vertex's eccentric
@@ -24,9 +24,11 @@ K1 has no vertex pair at all and is reported UD with ``pair=None``.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import NamedTuple
 
 from .graphs import DistanceData, Graph, GraphError, _iter_bits, all_pairs_distances
+from .invariants import _Lanes, _union
 
 
 def eccentric_set(dist: DistanceData, v: int) -> tuple[int, ...]:
@@ -81,7 +83,7 @@ _UD_ROW = '{"diam": %d, "failures": [%s], "is_ud": %s, "pair": %s}'
 _FAILURE = '{"pair": [%d, %d], "witness": %d}'
 
 
-def ud_certificate(ecc, sets, pairs=None, cols=None) -> UdCertificate:
+def ud_certificate(ecc, sets, pairs=None) -> UdCertificate:
     """The UD scan over each vertex's eccentricity ``ecc[v]`` and eccentric
     set ``sets[v]`` (a bitmask), of a connected graph.
 
@@ -91,29 +93,26 @@ def ud_certificate(ecc, sets, pairs=None, cols=None) -> UdCertificate:
     appears, and each u's partners v in increasing order).  A pair fails at
     the lowest vertex w other than u and v with neither in ``sets[w]``, and
     is UD when there is none; u's half of that test is made once per u.  The
-    scan reads the transpose ``cols[x] = {w : x in sets[w]}``, computed here
-    unless given (the lane path transposes a block's sets at once).
+    scan reads the transpose ``col[x] = {w : x in sets[w]}``.
     """
     n = len(ecc)
     if n == 1:
         return UdCertificate(is_ud=True, pair=None, diam=0)
     diam = max(ecc, default=0)
     full = (1 << n) - 1
-    col = cols
-    if col is None:
-        # when the sets hold more than half of all pairs (K_n, say), the
-        # complements are transposed, as they have fewer bits
-        flip = full if 2 * sum(map(int.bit_count, sets)) > n * n else 0
-        col = [0] * n
-        for w, ws in enumerate(sets):
-            bit = 1 << w
-            ws ^= flip
-            while ws:
-                low = ws & -ws
-                col[low.bit_length() - 1] |= bit
-                ws ^= low
-        if flip:
-            col = [full ^ c for c in col]
+    # when the sets hold more than half of all pairs (K_n, say), the
+    # complements are transposed, as they have fewer bits
+    flip = full if 2 * sum(map(int.bit_count, sets)) > n * n else 0
+    col = [0] * n
+    for w, ws in enumerate(sets):
+        bit = 1 << w
+        ws ^= flip
+        while ws:
+            low = ws & -ws
+            col[low.bit_length() - 1] |= bit
+            ws ^= low
+    if flip:
+        col = [full ^ c for c in col]
     named = None
     if pairs is not None:  # each u of a named pair, with its partners v as a bitmask
         named = {}
@@ -147,6 +146,62 @@ def find_ud_certificate(g: Graph, dist: DistanceData | None = None) -> UdCertifi
     if dist is None:
         dist = all_pairs_distances(g)
     return ud_certificate(dist.ecc, dist.far)
+
+
+def lane_ud_certificates(block) -> list[UdCertificate | None]:
+    """:func:`ud_certificate` of every graph of a :class:`~.invariants.Block`
+    of one order 1 <= n <= 255, in every lane at once; None for a
+    disconnected graph.
+
+    It scans the pairs in the reference's order over the lane BFS's packed
+    ``ecc``, ``far`` and ``columns()``: each u whose ecc is the diameter in
+    some lane, then each v > u in some such lane's ``far[u]``.  In D, the
+    lanes where (u, v) is diametrical and still without a UD pair, ``bad =
+    rest[u] & rest[v]`` holds the w that neither covers: an empty lane takes
+    (u, v), any other fails at its lowest bit.  Each pair's lanes are
+    unpacked at once, so no packed word outlives its pair.
+    """
+    lanes = _Lanes(block)
+    k, n, top, lane, ones = lanes.k, lanes.n, lanes.top, lanes.lane, lanes.ones
+    if n == 1:
+        return [UdCertificate(is_ud=True, pair=None, diam=0)] * k
+    nonzero, unpack = lanes.nonzero, lanes.unpack
+    diam = 0
+    for e in lanes.ecc:  # lane-wise max: e - diam - 1, biased, is >= 0 where e > diam
+        diam ^= (diam ^ e) & (((e | ones << top) - diam - ones) >> top & ones) * lane
+    diams = unpack(diam)
+    rest = [lanes.full & ~(c | ones << x) for x, c in enumerate(lanes.columns())]
+    sentinel = ones << n  # bit n of every lane: an empty lane of bad borrows from it
+    todo = lanes.connected  # the lanes without a UD pair yet
+    certs = [None] * k
+    failures = [[] for _ in range(k)]
+    for u, (e, fu) in enumerate(zip(lanes.ecc, lanes.far)):
+        fu &= (todo & ~nonzero(e ^ diam)) * lane
+        hull = _union(fu, lanes._halves) >> u + 1 << u + 1
+        while hull:
+            bit = hull & -hull
+            hull ^= bit
+            v = bit.bit_length() - 1
+            d = fu >> v & todo
+            if not d:
+                continue
+            pair = (u, v)
+            bad = rest[u] & rest[v]
+            todo ^= d & ~nonzero(bad)
+            # each lane of D's lowest bit of bad: its bit_length is the witness
+            # + 1 where (u, v) fails, n + 1 (the sentinel's) where it is UD
+            bad |= sentinel
+            ws = unpack(bad & ~(bad - ones) & d * lane)
+            for j, w in zip(compress(count(), ws), map(int.bit_length, filter(None, ws))):
+                if w > n:
+                    certs[j] = UdCertificate(True, pair, diams[j])
+                else:
+                    failures[j].append((pair, w - 1))
+        if not todo:
+            break
+    for j in compress(count(), unpack(todo)):
+        certs[j] = UdCertificate(False, None, diams[j], tuple(failures[j]))
+    return certs
 
 
 def transmission_gap(dist: DistanceData, v: int, total_ecc: int | None = None) -> int:

@@ -19,7 +19,9 @@ The reference ``hunt`` is the one exception: it is the reference for the
 claim gates and lane blocks of ``theorems.hunt``, so it runs the package's
 per-graph path, every claim's checker on every graph with the report from
 ``full_report``.  A claim gate's reference evaluates its terms on one
-report.
+report.  ``block_of`` and ``lane_eccentric_sets`` are no references
+either: they hand the tests the package's own lane block and its lane BFS's
+eccentric sets.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from distinv import (
     is_connected,
 )
 from distinv.graphs import _rows_from_pairs
-from distinv.invariants import Block
+from distinv.invariants import Block, _Lanes
 from distinv.sweeps import iter_sweep
 from distinv.theorems import UNARY_CHECKS, CheckReport
 
@@ -264,6 +266,17 @@ def block_of(graphs) -> Block:
     """The lane block of a non-empty list of graphs, of the first one's
     order (not a reference: the package's ``Block.of``)."""
     return Block.of(graphs[0].n, [g.bits for g in graphs])
+
+
+def lane_eccentric_sets(block: Block) -> list:
+    """Each lane's eccentricities, eccentric sets and their transpose
+    ``(ecc, sets, cols)``, and None for a disconnected graph (not a
+    reference: the package's ``_Lanes(block)``, its ``ecc``, ``far`` and
+    ``columns()`` unpacked lane by lane)."""
+    lanes = _Lanes(block)
+    packed = (lanes.ecc, lanes.far, lanes.columns())
+    sets = zip(*(zip(*map(lanes.unpack, x)) for x in packed))
+    return [t if c else None for c, t in zip(lanes.unpack(lanes.connected), sets)]
 
 
 def lanes_of(blocks):

@@ -419,6 +419,24 @@ class TestOutputAndPackaging:
         assert proc.returncode == 0
         assert parse_graph6(proc.stdout.strip()).n == 4
 
+    @pytest.mark.parametrize("command", ["ud", "invariants", "enumerate"])
+    def test_closed_stdout_is_one_error_line(self, tmp_path, command):
+        # the reader takes one line and closes the pipe while most of the
+        # output, far more than a pipe holds, is still to come
+        f = tmp_path / "in.g6"
+        f.write_text(f"Bw\n{emit_graph6(path(4))}\n" * 20000)
+        argv = ["enumerate", "trees:2..16"] if command == "enumerate" else [command, str(f)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "distinv.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )  # fmt: skip
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == "error: output closed before the command finished\n"
+
 
 # every option string each command accepts; an option a command's handler
 # does not read must not come back

@@ -25,7 +25,6 @@ from distinv.invariants import (
     LANE_MAX_N,
     Block,
     _times,
-    lane_eccentric_sets,
     lane_ones,
     lane_reports,
     lane_width,
@@ -44,7 +43,12 @@ from distinv.sweeps import (
     parse_sweep_spec,
 )
 from distinv.theorems import CLAIMS, LANE_BLOCK, _l41
-from distinv.ud import find_ud_certificate, transmission_gap_equality_set, ud_certificate
+from distinv.ud import (
+    find_ud_certificate,
+    lane_ud_certificates,
+    transmission_gap_equality_set,
+    ud_certificate,
+)
 
 from oracles import (
     bfs_rows,
@@ -52,6 +56,7 @@ from oracles import (
     csv_row_by_columns,
     gap_equality_by_rows,
     gate_holds,
+    lane_eccentric_sets,
     lanes_of,
     random_connected_graph,
     random_graph,
@@ -432,7 +437,7 @@ class TestLaneReports:
         # a block of P_255 has 16 x 255 sources of 127..254 levels each; the
         # kernel keeps per-source sums, a few packed ints per source
         block = block_of([path(255)] * 16)
-        for kernel in (lane_eccentric_sets, lambda block: lane_reports(block, [()])):
+        for kernel in (lane_ud_certificates, lambda block: lane_reports(block, [()])):
             tracemalloc.start()
             try:
                 kernel(block)
@@ -452,7 +457,7 @@ class TestLaneReports:
 
     def test_a_list_is_refused(self):
         # the kernel's one input is a Block
-        for kernel in (lane_eccentric_sets, lambda block: lane_reports(block, [()])):
+        for kernel in (lane_ud_certificates, lambda block: lane_reports(block, [()])):
             with pytest.raises(TypeError, match="takes a Block"):
                 kernel([path(3)])
 
@@ -535,8 +540,8 @@ class TestL41Condition:
 
 class TestLaneEccentricSets:
     """The lane eccentric sets and their transposed columns against the rows
-    of a queue-BFS distance table, and the UD certificates read from them,
-    with and without the columns, against the table scan."""
+    of a queue-BFS distance table, and the UD certificates of the per-graph
+    scan over the sets and of the lane scan against the table scan."""
 
     @pytest.mark.parametrize("name", LANE_SETS)
     def test_matches_distance_table(self, name):
@@ -562,9 +567,10 @@ class TestLaneEccentricSets:
             assert len(got) == count
             for g, a, b in zip(graphs, got, expected):
                 assert a == b, (size, emit_graph6(g))
-        for g, (ecc, sets, cols), cert in zip(graphs, got, certificates):
+        lane_certs = _by_lanes(lane_ud_certificates, graphs, LANE_BLOCK)
+        for g, (ecc, sets, _), cert, lane_cert in zip(graphs, got, certificates, lane_certs):
             assert ud_certificate(ecc, sets) == cert, emit_graph6(g)
-            assert ud_certificate(ecc, sets, cols=cols) == cert, emit_graph6(g)
+            assert lane_cert == cert, emit_graph6(g)
 
     @pytest.mark.parametrize("n", MIXED_ORDERS)
     def test_disconnected_lanes(self, n):

@@ -24,9 +24,17 @@ from distinv import (
     transmission_gap,
     transmission_gap_equality_set,
 )
-from distinv.invariants import LANE_MAX_N, lane_eccentric_sets
-from distinv.sweeps import enumerate_connected_graphs, enumerate_trees
-from distinv.ud import ud_certificate
+from distinv import ud as ud_mod
+from distinv.cli import main
+from distinv.graphs import emit_graph6
+from distinv.invariants import LANE_BLOCK, LANE_MAX_N
+from distinv.sweeps import (
+    enumerate_connected_graphs,
+    enumerate_trees,
+    iter_sweep,
+    parse_sweep_spec,
+)
+from distinv.ud import lane_ud_certificates, ud_certificate
 
 from oracles import (
     bfs_rows,
@@ -34,8 +42,10 @@ from oracles import (
     diametrical_pairs,
     floyd_warshall,
     gap_equality_by_rows,
+    lane_eccentric_sets,
     transpose,
 )
+from test_invariants import LANE_SETS, MIXED_ORDERS, _by_lanes, _mixed_block
 
 
 class TestEccentricSet:
@@ -299,11 +309,8 @@ class TestJsonRow:
 
 
 def _lane_ud(graphs):
-    # the lane UD path of ``distinv ud`` on one block of one order
-    return [
-        ud_certificate(ecc, sets, cols=cols)
-        for ecc, sets, cols in lane_eccentric_sets(block_of(graphs))
-    ]
+    # the lane UD scan of ``distinv ud`` on one block of one order
+    return lane_ud_certificates(block_of(graphs))
 
 
 def _minus_edge(n, u, v):
@@ -329,6 +336,66 @@ class TestLaneColumns:
             assert _lane_ud(block) == [find_ud_certificate(g) for g in block]
             for ecc, sets, cols in lane_eccentric_sets(block_of(block)):
                 assert cols == transpose(sets)
+
+
+class TestLaneScan:
+    """``lane_ud_certificates`` against ``find_ud_certificate`` graph by
+    graph: the kernel's graph streams at three block sizes, disconnected
+    lanes, the K1 and K2 conventions, and ``distinv ud``, which scans every
+    block lane-wise."""
+
+    @pytest.mark.parametrize("name", LANE_SETS)
+    def test_lane_sets(self, name):
+        count, make = LANE_SETS[name]
+        graphs = make()
+        assert len(graphs) == count
+        want = [find_ud_certificate(g) for g in graphs]
+        for size in (1, 3, LANE_BLOCK):
+            got = _by_lanes(lane_ud_certificates, graphs, size)
+            for g, a, b in zip(graphs, got, want, strict=True):
+                assert a == b, (size, emit_graph6(g))
+
+    @pytest.mark.parametrize("n", MIXED_ORDERS)
+    def test_disconnected_lanes(self, n):
+        # None for a disconnected graph, and every other lane as alone
+        graphs, connected = _mixed_block(n)
+        got = lane_ud_certificates(block_of(graphs))
+        for g, ok, cert in zip(graphs, connected, got, strict=True):
+            assert cert == (find_ud_certificate(g) if ok else None), emit_graph6(g)
+
+    def test_k1_and_k2_blocks(self):
+        k1, k2 = complete(1), complete(2)
+        two_k1 = from_edge_list(2, [])
+        k2_and_two_k1 = from_edge_list(4, [(1, 2)])
+        k1_cert = UdCertificate(True, None, 0)
+        k2_cert = UdCertificate(True, (0, 1), 1)
+        assert _lane_ud([k1] * 3) == [k1_cert] * 3
+        assert _lane_ud([k2] * 3) == [k2_cert] * 3
+        assert _lane_ud([two_k1, k2, two_k1, k2]) == [None, k2_cert, None, k2_cert]
+        assert _lane_ud([k2_and_two_k1, path(4)]) == [None, find_ud_certificate(path(4))]
+
+    def test_ud_command_runs_no_per_graph_scan(self, monkeypatch, capsys, tmp_path):
+        # every order of the file has at least two graphs, so every graph
+        # goes through the lane scan and none through ud_certificate
+        graphs = list(enumerate_connected_graphs(4)) + [complete(1)] * 2
+        graphs += list(iter_sweep(parse_sweep_spec("trees:2..9")))
+        graphs += list(iter_sweep(parse_sweep_spec("diam2:n=9..10,count=20,seed=5")))
+        f = tmp_path / "in.g6"
+        f.write_text("".join(f"{emit_graph6(g)}\n" for g in graphs * 2))
+        want = "".join(f"{find_ud_certificate(g).json_row()}\n" for g in graphs * 2)
+        calls = []
+        real = ud_mod.ud_certificate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ud_mod, "ud_certificate", counted)
+        assert main(["ud", str(f)]) == 0
+        assert capsys.readouterr() == (want, "")
+        assert calls == []
+        find_ud_certificate(path(3))
+        assert len(calls) == 1  # the counter sees the per-graph path
 
 
 class TestTransmissionGap:
