@@ -37,7 +37,7 @@ import struct
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graphs import DistanceData, Graph, GraphError, all_pairs_distances
+from .graphs import DistanceData, Graph, GraphError, _iter_bits, all_pairs_distances
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -151,11 +151,11 @@ def full_report(g: Graph, dist: DistanceData | None = None) -> InvariantReport:
 
 
 # One graph per lane of w = lane_width(n) = max(16, 1 << n.bit_length()) bits
-# (the diameter-2 sampler packs its attempts by the same rule).  Bit w - 1 of
-# every lane is then free, which the nonzero test and the biased gap need, and
-# every lane sum (the largest, 2 * E2, is at most 2 * C(n, 2) * (n - 1)^2) is
-# below 2^w.  The SWAR popcount sums a lane's bytes in its low byte, exact for
-# a count below 2^8, and a lane holds at most n bits: hence n <= 255.
+# (:class:`Lanes`).  Bit w - 1 of every lane is then free, which the lane
+# tests need, and every lane sum (the largest, 2 * E2, is at most 2 * C(n, 2)
+# * (n - 1)^2) is below 2^w.  The SWAR popcount sums a lane's bytes in its low
+# byte, exact for a count below 2^8, and a lane holds at most n bits: hence
+# n <= 255.
 LANE_MAX_N = 255
 
 # graphs per block that the callers of the kernel hand it at a time
@@ -168,11 +168,6 @@ _WORDS = {16: "H", 32: "I", 64: "Q"}
 def lane_width(n: int) -> int:
     """Bits per lane for graphs of order n (see above)."""
     return max(16, 1 << n.bit_length())
-
-
-def lane_ones(width: int, k: int) -> int:
-    """1 in each of k lanes of ``width`` bits."""
-    return int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * k, "little")
 
 
 def pack_lanes(values, width: int) -> int:
@@ -195,29 +190,91 @@ def unpack_lanes(x: int, width: int, k: int):
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
-def _halves(width: int, k: int) -> list:
-    """The (shift, mask) steps that fold the upper half of k lanes of
-    ``width`` bits onto the lower half, ending with the union of every lane
-    in lane 0."""
-    steps = []
-    span = width << (k - 1).bit_length()
-    while span > width:
-        span >>= 1
-        steps.append((span, (1 << span) - 1))
-    return steps
+class Lanes:
+    """The packed-lane format of k graphs of order 1 <= n <= 255 (see above):
+    graph j's value in lane j of ``width`` bits, ``lane`` one lane's mask, and
+    ``ones``, ``full``, ``low`` and ``bias`` 1, the n vertex bits, the bits
+    below ``top`` and bit top in every lane.  The methods are every lane
+    pass's lane-wise operations (Warren, *Hacker's Delight*, ch. 2 and 5)."""
 
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.width = width = lane_width(n)
+        self.top = top = width - 1
+        self.lane = lane = (1 << width) - 1
+        self.ones = ones = int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * k, "little")
+        self.full = ones * ((1 << n) - 1)
+        self.low = ones * (lane >> 1)
+        self.bias = ones << top
+        self._cuts = {}  # c: 2^top - c in every lane, for at_least
+        # 0x55.., 0x33.. and 0x0F.. over every lane, and each lane's low byte
+        self._masks = tuple(ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
+        self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
+        # (shift, mask) steps folding the upper half of the lanes onto the lower
+        spans = [width << i for i in reversed(range((k - 1).bit_length()))]
+        self._halves = [(span, (1 << span) - 1) for span in spans]
 
-def _union(x: int, halves) -> int:
-    """The union of every lane of x, as one lane, by the ``_halves`` steps."""
-    for shift, mask in halves:
-        x = (x | x >> shift) & mask
-    return x
+    def pack(self, values) -> int:
+        """The int whose lanes hold ``values``, lane 0 first."""
+        return pack_lanes(values, self.width)
 
+    def unpack(self, x: int):
+        """Every lane of x, lane 0 first."""
+        return unpack_lanes(x, self.width, self.k)
 
-def _times(a: int, b: int, ones: int, lane: int, bound: int) -> int:
-    """Each lane's product of a and b, for lanes of b at most ``bound`` and
-    products that fit a lane: a << k summed over the set bits k of b."""
-    return sum((a << k) & ((b >> k) & ones) * lane for k in range(bound.bit_length()))
+    def nonzero(self, x: int) -> int:
+        """1 in each lane of x that is not zero; lanes must be below 2^top."""
+        return ((x + self.low) >> self.top) & self.ones
+
+    def zero(self, x: int) -> int:
+        """1 in each lane of x that is zero; lanes must be below 2^top."""
+        return self.ones ^ self.nonzero(x)
+
+    def ge(self, a: int, b: int) -> int:
+        """1 in each lane where a >= b; lanes must be below 2^top.  a - b
+        biased by 2^top borrows in no lane, and has bit top set where a >= b."""
+        return ((a + self.bias - b) >> self.top) & self.ones
+
+    def at_least(self, x: int, c: int) -> int:
+        """1 in each lane of x >= the integer c; lanes must be below 2^top.
+        It is ``ge(x, c * ones)``, its cut ``bias - c * ones`` made once per c."""
+        if c <= 0 or c >> self.top:
+            return self.ones if c <= 0 else 0
+        cut = self._cuts.get(c)
+        if cut is None:
+            cut = self._cuts[c] = self.bias - c * self.ones
+        return ((x + cut) >> self.top) & self.ones
+
+    def max(self, a: int, b: int) -> int:
+        """Each lane's larger of a and b; lanes must be below 2^top."""
+        return a ^ (a ^ b) & self.ge(b, a) * self.lane
+
+    def popcount(self, x: int) -> int:
+        """Each lane's number of set bits, in that lane (at most 255)."""
+        m55, m33, m0f, mff = self._masks
+        x -= (x >> 1) & m55
+        x = (x & m33) + ((x >> 2) & m33)
+        x = (x + (x >> 4)) & m0f
+        for shift in self._folds:
+            x += x >> shift
+        return x & mff
+
+    def times(self, a: int, b: int, bound: int) -> int:
+        """Each lane's product of a and b, for lanes of b at most ``bound`` and
+        products that fit a lane: a << i summed over the set bits i of b."""
+        ones, lane = self.ones, self.lane
+        return sum((a << i) & ((b >> i) & ones) * lane for i in range(bound.bit_length()))
+
+    def union(self, x: int) -> int:
+        """The union of every lane of x, as one lane."""
+        for shift, mask in self._halves:
+            x = (x | x >> shift) & mask
+        return x
+
+    def bits(self, x: int):
+        """Each position set in some lane of x, ascending, from their union: a
+        filter on positions acts on the index, as a shift of x crosses lanes."""
+        return _iter_bits(self.union(x))
 
 
 class Block:
@@ -256,24 +313,18 @@ class Block:
         which for each v visits only the u in some lane's column v."""
         if not 1 <= n <= LANE_MAX_N:
             raise GraphError(f"lane reports need graphs of one order 1..{LANE_MAX_N}")
-        k = len(pairs)
-        width = lane_width(n)
-        ones = lane_ones(width, k)
-        halves = _halves(width, k)
+        lanes = Lanes(n, len(pairs))
+        pack, bits, ones = lanes.pack, lanes.bits, lanes.ones
         rows = [0] * n
         shift = 0
         for v in range(1, n):
             mask = (1 << v) - 1
-            col = pack_lanes([p >> shift & mask for p in pairs], width)
+            col = pack([p >> shift & mask for p in pairs])
             shift += v
             rows[v] = col  # the later columns add row v's upper half
-            hull = _union(col, halves)
-            while hull:  # each u in some lane's column v
-                bit = hull & -hull
-                u = bit.bit_length() - 1
+            for u in bits(col):  # each u in some lane's column v
                 rows[u] |= (col >> u & ones) << v
-                hull ^= bit
-        return cls(n, k, rows)
+        return cls(n, lanes.k, rows)
 
     def graph(self, j: int) -> Graph:
         """Lane j's :class:`Graph`."""
@@ -296,7 +347,7 @@ class Block:
         return None
 
 
-class _Lanes:
+class _Lanes(Lanes):
     """A block's lane-packed BFS, one per source s, run in every lane at
     once.  It keeps no levels F_d(s), only each source's eccentricity
     ``ecc[s]`` (the number of levels), transmission ``tr[s]`` (the sum of
@@ -312,25 +363,15 @@ class _Lanes:
     def __init__(self, block):
         if not isinstance(block, Block):
             raise TypeError("the lane kernel takes a Block")
-        self.k = k = block.k
-        self.n = n = block.n
-        self.width = width = lane_width(n)
-        self.top = top = width - 1
-        self.lane = lane = (1 << width) - 1
-        self.ones = ones = lane_ones(width, k)
-        self.full = full = ones * ((1 << n) - 1)
-        self.low = low = ones * (lane >> 1)
-        # 0x55.., 0x33.. and 0x0F.. over every lane, and each lane's low byte
-        self._masks = tuple(ones * x for x in (lane // 3, lane // 5, lane // 17, 0xFF))
-        self._folds = [8 << i for i in range(width.bit_length() - 4)]  # 8, ..., width / 2
+        super().__init__(block.n, block.k)
+        n, lane, ones, full = self.n, self.lane, self.ones, self.full
         self.rows = rows = block.rows
-        self._halves = halves = _halves(width, k)
         sums = block.sums()
         if sums is not None:
             self.ecc, self.tr, self.far, self.depth = sums
             self.connected = ones
             return
-        popcount = self.popcount
+        popcount, nonzero, bits = self.popcount, self.nonzero, self.bits
         self.ecc = eccs = []
         self.tr = trs = []
         self.far = far = []
@@ -340,13 +381,9 @@ class _Lanes:
             ecc = d = 0
             slices = [0] * n.bit_length()  # [b]: the levels d with bit b of d set
             while True:
-                union = _union(front, halves)
                 nxt = 0
-                while union:  # each vertex in some lane's frontier
-                    bit = union & -union
-                    u = bit.bit_length() - 1
+                for u in bits(front):  # each vertex in some lane's frontier
                     nxt |= rows[u] & (((front >> u) & ones) * lane)
-                    union ^= bit
                 nxt &= full ^ seen
                 if not nxt:
                     break
@@ -355,7 +392,7 @@ class _Lanes:
                 for b in range(d.bit_length()):
                     if d >> b & 1:
                         slices[b] |= nxt
-                reached = ((nxt + low) >> top) & ones  # the lanes this level reaches
+                reached = nonzero(nxt)  # the lanes this level reaches
                 ecc += reached
                 # each lane this level reaches takes it as its last level
                 last ^= (last ^ nxt) & (reached * lane)
@@ -363,7 +400,7 @@ class _Lanes:
             # Tr(s) = sum_d d * |F_d| = sum_b 2^b * |slices[b]|
             tr = sum(popcount(x) << b for b, x in enumerate(slices) if x)
             if s == 0:
-                self.connected = connected = ones ^ self.nonzero(full ^ seen)
+                self.connected = connected = self.zero(full ^ seen)
                 if connected != ones:  # tr[0] too: each lane of sum(tr) stays even
                     keep = connected * lane
                     rows = self.rows = [row & keep for row in rows]
@@ -388,39 +425,9 @@ class _Lanes:
             flip = self.at_least(self.popcount(f), dense)
             f ^= full & flip * lane
             flipped |= flip << w
-            hull = _union(f, self._halves)
-            while hull:
-                bit = hull & -hull
-                x = bit.bit_length() - 1
+            for x in self.bits(f):
                 col[x] |= ((f >> x) & ones) << w
-                hull ^= bit
         return [c ^ flipped for c in col]
-
-    def nonzero(self, x):
-        """1 in each lane of x that is not zero; lanes must be below 2^top."""
-        return ((x + self.low) >> self.top) & self.ones
-
-    def at_least(self, x, c):
-        """1 in each lane of x that is >= the integer c; lanes must be below
-        2^top.  x - c biased by 2^top borrows in no lane, and its bit top is
-        set exactly where x >= c."""
-        if c <= 0 or c >> self.top:
-            return self.ones if c <= 0 else 0
-        return ((x + (self.ones << self.top) - c * self.ones) >> self.top) & self.ones
-
-    def popcount(self, x):
-        """Each lane's number of set bits, in that lane."""
-        m55, m33, m0f, mff = self._masks
-        x -= (x >> 1) & m55
-        x = (x & m33) + ((x >> 2) & m33)
-        x = (x + (x >> 4)) & m0f
-        for shift in self._folds:
-            x += x >> shift
-        return x & mff
-
-    def unpack(self, x):
-        """Every lane of x, lane 0 first."""
-        return unpack_lanes(x, self.width, self.k)
 
 
 def lane_reports(block: Block, gates) -> tuple[list, list]:
@@ -450,39 +457,35 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
     if len(gates) > 13:  # a word's bits must fit the narrowest lane, 16 bits
         raise GraphError("lane reports take at most 13 gates")
     lanes = _Lanes(block)
-    n, top, lane, ones, full, low = (
-        lanes.n, lanes.top, lanes.lane, lanes.ones, lanes.full, lanes.low
-    )
-    nonzero, popcount, unpack = lanes.nonzero, lanes.popcount, lanes.unpack
+    n, lane, ones, full = lanes.n, lanes.lane, lanes.ones, lanes.full
+    nonzero, zero, ge, at_least = lanes.nonzero, lanes.zero, lanes.ge, lanes.at_least
+    popcount, unpack = lanes.popcount, lanes.unpack
     ecc, tr, depth = lanes.ecc, lanes.tr, lanes.depth
-    # at_least[a] = H_a: ecc(s) - a, biased by 2^top so no lane borrows, has
-    # bit top set in the lanes where ecc(s) >= a
-    at_least = [full] + [0] * depth
-    cut = [(ones << top) - a * ones for a in range(depth + 1)]
+    hs = [full] + [0] * depth  # hs[a] = H_a
     for s, e in enumerate(ecc):
         for a in range(1, depth + 1):
-            h = (e + cut[a]) >> top & ones
+            h = at_least(e, a)
             if not h:  # no lane has ecc(s) >= a, so none has it for any larger a
                 break
-            at_least[a] |= h << s
-    e1 = sum((2 * a - 1) * popcount(at_least[a]) for a in range(1, depth + 1))
+            hs[a] |= h << s
+    e1 = sum((2 * a - 1) * popcount(hs[a]) for a in range(1, depth + 1))
 
     diam = rad = 0
     for a in range(1, depth + 1):
-        diam += nonzero(at_least[a])
-        rad += ones ^ nonzero(full ^ at_least[a])
+        diam += nonzero(hs[a])
+        rad += zero(full ^ hs[a])
     m2 = xic = e2x2 = n_univ = 0
     edges = block.edges()
     for u, row in enumerate(lanes.rows):
         m2 += popcount(row)
-        n_univ += ones ^ nonzero(row ^ (full ^ (ones << u)))
+        n_univ += zero(row ^ (full ^ (ones << u)))
         if edges is None:
             cu = 0
             for a in range(1, depth + 1):
-                cu += popcount(row & at_least[a])
+                cu += popcount(row & hs[a])
             xic += cu
             for a in range(1, depth + 1):
-                e2x2 += cu & (((at_least[a] >> u) & ones) * lane)
+                e2x2 += cu & (((hs[a] >> u) & ones) * lane)
     if edges is not None:
         # a tree's n - 1 edges, each once as vertex i >= 1 and its parent,
         # whose eccentricity is pe[i]: xic sums both ends, E2 their product
@@ -490,29 +493,27 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
         for i, j, hit in edges:
             pe[i] |= ecc[j] & hit * lane
         xic = sum(ecc[1:]) + sum(pe)
-        e2x2 = sum(_times(e, p, ones, lane, depth) for e, p in zip(ecc[1:], pe[1:])) << 1
+        e2x2 = sum(lanes.times(e, p, depth) for e, p in zip(ecc[1:], pe[1:])) << 1
     total = sum(ecc)
 
-    # L4.1: gap(v) = totecc - ecc(v) - Tr(v), biased by 2^top so no lane
-    # borrows; bit top of a lane is then set exactly when its gap is >= 0.
-    # Bit v of a lane of common is set when v is in every other vertex's
-    # eccentric set there: the zero-gap condition
+    # L4.1: gap(v) = totecc - ecc(v) - Tr(v).  Bit v of a lane of common is
+    # set when v is in every other vertex's eccentric set there: the zero-gap
+    # condition
     common = full
     for u, last in enumerate(lanes.far):
         common &= last | ones << u
     failed = equal = 0
-    bias = ones << top
     for v in range(n):
-        gap = total + bias - ecc[v] - tr[v]
-        nonneg = (gap >> top) & ones
-        zero = nonneg & (ones ^ nonzero(gap & low))
-        failed |= (ones ^ nonneg) | (zero ^ ((common >> v) & ones))
-        equal |= zero
+        cost = ecc[v] + tr[v]
+        nonneg = ge(total, cost)
+        tight = nonneg & ge(cost, total)
+        failed |= (ones ^ nonneg) | (tight ^ ((common >> v) & ones))
+        equal |= tight
 
     # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
     columns = (m2 >> 1, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, n_univ)
     connected = lanes.connected
-    sc = ones ^ nonzero(diam ^ rad)
+    sc = zero(diam ^ rad)
     values = dict(n=n * ones, m=columns[0], diam=diam, nprime=n_univ, self_centered=sc)
     ngates = len(gates)
     word = (failed << ngates | equal << ngates + 1) & (connected << ngates) * 3
@@ -525,10 +526,10 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
             if term not in terms:
                 column, op, bound = term
                 c = bound(n) if callable(bound) else bound
-                ge = lanes.at_least(values[column], c)
-                gt = lanes.at_least(values[column], c + 1)
-                eq = ge ^ gt
-                terms[term] = {">=": ge, "<=": ones ^ gt, "==": eq, "!=": ones ^ eq}[op]
+                geq = at_least(values[column], c)
+                gt = at_least(values[column], c + 1)
+                eq = geq ^ gt
+                terms[term] = {">=": geq, "<=": ones ^ gt, "==": eq, "!=": ones ^ eq}[op]
             held &= terms[term]
         select |= held
         word |= held << i
@@ -544,7 +545,6 @@ def lane_wiener_e1(block: Block) -> list[tuple[int, int] | None]:
     graphs of one order 1 <= n <= 255, and None for a disconnected graph: W
     is half the sum of the lane BFS's Tr(s), and E1 the sum of ecc(s)^2."""
     lanes = _Lanes(block)
-    ones, lane, depth = lanes.ones, lanes.lane, lanes.depth
-    e1 = sum(_times(e, e, ones, lane, depth) for e in lanes.ecc)
+    e1 = sum(lanes.times(e, e, lanes.depth) for e in lanes.ecc)
     packed = map(lanes.unpack, (lanes.connected, sum(lanes.tr) >> 1, e1))
     return [(w, e) if c else None for c, w, e in zip(*packed)]

@@ -7,13 +7,14 @@ Three sweep targets feed the predicate checkers:
   slow).  An edge subset is a pair mask in the pair order of
   ``graphs._rows_from_pairs``, which the sampler and graph6 share.  The scan
   takes 1,024 consecutive masks at a time (all of them below 10 pairs), mask
-  ``base + k`` in the 16-bit lane ``k`` of one int per adjacency row: each
-  row is the codec's rows of ``k``, decoded once per scan, or'ed with those
-  of ``base`` spread to every lane.  Connectivity is a closure from vertex 0
-  over all lanes at once, at most n - 1 rounds of ``reach |= row[u]`` in the
-  lanes whose reach holds u.  The lanes whose reach is full are unpacked
-  with ``struct`` in mask order into one ``Block.of`` per window, compacted
-  and not re-buffered to ``LANE_BLOCK`` lanes.
+  ``base + k`` in lane ``k`` (the kernel's ``Lanes``, 16 bits for n <= 8)
+  of one int per adjacency row: each row is the codec's rows of ``k``,
+  decoded once per scan, or'ed with those of ``base`` spread to every lane.
+  Connectivity is a closure from vertex 0 over all lanes at once, at most
+  n - 1 rounds of ``reach |= row[u]`` in the lanes whose reach holds u.  The
+  lanes whose reach is full are unpacked in mask order into one
+  ``Block.of`` per window, compacted and not re-buffered to ``LANE_BLOCK``
+  lanes.
 * ``trees`` - one representative per isomorphism class of free trees
   (2 <= n <= 18), generated through canonical level sequences with a
   constant-amortized-time successor rule, ``LANE_BLOCK`` sequences at a
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import struct
 import time
 from dataclasses import dataclass
 
@@ -81,7 +81,7 @@ from .graphs import (
     all_pairs_distances,
     emit_graph6,
 )
-from .invariants import LANE_BLOCK, Block, lane_ones, lane_width, pack_lanes, unpack_lanes
+from .invariants import LANE_BLOCK, Block, Lanes
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -139,36 +139,30 @@ def enumerate_connected_graphs(n: int):
 
 
 def _connected_graphs_range(n, lo, hi):
-    # masks in blocks of 2^b, b = min(pairs, 10): mask base + k sits in the
-    # 16-bit lane k of each row, which is row k's lane or'ed with base's rows;
-    # one Block of each window's connected lanes, in mask order
-    lanes = 1 << min(n * (n - 1) // 2, 10)
-    fmt = f"<{lanes}H"
-    ones = int.from_bytes(b"\1\0" * lanes, "little")
-    full = (1 << n) - 1
-    low = [
-        int.from_bytes(struct.pack(fmt, *col), "little")
-        for col in zip(*(_rows_from_pairs(n, k) for k in range(lanes)))
-    ]
-    for base in range(lo & -lanes, hi, lanes):
+    # masks in blocks of 2^b, b = min(pairs, 10): mask base + j sits in lane
+    # j of each row, which is row j's lane or'ed with base's rows; one Block
+    # of each window's connected lanes, in mask order
+    lanes = Lanes(n, 1 << min(n * (n - 1) // 2, 10))
+    k, width, lane, ones = lanes.k, lanes.width, lanes.lane, lanes.ones
+    low = [lanes.pack(col) for col in zip(*(_rows_from_pairs(n, j) for j in range(k)))]
+    for base in range(lo & -k, hi, k):
         rows = [r | ones * h for r, h in zip(low, _rows_from_pairs(n, base))]
         # closure from vertex 0: each round adds the rows of reached vertices
         reach = ones
         for _ in range(n - 1):
             before = reach
             for u, row in enumerate(rows):
-                reach |= row & ((reach >> u) & ones) * full
+                reach |= row & ((reach >> u) & ones) * lane
             if reach == before:
                 break
-        # lane k is kept iff its reach is full, so adding 1 carries into bit
-        # n, and lo <= base + k < hi
-        first, end = 16 * max(lo - base, 0), 16 * min(hi - base, lanes)
+        # lane j is kept iff its reach is full, so adding 1 carries into bit
+        # n, and lo <= base + j < hi
+        first, end = width * max(lo - base, 0), width * min(hi - base, k)
         ok = ((reach + ones) >> n) & ones & ((1 << end) - (1 << first))
         if not ok:
             continue
-        keep = ok.to_bytes(2 * lanes, "little")[::2]
-        cols = [struct.unpack(fmt, r.to_bytes(2 * lanes, "little")) for r in rows]
-        yield Block.of(n, list(itertools.compress(zip(*cols), keep)))
+        cols = map(lanes.unpack, rows)
+        yield Block.of(n, list(itertools.compress(zip(*cols), lanes.unpack(ok))))
 
 
 def enumerate_trees(n: int):
@@ -258,12 +252,9 @@ def _tree_block(n, levels):
     # every lane at once: vertex i's parent is the latest j < i one level up,
     # so j scans downward, and each lane whose level j equals that one takes
     # edge ij and leaves the scan
-    k = len(levels)
-    width = lane_width(n)
-    top = width - 1
-    ones = lane_ones(width, k)
-    low = ones * ((1 << top) - 1)
-    cols = [pack_lanes(col, width) for col in zip(*levels)]
+    lanes = Lanes(n, len(levels))
+    ones, zero = lanes.ones, lanes.zero
+    cols = [lanes.pack(col) for col in zip(*levels)]
     rows = [0] * n
     hits = []
     for i in range(1, n):
@@ -272,14 +263,13 @@ def _tree_block(n, levels):
         j = i
         while todo:
             j -= 1
-            # bit top of a lane of x + low is set iff that lane of x is nonzero
-            hit = todo & ~(((cols[j] ^ up) + low) >> top)
+            hit = todo & zero(cols[j] ^ up)
             if hit:
                 rows[i] |= hit << j
                 rows[j] |= hit << i
                 todo ^= hit
                 hits.append((i, j, hit))
-    return _TreeBlock(n, k, rows, cols, hits)
+    return _TreeBlock(n, lanes.k, rows, cols, hits)
 
 
 class _TreeBlock(Block):
@@ -307,31 +297,22 @@ class _TreeBlock(Block):
         self._cols, self._hits = cols, hits
 
     def sums(self):
-        n, k, cols = self.n, self.k, self._cols
-        width = lane_width(n)
-        top = width - 1
-        lane = (1 << width) - 1
-        ones = lane_ones(width, k)
-        low = ones * (lane >> 1)
-        bias = ones << top
-
-        def zero(x):  # 1 in each lane of x that is zero
-            return ones ^ (((x + low) >> top) & ones)
-
+        n, cols = self.n, self._cols
+        lanes = Lanes(n, self.k)
+        lane, ones, zero, larger = lanes.lane, lanes.ones, lanes.zero, lanes.max
         # the largest level, and the first subtree's vertices in each lane;
         # each root branch starts at a level-1 vertex
         starts = [zero(c ^ ones) for c in cols]
         h = ones
         first = [0, ones]
         for c, start in zip(cols[2:], starts[2:]):
-            # h = max(h, c): bit top of a lane of c + 2^top - h is c >= h
-            h ^= (h ^ c) & ((((c + bias - h) >> top) & ones) * lane)
+            h = larger(h, c)
             first.append(first[-1] & ~start)
         inside = sum(f << v for v, f in enumerate(first))
         tops = sum(zero(c ^ h) << v for v, c in enumerate(cols))
         bicentral = zero(tops & ~inside)
         ecc = [c + h - (f & bicentral) for c, f in zip(cols, first)]
-        depth = max(unpack_lanes(2 * h - bicentral, width, k))
+        depth = max(lanes.unpack(2 * h - bicentral))
 
         parents = [(i, j, hit * lane) for i, j, hit in self._hits]
         size = [ones] * n
@@ -460,9 +441,8 @@ def _diam2_lanes(n, pairs, hits, k):
     # the k attempts of _draw's bytes, attempt a in lane a of each row (the
     # lane kernel's width), as row tuples or None: a lane is kept iff every
     # pair is adjacent or has a common neighbour, and some pair is not adjacent
-    width = lane_width(n)
-    stride = width // 8
-    top = width - 1
+    lanes = Lanes(n, k)
+    stride = lanes.width // 8
     buf = bytearray(stride * k)
     rows = [0] * n
     count = len(pairs)
@@ -471,11 +451,8 @@ def _diam2_lanes(n, pairs, hits, k):
         col = int.from_bytes(buf, "little")
         rows[u] |= col << v
         rows[v] |= col << u
-    ones = lane_ones(width, k)
-    low = ones * ((1 << top) - 1)
-    full = ones * ((1 << n) - 1)
-    # u > v is within distance 2 of v iff row u meets N[v] = row v | v; bit 0
-    # of a lane of (x + low) >> top is 1 iff that lane of x is nonzero.  A
+    ones, full, nonzero = lanes.ones, lanes.full, lanes.nonzero
+    # u > v is within distance 2 of v iff row u meets N[v] = row v | v.  A
     # lane of spare is nonzero iff its graph is not complete
     good = ones
     spare = 0
@@ -483,15 +460,14 @@ def _diam2_lanes(n, pairs, hits, k):
         closed = rv | ones << v
         spare |= full ^ closed
         for ru in rows[v + 1 :]:
-            good &= ((ru & closed) + low) >> top
+            good &= nonzero(ru & closed)
         if not good:
             return [None] * k
-    good &= (spare + low) >> top
+    good &= nonzero(spare)
     if not good:
         return [None] * k
-    keep = good.to_bytes(stride * k, "little")[::stride]
-    cols = [unpack_lanes(r, width, k) for r in rows]
-    return [g if ok else None for ok, g in zip(keep, zip(*cols))]
+    cols = map(lanes.unpack, rows)
+    return [g if ok else None for ok, g in zip(lanes.unpack(good), zip(*cols))]
 
 
 # ---------------------------------------------------------------------------

@@ -64,12 +64,10 @@ from .invariants import (  # LANE_BLOCK, the most graphs a block of hunt holds, 
     LANE_BLOCK,
     Block,
     InvariantReport,
+    Lanes,
     full_report,
-    lane_ones,
     lane_reports,
-    lane_width,
     lane_wiener_e1,
-    pack_lanes,
 )
 from .sweeps import SweepSpec, fold_sweep, visit_error
 from .ud import is_ud_pair, transmission_gap, transmission_gap_equality_set
@@ -625,7 +623,6 @@ def _t33_complements(block, words, reports, bit):
     empty.  They go through the kernel's BFS as one block, which yields
     only their W and E1."""
     n, k = block.n, block.k
-    width = lane_width(n)
     vertices = (1 << n) - 1
     decided = [
         (_t33_disjunct(rep), None) if word & bit else None for word, rep in zip(words, reports)
@@ -634,9 +631,9 @@ def _t33_complements(block, words, reports, bit):
     split = set()
     if not any(kept):
         return decided, split
-    keep = pack_lanes(kept, width)
-    ones = lane_ones(width, k)
-    rows = [keep & ~(row | ones << u) for u, row in enumerate(block.rows)]
+    lanes = Lanes(n, k)
+    keep = lanes.pack(kept)
+    rows = [keep & ~(row | lanes.ones << u) for u, row in enumerate(block.rows)]
     for j, comp in enumerate(lane_wiener_e1(Block(n, k, rows))):
         if kept[j]:
             decided[j] = "complement", comp

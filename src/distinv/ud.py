@@ -24,11 +24,12 @@ K1 has no vertex pair at all and is reported UD with ``pair=None``.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import compress, count
 from typing import NamedTuple
 
 from .graphs import DistanceData, Graph, GraphError, _iter_bits, all_pairs_distances
-from .invariants import _Lanes, _union
+from .invariants import _Lanes
 
 
 def eccentric_set(dist: DistanceData, v: int) -> tuple[int, ...]:
@@ -162,13 +163,11 @@ def lane_ud_certificates(block) -> list[UdCertificate | None]:
     unpacked at once, so no packed word outlives its pair.
     """
     lanes = _Lanes(block)
-    k, n, top, lane, ones = lanes.k, lanes.n, lanes.top, lanes.lane, lanes.ones
+    k, n, lane, ones = lanes.k, lanes.n, lanes.lane, lanes.ones
     if n == 1:
         return [UdCertificate(is_ud=True, pair=None, diam=0)] * k
-    nonzero, unpack = lanes.nonzero, lanes.unpack
-    diam = 0
-    for e in lanes.ecc:  # lane-wise max: e - diam - 1, biased, is >= 0 where e > diam
-        diam ^= (diam ^ e) & (((e | ones << top) - diam - ones) >> top & ones) * lane
+    zero, bits, unpack = lanes.zero, lanes.bits, lanes.unpack
+    diam = reduce(lanes.max, lanes.ecc, 0)
     diams = unpack(diam)
     rest = [lanes.full & ~(c | ones << x) for x, c in enumerate(lanes.columns())]
     sentinel = ones << n  # bit n of every lane: an empty lane of bad borrows from it
@@ -176,18 +175,16 @@ def lane_ud_certificates(block) -> list[UdCertificate | None]:
     certs = [None] * k
     failures = [[] for _ in range(k)]
     for u, (e, fu) in enumerate(zip(lanes.ecc, lanes.far)):
-        fu &= (todo & ~nonzero(e ^ diam)) * lane
-        hull = _union(fu, lanes._halves) >> u + 1 << u + 1
-        while hull:
-            bit = hull & -hull
-            hull ^= bit
-            v = bit.bit_length() - 1
+        fu &= (todo & zero(e ^ diam)) * lane
+        for v in bits(fu):
+            if v <= u:  # on the index: a shift of fu would cross lane boundaries
+                continue
             d = fu >> v & todo
             if not d:
                 continue
             pair = (u, v)
             bad = rest[u] & rest[v]
-            todo ^= d & ~nonzero(bad)
+            todo ^= d & zero(bad)
             # each lane of D's lowest bit of bad: its bit_length is the witness
             # + 1 where (u, v) fails, n + 1 (the sentinel's) where it is UD
             bad |= sentinel

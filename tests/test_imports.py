@@ -6,6 +6,7 @@ the command uses.  Each check runs a fresh interpreter, since this one has
 imported every module already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -105,3 +106,15 @@ def test_every_export_resolves():
     assert set(distinv.__all__) == set(EXPORTS) | {n for v in EXPORTS.values() for n in v}
     with pytest.raises(AttributeError):
         distinv.no_such_name  # noqa: B018
+
+
+def test_only_invariants_imports_struct():
+    # the packed-lane format has one home, invariants.Lanes: a struct codec
+    # elsewhere is a second definition of a lane
+    users = set()
+    for path in Path(distinv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "struct" in names or isinstance(node, ast.ImportFrom) and node.module == "struct":
+                users.add(path.stem)
+    assert users == {"invariants"}

@@ -4,6 +4,8 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import networkx as nx
 import pytest
@@ -24,13 +26,10 @@ from distinv.graphs import decode_graph6
 from distinv.invariants import (
     LANE_MAX_N,
     Block,
-    _times,
-    lane_ones,
+    Lanes,
     lane_reports,
     lane_width,
     lane_wiener_e1,
-    pack_lanes,
-    unpack_lanes,
 )
 from distinv.sweeps import (
     SweepSpec,
@@ -586,19 +585,117 @@ class TestLaneEccentricSets:
             assert got == (*want, transpose(want[1])), emit_graph6(g)
 
 
+LANE_WIDTHS = (16, 32, 64, 128, 256)
+
+
+def _largest_order(width):
+    return max(n for n in range(1, LANE_MAX_N + 1) if lane_width(n) == width)
+
+
+class TestLanes:
+    """Each lane-wise operation of ``Lanes`` against the same operation on
+    every lane's Python int, at every lane width, for the largest order of
+    that width, and k = 1, 3 and ``LANE_BLOCK`` lanes.  ``TestLaneProduct``
+    is the ``times`` case."""
+
+    @pytest.fixture(
+        params=[(w, k) for w in LANE_WIDTHS for k in (1, 3, LANE_BLOCK)],
+        ids=lambda p: f"{p[0]}x{p[1]}",
+    )
+    def lanes(self, request):
+        width, k = request.param
+        return Lanes(_largest_order(width), k)
+
+    @staticmethod
+    def _draws(lanes, limit):
+        """Rounds of k per-lane values below ``limit``, each lane 0, 1,
+        limit - 1, a value below 4 (so that lanes often tie) or any value:
+        enough rounds that a one-lane block meets each kind."""
+        rng = random.Random(lanes.width * 10007 + lanes.k)
+        for _ in range(max(2, 40 // lanes.k)):
+            yield [
+                rng.choice((0, 1, limit - 1, rng.randrange(4), rng.randrange(limit)))
+                for _ in range(lanes.k)
+            ]
+
+    def test_format(self, lanes):
+        width, k, top = lanes.width, lanes.k, lanes.top
+        assert (top, lanes.lane) == (width - 1, (1 << width) - 1)
+        per_lane = {"ones": 1, "full": (1 << lanes.n) - 1, "low": (1 << top) - 1, "bias": 1 << top}
+        for name, value in per_lane.items():
+            assert list(lanes.unpack(getattr(lanes, name))) == [value] * k, name
+        # pack and unpack round trip over whole lanes, bit top included
+        for values in self._draws(lanes, 1 << width):
+            x = lanes.pack(values)
+            assert x == sum(v << width * j for j, v in enumerate(values))
+            assert list(lanes.unpack(x)) == values
+
+    def test_nonzero_and_zero(self, lanes):
+        for values in self._draws(lanes, 1 << lanes.top):
+            x = lanes.pack(values)
+            assert list(lanes.unpack(lanes.nonzero(x))) == [int(v != 0) for v in values]
+            assert list(lanes.unpack(lanes.zero(x))) == [int(v == 0) for v in values]
+
+    def test_ge_and_max(self, lanes):
+        draws = self._draws(lanes, 1 << lanes.top)
+        for a, b in zip(draws, draws):
+            for p, q in ((a, b), (b, a), (a, a)):
+                x, y = lanes.pack(p), lanes.pack(q)
+                want = [int(u >= v) for u, v in zip(p, q)]
+                assert list(lanes.unpack(lanes.ge(x, y))) == want
+                assert list(lanes.unpack(lanes.max(x, y))) == list(map(max, p, q))
+
+    def test_at_least(self, lanes):
+        # c <= 0 holds in every lane and c >= 2^top in none: the early returns
+        top = lanes.top
+        for values in self._draws(lanes, 1 << top):
+            x = lanes.pack(values)
+            for c in (-3, 0, 1, 2, 3, (1 << top) - 1, 1 << top, (1 << top) + 7):
+                got = lanes.unpack(lanes.at_least(x, c))
+                assert list(got) == [int(v >= c) for v in values], c
+
+    def test_popcount(self, lanes):
+        # from 0 bits to n, the most a lane of a graph's rows holds
+        for values in self._draws(lanes, 1 << lanes.n):
+            got = lanes.unpack(lanes.popcount(lanes.pack(values)))
+            assert list(got) == [v.bit_count() for v in values]
+
+    def test_union(self, lanes):
+        for values in self._draws(lanes, 1 << lanes.width):
+            assert lanes.union(lanes.pack(values)) == reduce(or_, values)
+
+    def test_bits(self, lanes):
+        # the bits of each even lane lie above vertex u and those of each odd
+        # lane below it, so a filter on the yielded positions must keep
+        # exactly the even lanes' bits; a shift of the packed word would keep
+        # the odd lanes' too
+        n, k = lanes.n, lanes.k
+        u = n // 2
+        rng = random.Random(n * k)
+        values = [
+            rng.randrange(1, 1 << n - u - 1) << u + 1 if j % 2 == 0 else rng.randrange(1, 1 << u)
+            for j in range(k)
+        ]
+        want = [v for v in range(n) if reduce(or_, values) >> v & 1]
+        got = list(lanes.bits(lanes.pack(values)))
+        assert got == want
+        above = reduce(or_, values[::2])
+        assert [v for v in got if v > u] == [v for v in range(n) if above >> v & 1]
+
+
 class TestLaneProduct:
-    @pytest.mark.parametrize("width", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("width", LANE_WIDTHS)
     def test_every_pair_up_to_the_eccentricity_bound(self, width):
-        # the largest order of this lane width, whose eccentricities are at
-        # most n - 1; every pair (a, b) of values up to that, one per lane
-        n = max(n for n in range(1, LANE_MAX_N + 1) if lane_width(n) == width)
+        # Lanes.times at the largest order of this lane width, whose
+        # eccentricities are at most n - 1; every pair (a, b) of values up
+        # to that, one per lane
+        n = _largest_order(width)
         values = range(n)
         pairs = [(a, b) for a in values for b in values]
-        a, b = (pack_lanes(col, width) for col in zip(*pairs))
-        ones = lane_ones(width, len(pairs))
-        lane = (1 << width) - 1
-        got = _times(a, b, ones, lane, n - 1)
-        assert list(unpack_lanes(got, width, len(pairs))) == [x * y for x, y in pairs]
+        lanes = Lanes(n, len(pairs))
+        a, b = (lanes.pack(col) for col in zip(*pairs))
+        got = lanes.times(a, b, n - 1)
+        assert list(lanes.unpack(got)) == [x * y for x, y in pairs]
 
 
 class TestLaneWienerE1:
@@ -612,7 +709,7 @@ class TestLaneWienerE1:
         seen = False
         full = (1 << n) - 1
         for block in _Stream(SweepSpec("trees", n, n), ("mod", n, 0, 1), _Tally()).blocks():
-            ones = lane_ones(lane_width(n), block.k)
+            ones = Lanes(n, block.k).ones
             rows = [ones * full & ~(row | ones << u) for u, row in enumerate(block.rows)]
             for j, got in enumerate(lane_wiener_e1(Block(n, block.k, rows))):
                 tree = block.graph(j)
