@@ -21,19 +21,21 @@ over the same lane BFS's eccentricities and transposed eccentric sets
 The kernel has one input, a :class:`Block`: the order, the number of lanes
 and the packed adjacency rows; ``graph(j)`` unpacks lane j's :class:`Graph`
 only when called.  ``Block.of`` keeps the row tuples of a list of graphs
-(the mask scan's and the sampler's accepted lanes, and a filtered sweep's
-kept graphs) and packs them when the kernel first reads its rows, so a
-sweep read graph by graph packs nothing; ``Block.of_pairs`` builds the rows
-of graph6 input from its pair bits, with no :class:`Graph` per line (the
-``invariants`` and ``ud`` commands); the tree sweep builds its blocks' rows
-itself, and ``Block.sums`` of its blocks gives the kernel the BFS's sums in
-closed form and ``Block.edges`` their parent edges; ``theorems.hunt`` takes
-T3.3's complements from a block's rows.
+(the sampler's accepted lanes, and those ``Block.keep`` keeps of a block:
+the mask scan's connected lanes, a filter's kept ones) and packs them when
+the kernel first reads its rows, so a sweep read graph by graph packs
+nothing; ``Block.of_pairs`` builds the rows of graph6 input from its pair
+bits, with no :class:`Graph` per line (the ``invariants`` and ``ud``
+commands); the tree sweep builds its blocks' rows itself, and
+``Block.sums`` of its blocks gives the kernel the BFS's sums in closed form
+and ``Block.edges`` their parent edges; ``theorems.hunt`` takes T3.3's
+complements from a block's rows.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import compress
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -249,6 +251,10 @@ class Lanes:
         """Each lane's larger of a and b; lanes must be below 2^top."""
         return a ^ (a ^ b) & self.ge(b, a) * self.lane
 
+    def min(self, a: int, b: int) -> int:
+        """Each lane's smaller of a and b; lanes must be below 2^top."""
+        return b ^ (a ^ b) & self.ge(b, a) * self.lane
+
     def popcount(self, x: int) -> int:
         """Each lane's number of set bits, in that lane (at most 255)."""
         m55, m33, m0f, mff = self._masks
@@ -328,10 +334,18 @@ class Block:
 
     def graph(self, j: int) -> Graph:
         """Lane j's :class:`Graph`."""
+        return Graph._raw(self.n, self._tuples()[j])
+
+    def keep(self, flags) -> Block:
+        """The block of the lanes whose flag is set, at least one: ``Block.of``
+        of their row tuples."""
+        return Block.of(self.n, list(compress(self._tuples(), flags)))
+
+    def _tuples(self) -> list:
         if self._lanes is None:
             width = lane_width(self.n)
             self._lanes = list(zip(*(unpack_lanes(row, width, self.k) for row in self.rows)))
-        return Graph._raw(self.n, self._lanes[j])
+        return self._lanes
 
     def sums(self):
         """The kernel's per-source sums ``(ecc, tr, far, depth)`` of a block
@@ -435,9 +449,9 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
     :class:`Block` of graphs of one order 1 <= n <= 255.
 
     ``gates`` are at most 13 tuples of terms ``(column, op, bound)``
-    (``column`` one of n, m, diam, nprime and self_centered, which is 0 or
-    1; ``op`` one of ==, !=, >= and <=; ``bound`` an integer or a function
-    of n); the empty gate holds on every connected graph.  Bit i of
+    (``column`` one of n, m, diam, nprime, min_degree and self_centered,
+    which is 0 or 1; ``op`` one of ==, !=, >= and <=; ``bound`` an integer
+    or a function of n); the empty gate holds on every connected graph.  Bit i of
     ``words[k]`` is set when every term of gate i holds in graph k,
     evaluated on the packed columns; the next two bits when L4.1 fails there
     and when it holds with equality; and the bit after them when graph k is
@@ -475,9 +489,12 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
         diam += nonzero(hs[a])
         rad += zero(full ^ hs[a])
     m2 = xic = e2x2 = n_univ = 0
+    low = n * ones  # the minimum degree
     edges = block.edges()
     for u, row in enumerate(lanes.rows):
-        m2 += popcount(row)
+        deg = popcount(row)
+        m2 += deg
+        low = lanes.min(low, deg)
         n_univ += zero(row ^ (full ^ (ones << u)))
         if edges is None:
             cu = 0
@@ -513,8 +530,8 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
     # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
     columns = (m2 >> 1, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, n_univ)
     connected = lanes.connected
-    sc = zero(diam ^ rad)
-    values = dict(n=n * ones, m=columns[0], diam=diam, nprime=n_univ, self_centered=sc)
+    values = dict(n=n * ones, m=columns[0], diam=diam, nprime=n_univ, min_degree=low)
+    values["self_centered"] = zero(diam ^ rad)
     ngates = len(gates)
     word = (failed << ngates | equal << ngates + 1) & (connected << ngates) * 3
     word |= (ones ^ connected) << ngates + 2

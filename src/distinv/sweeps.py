@@ -12,7 +12,7 @@ Three sweep targets feed the predicate checkers:
   decoded once per scan, or'ed with those of ``base`` spread to every lane.
   Connectivity is a closure from vertex 0 over all lanes at once, at most
   n - 1 rounds of ``reach |= row[u]`` in the lanes whose reach holds u.  The
-  lanes whose reach is full are unpacked in mask order into one
+  lanes whose reach is full are kept in mask order (``Block.keep``), one
   ``Block.of`` per window, compacted and not re-buffered to ``LANE_BLOCK``
   lanes.
 * ``trees`` - one representative per isomorphism class of free trees
@@ -57,9 +57,11 @@ before it, as one attempt at a time would.
 Sweeps partition into chunks (edge-mask ranges, residues of tree blocks,
 sample-index ranges) that merge associatively, so worker count never changes
 a result.  A chunk is one order and one stream of graphs, filtered and
-counted in one place; every walk over a sweep reads these streams (the
-enumerators above are ``iter_sweep`` over one order, and ``fold_sweep``
-states the contract), and ``SweepSpec.validate`` is the only bound check.
+counted in one place: a filter is a kernel gate (``FILTERS``) evaluated on
+each generator block, whose ``keep`` makes the block of the kept lanes.
+Every walk over a sweep reads these streams (the enumerators above are
+``iter_sweep`` over one order, and ``fold_sweep`` states the contract), and
+``SweepSpec.validate`` is the only bound check.
 Each generator yields lane-kernel ``Block``s of its own rows, which build a
 ``Graph`` only for a lane whose ``graph(j)`` is called.  A stream has two
 views of them: its ``blocks()`` yields them, and iterating it yields their
@@ -74,14 +76,8 @@ import os
 import time
 from dataclasses import dataclass
 
-from .graphs import (
-    Graph,
-    GraphError,
-    _rows_from_pairs,
-    all_pairs_distances,
-    emit_graph6,
-)
-from .invariants import LANE_BLOCK, Block, Lanes
+from .graphs import Graph, GraphError, _rows_from_pairs, emit_graph6
+from .invariants import LANE_BLOCK, Block, Lanes, lane_reports
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -161,8 +157,7 @@ def _connected_graphs_range(n, lo, hi):
         ok = ((reach + ones) >> n) & ones & ((1 << end) - (1 << first))
         if not ok:
             continue
-        cols = map(lanes.unpack, rows)
-        yield Block.of(n, list(itertools.compress(zip(*cols), lanes.unpack(ok))))
+        yield Block(n, k, rows).keep(lanes.unpack(ok))
 
 
 def enumerate_trees(n: int):
@@ -269,18 +264,19 @@ def _tree_block(n, levels):
                 rows[j] |= hit << i
                 todo ^= hit
                 hits.append((i, j, hit))
-    return _TreeBlock(n, lanes.k, rows, cols, hits)
+    return _TreeBlock(n, lanes.k, rows, levels, cols, hits)
 
 
 class _TreeBlock(Block):
-    """A block of ``_tree_levels``' trees, which keeps its level columns and
-    the parent scan's ``(i, j, hit)`` (its ``edges()``), vertex i's parent
-    being j in the lanes of ``hit``, and from them computes the kernel's
-    per-source sums lane-wise, with no BFS.  The root is a centre, and the
-    first root subtree (the vertices before the second level-1 vertex)
-    reaches the largest level H: the sequence is centre-rooted (Wright,
-    Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986).  The tree is
-    bicentral iff no vertex outside the first subtree has level H.  Then:
+    """A block of ``_tree_levels``' trees, which keeps its level sequences
+    (``keep`` builds the tree block of the kept ones), their columns and the
+    parent scan's ``(i, j, hit)`` (its ``edges()``), vertex i's parent being
+    j in the lanes of ``hit``, and from them computes the kernel's per-source
+    sums lane-wise, with no BFS.  The root is a centre, and the first root
+    subtree (the vertices before the second level-1 vertex) reaches the
+    largest level H: the sequence is centre-rooted (Wright, Richmond,
+    Odlyzko and McKay, SIAM J. Comput. 15, 1986).  The tree is bicentral iff
+    no vertex outside the first subtree has level H.  Then:
 
     * ecc(v) = level(v) + H - [bicentral and v in the first subtree];
     * Tr(root) = sum of the levels, and Tr(c) = Tr(parent) + n - 2 size(c)
@@ -290,11 +286,11 @@ class _TreeBlock(Block):
       subtree every level-(H - 1) vertex outside it instead.
     """
 
-    __slots__ = ("_cols", "_hits")
+    __slots__ = ("_levels", "_cols", "_hits")
 
-    def __init__(self, n, k, rows, cols, hits):
+    def __init__(self, n, k, rows, levels, cols, hits):
         super().__init__(n, k, rows)
-        self._cols, self._hits = cols, hits
+        self._levels, self._cols, self._hits = levels, cols, hits
 
     def sums(self):
         n, cols = self.n, self._cols
@@ -343,6 +339,9 @@ class _TreeBlock(Block):
 
     def edges(self):
         return self._hits
+
+    def keep(self, flags):
+        return _tree_block(self.n, list(itertools.compress(self._levels, flags)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +473,11 @@ def _diam2_lanes(n, pairs, hits, k):
 # sweep specs and the parallel fold
 
 
-def _filter_self_centered(g: Graph) -> bool:
-    d = all_pairs_distances(g)
-    return d.diam == d.rad
-
-
+# each filter is a kernel gate, as a claim's: a sweep keeps the graphs it holds on
 FILTERS = {
-    "self_centered": _filter_self_centered,
-    "non_self_centered": lambda g: not _filter_self_centered(g),
-    "min_degree_2": lambda g: g.min_degree() >= 2,
+    "self_centered": (("self_centered", "==", 1),),
+    "non_self_centered": (("self_centered", "==", 0),),
+    "min_degree_2": (("min_degree", ">=", 2),),
 }
 
 _TARGETS = ("connected_graphs", "trees", "diameter2_graphs")
@@ -650,9 +645,11 @@ class _Stream:
     """One chunk's graphs, all of one order, with the sweep's filter
     applied, in two views of its generator's blocks: ``blocks()`` yields
     them, and iterating the stream yields their ``Graph``s one at a time,
-    unpacked by ``block.graph(j)``.  A filter runs on each block's graphs
-    and packs the kept ones into a block of their own.  A fold reads one
-    view; the tally counts graphs either way."""
+    unpacked by ``block.graph(j)``.  A filter's gate runs in the lane kernel
+    on each block and ``block.keep`` makes a block of the lanes where it
+    holds: ``Block.of`` of their row tuples, or a tree block of their level
+    sequences, which keeps the closed form.  A fold reads one view; the
+    tally counts graphs either way."""
 
     def __init__(self, spec: SweepSpec, chunk, tally: _Tally):
         self._tally = tally
@@ -672,16 +669,16 @@ class _Stream:
     def __next__(self):
         return next(self._graphs)
 
-    def _filtered(self, source, flt):
+    def _filtered(self, source, gate):
         tally = self._tally
         try:
             for block in source:
-                if flt is not None:
-                    kept = [g.bits for g in map(block.graph, range(block.k)) if flt(g)]
-                    tally.filtered += block.k - len(kept)
-                    if not kept:
+                if gate is not None:
+                    flags = [word & 1 for word in lane_reports(block, [gate])[0]]
+                    tally.filtered += block.k - sum(flags)
+                    if not any(flags):
                         continue
-                    block = Block.of(block.n, kept)
+                    block = block.keep(flags)
                 yield block
         except Exception as exc:  # the stream's own error, not the fold's
             tally.error = exc

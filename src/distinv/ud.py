@@ -9,10 +9,11 @@ A vertex's eccentric set is the last level of a BFS from it, kept as a
 bitmask by both BFS paths: ``DistanceData.far`` for one graph and the lane
 BFS's ``far`` for a block of graphs of one order.  :func:`ud_certificate`
 is the definition of the scan, read through the transpose ``col[x] = {w :
-x in sets[w]}``; :func:`find_ud_certificate` and :func:`is_ud_pair` hand it
-``far``.  :func:`lane_ud_certificates` (which ``distinv ud`` uses) runs the
-same scan in every lane of a block at once, one packed pass per pair over
-the lane BFS's transposed sets, with no per-graph loop.
+x in sets[w]}``, and :func:`find_ud_certificate` hands it ``far``;
+:func:`is_ud_pair` tests its one pair from the definition.
+:func:`lane_ud_certificates` (which ``distinv ud`` uses) runs the same scan
+in every lane of a block at once, one packed pass per pair over the lane
+BFS's transposed sets, with no per-graph loop.
 :meth:`UdCertificate.json_row` is the certificate's JSON text, formatted
 from templates.  L4.1's zero-gap condition, that every other vertex u has
 ``ecc(u) == d(v, u)``, says that v lies in every other vertex's eccentric
@@ -46,9 +47,8 @@ def is_ud_pair(g: Graph, dist: DistanceData, u: int, v: int) -> bool:
     in_range = 0 <= u < n and 0 <= v < n and u != v
     if not (in_range and dist.ecc[u] == dist.diam and dist.far[u] >> v & 1):
         raise GraphError(f"({u},{v}) is not a diametrical pair")
-    # the scan reads only col[u] and col[v], so each set is cut down to u and v
     pair = 1 << u | 1 << v
-    return ud_certificate(dist.ecc, [f & pair for f in dist.far], [(u, v)]).is_ud
+    return all(f & pair for w, f in enumerate(dist.far) if w not in (u, v))
 
 
 class UdCertificate(NamedTuple):
@@ -84,14 +84,12 @@ _UD_ROW = '{"diam": %d, "failures": [%s], "is_ud": %s, "pair": %s}'
 _FAILURE = '{"pair": [%d, %d], "witness": %d}'
 
 
-def ud_certificate(ecc, sets, pairs=None) -> UdCertificate:
+def ud_certificate(ecc, sets) -> UdCertificate:
     """The UD scan over each vertex's eccentricity ``ecc[v]`` and eccentric
     set ``sets[v]`` (a bitmask), of a connected graph.
 
     The diametrical pairs are the ``(u, v)``, ``v > u``, with ``ecc[u]`` the
-    diameter and v in ``sets[u]``, in lexicographic order, unless ``pairs``
-    names the pairs to scan (taken u by u, in the order each u first
-    appears, and each u's partners v in increasing order).  A pair fails at
+    diameter and v in ``sets[u]``, in lexicographic order.  A pair fails at
     the lowest vertex w other than u and v with neither in ``sets[w]``, and
     is UD when there is none; u's half of that test is made once per u.  The
     scan reads the transpose ``col[x] = {w : x in sets[w]}``.
@@ -114,19 +112,11 @@ def ud_certificate(ecc, sets, pairs=None) -> UdCertificate:
             ws ^= low
     if flip:
         col = [full ^ c for c in col]
-    named = None
-    if pairs is not None:  # each u of a named pair, with its partners v as a bitmask
-        named = {}
-        for u, v in pairs:
-            named[u] = named.get(u, 0) | 1 << v
     failures = []
-    for u in range(n) if named is None else named:
-        if named is not None:
-            vs = named[u]
-        elif ecc[u] == diam:
-            vs = sets[u] >> u + 1 << u + 1
-        else:
+    for u in range(n):
+        if ecc[u] != diam:
             continue
+        vs = sets[u] >> u + 1 << u + 1
         rest = full & ~(col[u] | 1 << u)  # the w that u alone does not cover
         v = -1
         while vs:  # v steps to each partner in turn

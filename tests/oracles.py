@@ -10,7 +10,8 @@ The sampler's stream reference draws and tests one attempt at a time, in
 sample order, with a scalar diameter-2 test over vertex pairs.  The UD
 certificate's reference scans a distance table pair by pair, and L4.1's
 zero-gap condition is read from the table row by row.  The labeled
-mask scan's reference decodes and BFS-checks one mask at a time.  A report's
+mask scan's reference decodes and BFS-checks one mask at a time, and a
+sweep filter's reads one graph's queue-BFS table or its degrees.  A report's
 row reference reads avd and avt from their ``Fraction`` properties and
 formats each value on its own; the eccentric sets' transpose is a double
 loop over vertex pairs.
@@ -18,14 +19,16 @@ loop over vertex pairs.
 The reference ``hunt`` is the one exception: it is the reference for the
 claim gates and lane blocks of ``theorems.hunt``, so it runs the package's
 per-graph path, every claim's checker on every graph with the report from
-``full_report``.  A claim gate's reference evaluates its terms on one
-report.  ``block_of`` and ``lane_eccentric_sets`` are no references
-either: they hand the tests the package's own lane block and its lane BFS's
-eccentric sets.
+``full_report``, the sweep's filter applied by the reference filters.  A
+claim gate's reference evaluates its terms on one report and its graph.
+``block_of`` and ``lane_eccentric_sets`` are no references either: they
+hand the tests the package's own lane block and its lane BFS's eccentric
+sets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 import random
 
@@ -410,16 +413,38 @@ def diam2_stream_by_attempt(seed: int, n: int, lo: int, hi: int, max_attempts: i
             raise SweepError("sampling stalled")
 
 
+def _self_centered_by_rows(g: Graph) -> bool:
+    ecc = [max(r) for r in bfs_rows(g)]
+    return max(ecc) == min(ecc)
+
+
+# each sweep filter of ``distinv.sweeps``, one graph at a time
+REFERENCE_FILTERS = {
+    "self_centered": _self_centered_by_rows,
+    "non_self_centered": lambda g: not _self_centered_by_rows(g),
+    "min_degree_2": lambda g: min(map(len, g.adjacency)) >= 2,
+}
+
+
+def filtered_by_reference(spec):
+    """A sweep's graphs as the unfiltered ``iter_sweep`` stream filtered one
+    graph at a time by the spec's reference filter."""
+    graphs = iter_sweep(dataclasses.replace(spec, filter_name=None))
+    if spec.filter_name is None:
+        return graphs
+    return filter(REFERENCE_FILTERS[spec.filter_name], graphs)
+
+
 def reference_hunt(spec, ids) -> list[CheckReport]:
     """``hunt(spec, ids)`` one graph at a time: every claim's public checker,
     with full detail, on every graph of the sweep, the report from
-    ``full_report``."""
+    ``full_report`` and the filter from ``REFERENCE_FILTERS``."""
     ids = list(ids)
     visited = 0
     hits = [0] * len(ids)
     cexs = [[] for _ in ids]
     eqs = [set() for _ in ids]
-    for g in iter_sweep(spec):
+    for g in filtered_by_reference(spec):
         visited += 1
         dist = all_pairs_distances(g)
         rep = full_report(g, dist)
@@ -448,15 +473,17 @@ def reference_hunt(spec, ids) -> list[CheckReport]:
 _GATE_OPS = {"==": operator.eq, "!=": operator.ne, ">=": operator.ge, "<=": operator.le}
 
 
-def gate_holds(gate, rep) -> bool:
+def gate_holds(gate, rep, g=None) -> bool:
     """Whether every term ``(column, op, bound)`` of a claim gate holds on
-    one report; ``bound`` is an integer or a function of the order."""
+    one report, a ``min_degree`` term on its graph ``g``; ``bound`` is an
+    integer or a function of the order."""
     values = {
         "n": rep.n,
         "m": rep.m,
         "diam": rep.diam,
         "nprime": rep.n_universal,
         "self_centered": int(rep.self_centered),
+        "min_degree": None if g is None else min(map(len, g.adjacency)),
     }
     return all(
         _GATE_OPS[op](values[column], bound(rep.n) if callable(bound) else bound)

@@ -678,6 +678,20 @@ GOLDEN = {
         ["ud", "{window}"],
         "37daeb9909f6b3ba285494ffee977019b119c87d3c3902abc0599c6ec694275a",
     ),
+    # each filter, on a tree, a sampled and a labeled sweep
+    "enumerate-trees-non-self-centered": (
+        ["enumerate", "trees:2..12,filter=non_self_centered"],
+        "22b809afd84ccbe419647ee2d4c73c0c2cdbe0d99d85997904ece388d4b3a847",
+    ),
+    "enumerate-diam2-min-degree-2": (
+        ["enumerate", "diam2:n=9..10,count=300,seed=5,filter=min_degree_2"],
+        "e7f3b91d3e4f793a2d2c7096576acd385dcaba3ae124dfac341f05ced18daf83",
+    ),
+    "verify-connected-self-centered": (
+        ["verify", "--sweep", "connected:3..6,filter=self_centered", "--theorems",
+         "all-unary", "--format", "json"],
+        "514276acf10acd06459baaaeba9e0810ef0f95913b2aa147211e98689105c051",
+    ),
 }
 
 

@@ -118,3 +118,14 @@ def test_only_invariants_imports_struct():
             if "struct" in names or isinstance(node, ast.ImportFrom) and node.module == "struct":
                 users.add(path.stem)
     assert users == {"invariants"}
+
+
+def test_sweeps_import_no_per_graph_bfs():
+    # a sweep's filters are kernel gates: a per-graph BFS or degree loop in
+    # sweeps would be a second definition of the filtered invariants
+    tree = ast.parse((Path(distinv.__file__).parent / "sweeps.py").read_text())
+    nodes = list(ast.walk(tree))
+    names = {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert "lane_reports" in names and "all_pairs_distances" not in names
+    assert "min_degree" not in attrs

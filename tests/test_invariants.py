@@ -32,6 +32,7 @@ from distinv.invariants import (
     lane_wiener_e1,
 )
 from distinv.sweeps import (
+    FILTERS,
     SweepSpec,
     _Stream,
     _Tally,
@@ -505,6 +506,34 @@ class TestLaneGates:
         for g, a, b in zip(graphs, got, expected, strict=True):
             assert a == b, emit_graph6(g)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "connected:1..6",
+            "trees:2..15",
+            "diam2 at the width bounds",
+            "named at the width bounds",
+        ],
+    )
+    def test_min_degree_and_filter_gates(self, name):
+        # the sweep filters' gates and min_degree terms on each side of its
+        # bounds, against the minimum degree read from each graph's adjacency
+        gates = [
+            *FILTERS.values(),
+            (("min_degree", "==", 1),),
+            (("min_degree", "<=", lambda n: n - 2), ("min_degree", "!=", 0)),
+            (("min_degree", ">=", lambda n: n - 1),),
+        ]
+        graphs = LANE_SETS[name][1]()
+        got = _by_lanes(lambda block: lane_reports(block, gates)[0], graphs, LANE_BLOCK)
+        selected = set()
+        for g, word in zip(graphs, got, strict=True):
+            rep = full_report(g)
+            want = [gate_holds(gate, rep, g) for gate in gates]
+            assert [bool(word >> i & 1) for i in range(len(gates))] == want, emit_graph6(g)
+            selected.update(i for i, held in enumerate(want) if held)
+        assert len(selected) >= 4  # four of the six gates hold somewhere in each set
+
     def test_at_most_13_gates(self):
         # 13 gate bits, L4.1's two and the disconnected bit fill 16 bits
         words, _ = lane_reports(block_of([path(3)]), [()] * 13)
@@ -644,6 +673,13 @@ class TestLanes:
                 want = [int(u >= v) for u, v in zip(p, q)]
                 assert list(lanes.unpack(lanes.ge(x, y))) == want
                 assert list(lanes.unpack(lanes.max(x, y))) == list(map(max, p, q))
+
+    def test_min(self, lanes):
+        draws = self._draws(lanes, 1 << lanes.top)
+        for a, b in zip(draws, draws):
+            for p, q in ((a, b), (b, a), (a, a)):
+                got = lanes.min(lanes.pack(p), lanes.pack(q))
+                assert list(lanes.unpack(got)) == list(map(min, p, q))
 
     def test_at_least(self, lanes):
         # c <= 0 holds in every lane and c >= 2^top in none: the early returns

@@ -36,6 +36,7 @@ from distinv import sweeps as sweeps_mod
 from distinv.graphs import _pairs_from_rows, _rows_from_pairs
 from distinv.invariants import LANE_BLOCK, Block, _Lanes, lane_reports, lane_width, unpack_lanes
 from distinv.sweeps import (
+    FILTERS,
     TREE_MAX_N,
     TREE_MIN_N,
     SweepVisitError,
@@ -59,6 +60,7 @@ from distinv.sweeps import (
 from distinv.theorems import CLAIMS, hunt
 
 from oracles import (
+    REFERENCE_FILTERS,
     bernoulli_rows,
     connected_graphs_by_mask,
     diam2_attempts,
@@ -679,28 +681,40 @@ class TestStreamContract:
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_graph_view_packs_no_rows(self, spec, monkeypatch):
         # a block packs its row tuples only when the kernel reads its rows, so
-        # every Block.of handed out to a graph-view read still has none; the
-        # tree sweep's blocks are built from packed rows, with no tuples
-        made = []
-        of = Block.of.__func__
+        # every Block.of handed out to a graph-view read still has none; a
+        # filter's gate reads the rows of the source blocks it keeps lanes
+        # of, and the tree sweep's blocks are built from packed rows
+        made, read = [], []
+        of, graph = Block.of.__func__, Block.graph
         monkeypatch.setattr(Block, "of", classmethod(lambda *a: made.append(of(*a)) or made[-1]))
+        monkeypatch.setattr(Block, "graph", lambda b, j: read.append(id(b)) or graph(b, j))
         graphs = list(iter_sweep(spec))
-        assert graphs and (made or spec.target == "trees")
-        assert all(block._rows is None for block in made)
+        read = set(read)
+        handed = [block for block in made if id(block) in read]
+        sources = [block for block in made if id(block) not in read]
+        assert graphs and (handed or spec.target == "trees")
+        assert all(block._rows is None for block in handed)
+        assert bool(sources) == (spec.filter_name is not None)
+        assert all(block._rows is not None for block in sources)
 
     def test_graph_view_runs_no_closed_form(self, monkeypatch):
-        # only the kernel reads a tree block's sums, and a filtered tree
-        # sweep's blocks, repacked with Block.of, have none
-        calls = []
+        # only the kernel reads a tree block's sums: a filtered tree sweep's
+        # gate reads them on its source blocks, and its kept blocks are tree
+        # blocks again, whose sums the hunt reads; no block runs the BFS
+        calls, bfs = [], []
         sums = sweeps_mod._TreeBlock.sums
         monkeypatch.setattr(
             sweeps_mod._TreeBlock, "sums", lambda self: calls.append(self.k) or sums(self)
         )
+        monkeypatch.setattr(Block, "sums", lambda self: bfs.append(self.k))
         assert len(list(iter_sweep(parse_sweep_spec("trees:2..15")))) == 13187
-        hunt(parse_sweep_spec("trees:2..12,filter=non_self_centered"), ["T3.1", "L4.1"])
         assert not calls
+        spec = parse_sweep_spec("trees:2..12,filter=non_self_centered")
+        kept = hunt(spec, ["T3.1", "L4.1"])[0].graphs_visited
+        assert 0 < kept < 986 and sum(calls) == 986 + kept and not bfs
+        calls.clear()
         hunt(parse_sweep_spec("trees:2..9"), ["T3.1", "L4.1"])
-        assert sum(calls) == sum(TREE_COUNTS[n] for n in range(2, 10))
+        assert sum(calls) == sum(TREE_COUNTS[n] for n in range(2, 10)) and not bfs
 
     def test_stream_error_propagates_unwrapped(self, monkeypatch):
         monkeypatch.setattr(sweeps_mod, "_MAX_ATTEMPTS", 0)
@@ -708,6 +722,39 @@ class TestStreamContract:
         with pytest.raises(SweepError, match="sampling stalled") as info:
             fold_sweep(spec, _count, operator.add, int)
         assert type(info.value) is SweepError
+
+
+class TestFilterGates:
+    """Each filter's kernel gate against its reference: the filtered stream
+    and its visited and filtered counts equal the unfiltered stream filtered
+    one graph at a time, in chunks of 1 and 2 parts, at every lane width."""
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize("name", sorted(FILTERS))
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "connected:1..6",
+            "trees:2..16",
+            "diam2:n=9..10,count=300,seed=5",
+            "diam2:n=31..32,count=30,seed=5",
+            "diam2:n=63..64,count=8,seed=5",
+            "diam2:n=127..128,count=2,seed=5",
+        ],
+    )
+    def test_matches_the_reference_filter(self, text, name, parts):
+        # a tree chunk takes every parts-th block, so the order of a stream
+        # depends on the parts: both streams are cut into the same chunks
+        plain, spec = parse_sweep_spec(text), parse_sweep_spec(f"{text},filter={name}")
+
+        def stream(spec, tally):
+            return [g for chunk in _chunks(spec, parts) for g in _Stream(spec, chunk, tally)]
+
+        every = stream(plain, _Tally())
+        want = list(filter(REFERENCE_FILTERS[name], every))
+        tally = _Tally()
+        assert stream(spec, tally) == want
+        assert (tally.visited, tally.filtered) == (len(want), len(every) - len(want))
 
 
 class TestParallelDeterminism:

@@ -34,7 +34,7 @@ from distinv.sweeps import (
     iter_sweep,
     parse_sweep_spec,
 )
-from distinv.ud import lane_ud_certificates, ud_certificate
+from distinv.ud import lane_ud_certificates
 
 from oracles import (
     bfs_rows,
@@ -271,25 +271,6 @@ class TestCertificateDefinition:
                         assert is_ud_pair(g, dist, u, v) == want, (h.edges(), u, v)
                         pairs += 1
         assert pairs == 4554
-
-    def test_named_pairs_are_scanned_alone(self):
-        # ud_certificate scans the pairs it is given and no other: a UD pair
-        # comes back as named, in either order, and a failing one as its
-        # only failure, with the first witness of the whole scan
-        for h in nx.graph_atlas_g()[3:400]:
-            if not nx.is_connected(h):
-                continue
-            g = from_edge_list(h.number_of_nodes(), h.edges())
-            dist = all_pairs_distances(g)
-            full = find_ud_certificate(g, dist)
-            scanned = full.failures + ((full.pair, None),) if full.is_ud else full.failures
-            for (u, v), witness in scanned:
-                for pair in ((u, v), (v, u)):
-                    cert = ud_certificate(dist.ecc, dist.far, [pair])
-                    if witness is None:
-                        assert (cert.is_ud, cert.pair, cert.failures) == (True, pair, ())
-                    else:
-                        assert cert.failures == ((pair, witness),) and not cert.is_ud
 
 
 class TestJsonRow:
