@@ -102,9 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graphs(files):
-    """Yield (source_label, (n, pairs) or GraphError) per input graph, with
-    ``pairs`` the graph's pair bits in graph6's order, reading each input
-    line by line.
+    """Yield (source_label, i, (n, pairs) or GraphError) per input graph, with
+    ``pairs`` the graph's pair bits in graph6's order and i its payload line
+    number (0 for a whole input), reading each input line by line.
 
     An input whose first payload line has more than one field (an edge
     list's ``n m`` header; graph6 bytes are never whitespace) is one
@@ -117,25 +117,25 @@ def _read_graphs(files):
         try:
             fh = sys.stdin if name == "-" else open(name, "r", encoding="utf-8")
         except OSError as exc:
-            yield name, GraphError(str(exc))
+            yield name, 0, GraphError(str(exc))
             continue
         try:
-            lines = (ln for chunk in fh for ln in chunk.splitlines())
-            lines = (ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#"))
+            lines = (ln for chunk in fh for ln in chunk.splitlines()
+                     if ln.strip() and not ln.lstrip().startswith("#"))
             for i, line in enumerate(lines, start=1):
                 if i == 1 and len(line.split()) > 1:
                     try:
                         g = parse_edge_list("\n".join([line, *lines]))
-                        yield label, (g.n, _pairs_from_rows(g.bits))
+                        yield label, 0, (g.n, _pairs_from_rows(g.bits))
                     except GraphError as exc:
-                        yield label, exc
+                        yield label, 0, exc
                     break
                 try:
-                    yield f"{label}:{i}", decode_graph6(line)
+                    yield label, i, decode_graph6(line)
                 except GraphError as exc:
-                    yield f"{label}:{i}", exc
+                    yield label, i, exc
         except OSError as exc:
-            yield label, GraphError(str(exc))
+            yield label, 0, GraphError(str(exc))
         finally:
             if fh is not sys.stdin:
                 fh.close()
@@ -169,31 +169,32 @@ def _per_graph(files, out, compute, block, render) -> int:
         for n, idx in by_order.items():
             if len(idx) < 2:
                 continue
-            lanes = Block.of_pairs(n, [window[i][1][1] for i in idx])
+            lanes = Block.of_pairs(n, [window[i][2][1] for i in idx])
             for i, value in zip(idx, block(lanes)):
                 if value is not None:  # else disconnected: the per-graph error
-                    window[i][1] = render(value)
+                    window[i][2] = render(value)
         failed = False
-        for label, item in window:
+        for label, i, item in window:
             if isinstance(item, tuple):
                 item = line(*item)
             if isinstance(item, GraphError):
-                print(f"error: {label}: {item}", file=sys.stderr)
+                where = f"{label}:{i}" if i else label
+                print(f"error: {where}: {item}", file=sys.stderr)
                 failed = True
             else:
-                print(item, file=out)
+                out.write(item + "\n")
         return failed
 
     failed = False
-    window = []  # [label, output line, error, or the (n, pairs) of a waiting graph]
+    window = []  # [label, line number, output line, error or a waiting graph's (n, pairs)]
     by_order = {}  # order -> the window indices of its waiting graphs
-    for label, item in _read_graphs(files):
+    for label, i, item in _read_graphs(files):
         if isinstance(item, tuple):
             if 1 <= item[0] <= LANE_MAX_N:
                 by_order.setdefault(item[0], []).append(len(window))
             else:
                 item = line(*item)
-        window.append([label, item])
+        window.append([label, i, item])
         if len(window) == LANE_BLOCK:
             failed |= flush(window, by_order)
             window, by_order = [], {}

@@ -367,14 +367,15 @@ class _Lanes(Lanes):
     ``ecc[s]`` (the number of levels), transmission ``tr[s]`` (the sum of
     d * |F_d(s)|, counted from log2(n) bit slices of the levels, not one
     popcount per level) and eccentric set ``far[s]`` (the last level; s
-    itself in K1).  ``depth`` is the largest eccentricity in any lane;
-    ``connected`` has bit 0 of a lane set when the BFS from vertex 0 covers
-    it, and every other lane is then emptied, so the BFS costs nothing more
-    there and leaves values no caller reads.  A block whose ``sums()`` has
-    them, every graph connected, skips the BFS.
+    itself in K1).  Tr is counted only for a caller that reads it: ``tr`` is
+    None with ``tr=False`` (the UD scan).  ``depth`` is the largest
+    eccentricity in any lane; ``connected`` has bit 0 of a lane set when the
+    BFS from vertex 0 covers it, and every other lane is then emptied, so the
+    BFS costs nothing more there and leaves values no caller reads.  A block
+    whose ``sums()`` has them, every graph connected, skips the BFS.
     """
 
-    def __init__(self, block):
+    def __init__(self, block, tr: bool = True):
         if not isinstance(block, Block):
             raise TypeError("the lane kernel takes a Block")
         super().__init__(block.n, block.k)
@@ -387,7 +388,7 @@ class _Lanes(Lanes):
             return
         popcount, nonzero, bits = self.popcount, self.nonzero, self.bits
         self.ecc = eccs = []
-        self.tr = trs = []
+        self.tr = trs = [] if tr else None
         self.far = far = []
         self.depth = 0
         for s in range(n):
@@ -403,26 +404,26 @@ class _Lanes(Lanes):
                     break
                 seen |= nxt
                 d += 1
-                for b in range(d.bit_length()):
-                    if d >> b & 1:
-                        slices[b] |= nxt
+                if tr:
+                    for b in range(d.bit_length()):
+                        if d >> b & 1:
+                            slices[b] |= nxt
                 reached = nonzero(nxt)  # the lanes this level reaches
                 ecc += reached
                 # each lane this level reaches takes it as its last level
                 last ^= (last ^ nxt) & (reached * lane)
                 front = nxt
-            # Tr(s) = sum_d d * |F_d| = sum_b 2^b * |slices[b]|
-            tr = sum(popcount(x) << b for b, x in enumerate(slices) if x)
             if s == 0:
                 self.connected = connected = self.zero(full ^ seen)
                 if connected != ones:  # tr[0] too: each lane of sum(tr) stays even
                     keep = connected * lane
                     rows = self.rows = [row & keep for row in rows]
-                    tr &= keep
+                    slices = [x & keep for x in slices]
             self.depth = max(self.depth, d)
             eccs.append(ecc)
-            trs.append(tr)
             far.append(last)
+            if tr:  # Tr(s) = sum_d d * |F_d| = sum_b 2^b * |slices[b]|
+                trs.append(sum(popcount(x) << b for b, x in enumerate(slices) if x))
 
     def columns(self):
         """``col[x]``, bit w of a lane set when x is in ``far[w]`` there: the

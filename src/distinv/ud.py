@@ -14,10 +14,11 @@ x in sets[w]}``, and :func:`find_ud_certificate` hands it ``far``;
 :func:`lane_ud_certificates` (which ``distinv ud`` uses) runs the same scan
 in every lane of a block at once, one packed pass per pair over the lane
 BFS's transposed sets, with no per-graph loop.
-:meth:`UdCertificate.json_row` is the certificate's JSON text, formatted
-from templates.  L4.1's zero-gap condition, that every other vertex u has
-``ecc(u) == d(v, u)``, says that v lies in every other vertex's eccentric
-set, and :func:`transmission_gap_equality_set` reads it from ``far`` too.
+:meth:`UdCertificate.json_row` is the certificate's JSON text, a template
+filled with each failure entry's memoised text.  L4.1's zero-gap condition,
+that every other vertex u has ``ecc(u) == d(v, u)``, says that v lies in
+every other vertex's eccentric set, and :func:`transmission_gap_equality_set`
+reads it from ``far`` too.
 
 Degenerate conventions: K2's unique pair is UD vacuously (no third vertex);
 K1 has no vertex pair at all and is reported UD with ``pair=None``.
@@ -25,7 +26,7 @@ K1 has no vertex pair at all and is reported UD with ``pair=None``.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, count
 from typing import NamedTuple
 
@@ -73,7 +74,7 @@ class UdCertificate(NamedTuple):
         """``json.dumps(self.to_json_dict(), sort_keys=True)``."""
         return _UD_ROW % (
             self.diam,
-            ", ".join([_FAILURE % (u, v, w) for (u, v), w in self.failures]),
+            ", ".join(map(_failure_text, self.failures)),
             "true" if self.is_ud else "false",
             "null" if self.pair is None else "[%d, %d]" % self.pair,
         )
@@ -82,6 +83,11 @@ class UdCertificate(NamedTuple):
 # json.dumps's text of a certificate and of one failure entry, keys sorted
 _UD_ROW = '{"diam": %d, "failures": [%s], "is_ud": %s, "pair": %s}'
 _FAILURE = '{"pair": [%d, %d], "witness": %d}'
+
+
+@lru_cache(maxsize=4096)  # a failure entry's text, made once; bounded for order-255 input
+def _failure_text(entry) -> str:
+    return _FAILURE % (*entry[0], entry[1])
 
 
 def ud_certificate(ecc, sets) -> UdCertificate:
@@ -144,15 +150,15 @@ def lane_ud_certificates(block) -> list[UdCertificate | None]:
     of one order 1 <= n <= 255, in every lane at once; None for a
     disconnected graph.
 
-    It scans the pairs in the reference's order over the lane BFS's packed
-    ``ecc``, ``far`` and ``columns()``: each u whose ecc is the diameter in
-    some lane, then each v > u in some such lane's ``far[u]``.  In D, the
-    lanes where (u, v) is diametrical and still without a UD pair, ``bad =
-    rest[u] & rest[v]`` holds the w that neither covers: an empty lane takes
-    (u, v), any other fails at its lowest bit.  Each pair's lanes are
-    unpacked at once, so no packed word outlives its pair.
+    It scans the pairs in the reference's order over the packed ``ecc``,
+    ``far`` and ``columns()`` of a lane BFS without Tr: each u whose ecc is
+    the diameter in some lane, then each v > u in some such lane's ``far[u]``.
+    In D, the lanes where (u, v) is diametrical and still without a UD pair,
+    ``bad = rest[u] & rest[v]`` holds the w that neither covers: an empty lane
+    takes (u, v), any other fails at its lowest bit.  A pair's lanes are
+    unpacked at once (no packed word outlives its pair) and share its entries.
     """
-    lanes = _Lanes(block)
+    lanes = _Lanes(block, tr=False)
     k, n, lane, ones = lanes.k, lanes.n, lanes.lane, lanes.ones
     if n == 1:
         return [UdCertificate(is_ud=True, pair=None, diam=0)] * k
@@ -179,11 +185,13 @@ def lane_ud_certificates(block) -> list[UdCertificate | None]:
             # + 1 where (u, v) fails, n + 1 (the sentinel's) where it is UD
             bad |= sentinel
             ws = unpack(bad & ~(bad - ones) & d * lane)
+            # its lanes share the entries [w + 1] = (pair, w) when they outnumber them
+            entries = [(pair, w) for w in range(-1, n)] if d.bit_count() > n else None
             for j, w in zip(compress(count(), ws), map(int.bit_length, filter(None, ws))):
                 if w > n:
                     certs[j] = UdCertificate(True, pair, diams[j])
                 else:
-                    failures[j].append((pair, w - 1))
+                    failures[j].append(entries[w] if entries else (pair, w - 1))
         if not todo:
             break
     for j in compress(count(), unpack(todo)):

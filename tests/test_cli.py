@@ -534,12 +534,18 @@ class TestOptionSurface:
 
 DIAM2 = "diam2:n=9..10,count=200,seed=5"
 DIAM2_IDS = "T2.3,P2.4,T2.5,P2.6,T2.7,C2.8i,C2.8ii"
+SWEEP_FILES = {
+    "{wide}": ("diam2:n=31..33,count=50,seed=5", "trees:16..16"),
+    "{wide128}": ("diam2:n=126..128,count=6,seed=5",),
+}
 
 # SHA-256 of stdout, stderr and exit code, each followed by a NUL byte; an
 # argument "{ingest}" stands for a file holding the graph6 lines of DIAM2 and
 # of trees:2..9, then a malformed line and a disconnected graph ("{good}" is
 # the same file without those two lines); "{dense}" stands for a file holding
-# the graph6 line of a dense order-100 graph and a line with a padding bit set
+# the graph6 line of a dense order-100 graph and a line with a padding bit set;
+# "{wide}" and "{wide128}" for files holding the graph6 lines of the sweeps
+# that SWEEP_FILES names
 GOLDEN = {
     "verify-connected-json": (
         ["verify", "--sweep", "connected:3..6", "--theorems", "all-unary",
@@ -597,6 +603,20 @@ GOLDEN = {
     "invariants-dense-padding": (
         ["invariants", "{dense}"],
         "559e660b2f37b418aeae70c1d6e1d1e6c6c5cb2ccdf6e7b16709ac1395d1b6ea",
+    ),
+    "ud-dense-padding": (
+        ["ud", "{dense}"],
+        "213d18b4aaeb966324288b9d33472b50faaf47c1e207553a2560d4b4deee5cdd",
+    ),
+    # the UD scan in 32- and 64-bit lanes, deep tree BFS (trees:16..16), and
+    # in 128- and 256-bit lanes
+    "ud-wide": (
+        ["ud", "{wide}"],
+        "9879df5e92bd58b6a586c745ede6724563032ab9e83e8244005ad0d64a5ef108",
+    ),
+    "ud-wide-128": (
+        ["ud", "{wide128}"],
+        "e3c9e1dcb476270566a232507527219789905e577ff1e8acaaef45f222671b54",
     ),
     # orders 13..16 straddle the 16/32-bit lane width bound
     "verify-diam2-lane-bound": (
@@ -720,6 +740,13 @@ def test_golden_digest(capsys, monkeypatch, tmp_path, name):
             100, [(u, v) for v in range(100) for u in range(v) if (u * v + u + v) % 5]
         )
         (tmp_path / "dense.g6").write_text(emit_graph6(dense) + "\nA`\n")
+    for key in SWEEP_FILES.keys() & set(argv):
+        monkeypatch.chdir(tmp_path)
+        lines = []
+        for spec in SWEEP_FILES[key]:
+            assert main(["enumerate", spec]) == 0
+            lines.append(capsys.readouterr().out)
+        (tmp_path / f"{key[1:-1]}.g6").write_text("".join(lines))
     if "{mixed}" in argv or "p255.g6" in argv:
         monkeypatch.chdir(tmp_path)
         _write_mixed(capsys, tmp_path)
@@ -729,7 +756,7 @@ def test_golden_digest(capsys, monkeypatch, tmp_path, name):
         _write_window(capsys, tmp_path)
     names = {"{good}": "good.g6", "{ingest}": "ingest.g6", "{dense}": "dense.g6",
              "{mixed}": "mixed.g6", "{window}": "window.g6"}
-    argv = [names.get(a, a) for a in argv]
+    argv = [names.get(a, f"{a[1:-1]}.g6" if a in SWEEP_FILES else a) for a in argv]
     assert _digest(*run_cli(capsys, *argv)) == digest
 
 

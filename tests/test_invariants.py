@@ -27,6 +27,7 @@ from distinv.invariants import (
     LANE_MAX_N,
     Block,
     Lanes,
+    _Lanes,
     lane_reports,
     lane_width,
     lane_wiener_e1,
@@ -612,6 +613,45 @@ class TestLaneEccentricSets:
             dist = all_pairs_distances(g)
             want = (tuple(dist.ecc), tuple(dist.far))
             assert got == (*want, transpose(want[1])), emit_graph6(g)
+
+
+def _bfs_blocks(n):
+    """Blocks of order-n graphs for the lane BFS: dense, sparse, deep trees,
+    and a partly disconnected block (``_mixed_block``)."""
+    rng = random.Random(n + 1)
+    parents = [(rng.randrange(max(0, v - 3), v), v) for v in range(1, n)]  # deep
+    return {
+        # complement(C_n) is connected from order 5 on
+        "dense": [complete(n), random_connected_graph(rng, n, 0.8), complement(cycle(n))],
+        "sparse": [cycle(n), random_connected_graph(rng, n, 2 / n)],
+        "trees": [path(n), star(n), from_edge_list(n, parents)],
+        "disconnected": _mixed_block(n)[0],
+    }
+
+
+class TestLaneBfsWithoutTr:
+    """``_Lanes(block, tr=False)``, the UD scan's BFS, keeps no Tr; its
+    ``ecc``, ``far``, ``depth`` and ``connected`` are those of the BFS that
+    counts Tr, and in each connected lane those of ``all_pairs_distances``."""
+
+    @pytest.mark.parametrize("n", MIXED_ORDERS)
+    def test_matches_tr_counting_bfs(self, n):
+        for kind, graphs in _bfs_blocks(n).items():
+            block = block_of(graphs)
+            want, got = _Lanes(block), _Lanes(block, tr=False)
+            assert got.tr is None and want.tr is not None
+            for name in ("ecc", "far", "depth", "connected", "rows"):
+                assert getattr(got, name) == getattr(want, name), (kind, name)
+            assert got.columns() == want.columns(), kind
+            ecc, far = (list(zip(*map(got.unpack, x))) for x in (got.ecc, got.far))
+            flags = got.unpack(got.connected)
+            for g, c, e, f in zip(graphs, flags, ecc, far, strict=True):
+                if c:
+                    dist = all_pairs_distances(g)
+                    assert (e, f) == (tuple(dist.ecc), tuple(dist.far)), (kind, emit_graph6(g))
+            if kind != "disconnected":
+                assert all(flags), kind
+                assert got.depth == max(max(e) for e in ecc), kind
 
 
 LANE_WIDTHS = (16, 32, 64, 128, 256)

@@ -288,6 +288,30 @@ class TestJsonRow:
         for c in certs:
             assert c.json_row() == json.dumps(c.to_json_dict(), sort_keys=True)
 
+    def test_lane_certificates(self):
+        # the lane scan's certificates, some failure entries shared among
+        # lanes: the atlas's blocks of one order and the diameter-2 stream's
+        atlas = [h for h in nx.graph_atlas_g()[1:] if nx.is_connected(h)]
+        graphs = [from_edge_list(h.number_of_nodes(), h.edges()) for h in atlas]
+        graphs += iter_sweep(parse_sweep_spec("diam2:n=9..12,count=300,seed=5"))
+        certs = _by_lanes(lane_ud_certificates, graphs, LANE_BLOCK)
+        assert certs == [find_ud_certificate(g) for g in graphs]
+        entries = [e for c in certs for e in c.failures]
+        assert len({id(e) for e in entries}) < len(entries)
+        for c in certs:
+            assert c.json_row() == json.dumps(c.to_json_dict(), sort_keys=True)
+
+    def test_failure_text_memo_is_bounded(self):
+        # more distinct failure entries than the memo holds, as an order-255
+        # input has: the rows stay right and the memo stays within its bound
+        bound = ud_mod._failure_text.cache_info().maxsize
+        entries = tuple(((u, v), w) for u in range(40) for v in range(u + 1, 255) for w in (0, 7))
+        assert len(set(entries)) > bound
+        cert = UdCertificate(False, None, 2, entries)
+        for _ in range(2):
+            assert cert.json_row() == json.dumps(cert.to_json_dict(), sort_keys=True)
+        assert ud_mod._failure_text.cache_info().currsize == bound
+
 
 def _lane_ud(graphs):
     # the lane UD scan of ``distinv ud`` on one block of one order
