@@ -12,32 +12,36 @@ definition:
 
 * ``predicate(g, rep, dist) -> (hypothesis_met, conclusion_held, equality)``
   over the exact :class:`InvariantReport` integers (``conclusion_held`` is
-  ``None`` when the hypothesis fails; its docstring is the claim statement);
+  ``None`` when the hypothesis fails; its docstring is the claim statement).
+  Every predicate but L4.1's reads only ``rep`` (and T3.3's its
+  complement's W and E1), so :func:`hunt` hands them ``g=None``;
 * ``fields``, the report values a verdict's detail carries, named as in
   :meth:`InvariantReport.to_json_dict`;
 * for T2.3, T3.3 and L4.1, ``extra(g, rep, dist, hypothesis_met)``, the
   derived values the detail adds (branch, disjunct, gap counts);
 * ``gate``, a necessary condition of the hypothesis held as data: terms
   ``(column, op, bound)`` over hypothesis columns only, evaluated by
-  ``invariants.lane_reports``.  L4.1, which every graph meets, has none;
-* ``reads_graph``, set on P2.1 and C2.2, whose predicates read ``g`` (the
-  cycle test); every other predicate reads only ``rep`` and gets
-  ``g=None`` from :func:`hunt`.
+  ``invariants.lane_reports``.  L4.1, which every graph meets, has none.
 
 :func:`hunt` reads each chunk of a sweep as the lane blocks its generator
 makes (``blocks()``, at most ``LANE_BLOCK`` graphs each) through the lane
 kernel, which takes every order a sweep makes, evaluates the gates and
 builds a report only for a graph some gate selects.  A predicate runs only
 where its gate holds, and re-checks its whole hypothesis.  The kernel
-decides L4.1.  The complements of the trees T3.3's complement disjunct
-decides are taken lane-wise from the block's rows and go through the
-kernel's BFS as one more block, which yields only their W and E1; a
-disconnected one ends the sweep as a disconnected graph does.  A lane's
+decides L4.1.  The complements of the trees T3.3's gate selects are taken
+lane-wise from the block's rows and go through the kernel's BFS as one
+more block, which yields only their W and E1.  A lane's key is its gate
+word, its report and that (W, E1), and a predicate's result is a function
+of the key: hunt makes one predicate call per distinct key of a block, and
+goes back to the lanes only for a key with a counterexample, an equality
+case or an L4.1 bit.  A disconnected graph, and a tree whose complement
+decides T3.3 and is disconnected, end the sweep as the per-graph path does,
+naming the first lane of the block with that key.  A lane's
 :class:`Graph` (``block.graph(j)``, unpacked from the block only then) is
-taken only for a claim row that reads it, a verdict or an equality case, on
-every sweep target.  A detailed :class:`TheoremVerdict`
-is built only for a counterexample, from the graph's BFS distances (and for
-T3.3 the complement's :func:`full_report`).  The public ``check_p21`` ...
+taken only for a verdict or an equality case, on every sweep target.  A
+detailed :class:`TheoremVerdict` is built only for a counterexample, from
+the graph's BFS distances (and for T3.3 the complement's
+:func:`full_report`).  The public ``check_p21`` ...
 ``check_l41`` (also ``UNARY_CHECKS``, by id) are thin wrappers that build
 one graph's verdict from the same row; ``detail=False`` leaves a verdict's
 graph6 id and detail unset.  The pendant and product claims take explicit
@@ -47,14 +51,13 @@ verdicts always carry the graph6 id and the detail.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from math import isqrt
 from typing import Callable
 
 from .graphs import (
     DisconnectedGraphError,
-    Graph,
     GraphError,
     all_pairs_distances,
     complement,
@@ -136,14 +139,14 @@ def _gid(*graphs):
 
 @dataclass(frozen=True, slots=True)
 class Claim:
-    """One row of the unary claim table (see the module docstring)."""
+    """One row of the unary claim table (see the module docstring); hunt
+    calls its predicate once per distinct key of a block."""
 
     theorem_id: str
     predicate: Callable
     fields: tuple[str, ...]
     extra: Callable | None = None
     gate: tuple = ()
-    reads_graph: bool = False
 
     def verdict(self, g, rep, dist, result, detail=True) -> TheoremVerdict:
         """The verdict on ``g`` from the predicate's ``result`` triple."""
@@ -160,12 +163,11 @@ class Claim:
 _UNMET = (False, None, False)
 
 
-def _is_cycle(g: Graph, rep: InvariantReport) -> bool:
-    return (
-        rep.n >= 3
-        and rep.m == rep.n
-        and all(b.bit_count() == 2 for b in g.bits)
-    )
+def _is_cycle(rep: InvariantReport) -> bool:
+    # asked only of a self-centered graph, and inputs are connected: a leaf
+    # v with neighbour u has ecc(v) = ecc(u) + 1 when n >= 3, so every
+    # degree is at least 2, and with m = n every degree is 2
+    return rep.n >= 3 and rep.m == rep.n
 
 
 def _is_tree(rep: InvariantReport) -> bool:
@@ -189,7 +191,7 @@ def _p21(g, rep, dist):
     if not rep.self_centered or rep.m == rep.n * (rep.n - 1) // 2:
         return _UNMET
     eq = rep.e2 == rep.e1
-    return True, rep.e2 >= rep.e1 and eq == _is_cycle(g, rep), eq
+    return True, rep.e2 >= rep.e1 and eq == _is_cycle(rep), eq
 
 
 def _c22(g, rep, dist):
@@ -198,7 +200,7 @@ def _c22(g, rep, dist):
     if not rep.self_centered or rep.diam != 2:
         return _UNMET
     eq = rep.e2 == rep.e1
-    return True, rep.e2 >= rep.e1 and eq == (_is_cycle(g, rep) and rep.n in (4, 5)), eq
+    return True, rep.e2 >= rep.e1 and eq == (_is_cycle(rep) and rep.n in (4, 5)), eq
 
 
 def _t23_branch(rep):
@@ -320,16 +322,18 @@ def _t33_disjunct(rep):
     return "tree" if rep.wiener > rep.e1 else "complement"
 
 
-def _t33(g, rep, dist, decided=None):
+def _t33(g, rep, dist, comp=None):
     """Trees with n > 8: W > E1 holds for the tree or for its complement.
 
-    ``decided`` is the caller's (disjunct, the complement's (W, E1) or None)."""
-    disjunct, comp = decided or (_t33_disjunct(rep), None)
+    hunt hands ``g=None`` and ``comp``, the complement's (W, E1) or None."""
+    disjunct = _t33_disjunct(rep)
     if disjunct is None:
         return _UNMET
     if disjunct == "tree":
         return True, True, False
     if comp is None:
+        if g is None:
+            raise DisconnectedGraphError("graph is disconnected")
         crep = full_report(complement(g))
         comp = crep.wiener, crep.e1
     return True, comp[0] > comp[1], False
@@ -370,9 +374,8 @@ CLAIMS = {
     c.theorem_id: c
     for c in (
         Claim("P2.1", _p21, ("n", "m", "E1", "E2"),
-              gate=(_SELF_CENTERED, ("m", "!=", lambda n: n * (n - 1) // 2)), reads_graph=True),
-        Claim("C2.2", _c22, ("n", "m", "E1", "E2"), gate=(_SELF_CENTERED, _DIAM2),
-              reads_graph=True),
+              gate=(_SELF_CENTERED, ("m", "!=", lambda n: n * (n - 1) // 2))),
+        Claim("C2.2", _c22, ("n", "m", "E1", "E2"), gate=(_SELF_CENTERED, _DIAM2)),
         Claim("T2.3", _t23, ("n", "m", "nprime", "E1", "E2"), _t23_detail,
               gate=(_DIAM2, ("self_centered", "==", 0))),
         Claim("P2.4", _p24, ("n", "m", "W"), gate=(_DIAM2,)),
@@ -614,32 +617,21 @@ def check_t54(g, h):
 # the hunter
 
 
-def _t33_complements(block, words, reports, bit):
-    """T3.3's ``decided`` (see ``_t33``) for each tree of a block whose word
-    has T3.3's gate ``bit``, and None elsewhere; and the set of lanes whose
-    complement decides T3.3 and is disconnected.  The complements are taken
-    lane-wise from the block's rows: row u of a kept lane's complement is
-    every vertex but u and u's tree neighbours, and the other lanes are
-    empty.  They go through the kernel's BFS as one block, which yields
-    only their W and E1."""
+def _t33_complements(block, words, bit):
+    """The complement's (W, E1) of each tree of a block whose word has T3.3's
+    gate ``bit``, and None for a disconnected complement and for every other
+    lane.  The complements are taken lane-wise from the block's rows: row u
+    of a gated lane's complement is every vertex but u and u's tree
+    neighbours, and the other lanes are empty.  They go through the
+    kernel's BFS as one block, which yields only their W and E1."""
     n, k = block.n, block.k
-    vertices = (1 << n) - 1
-    decided = [
-        (_t33_disjunct(rep), None) if word & bit else None for word, rep in zip(words, reports)
-    ]
-    kept = [vertices if d and d[0] == "complement" else 0 for d in decided]
-    split = set()
-    if not any(kept):
-        return decided, split
+    if not any(word & bit for word in words):
+        return [None] * k
     lanes = Lanes(n, k)
-    keep = lanes.pack(kept)
+    vertices = (1 << n) - 1
+    keep = lanes.pack([vertices if word & bit else 0 for word in words])
     rows = [keep & ~(row | lanes.ones << u) for u, row in enumerate(block.rows)]
-    for j, comp in enumerate(lane_wiener_e1(Block(n, k, rows))):
-        if kept[j]:
-            decided[j] = "complement", comp
-            if comp is None:
-                split.add(j)
-    return decided, split
+    return lane_wiener_e1(Block(n, k, rows))
 
 
 def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]:
@@ -670,11 +662,10 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
     plans = {}
 
     def plan(word):
-        # (index, predicate, is T3.3, reads its graph) of each claim the
-        # word's gates select
+        # (index, predicate, is T3.3) of each claim the word's gates select
         if word not in plans:
             plans[word] = [
-                (i, claim.predicate, tid == "T3.3", claim.reads_graph)
+                (i, claim.predicate, tid == "T3.3")
                 for i, (tid, claim) in enumerate(zip(ids, claims))
                 if word & bits.get(tid, 0)
             ]
@@ -684,58 +675,64 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         # per claim: hypothesis hits, counterexample verdicts, equality graph6
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
-    def visit(acc, block, j, rep, word, decided):
-        # lane j's claims; its Graph is built only for a claim row that reads
-        # it, a verdict or an equality case
-        if word & disconnected:
-            raise DisconnectedGraphError("graph is disconnected")
-        hits, cexs, eqs = acc
-        g = g6 = None
-        for i, predicate, is_t33, reads_graph in plan(word):
-            if reads_graph:
-                g = g or block.graph(j)
-            hyp, held, eq = (
-                predicate(g, rep, None, decided) if is_t33 else predicate(g, rep, None)
-            )
-            if hyp:
-                hits[i] += 1
-                if not held:
-                    g = g or block.graph(j)
-                    dist = all_pairs_distances(g)
-                    cexs[i].append(claims[i].verdict(g, rep, dist, (hyp, held, eq)))
-            if eq:
-                g6 = g6 or emit_graph6(g or block.graph(j))
-                eqs[i].add(g6)
-        if word & failed:
-            g = g or block.graph(j)
-            rep, dist = _prep(g, rep, None)
-            for i in l41:
-                cexs[i].append(claims[i].verdict(g, rep, dist, (True, False, bool(word & equal))))
-        if word & equal:
-            g6 = g6 or emit_graph6(g or block.graph(j))
-            for i in l41:
-                eqs[i].add(g6)
+    def name(acc, g, key, results):
+        # lane graph g's verdicts and equality cases from its key's results,
+        # L4.1's read from the word
+        word, rep, _ = key
+        results = results + [(i, (True, not word & failed, word & equal != 0)) for i in l41]
+        g6 = emit_graph6(g)
+        for i, result in results:
+            if result[0] and not result[1]:
+                rep, dist = _prep(g, rep, None)
+                acc[1][i].append(claims[i].verdict(g, rep, dist, result))
+            if result[2]:
+                acc[2][i].add(g6)
 
     def fold(acc, stream):
+        hits = acc[0]
         for block in stream.blocks():
             words, reports = lane_reports(block, gates)
             for i in l41:
-                acc[0][i] += block.k
-            decided, split = repeat(None), ()
-            if t33:
-                decided, split = _t33_complements(block, words, reports, t33)
-            for j, (word, rep, dec) in enumerate(zip(words, reports, decided)):
+                hits[i] += block.k
+            comps = _t33_complements(block, words, t33) if t33 else [None] * block.k
+            named = {}  # the results of each key that a verdict or an equality case names
+            # every result is a function of the lane's key: one predicate
+            # call per claim per distinct key, in order of first occurrence
+            for key, count in Counter(zip(words, reports, comps)).items():
+                word, rep, comp = key
                 if not word:
                     continue
-                if j in split:
-                    # T3.3 fails on a disconnected complement as the
-                    # per-graph path does, naming the tree
-                    word |= disconnected
                 try:
-                    visit(acc, block, j, rep, word, dec)
+                    if word & disconnected:
+                        raise DisconnectedGraphError("graph is disconnected")
+                    results = [
+                        (i, predicate(None, rep, None, comp) if is_t33 else predicate(None, rep, None))
+                        for i, predicate, is_t33 in plan(word)
+                    ]
                 except Exception as exc:
-                    # the stream has read ahead to the block's end: name lane j here
+                    # name the key's first lane, the one a lane-by-lane pass
+                    # would have failed on first
+                    j = list(zip(words, reports, comps)).index(key)
                     raise visit_error(block.graph(j), exc) from exc
+                names = word & (failed | equal)
+                for i, (hyp, held, eq) in results:
+                    if hyp:
+                        hits[i] += count
+                        names = names or not held
+                    names = names or eq
+                if names:
+                    named[key] = results
+            if not named:
+                continue
+            # one pass in lane order, the cheap word test first
+            named_words = {word for word, _, _ in named}
+            for j, key in enumerate(zip(words, reports, comps)):
+                if key[0] in named_words and key in named:
+                    g = block.graph(j)
+                    try:
+                        name(acc, g, key, named[key])
+                    except Exception as exc:
+                        raise visit_error(g, exc) from exc
         return acc
 
     def combine(a, b):

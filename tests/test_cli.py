@@ -552,6 +552,13 @@ GOLDEN = {
          "--format", "json", "--verbose"],
         "848eccfb13253a2d73ab5da16297bba46d385c9693f68be8c9a3a57ba3099085",
     ),
+    # two workers cut the mask scan at other block boundaries: other groups
+    # of lanes with one gate word and report, and the same output
+    "verify-connected-json-w2": (
+        ["verify", "--sweep", "connected:3..6", "--theorems", "all-unary",
+         "--format", "json", "--verbose", "--workers", "2"],
+        "848eccfb13253a2d73ab5da16297bba46d385c9693f68be8c9a3a57ba3099085",
+    ),
     "verify-trees-exit-1": (
         ["verify", "--sweep", "trees:2..12", "--theorems", "T3.1,T3.2,T3.3,L4.1"],
         "db0bcc94f29668059c057a30c8752023be1f44e367fe081fddbad19e0eb50540",

@@ -3,6 +3,7 @@
 import dataclasses
 import time
 
+import networkx as nx
 import pytest
 
 from distinv import (
@@ -107,6 +108,41 @@ class TestC22:
 
     def test_c7_out_of_scope(self):
         assert not check_c22(cycle(7)).hypothesis_met
+
+
+class TestCycleFromReport:
+    def test_self_centered_cycles_are_the_m_equals_n_graphs(self):
+        """P2.1's and C2.2's cycle test reads only the report: a connected
+        self-centered graph on n >= 3 vertices is a cycle exactly when m = n.
+
+        Proof.  Let v be a leaf with neighbour u.  Every path from v to
+        another vertex w passes through u, so d(v, w) = d(u, w) + 1, and
+        ecc(v) = 1 + max over w != v of d(u, w).  With n >= 3 some w is
+        neither u nor v, and d(u, w) >= 1 = d(u, v), so that maximum is
+        ecc(u), and ecc(v) = ecc(u) + 1.  A self-centered graph therefore
+        has no leaf, and being connected on n >= 3 vertices no isolated
+        vertex: every degree is at least 2.  Then 2m, the degree sum, is at
+        least 2n, with equality exactly when every degree is 2, and a
+        connected 2-regular graph is a cycle.  A cycle is self-centered with
+        m = n.
+
+        Recounted with networkx on every connected graph of its atlas on 3..7
+        vertices; K2,3 is self-centered with m = 6 > n = 5.
+        """
+        cycles = denser = 0
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            if n < 3 or not nx.is_connected(h):
+                continue
+            if len(set(nx.eccentricity(h).values())) != 1:
+                continue
+            two_regular = all(d == 2 for _, d in h.degree())
+            assert (h.number_of_edges() == n) == two_regular
+            rep = full_report(from_edge_list(n, list(h.edges())))
+            assert theorems_mod._is_cycle(rep) == two_regular
+            cycles += two_regular
+            denser += nx.is_isomorphic(h, nx.complete_bipartite_graph(2, 3))
+        assert (cycles, denser) == (5, 1)
 
 
 class TestT23:
@@ -671,9 +707,12 @@ class TestClaimGates:
                         )
 
     def test_fewer_reports_and_predicate_calls(self, monkeypatch):
-        # 12,530 of the 27,474 graphs meet some gate, and hunt makes 46,391
-        # predicate calls; every predicate but L4.1's, which hunt never
-        # calls without a failure, on every graph would be 329,688
+        # 12,530 of the 27,474 graphs meet some gate, and 12,534 have a
+        # nonzero gate word (L4.1's equality bit on four more); their blocks
+        # hold 621 distinct (word, report) keys, and hunt makes 2,211
+        # predicate calls, one per claim a key's word selects.  One per
+        # gated graph was 46,391; every predicate but L4.1's, which hunt
+        # never calls, on every graph would be 329,688
         spec = SweepSpec("connected_graphs", 3, 6)
         expected = hunt(spec, ALL_UNARY_IDS)
         built = []
@@ -694,13 +733,15 @@ class TestClaimGates:
             monkeypatch.setitem(CLAIMS, tid, dataclasses.replace(claim, predicate=counted))
         assert hunt(spec, ALL_UNARY_IDS) == expected
         assert len(built) <= 12_800
-        assert len(calls) <= 48_000
+        assert len(calls) <= 2_500
 
 
 class TestHuntNamesTheGraphInHand:
     """hunt's fold reads a block ahead of the graph it evaluates, so it names
-    that graph itself when a predicate fails, and the graph the kernel finds
-    disconnected."""
+    a graph itself when a predicate fails, and the graph the kernel finds
+    disconnected.  A predicate runs once per distinct (gate word, report)
+    key of a block, so its failure names the key's first lane: the graph a
+    lane-by-lane pass would have failed on first."""
 
     @pytest.mark.parametrize(
         "text",
@@ -708,26 +749,36 @@ class TestHuntNamesTheGraphInHand:
         ids=["lanes", "lanes-order-16"],
     )
     def test_predicate_error_names_its_graph(self, monkeypatch, text):
+        # each sweep is one block
         graphs = list(iter_sweep(parse_sweep_spec(text)))
+        ids = ["P2.1", "P2.4", "L4.1"]
+        reports = [full_report(g) for g in graphs]
+
+        def key(g, rep):
+            # the gate word's bits as the kernel sets them, recomputed
+            l41 = check_l41(g)
+            gates = [gate_holds(CLAIMS[tid].gate, rep) for tid in ids[:2]]
+            return *gates, not l41.conclusion_held, l41.equality, rep
+
         # P2.4's gate is diameter 2: its predicate runs on no other graph
-        target = [g for g in graphs if full_report(g).diam == 2][2]
+        t = [i for i, rep in enumerate(reports) if rep.diam == 2][2]
         claim = CLAIMS["P2.4"]
 
         def boom(g, rep, dist):
-            if g == target:
+            if rep == reports[t]:
                 raise ValueError("nope")
             return claim.predicate(g, rep, dist)
 
-        # hunt hands a predicate its graph only on a row that reads one
-        boom_row = dataclasses.replace(claim, predicate=boom, reads_graph=True)
-        monkeypatch.setitem(CLAIMS, "P2.4", boom_row)
+        monkeypatch.setitem(CLAIMS, "P2.4", dataclasses.replace(claim, predicate=boom))
         with pytest.raises(SweepVisitError) as info:
-            hunt(parse_sweep_spec(text), ["P2.1", "P2.4", "L4.1"])
+            hunt(parse_sweep_spec(text), ids)
+        target = key(graphs[t], reports[t])
+        first = next(g for g, rep in zip(graphs, reports) if key(g, rep) == target)
         assert str(info.value) == (
-            f"visitor failed on {emit_graph6(target)}: ValueError('nope')"
+            f"visitor failed on {emit_graph6(first)}: ValueError('nope')"
         )
         assert isinstance(info.value.__cause__, ValueError)
-        assert target != graphs[-1]
+        assert graphs[t] != graphs[-1]
 
     def test_disconnected_graph_named_as_on_the_per_graph_path(self, monkeypatch):
         connected = list(enumerate_connected_graphs(5))[:9]
@@ -785,9 +836,10 @@ class TestT33ComplementBlocks:
         ]
 
     def test_star_complement_in_the_block_is_named(self, monkeypatch):
-        # a star's complement is disconnected; gate every tree of order > 8 so
-        # that it joins its block's complements, which the kernel then
-        # rejects; the star comes early, so the block reads on past it
+        # a star's complement is disconnected, and the star takes T3.3's tree
+        # disjunct; have every tree of order > 8 take the complement
+        # disjunct, so that the star's missing complement decides it; the
+        # star comes early, so the block reads on past it
         levels = list(sweeps_mod._tree_levels(9))
         star = [0] + [1] * 8
         levels.remove(star)
@@ -818,28 +870,35 @@ class TestT33ComplementBlocks:
         monkeypatch.setattr(theorems_mod, "lane_wiener_e1", capture)
         spec = SweepSpec("trees", n, n)
         width = lane_width(n)
+        stars = 0
         for block in _Stream(spec, ("mod", n, 0, 1), _Tally()).blocks():
-            words, reports = lane_reports(block, [CLAIMS["T3.3"].gate])
-            creps, split = theorems_mod._t33_complements(block, words, reports, 1)
+            words, _ = lane_reports(block, [CLAIMS["T3.3"].gate])
+            comps = theorems_mod._t33_complements(block, words, 1)
             (comp,) = handed
             handed.clear()
             lanes = zip(*(unpack_lanes(row, width, block.k) for row in comp.rows))
-            for j, (word, rep, lane) in enumerate(zip(words, reports, lanes)):
-                if word & 1 and rep.wiener <= rep.e1:
-                    c = complement(block.graph(j))
+            for j, (word, lane) in enumerate(zip(words, lanes)):
+                if word & 1:
+                    g = block.graph(j)
+                    c = complement(g)
                     assert lane == tuple(c.bits)
-                    crep = full_report(c)
-                    assert creps[j] == ("complement", (crep.wiener, crep.e1))
+                    if max(map(len, g.adjacency)) == n - 1:
+                        # the star's complement is the one disconnected one
+                        stars += 1
+                        assert comps[j] is None
+                    else:
+                        crep = full_report(c)
+                        assert comps[j] == (crep.wiener, crep.e1)
                 else:
                     assert lane == (0,) * n
-                    assert creps[j] == (("tree", None) if word & 1 else None)
-            assert split == set()
+                    assert comps[j] is None
+        assert stars == 1
 
 
 class TestTreeHuntGraphs:
     """hunt reads every sweep as its generator's lane blocks, and builds a
-    Graph only for a lane that P2.1 or C2.2 reads or that a verdict or an
-    equality case names."""
+    Graph only for a lane that a verdict or an equality case names, once:
+    no claim row reads a graph."""
 
     IDS = ["T3.1", "T3.2", "T3.3", "L4.1"]
 
@@ -888,15 +947,11 @@ class TestTreeHuntGraphs:
 
     def test_labeled_graphs_only_where_read_or_named(self, monkeypatch):
         spec = parse_sweep_spec("connected:3..6")
-        gates = [CLAIMS[tid].gate for tid in ("P2.1", "C2.2")]
-        read = {
-            emit_graph6(g) for g in iter_sweep(spec)
-            if any(gate_holds(gate, full_report(g)) for gate in gates)
-        }  # fmt: skip
         built = self._count_graphs(monkeypatch)
         named = self._named(hunt(spec, list(ALL_UNARY_IDS)))
-        assert read and set(named) - read
-        assert sorted(emit_graph6(g) for g in built) == sorted(read | set(named))
+        # P2.1's and C2.2's equality cases (their cycles) among them
+        assert {"C]", "Cl", "Cr"} <= set(named)
+        assert sorted(emit_graph6(g) for g in built) == sorted(set(named))
 
     def test_workers_build_each_block_once(self, monkeypatch):
         spec = parse_sweep_spec("trees:2..15")
