@@ -66,11 +66,12 @@ Each generator yields lane-kernel ``Block``s of its own rows, which build a
 ``Graph`` only for a lane whose ``graph(j)`` is called.  A stream has two
 views of them: its ``blocks()`` yields them, and iterating it yields their
 ``Graph``s one at a time.
-Parallel execution forks, so it is POSIX-only.
+Parallel execution forks (``os.fork``, a pipe per child): POSIX only.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import time
@@ -360,7 +361,7 @@ def _diam2_stream(seed, n, lo, hi):
     # still pending
     key = _stream_key(seed, n)
     pairs = _pair_list(n)
-    steps = _pair_steps(n)
+    consts = _draw_consts(n)
     for first in range(lo, hi, _SAMPLE_BLOCK):
         lanes = [None] * (min(first + _SAMPLE_BLOCK, hi) - first)
         pending = range(first, first + len(lanes))
@@ -374,7 +375,7 @@ def _diam2_stream(seed, n, lo, hi):
             for i in pending:
                 groups[(i + attempt) % 3].append(i)
             hits = b"".join(
-                _draw(steps, [(key + (i << 34 | counter) * _GOLDEN) & _M64 for i in g], k)
+                _draw(consts, [(key + (i << 34 | counter) * _GOLDEN) & _M64 for i in g], k)
                 for k, g in enumerate(groups)
             )
             order = groups[0] + groups[1] + groups[2]
@@ -394,16 +395,23 @@ def _pair_list(n):
     return [(u, v) for v in range(1, n) for u in range(v)]
 
 
-def _pair_steps(n):
-    # e * golden mod 2^64 in the 128-bit lane e, for every pair e
+def _draw_consts(n):
+    # _draw's constants, once per stream, one tuple per p: the pairs P, the
+    # attempts per int, and ints of that many attempts' lanes: 2^64 - 1,
+    # pair e's e * golden mod 2^64, and p's limit
     pairs = n * (n - 1) // 2
-    return b"".join((e * _GOLDEN & _M64).to_bytes(16, "little") for e in range(pairs))
+    per = max(1, _DRAW_BYTES // (16 * pairs))
+    lanes = [_M64.to_bytes(16, "little") * pairs]
+    lanes.append(b"".join((e * _GOLDEN & _M64).to_bytes(16, "little") for e in range(pairs)))
+    lanes += [((1 << 64) + t - 1).to_bytes(16, "little") * pairs for t in _DIAM2_THRESH]
+    low64, base, *limits = (int.from_bytes(lane * per, "little") for lane in lanes)
+    return [(pairs, per, low64, base, limit) for limit in limits]
 
 
-def _draw(steps, starts, p_index):
+def _draw(consts, starts, p_index):
     """One 0/1 byte per pair per attempt, attempt by attempt: byte a * P + e
     is 1 iff mix64(starts[a] + e * golden) < _DIAM2_THRESH[p_index], where
-    ``steps = _pair_steps(n)`` holds the P pairs' lanes.
+    ``consts = _draw_consts(n)`` holds the P pairs' lanes.
 
     Pair e of attempt a sits in the 128-bit lane a * P + e of an int of about
     16 kB: shifts are masked to each lane's low 64 bits and products stay
@@ -411,18 +419,12 @@ def _draw(steps, starts, p_index):
     threshold - 1, limit - x lies in [threshold, 2^64 + threshold), and its
     bit 64, alone in byte 8 of the lane, is x < threshold.
     """
-    size = len(steps)
-    pairs = size // 16
-    per = max(1, min(len(starts), _DRAW_BYTES // size))
-    low64 = int.from_bytes(_M64.to_bytes(16, "little") * (pairs * per), "little")
-    base = int.from_bytes(steps * per, "little")
-    edge = ((1 << 64) + _DIAM2_THRESH[p_index] - 1).to_bytes(16, "little")
-    limit = int.from_bytes(edge * (pairs * per), "little")
+    pairs, per, low64, base, limit = consts[p_index]
     out = []
     for a in range(0, len(starts), per):
         chunk = starts[a : a + per]
         if len(chunk) < per:  # the last slice: fewer lanes
-            cut = (1 << 8 * size * len(chunk)) - 1
+            cut = (1 << 128 * pairs * len(chunk)) - 1
             base &= cut
             limit &= cut
         spread = b"".join(s.to_bytes(16, "little") * pairs for s in chunk)
@@ -432,7 +434,7 @@ def _draw(steps, starts, p_index):
         x ^= x >> 27 & low64
         x = x * _MIX_B & low64
         x ^= x >> 31 & low64
-        out.append((limit - x).to_bytes(size * len(chunk), "little")[8::16])
+        out.append((limit - x).to_bytes(16 * pairs * len(chunk), "little")[8::16])
     return b"".join(out)
 
 
@@ -723,34 +725,60 @@ def _fold_chunk(spec, chunk, fold, zero):
     return acc, tally.visited, tally.filtered
 
 
-def _start_fold_worker(*job):
-    # runs in each forked worker, whose job arrived through the fork unpickled
-    global _fold_job
-    _fold_job = job
-
-
-def _fold_chunk_entry(i):
-    spec, fold, zero, chunks = _fold_job
-    return _fold_chunk(spec, chunks[i], fold, zero)
-
-
 def _pool_size(workers: int, chunks: int) -> int:
     """Processes to fork: no more than asked for, chunks to run, or CPUs."""
     return max(1, min(workers, chunks, os.cpu_count() or 1))
 
 
-def _await(result, workers):
-    """The pool's ``result`` as soon as it is ready, or ``SweepError`` once
-    one of its ``workers`` has exited first, whose task would never finish;
-    the workers are looked at every 50 ms meanwhile."""
-    while not result.ready():
-        for proc in workers:
-            if proc.exitcode is not None:
-                raise SweepError(
-                    f"sweep worker {proc.pid} died with exit status {proc.exitcode}"
-                )
-        result.wait(0.05)
-    return result.get()
+def _fork_fold(spec, chunks, fold, zero, procs):
+    # fold_sweep's forked branch: the partials of the chunks, in chunk order
+    import pickle  # only a forked sweep pays for the imports
+    import signal
+
+    kids = []
+    partials = [None] * len(chunks)
+    try:
+        gc.freeze()  # the children's collections skip the parent's objects
+        for p in range(procs):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # the child leaves only by os._exit
+                try:
+                    os.close(r)
+                    try:
+                        sent = True, [_fold_chunk(spec, c, fold, zero) for c in chunks[p::procs]]
+                    except BaseException as exc:
+                        sent = False, exc
+                    try:
+                        pickle.loads(data := pickle.dumps(sent))
+                    except Exception as exc:  # an unpicklable error or partial
+                        why = f"sweep worker {os.getpid()} failed: {exc if sent[0] else sent[1]!r}"
+                        data = pickle.dumps((False, SweepError(why)))
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            kids.append((pid, open(r, "rb")))
+        for p in range(procs):
+            pid, pipe = kids[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del kids[0]
+            if code or not data:
+                raise SweepError(f"sweep worker {pid} died with exit status {code}")
+            ok, sent = pickle.loads(data)
+            if not ok:
+                raise sent
+            partials[p::procs] = sent
+    finally:  # after an error: kill and reap the children left
+        gc.unfreeze()
+        for pid, pipe in kids:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return partials
 
 
 def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
@@ -775,11 +803,15 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     * an error the stream raises itself, such as
       ``SweepError("sampling stalled")``, propagates unwrapped.
 
-    Each order is cut into at most min(workers, CPUs) chunks, which run in
-    forked processes if there are several; the callables are inherited
-    through the fork, so anything defined at call time works, but side
-    effects stay in the children.  A worker that dies, say killed by the
-    OOM killer, ends the sweep with ``SweepError`` naming its exit status.
+    Each order is cut into at most min(workers, CPUs) chunks.  To run more
+    than one, the parent forks ``_pool_size`` children and folds nothing:
+    child p folds chunks p, p + procs, ... (one of each order), pickles its
+    partials or its error to a pipe and leaves by ``os._exit``.  The
+    callables are inherited through the fork, so anything defined at call
+    time works, but side effects stay in the children.  A child's error is
+    raised unchanged (an unpicklable one as ``SweepError`` with its repr),
+    and a child that dies, say OOM-killed, ends the sweep with
+    ``SweepError`` naming its exit status; then the others are killed.
     """
     spec.validate()
     start = time.perf_counter()
@@ -788,15 +820,7 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     if procs <= 1:
         partials = [_fold_chunk(spec, c, fold, zero) for c in chunks]
     else:
-        import multiprocessing  # only a forked sweep pays for the import
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(procs, _start_fold_worker, (spec, fold, zero, chunks)) as pool:
-            # one chunk per task: chunk sizes grow steeply with the order, so
-            # batching neighbours would load the last worker with the largest
-            result = pool.map_async(_fold_chunk_entry, range(len(chunks)), chunksize=1)
-            # the pool lists its worker processes in ``_pool``
-            partials = _await(result, list(pool._pool))
+        partials = _fork_fold(spec, chunks, fold, zero, procs)
     acc = zero()
     visited = 0
     filtered = 0

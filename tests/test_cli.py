@@ -563,6 +563,13 @@ GOLDEN = {
         ["verify", "--sweep", "trees:2..12", "--theorems", "T3.1,T3.2,T3.3,L4.1"],
         "db0bcc94f29668059c057a30c8752023be1f44e367fe081fddbad19e0eb50540",
     ),
+    # two workers fold the tree residues in children, and the T3.3
+    # counterexample is reported from a child: the same output as one worker
+    "verify-trees-json-w2": (
+        ["verify", "--sweep", "trees:2..12", "--theorems", "T3.1,T3.2,T3.3,L4.1",
+         "--format", "json", "--verbose", "--workers", "2"],
+        "22033f05e782cfef648e01b941db89d47ced9779009eb3b8c8f8818c926f83da",
+    ),
     "verify-diam2-w1": (
         ["verify", "--sweep", DIAM2, "--theorems", DIAM2_IDS, "--workers", "1"],
         "8877899e178512b8de528fcd1f912ecf3ebe5f6dc9db962142b59b4ee1b18985",

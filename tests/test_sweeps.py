@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import re
-import multiprocessing
 import operator
 import os
 import signal
@@ -48,8 +47,8 @@ from distinv.sweeps import (
     _diam2_lanes,
     _diam2_stream,
     _draw,
+    _draw_consts,
     _pair_list,
-    _pair_steps,
     _pool_size,
     _stream_key,
     _Stream,
@@ -301,7 +300,7 @@ class TestPackedSampler:
     @pytest.mark.parametrize("n", [3, 4, 5, 9, 12, 13, 40])
     def test_rows_match_scalar_reference(self, n):
         # attempts 0..3 of samples 0..59, one draw per attempt and p
-        steps = _pair_steps(n)
+        consts = _draw_consts(n)
         for seed in (0, 5, 9001):
             key = _stream_key(seed, n)
             for attempt in range(4):
@@ -309,7 +308,7 @@ class TestPackedSampler:
                     index = [i for i in range(60) if (i + attempt) % 3 == k]
                     base = [((i << 21) | attempt) << 13 for i in index]
                     starts = [(key + c * _GOLDEN) & _M64 for c in base]
-                    drawn = self._split(n, _draw(steps, starts, k))
+                    drawn = self._split(n, _draw(consts, starts, k))
                     want = [bernoulli_rows(key, n, c, _DIAM2_THRESH[k]) for c in base]
                     assert drawn == want, (seed, attempt, k)
 
@@ -317,7 +316,7 @@ class TestPackedSampler:
         # 8,128 pairs: the closest the pair index comes to its 2^13 field
         key = _stream_key(7, 128)
         base = ((5 << 21) | 1) << 13
-        hits = _draw(_pair_steps(128), [(key + base * _GOLDEN) & _M64], 0)
+        hits = _draw(_draw_consts(128), [(key + base * _GOLDEN) & _M64], 0)
         (drawn,) = self._split(128, hits)
         assert drawn == bernoulli_rows(key, 128, base, _DIAM2_THRESH[0]) and any(drawn)
 
@@ -326,7 +325,7 @@ class TestPackedSampler:
     def test_compare_at_threshold_boundaries(self, n, k):
         # starts chosen so the first lane (attempt 0, pair 0) and the last
         # lane (attempt 2, the last pair) hold exactly x
-        steps = _pair_steps(n)
+        consts = _draw_consts(n)
         thresh = _DIAM2_THRESH[k]
         last = n * (n - 1) // 2 - 1
         for x in (0, thresh - 1, thresh, _M64):
@@ -335,7 +334,7 @@ class TestPackedSampler:
                 mix64(x),
                 (unmix64(x) - last * _GOLDEN) & _M64,
             ]
-            hits = _draw(steps, starts, k)
+            hits = _draw(consts, starts, k)
             assert mix64(starts[2] + last * _GOLDEN) == x
             assert hits[0] == hits[-1] == (x < thresh), x
             want = [bernoulli_rows(s, n, 0, thresh) for s in starts]
@@ -634,34 +633,27 @@ class TestStreamContract:
     ]
 
     @staticmethod
-    def _record(calls):
-        def fold(acc, graphs):
-            orders = set()
-            count = 0
-            for g in graphs:
-                orders.add(g.n)
-                count += 1
-            calls.append((type(graphs), iter(graphs) is graphs, orders))
-            return acc + count
-
-        return fold
+    def _record(acc, graphs):
+        # one entry per call, in its partial: forked children send it back
+        orders = set()
+        count = 0
+        for g in graphs:
+            orders.add(g.n)
+            count += 1
+        return acc + [(type(graphs), iter(graphs) is graphs, orders, count)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     def test_one_call_per_chunk_with_an_iterator_of_one_order(
         self, spec, workers, monkeypatch
     ):
-        # 2 workers split each order in 2 chunks, run by the in-process pool
-        if workers > 1:
-            TestPoolBound._inline_pool(monkeypatch, {})
-        calls = []
-        count, summary = fold_sweep(
-            spec, self._record(calls), operator.add, int, workers=workers
-        )
+        # 2 workers split each order in 2 chunks, run by two forked children
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
+        calls, summary = fold_sweep(spec, self._record, operator.add, list, workers=workers)
         assert len(calls) == len(_chunks(spec, workers))
-        for kind, is_iterator, orders in calls:
+        for kind, is_iterator, orders, _ in calls:
             assert kind is not list and is_iterator and len(orders) <= 1
-        assert count == summary.visited
+        assert sum(count for *_, count in calls) == summary.visited
 
     def test_summary_counts_what_the_stream_handed_out(self):
         def two(acc, graphs):
@@ -788,18 +780,36 @@ class TestParallelDeterminism:
         acc4, _ = self._collect(spec, 4)
         assert acc1 == acc4
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec("trees", 2, 10),
+            SweepSpec("diameter2_graphs", 9, 10, sample_count=40, seed=5),
+        ],
+        ids=["trees", "diam2"],
+    )
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_children_partials_come_back_in_chunk_order(self, monkeypatch, spec, cpus):
+        # child p folds chunks p, p + cpus, ...; the parent reassembles them
+        # in chunk order, so the graphs come in the one-worker order
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: cpus)
+        acc1, s1 = self._collect(spec, 1)
+        accw, sw = self._collect(spec, cpus)
+        assert accw == acc1 and sw.visited == s1.visited == len(acc1)
+
     def test_fold_leaves_no_context_on_the_module(self, monkeypatch):
-        # the job reaches forked workers through the pool's initializer only
+        # the job reaches the forked children through the fork alone
         monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
         before = dict(vars(sweeps_mod))
         acc, summary = self._collect(SweepSpec("trees", 2, 9), 2)
         assert len(acc) == summary.visited == 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47
         assert dict(vars(sweeps_mod)) == before
-        assert not hasattr(sweeps_mod, "_fold_job")
+        assert _graph6_list not in vars(sweeps_mod).values()
 
 
 class TestPoolBound:
-    """The pool size is a pure function; nothing here starts a process."""
+    """The pool size is a pure function; the dispatch tests fork two
+    children each."""
 
     @pytest.mark.parametrize(
         "workers, chunks, cpus, expected",
@@ -818,65 +828,42 @@ class TestPoolBound:
         assert _pool_size(workers, chunks) == expected
 
     @staticmethod
-    def _inline_pool(monkeypatch, seen):
-        """Run the fork branch of fold_sweep in this process, on 2 CPUs."""
-
-        class InlinePool:
-            def __init__(self, processes, initializer, initargs):
-                seen["processes"] = processes
-                seen["module"] = dict(vars(sweeps_mod))
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            _pool = ()  # no worker process to watch
-
-            def map_async(self, fn, items, chunksize=None):
-                seen["chunksize"] = chunksize
-                seen["tasks"] = len(items)
-                return InlineResult([fn(i) for i in items])
-
-        class InlineResult:
-            def __init__(self, value):
-                self.value = value
-
-            def ready(self):
-                return True
-
-            def get(self):
-                return self.value
-
-        class InlineContext:
-            Pool = InlinePool
-
+    def _counted_forks(monkeypatch):
+        """Fork for real on 2 CPUs; the list of the children's pids, as the
+        parent saw them."""
         monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
-        # the initializer runs in this process: remove what it sets afterwards
-        monkeypatch.setattr(sweeps_mod, "_fold_job", None, raising=False)
+        forks = []
+        real_fork = os.fork
 
-    def test_fold_sweep_dispatches_one_chunk_per_task(self, monkeypatch):
-        seen = {}
-        self._inline_pool(monkeypatch, seen)
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(sweeps_mod.os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def _chunk_graphs(acc, graphs):
+        # one entry per chunk: the graph6 of every graph it holds
+        return acc + [tuple(emit_graph6(g) for g in graphs)]
+
+    def test_fold_sweep_forks_two_children_and_folds_each_chunk_once(self, monkeypatch):
+        forks = self._counted_forks(monkeypatch)
         module_before = dict(vars(sweeps_mod))
-        count, summary = fold_sweep(
-            SweepSpec("connected_graphs", 3, 4),
-            _count,
-            operator.add,
-            int,
-            workers=10**6,
-        )
-        assert count == summary.visited == 4 + 38
-        # the parent hands the job to the pool without storing it anywhere
-        assert seen.pop("module") == module_before
-        assert seen == {"processes": 2, "chunksize": 1, "tasks": 4}
+        spec = SweepSpec("connected_graphs", 3, 4)
+        acc, summary = fold_sweep(spec, self._chunk_graphs, operator.add, list, workers=10**6)
+        # every chunk of the two-part cut once, in chunk order
+        want = [tuple(emit_graph6(g) for g in _Stream(spec, c, _Tally())) for c in _chunks(spec, 2)]
+        assert len(want) == 4 and acc == want
+        assert sum(map(len, acc)) == summary.visited == 4 + 38
+        # the parent hands the job to the children without storing it anywhere
+        assert dict(vars(sweeps_mod)) == module_before
+        assert len(forks) == 2
 
     def test_chunks_capped_by_cpu_count_before_they_are_built(self, monkeypatch):
-        seen = {}
-        self._inline_pool(monkeypatch, seen)
+        forks = self._counted_forks(monkeypatch)
         built = []
         real_chunks = sweeps_mod._chunks
 
@@ -887,15 +874,16 @@ class TestPoolBound:
             return real_chunks(spec, parts)
 
         monkeypatch.setattr(sweeps_mod, "_chunks", chunks)
-        count, summary = fold_sweep(
+        acc, summary = fold_sweep(
             SweepSpec("trees", 2, 3),
-            _count,
+            self._chunk_graphs,
             operator.add,
-            int,
+            list,
             workers=10**9,
         )
-        assert count == summary.visited == 2
-        assert built == [2] and seen["processes"] == 2 and seen["tasks"] == 4
+        # residues 0 and 1 of each order: the second holds no tree
+        assert acc == [("A_",), (), ("Bo",), ()] and summary.visited == 2
+        assert built == [2] and len(forks) == 2
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -935,7 +923,7 @@ class TestWorkerLifecycle:
         # raise SweepError within the time limit and leave no child behind
         code, out, err = _run_python(
             """
-            import multiprocessing, operator, os, signal
+            import operator, os, signal
             from distinv.sweeps import SweepError, SweepSpec, fold_sweep
 
             os.cpu_count = lambda: 2
@@ -950,13 +938,123 @@ class TestWorkerLifecycle:
                 fold_sweep(SweepSpec("connected_graphs", 3, 5), fold, operator.add, int, workers=2)
             except SweepError as exc:
                 print(exc)
-            print(multiprocessing.active_children())
+            try:
+                print(os.waitpid(-1, os.WNOHANG))
+            except ChildProcessError:
+                print("no child")
             """
         )
         assert code == 0 and err == ""
         message, children = out.splitlines()
         assert re.fullmatch(r"sweep worker \d+ died with exit status -9", message)
-        assert children == "[]"
+        assert children == "no child"
+
+    @staticmethod
+    def _error(spec, fold, workers):
+        with pytest.raises(SweepError) as info:
+            fold_sweep(spec, fold, operator.add, int, workers=workers)
+        return type(info.value), str(info.value)
+
+    def test_child_error_is_the_one_worker_error(self, monkeypatch):
+        # a graph of the second half of order 5's masks, which the second
+        # child folds: the same error, naming the same graph, as one worker
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
+        target = emit_graph6(list(enumerate_connected_graphs(5))[700])
+
+        def fold(acc, graphs):
+            for g in graphs:
+                if emit_graph6(g) == target:
+                    raise ValueError("boom")
+                acc += 1
+            return acc
+
+        spec = SweepSpec("connected_graphs", 3, 5)
+        one = self._error(spec, fold, 1)
+        assert one == (SweepVisitError, f"visitor failed on {target}: ValueError('boom')")
+        assert self._error(spec, fold, 2) == one
+
+    def test_child_stall_is_the_one_worker_stall(self, monkeypatch):
+        # the stream's own error, unwrapped, from a child as from one worker
+        monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sweeps_mod, "_MAX_ATTEMPTS", 1)
+        spec = SweepSpec("diameter2_graphs", 9, 10, sample_count=40, seed=5)
+        one = self._error(spec, _count, 1)
+        assert one == (SweepError, "sampling stalled")
+        assert self._error(spec, _count, 2) == one
+
+    def test_no_child_is_left_after_a_sweep_an_error_or_a_kill(self):
+        # no child, running or zombie, after each way a forked sweep ends;
+        # and no thread or multiprocessing module along the way
+        code, out, err = _run_python(
+            """
+            import operator, os, signal, sys, threading
+            from distinv.sweeps import SweepError, SweepSpec, fold_sweep
+
+            os.cpu_count = lambda: 2
+            parent = os.getpid()
+
+            def count(acc, graphs):
+                return acc + sum(1 for _ in graphs)
+
+            def fails(acc, graphs):
+                raise ValueError("boom")
+
+            def killed(acc, graphs):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return count(acc, graphs)
+
+            for fold in (count, fails, killed):
+                try:
+                    print(fold_sweep(SweepSpec("trees", 2, 9), fold, operator.add, int, workers=2)[0])
+                except SweepError as exc:
+                    print(type(exc).__name__)
+                try:
+                    print(os.waitpid(-1, os.WNOHANG))
+                except ChildProcessError:
+                    print("no child")
+            print("multiprocessing" in sys.modules, threading.active_count())
+            """
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "94", "no child", "SweepVisitError", "no child", "SweepError", "no child",
+            "False 1",
+        ]
+
+    def test_unpicklable_error_ends_in_sweep_error(self):
+        # an error the child cannot pickle, and one the parent could not
+        # unpickle, each become a SweepError carrying its repr
+        code, out, err = _run_python(
+            """
+            import operator, os
+            from distinv.sweeps import SweepError, SweepSpec, SweepVisitError, fold_sweep
+
+            os.cpu_count = lambda: 2
+
+            class TwoArgs(SweepVisitError):
+                def __init__(self, a, b):
+                    super().__init__(a)
+
+            def local():
+                class Local(SweepVisitError):
+                    pass
+                return Local
+
+            for error in (local()("local"), TwoArgs("two", 2)):
+                def fold(acc, graphs):
+                    raise error
+
+                try:
+                    fold_sweep(SweepSpec("trees", 2, 9), fold, operator.add, int, workers=2)
+                except SweepError as exc:
+                    print(type(exc).__name__, exc)
+            """
+        )
+        assert (code, err) == (0, "")
+        local, two = out.splitlines()
+        assert re.fullmatch(r"SweepError sweep worker \d+ failed: Local\('local'\)", local)
+        assert re.fullmatch(r"SweepError sweep worker \d+ failed: TwoArgs\('two'\)", two)
 
     def test_killed_worker_is_exit_2_from_the_cli(self):
         code, out, err = _run_python(
