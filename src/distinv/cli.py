@@ -240,11 +240,10 @@ def _sweep_spec(text, seed):
 
 
 def _cmd_enumerate(args, out) -> int:
-    from .graphs import emit_graph6
     from .sweeps import iter_sweep
 
-    for g in iter_sweep(_sweep_spec(args.sweep, args.seed)):
-        print(emit_graph6(g), file=out)
+    for block in iter_sweep(_sweep_spec(args.sweep, args.seed), blocks=True):
+        out.write(block.graph6()[0])
     return 0
 
 

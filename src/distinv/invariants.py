@@ -20,16 +20,16 @@ over the same lane BFS's eccentricities and transposed eccentric sets
 
 The kernel has one input, a :class:`Block`: the order, the number of lanes
 and the packed adjacency rows; ``graph(j)`` unpacks lane j's :class:`Graph`
-only when called.  ``Block.of`` keeps the row tuples of a list of graphs
-(the sampler's accepted lanes, and those ``Block.keep`` keeps of a block:
-the mask scan's connected lanes, a filter's kept ones) and packs them when
-the kernel first reads its rows, so a sweep read graph by graph packs
-nothing; ``Block.of_pairs`` builds the rows of graph6 input from its pair
-bits, with no :class:`Graph` per line (the ``invariants`` and ``ud``
-commands); the tree sweep builds its blocks' rows itself, and
-``Block.sums`` of its blocks gives the kernel the BFS's sums in closed form
-and ``Block.edges`` their parent edges; ``theorems.hunt`` takes T3.3's
-complements from a block's rows.
+only when called, and ``graph6()`` writes every lane's graph6 from the rows.
+``Block.of`` keeps the row tuples of the sampler's accepted lanes and packs
+them when the kernel first reads its rows; ``Block.keep`` gathers the kept
+lanes of a block of rows (the mask scan's, a filter's) with no tuple;
+``gate_words`` runs a filter's gate alone; ``Block.of_pairs`` builds the
+rows of graph6 input from its pair bits, with no :class:`Graph` per line
+(the ``invariants`` and ``ud`` commands); the tree sweep builds its blocks'
+rows itself, and ``Block.sums`` of its blocks gives the kernel the BFS's
+sums in closed form and ``Block.edges`` their parent edges;
+``theorems.hunt`` takes T3.3's complements from a block's rows.
 """
 
 from __future__ import annotations
@@ -288,7 +288,8 @@ class Block:
     ``rows[u]`` holding row u of graph j in its lane j of ``lane_width(n)``
     bits.  A block keeps the rows or the row tuples it was built from and
     makes the other at its first read: ``rows`` packs the tuples, and
-    ``graph(j)``, lane j's :class:`Graph`, reads one transpose of the rows."""
+    ``graph(j)``, lane j's :class:`Graph`, reads one transpose of the rows;
+    ``graph6()`` builds no :class:`Graph`."""
 
     __slots__ = ("n", "k", "_rows", "_lanes")
 
@@ -334,18 +335,36 @@ class Block:
 
     def graph(self, j: int) -> Graph:
         """Lane j's :class:`Graph`."""
-        return Graph._raw(self.n, self._tuples()[j])
-
-    def keep(self, flags) -> Block:
-        """The block of the lanes whose flag is set, at least one: ``Block.of``
-        of their row tuples."""
-        return Block.of(self.n, list(compress(self._tuples(), flags)))
-
-    def _tuples(self) -> list:
         if self._lanes is None:
             width = lane_width(self.n)
             self._lanes = list(zip(*(unpack_lanes(row, width, self.k) for row in self.rows)))
-        return self._lanes
+        return Graph._raw(self.n, self._lanes[j])
+
+    def keep(self, flags) -> Block:
+        """The block of the lanes whose flag is set, at least one: a block of
+        row tuples keeps the kept tuples, and one of packed rows gathers each
+        row's kept lanes, building no tuple."""
+        if self._lanes is not None:
+            return Block(self.n, sum(flags), None, list(compress(self._lanes, flags)))
+        width, k = lane_width(self.n), self.k
+        rows = [pack_lanes([*compress(unpack_lanes(r, width, k), flags)], width) for r in self._rows]
+        return Block(self.n, sum(flags), rows)
+
+    def graph6(self) -> tuple[str, int]:
+        """Every lane's graph6 line and newline as one text of records of one
+        length, and that length.  A character is 63 plus six pair bits summed
+        lane-wise, and its lanes' low bytes fill its place in every record."""
+        n, k, rows = self.n, self.k, self.rows
+        lanes = Lanes(n, k)
+        head = [n + 63] if n < 63 else [126, 63, (n >> 6) + 63, (n & 63) + 63]
+        chars = [63 * lanes.ones] * -(-n * (n - 1) // 12)
+        for p, (u, v) in enumerate((u, v) for v in range(1, n) for u in range(v)):
+            chars[p // 6] += ((rows[v] >> u) & lanes.ones) << (5 - p % 6)
+        size, step = len(head) + len(chars) + 1, lanes.width // 8
+        buf = bytearray(size * k)
+        for c, x in enumerate([h * lanes.ones for h in head] + chars + [10 * lanes.ones]):
+            buf[c::size] = x.to_bytes(step * k, "little")[::step]
+        return buf.decode(), size
 
     def sums(self):
         """The kernel's per-source sums ``(ecc, tr, far, depth)`` of a block
@@ -473,38 +492,21 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
         raise GraphError("lane reports take at most 13 gates")
     lanes = _Lanes(block)
     n, lane, ones, full = lanes.n, lanes.lane, lanes.ones, lanes.full
-    nonzero, zero, ge, at_least = lanes.nonzero, lanes.zero, lanes.ge, lanes.at_least
-    popcount, unpack = lanes.popcount, lanes.unpack
+    nonzero, ge, popcount, unpack = lanes.nonzero, lanes.ge, lanes.popcount, lanes.unpack
     ecc, tr, depth = lanes.ecc, lanes.tr, lanes.depth
-    hs = [full] + [0] * depth  # hs[a] = H_a
-    for s, e in enumerate(ecc):
-        for a in range(1, depth + 1):
-            h = at_least(e, a)
-            if not h:  # no lane has ecc(s) >= a, so none has it for any larger a
-                break
-            hs[a] |= h << s
+    values, hs, held = _gates(lanes, lanes.rows, gates)
     e1 = sum((2 * a - 1) * popcount(hs[a]) for a in range(1, depth + 1))
-
-    diam = rad = 0
-    for a in range(1, depth + 1):
-        diam += nonzero(hs[a])
-        rad += zero(full ^ hs[a])
-    m2 = xic = e2x2 = n_univ = 0
-    low = n * ones  # the minimum degree
+    xic = e2x2 = 0
     edges = block.edges()
-    for u, row in enumerate(lanes.rows):
-        deg = popcount(row)
-        m2 += deg
-        low = lanes.min(low, deg)
-        n_univ += zero(row ^ (full ^ (ones << u)))
-        if edges is None:
+    if edges is None:
+        for u, row in enumerate(lanes.rows):
             cu = 0
             for a in range(1, depth + 1):
                 cu += popcount(row & hs[a])
             xic += cu
             for a in range(1, depth + 1):
                 e2x2 += cu & (((hs[a] >> u) & ones) * lane)
-    if edges is not None:
+    else:
         # a tree's n - 1 edges, each once as vertex i >= 1 and its parent,
         # whose eccentricity is pe[i]: xic sums both ends, E2 their product
         pe = [0] * n
@@ -528,16 +530,59 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
         failed |= (ones ^ nonneg) | (tight ^ ((common >> v) & ones))
         equal |= tight
 
-    # every lane of m2, sum(tr) and e2x2 is even, so a shift halves each lane
-    columns = (m2 >> 1, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, n_univ)
+    # every lane of sum(tr) and e2x2 is even, so a shift halves each lane
+    m, diam, rad, nprime = map(values.get, ("m", "diam", "rad", "nprime"))
+    columns = (m, diam, rad, sum(tr) >> 1, e1, e2x2 >> 1, total, xic, nprime)
     connected = lanes.connected
-    values = dict(n=n * ones, m=columns[0], diam=diam, nprime=n_univ, min_degree=low)
-    values["self_centered"] = zero(diam ^ rad)
     ngates = len(gates)
-    word = (failed << ngates | equal << ngates + 1) & (connected << ngates) * 3
+    word = (failed << ngates | equal << ngates + 1) & (connected << ngates) * 3 | held
     word |= (ones ^ connected) << ngates + 2
-    select = 0
-    terms = {}  # gates share terms: each is evaluated once
+    reports = [
+        InvariantReport(n, m, dm, rd, w, ec1, ec2, tot, x, nu, dm == rd) if b else None
+        for b, m, dm, rd, w, ec1, ec2, tot, x, nu in zip(unpack(nonzero(held)), *map(unpack, columns))
+    ]
+    return unpack(word), reports
+
+
+def gate_words(block: Block, gates) -> list:
+    """Every graph's gate bits, those of :func:`lane_reports`' words, and no
+    report, for a :class:`Block` of connected graphs (a sweep filter's):
+    gates over n, m, nprime and min_degree alone run no BFS."""
+    rows_only = {term[0] for gate in gates for term in gate} <= {"n", "m", "nprime", "min_degree"}
+    lanes = Lanes(block.n, block.k) if rows_only else _Lanes(block, tr=False)
+    return lanes.unpack(_gates(lanes, block.rows, gates)[2])
+
+
+def _gates(lanes, rows, gates) -> tuple[dict, list, int]:
+    """The packed gate columns of a block's ``rows``, the sets H_a of its lane
+    BFS ``lanes``, and bit i of a lane set where it is connected and every
+    term of gate i holds.  With a plain :class:`Lanes`, no BFS, every lane
+    counts as connected, and only n, m, nprime and min_degree are read."""
+    n, ones, full, zero, at_least = lanes.n, lanes.ones, lanes.full, lanes.zero, lanes.at_least
+    m2 = n_univ = 0
+    low = n * ones  # the minimum degree
+    for u, row in enumerate(rows):
+        deg = lanes.popcount(row)
+        m2 += deg
+        low = lanes.min(low, deg)
+        n_univ += zero(row ^ (full ^ (ones << u)))
+    # every lane of m2 is even, so a shift halves each lane
+    values = dict(n=n * ones, m=m2 >> 1, nprime=n_univ, min_degree=low)
+    hs, connected = None, ones
+    if isinstance(lanes, _Lanes):
+        hs = [full] + [0] * lanes.depth  # hs[a] = H_a
+        for s, e in enumerate(lanes.ecc):
+            for a in range(1, lanes.depth + 1):
+                h = at_least(e, a)
+                if not h:  # no lane has ecc(s) >= a, so none has it for any larger a
+                    break
+                hs[a] |= h << s
+        diam = sum(map(lanes.nonzero, hs[1:]))
+        rad = sum(zero(full ^ h) for h in hs[1:])
+        values.update(diam=diam, rad=rad, self_centered=zero(diam ^ rad))
+        connected = lanes.connected
+    word = 0
+    terms = {}
     for i, gate in enumerate(gates):
         held = connected
         for term in gate:
@@ -549,13 +594,8 @@ def lane_reports(block: Block, gates) -> tuple[list, list]:
                 eq = geq ^ gt
                 terms[term] = {">=": geq, "<=": ones ^ gt, "==": eq, "!=": ones ^ eq}[op]
             held &= terms[term]
-        select |= held
         word |= held << i
-    reports = [
-        InvariantReport(n, m, dm, rd, w, ec1, ec2, tot, x, nu, dm == rd) if b else None
-        for b, m, dm, rd, w, ec1, ec2, tot, x, nu in zip(unpack(select), *map(unpack, columns))
-    ]
-    return unpack(word), reports
+    return values, hs, word
 
 
 def lane_wiener_e1(block: Block) -> list[tuple[int, int] | None]:

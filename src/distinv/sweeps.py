@@ -12,9 +12,9 @@ Three sweep targets feed the predicate checkers:
   decoded once per scan, or'ed with those of ``base`` spread to every lane.
   Connectivity is a closure from vertex 0 over all lanes at once, at most
   n - 1 rounds of ``reach |= row[u]`` in the lanes whose reach holds u.  The
-  lanes whose reach is full are kept in mask order (``Block.keep``), one
-  ``Block.of`` per window, compacted and not re-buffered to ``LANE_BLOCK``
-  lanes.
+  lanes whose reach is full are kept in mask order (``Block.keep``, which
+  gathers them from the rows), one block per window, compacted and not
+  re-buffered to ``LANE_BLOCK`` lanes.
 * ``trees`` - one representative per isomorphism class of free trees
   (2 <= n <= 18), generated through canonical level sequences with a
   constant-amortized-time successor rule, ``LANE_BLOCK`` sequences at a
@@ -78,7 +78,7 @@ import time
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, _rows_from_pairs, emit_graph6
-from .invariants import LANE_BLOCK, Block, Lanes, lane_reports
+from .invariants import LANE_BLOCK, Block, Lanes, gate_words
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -648,10 +648,11 @@ class _Stream:
     applied, in two views of its generator's blocks: ``blocks()`` yields
     them, and iterating the stream yields their ``Graph``s one at a time,
     unpacked by ``block.graph(j)``.  A filter's gate runs in the lane kernel
-    on each block and ``block.keep`` makes a block of the lanes where it
-    holds: ``Block.of`` of their row tuples, or a tree block of their level
-    sequences, which keeps the closed form.  A fold reads one view; the
-    tally counts graphs either way."""
+    on each block (``gate_words``: no report, and no BFS for a gate over the
+    rows' columns) and ``block.keep`` makes a block of the lanes where it
+    holds: their rows gathered, their row tuples kept (the sampler's), or a
+    tree block of their level sequences, which keeps the closed form.  A fold
+    reads one view; the tally counts graphs either way."""
 
     def __init__(self, spec: SweepSpec, chunk, tally: _Tally):
         self._tally = tally
@@ -676,7 +677,7 @@ class _Stream:
         try:
             for block in source:
                 if gate is not None:
-                    flags = [word & 1 for word in lane_reports(block, [gate])[0]]
+                    flags = gate_words(block, [gate])
                     tally.filtered += block.k - sum(flags)
                     if not any(flags):
                         continue
@@ -831,10 +832,12 @@ def fold_sweep(spec: SweepSpec, fold, combine, zero, *, workers: int = 1):
     return acc, SweepSummary(visited, filtered, time.perf_counter() - start)
 
 
-def iter_sweep(spec: SweepSpec):
-    """All graphs of a sweep in canonical order, filter applied; the spec is
-    validated when iteration starts."""
+def iter_sweep(spec: SweepSpec, blocks: bool = False):
+    """All graphs of a sweep in canonical order, filter applied, or with
+    ``blocks`` their lane blocks; the spec is validated when iteration
+    starts."""
     spec.validate()
     tally = _Tally()
     for chunk in _chunks(spec, 1):
-        yield from _Stream(spec, chunk, tally)
+        stream = _Stream(spec, chunk, tally)
+        yield from stream.blocks() if blocks else stream

@@ -36,9 +36,11 @@ of the key: hunt makes one predicate call per distinct key of a block, and
 goes back to the lanes only for a key with a counterexample, an equality
 case or an L4.1 bit.  A disconnected graph, and a tree whose complement
 decides T3.3 and is disconnected, end the sweep as the per-graph path does,
-naming the first lane of the block with that key.  A lane's
-:class:`Graph` (``block.graph(j)``, unpacked from the block only then) is
-taken only for a verdict or an equality case, on every sweep target.  A
+naming the first lane of the block with that key.  The lanes of a named
+key are found by their word, and each one's graph6 is read from the
+block's rows (``block.graph6()``).  A lane's :class:`Graph`
+(``block.graph(j)``, unpacked from the block only then) is taken only for a
+verdict or to name an error, on every sweep target.  A
 detailed :class:`TheoremVerdict` is built only for a counterexample, from
 the graph's BFS distances (and for T3.3 the complement's
 :func:`full_report`).  The public ``check_p21`` ...
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 from math import isqrt
 from typing import Callable
 
@@ -625,11 +628,10 @@ def _t33_complements(block, words, bit):
     neighbours, and the other lanes are empty.  They go through the
     kernel's BFS as one block, which yields only their W and E1."""
     n, k = block.n, block.k
-    if not any(word & bit for word in words):
-        return [None] * k
     lanes = Lanes(n, k)
-    vertices = (1 << n) - 1
-    keep = lanes.pack([vertices if word & bit else 0 for word in words])
+    keep = (lanes.pack(words) >> bit.bit_length() - 1 & lanes.ones) * ((1 << n) - 1)
+    if not keep:
+        return [None] * k
     rows = [keep & ~(row | lanes.ones << u) for u, row in enumerate(block.rows)]
     return lane_wiener_e1(Block(n, k, rows))
 
@@ -675,19 +677,6 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
         # per claim: hypothesis hits, counterexample verdicts, equality graph6
         return [0] * len(ids), [[] for _ in ids], [set() for _ in ids]
 
-    def name(acc, g, key, results):
-        # lane graph g's verdicts and equality cases from its key's results,
-        # L4.1's read from the word
-        word, rep, _ = key
-        results = results + [(i, (True, not word & failed, word & equal != 0)) for i in l41]
-        g6 = emit_graph6(g)
-        for i, result in results:
-            if result[0] and not result[1]:
-                rep, dist = _prep(g, rep, None)
-                acc[1][i].append(claims[i].verdict(g, rep, dist, result))
-            if result[2]:
-                acc[2][i].add(g6)
-
     def fold(acc, stream):
         hits = acc[0]
         for block in stream.blocks():
@@ -720,19 +709,28 @@ def hunt(spec: SweepSpec, theorem_ids, *, workers: int = 1) -> list[CheckReport]
                         hits[i] += count
                         names = names or not held
                     names = names or eq
-                if names:
-                    named[key] = results
+                if names:  # with L4.1's results, read from the word
+                    l41s = [(i, (True, not word & failed, word & equal != 0)) for i in l41]
+                    named[key] = results + l41s
             if not named:
                 continue
-            # one pass in lane order, the cheap word test first
+            # one pass in lane order over the lanes of a named word: each
+            # lane's graph6 is a record of the block's, and its Graph is
+            # built only for a verdict
             named_words = {word for word, _, _ in named}
-            for j, key in enumerate(zip(words, reports, comps)):
-                if key[0] in named_words and key in named:
-                    g = block.graph(j)
-                    try:
-                        name(acc, g, key, named[key])
-                    except Exception as exc:
-                        raise visit_error(g, exc) from exc
+            text, size = block.graph6()
+            for j in compress(range(block.k), map(named_words.__contains__, words)):
+                rep = reports[j]
+                try:
+                    for i, result in named.get((words[j], rep, comps[j]), ()):
+                        if result[0] and not result[1]:
+                            g = block.graph(j)
+                            rep, dist = _prep(g, rep, None)
+                            acc[1][i].append(claims[i].verdict(g, rep, dist, result))
+                        if result[2]:
+                            acc[2][i].add(text[j * size : (j + 1) * size - 1])
+                except Exception as exc:
+                    raise visit_error(block.graph(j), exc) from exc
         return acc
 
     def combine(a, b):

@@ -721,6 +721,34 @@ GOLDEN = {
         ["enumerate", "diam2:n=9..10,count=300,seed=5,filter=min_degree_2"],
         "e7f3b91d3e4f793a2d2c7096576acd385dcaba3ae124dfac341f05ced18daf83",
     ),
+    # a filter over the rows alone, which runs no lane BFS
+    "verify-diam2-min-degree-2": (
+        ["verify", "--sweep", "diam2:n=9..12,count=2000,seed=5,filter=min_degree_2",
+         "--theorems", "T2.3,P2.4,T2.5,T2.7,C2.8i,C2.8ii", "--format", "json", "--verbose"],
+        "627323d850d755d1703885ef9b00f0f1d7afba7166088186b206a769fa8b6957",
+    ),
+    "verify-connected-min-degree-2": (
+        ["verify", "--sweep", "connected:3..6,filter=min_degree_2", "--theorems",
+         "all-unary", "--format", "json", "--verbose"],
+        "477e59c5c4a35b1341601fb0eaaf2a9be9492c1481ed6f27ef7c4e12e99eb90a",
+    ),
+    # the graph6 "~" header from order 63, and the 64/128-bit lane widths,
+    # in a sweep's output and in the blocks enumerate writes.  No lane of it is
+    # named: a sample this large has no universal vertex, and L4.1's gap at v
+    # on a self-centered diameter-2 graph is deg(v) > 0
+    "verify-diam2-header-63": (
+        ["verify", "--sweep", "diam2:n=61..64,count=30,seed=5", "--theorems",
+         "all-unary", "--format", "json", "--verbose"],
+        "68dfbce01c6ac408fb88df769e7e12b752518ba31fabaa86f48a865a844e1d85",
+    ),
+    "enumerate-diam2-header-63": (
+        ["enumerate", "diam2:n=61..64,count=30,seed=5"],
+        "48c89111e7151ed5052f4d60a4a91527e18abfa3183ca70b63ac3dc7c4abf5c9",
+    ),
+    "enumerate-trees-13-14": (
+        ["enumerate", "trees:13..14"],
+        "4fe6f6147393c1a8558a6de321238cf0519762975edb1ce05394514c713bc3ba",
+    ),
     "verify-connected-self-centered": (
         ["verify", "--sweep", "connected:3..6,filter=self_centered", "--theorems",
          "all-unary", "--format", "json"],

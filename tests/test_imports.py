@@ -127,5 +127,5 @@ def test_sweeps_import_no_per_graph_bfs():
     nodes = list(ast.walk(tree))
     names = {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
     attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    assert "lane_reports" in names and "all_pairs_distances" not in names
+    assert "gate_words" in names and "all_pairs_distances" not in names
     assert "min_degree" not in attrs

@@ -28,6 +28,7 @@ from distinv.invariants import (
     Block,
     Lanes,
     _Lanes,
+    gate_words,
     lane_reports,
     lane_width,
     lane_wiener_e1,
@@ -535,6 +536,19 @@ class TestLaneGates:
             selected.update(i for i, held in enumerate(want) if held)
         assert len(selected) >= 4  # four of the six gates hold somewhere in each set
 
+    @pytest.mark.parametrize(
+        "name", ["connected:1..6", "trees:2..15", "diam2 at the width bounds"]
+    )
+    def test_gate_words_are_the_gate_bits(self, name):
+        # a filter's gate words, with no report and, for a gate over row
+        # columns only, no BFS: the gate bits of lane_reports' words
+        gates = [*FILTERS.values(), (("m", ">=", lambda n: n), ("nprime", "==", 0))]
+        graphs = LANE_SETS[name][1]()
+        for some in [[gate] for gate in gates] + [gates]:
+            want = _by_lanes(lambda block: lane_reports(block, some)[0], graphs, LANE_BLOCK)
+            got = _by_lanes(lambda block: gate_words(block, some), graphs, LANE_BLOCK)
+            assert got == [word & (1 << len(some)) - 1 for word in want]
+
     def test_at_most_13_gates(self):
         # 13 gate bits, L4.1's two and the disconnected bit fill 16 bits
         words, _ = lane_reports(block_of([path(3)]), [()] * 13)
@@ -881,6 +895,37 @@ class TestBlockOfPairs:
         for n in (0, LANE_MAX_N + 1):
             with pytest.raises(GraphError):
                 Block.of_pairs(n, [0, 0])
+
+
+class TestLaneGraph6:
+    """``Block.graph6`` writes every lane's graph6 from the packed rows; each
+    record must be ``emit_graph6`` of that lane's graph."""
+
+    @staticmethod
+    def _check(block):
+        text, size = block.graph6()
+        assert len(text) == size * block.k
+        for j in range(block.k):
+            assert text[j * size : (j + 1) * size] == emit_graph6(block.graph(j)) + "\n"
+
+    @pytest.mark.parametrize(
+        "text", ["connected:1..6", "trees:2..14", "diam2:n=9..12,count=300,seed=5"]
+    )
+    def test_every_lane_of_a_sweep(self, text):
+        blocks = list(iter_sweep(parse_sweep_spec(text), blocks=True))
+        assert sum(b.k for b in blocks) > 1000
+        for block in blocks:
+            self._check(block)
+
+    @pytest.mark.parametrize("n", [1, 2, 62, 63, 64, 127, 128, LANE_MAX_N])
+    def test_random_blocks(self, n):
+        # the "~" header from 63 on, and every lane width from 16 to 256 bits;
+        # the empty and the complete graph among random ones
+        rng = random.Random(n)
+        bits = n * (n - 1) // 2
+        pairs = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(5)]
+        self._check(Block.of_pairs(n, pairs))
+        self._check(Block.of_pairs(n, pairs[2:3]))
 
 
 # graph sets for the row templates: every report from full_report and from

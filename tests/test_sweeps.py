@@ -31,6 +31,7 @@ from distinv import (
     parse_sweep_spec,
     sample_diameter2_graphs,
 )
+from distinv import invariants as invariants_mod
 from distinv import sweeps as sweeps_mod
 from distinv.graphs import _pairs_from_rows, _rows_from_pairs
 from distinv.invariants import LANE_BLOCK, Block, _Lanes, lane_reports, lane_width, unpack_lanes
@@ -139,6 +140,30 @@ class TestMaskScan:
     def test_short_ranges(self, lo, hi):
         ours = list(lanes_of(_connected_graphs_range(6, lo, hi)))
         assert ours == list(connected_graphs_by_mask(6, lo, hi))
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_gathered_rows_equal_the_tuple_path(self, monkeypatch, parts):
+        # each window's kept lanes, gathered from its rows with no tuple
+        # built, against Block.of of the kept row tuples; two parts cut the
+        # scan into other chunks
+        real = Block.keep
+        windows = []
+
+        def check(block, flags):
+            kept = real(block, flags)
+            width = lane_width(block.n)
+            tuples = zip(*(unpack_lanes(row, width, block.k) for row in block.rows))
+            want = Block.of(block.n, list(itertools.compress(tuples, flags)))
+            assert kept._lanes is None and (kept.n, kept.k) == (want.n, want.k)
+            assert kept.rows == want.rows
+            windows.append(block)
+            return kept
+
+        monkeypatch.setattr(Block, "keep", check)
+        spec = parse_sweep_spec("connected:1..6")
+        chunks = _chunks(spec, parts)
+        count = sum(b.k for c in chunks for b in _Stream(spec, c, _Tally()).blocks())
+        assert count == 27476 and len(windows) >= 30
 
     def test_window_cut_is_one_window_wide(self):
         # the lo..hi cut of each 1,024-mask window spans that window, not the
@@ -670,24 +695,31 @@ class TestStreamContract:
         with pytest.raises(SweepVisitError, match=r"on no graph yet: ValueError"):
             fold_sweep(SweepSpec("trees", 4, 4), boom, operator.add, int)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    @pytest.mark.parametrize(
+        "spec",
+        SPECS + [SweepSpec("diameter2_graphs", 9, 10, 7, 5, "min_degree_2")],
+        ids=str,
+    )
     def test_graph_view_packs_no_rows(self, spec, monkeypatch):
         # a block packs its row tuples only when the kernel reads its rows, so
-        # every Block.of handed out to a graph-view read still has none; a
-        # filter's gate reads the rows of the source blocks it keeps lanes
-        # of, and the tree sweep's blocks are built from packed rows
-        made, read = [], []
+        # every block of tuples handed out to a graph-view read (the
+        # sampler's, or the tuples a filter keeps of one) still has none; only
+        # the sampler calls Block.of.  The mask scan's and the tree sweep's
+        # blocks are built from packed rows, and a filter gathers its kept
+        # lanes from them
+        made, read = [], {}
         of, graph = Block.of.__func__, Block.graph
         monkeypatch.setattr(Block, "of", classmethod(lambda *a: made.append(of(*a)) or made[-1]))
-        monkeypatch.setattr(Block, "graph", lambda b, j: read.append(id(b)) or graph(b, j))
+
+        def counted(block, j):
+            read[id(block)] = block
+            return graph(block, j)
+
+        monkeypatch.setattr(Block, "graph", counted)
         graphs = list(iter_sweep(spec))
-        read = set(read)
-        handed = [block for block in made if id(block) in read]
-        sources = [block for block in made if id(block) not in read]
-        assert graphs and (handed or spec.target == "trees")
-        assert all(block._rows is None for block in handed)
-        assert bool(sources) == (spec.filter_name is not None)
-        assert all(block._rows is not None for block in sources)
+        sampled = spec.target == "diameter2_graphs"
+        assert graphs and read and bool(made) == sampled
+        assert all((block._rows is None) == sampled for block in read.values())
 
     def test_graph_view_runs_no_closed_form(self, monkeypatch):
         # only the kernel reads a tree block's sums: a filtered tree sweep's
@@ -720,6 +752,23 @@ class TestFilterGates:
     """Each filter's kernel gate against its reference: the filtered stream
     and its visited and filtered counts equal the unfiltered stream filtered
     one graph at a time, in chunks of 1 and 2 parts, at every lane width."""
+
+    def test_row_gate_runs_no_bfs(self, monkeypatch):
+        # min_degree_2 reads only the rows: its filter pass makes no lane BFS,
+        # and a gate over diam makes one
+        made = []
+
+        class Counted(_Lanes):
+            def __init__(self, block, tr=True):
+                made.append(block.k)
+                super().__init__(block, tr)
+
+        monkeypatch.setattr(invariants_mod, "_Lanes", Counted)
+        spec = parse_sweep_spec("diam2:n=9..12,count=2000,seed=5,filter=min_degree_2")
+        kept = sum(block.k for block in iter_sweep(spec, blocks=True))
+        assert made == [] and 0 < kept < 8000
+        spec = parse_sweep_spec("diam2:n=9..10,count=50,seed=5,filter=self_centered")
+        assert list(iter_sweep(spec, blocks=True)) and made
 
     @pytest.mark.parametrize("parts", [1, 2])
     @pytest.mark.parametrize("name", sorted(FILTERS))

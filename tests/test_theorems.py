@@ -37,7 +37,7 @@ from distinv import invariants as invariants_mod
 from distinv import sweeps as sweeps_mod
 from distinv import theorems as theorems_mod
 from distinv.graphs import emit_graph6
-from distinv.invariants import LANE_BLOCK, lane_reports, lane_width, unpack_lanes
+from distinv.invariants import LANE_BLOCK, Block, lane_reports, lane_width, unpack_lanes
 from distinv.sweeps import (
     SweepVisitError,
     _Stream,
@@ -897,8 +897,8 @@ class TestT33ComplementBlocks:
 
 class TestTreeHuntGraphs:
     """hunt reads every sweep as its generator's lane blocks, and builds a
-    Graph only for a lane that a verdict or an equality case names, once:
-    no claim row reads a graph."""
+    Graph only for a lane that a verdict names, once: no claim row reads a
+    graph, and an equality case's graph6 is read from the block."""
 
     IDS = ["T3.1", "T3.2", "T3.3", "L4.1"]
 
@@ -928,10 +928,11 @@ class TestTreeHuntGraphs:
         monkeypatch.setattr(theorems_mod, "complement", lambda g: complements.append(g) or comp(g))
         built = self._count_graphs(monkeypatch)
         named = self._named(hunt(parse_sweep_spec("trees:2..15"), self.IDS))
-        # the HkaCCA? counterexample of T3.3, T3.1's 3-path and 14 L4.1 cases
+        # the HkaCCA? counterexample of T3.3, T3.1's 3-path and 14 L4.1 cases;
+        # only the counterexample is built
         assert len(named) == 16
         trees = [emit_graph6(g) for g in built if g.m == g.n - 1]
-        assert sorted(trees) == sorted(set(named))
+        assert trees == ["HkaCCA?"]
         # the counterexample's detail, and nothing else, takes complement()
         assert [emit_graph6(g) for g in complements] == ["HkaCCA?"]
         assert [g for g in built if g.m != g.n - 1] == [hkacca]
@@ -945,13 +946,36 @@ class TestTreeHuntGraphs:
         assert self._named(reports) == [] and reports[0].graphs_visited == 8000
         assert built == []
 
-    def test_labeled_graphs_only_where_read_or_named(self, monkeypatch):
+    def test_labeled_hunt_builds_no_graph(self, monkeypatch):
+        # the labeled-exhaustive benchmark's sweep and claims: no
+        # counterexample, so no lane's Graph, and every equality case's
+        # graph6 read from its block
         spec = parse_sweep_spec("connected:3..6")
         built = self._count_graphs(monkeypatch)
-        named = self._named(hunt(spec, list(ALL_UNARY_IDS)))
+        lanes = []
+        graph = Block.graph
+        monkeypatch.setattr(Block, "graph", lambda block, j: lanes.append(j) or graph(block, j))
+        reports = hunt(spec, list(ALL_UNARY_IDS))
+        named = self._named(reports)
         # P2.1's and C2.2's equality cases (their cycles) among them
         assert {"C]", "Cl", "Cr"} <= set(named)
-        assert sorted(emit_graph6(g) for g in built) == sorted(set(named))
+        assert sum(r.equality_cases != () for r in reports) >= 3
+        assert lanes == [] and built == []
+
+    @pytest.mark.parametrize(
+        "text",
+        ["connected:1..5", "diam2:n=61..64,count=3,seed=5", "diam2:n=127..128,count=2,seed=5"],
+    )
+    def test_equality_names_come_from_the_block(self, monkeypatch, text):
+        # a P2.4 with equality on every graph its gate selects (diameter 2)
+        # names each one by the graph6 record of its block: the graph's own
+        # graph6, across the "~" header at 63 and every lane width
+        equal = dataclasses.replace(CLAIMS["P2.4"], predicate=lambda *_: (True, True, True))
+        monkeypatch.setitem(CLAIMS, "P2.4", equal)
+        spec = parse_sweep_spec(text)
+        (rep,) = hunt(spec, ["P2.4"])
+        want = {emit_graph6(g) for g in iter_sweep(spec) if full_report(g).diam == 2}
+        assert rep.equality_cases == tuple(sorted(want)) and len(want) >= 4
 
     def test_workers_build_each_block_once(self, monkeypatch):
         spec = parse_sweep_spec("trees:2..15")
