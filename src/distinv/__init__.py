@@ -16,8 +16,7 @@ _EXPORTS = {
     "graphs": (
         "DisconnectedGraphError", "DistanceData", "FormatError", "Graph",
         "GraphError", "all_pairs_distances", "complement", "emit_graph6",
-        "from_edge_list", "induced_subgraph", "is_connected", "parse_edge_list",
-        "parse_graph6",
+        "from_edge_list", "induced_subgraph", "parse_edge_list", "parse_graph6",
     ),
     "invariants": ("CSV_HEADER", "InvariantReport", "full_report"),
     "families": (
@@ -27,12 +26,11 @@ _EXPORTS = {
         "path", "star", "thm29_construction",
     ),
     "sweeps": (
-        "SweepError", "SweepSpec", "SweepSummary", "enumerate_connected_graphs",
-        "enumerate_trees", "fold_sweep", "iter_sweep", "parse_sweep_spec",
-        "sample_diameter2_graphs",
+        "SweepError", "SweepSpec", "SweepSummary", "fold_sweep", "iter_sweep",
+        "parse_sweep_spec",
     ),
     "ud": (
-        "UdCertificate", "eccentric_set", "find_ud_certificate", "is_ud_pair",
+        "UdCertificate", "find_ud_certificate", "is_ud_pair",
         "transmission_gap", "transmission_gap_equality_set",
     ),
     "theorems": (

@@ -19,15 +19,16 @@ an edge-list graph's from its rows), and each of its orders becomes one lane
 block built from the pairs (``Block.of_pairs``) for the lane kernel
 (``lane_reports``) or the lane UD scan (``ud.lane_ud_certificates``), so no
 graph6 line of a block becomes a :class:`Graph`; rows on stdout and error
-lines on stderr come out in input order.  A graph takes the per-graph path
-(``full_report``, ``find_ud_certificate``), as a :class:`Graph` built from
-its pairs, in three cases: it is the only graph of its order in the window,
-its order is 0 or above ``LANE_MAX_N``, or the kernel reports it
-disconnected (a None where its report or certificate would be), which leaves
-its pairs in place for the per-graph error line while the rest of its order
-keeps what the lanes gave.  Only the graphs of order 1..``LANE_MAX_N`` wait
-for the end of their window; every other graph and every unreadable line
-becomes its output or error line as it is read.
+lines on stderr come out in input order.  A graph the kernel reports
+disconnected (a None where its report or certificate would be) gets the
+per-graph path's error, ``graph is disconnected``, with no second BFS.  A
+graph takes the per-graph path (``full_report``, ``find_ud_certificate``),
+as a :class:`Graph` built from its pairs, in two cases: it is the only graph
+of its order in the window, or its order is 0 or above ``LANE_MAX_N``; a
+one-lane block costs more than the per-graph path (P_255's report, K_255's
+UD scan).  Only the graphs of order 1..``LANE_MAX_N`` wait for the end of
+their window; every other graph and every unreadable line becomes its output
+or error line as it is read.
 Each row is formatted from a template (``InvariantReport.csv_row`` and
 ``json_row``, ``UdCertificate.json_row``); a JSON row is the text of
 ``json.dumps(to_json_dict(), sort_keys=True)``.
@@ -150,12 +151,13 @@ def _per_graph(files, out, compute, block, render) -> int:
     where ``block`` maps the ``Block`` of the window's graphs of one order to
     one value each, None for a disconnected graph; every other item is turned
     into its output line or error as it is read, so no larger graph is held.
-    ``compute`` takes the graphs of the three per-graph cases in the module
-    docstring one by one, so a disconnected graph gets its error line from
-    ``compute``.
+    ``compute`` takes the graphs of the two per-graph cases in the module
+    docstring one by one.
     """
-    from .graphs import Graph, GraphError, _rows_from_pairs
+    from .graphs import DisconnectedGraphError, Graph, GraphError, _rows_from_pairs
     from .invariants import LANE_BLOCK, LANE_MAX_N, Block
+
+    disconnected = DisconnectedGraphError("graph is disconnected")
 
     def line(n, pairs):
         # the output line of one graph on the per-graph path, or its error
@@ -171,8 +173,8 @@ def _per_graph(files, out, compute, block, render) -> int:
                 continue
             lanes = Block.of_pairs(n, [window[i][2][1] for i in idx])
             for i, value in zip(idx, block(lanes)):
-                if value is not None:  # else disconnected: the per-graph error
-                    window[i][2] = render(value)
+                # None: disconnected, the error all_pairs_distances raises
+                window[i][2] = disconnected if value is None else render(value)
         failed = False
         for label, i, item in window:
             if isinstance(item, tuple):

@@ -1,12 +1,11 @@
 """Immutable simple graphs with exact BFS distance data.
 
 Vertices are dense integers ``0..n-1``.  A :class:`Graph` stores one neighbor
-bitmask per vertex (the representation every hot loop in this package runs
-on) and derives sorted neighbor tuples lazily.  Distances are exact hop
-counts from breadth-first search, kept per vertex as :class:`DistanceData`
-(eccentricity, transmission, eccentric set), never as a table of pairs;
-disconnected input is rejected outright so that no infinity ever reaches the
-integer invariants built on top.
+bitmask per vertex, the representation every hot loop in this package runs
+on.  Distances are exact hop counts from breadth-first search, kept per
+vertex as :class:`DistanceData` (eccentricity, transmission, eccentric set),
+never as a table of pairs; disconnected input is rejected outright so that no
+infinity ever reaches the integer invariants built on top.
 
 Supported interchange formats:
 
@@ -62,25 +61,15 @@ class Graph:
     family constructors; ``Graph._raw`` is the internal trusted path.
     """
 
-    __slots__ = ("n", "bits", "_adj", "_m")
+    __slots__ = ("n", "bits", "_m")
 
     @classmethod
     def _raw(cls, n: int, bits: Sequence[int]) -> "Graph":
         g = object.__new__(cls)
         g.n = n
         g.bits = tuple(bits)
-        g._adj = None
         g._m = None
         return g
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuple for every vertex."""
-        adj = self._adj
-        if adj is None:
-            adj = tuple(tuple(_iter_bits(b)) for b in self.bits)
-            self._adj = adj
-        return adj
 
     @property
     def m(self) -> int:
@@ -91,14 +80,8 @@ class Graph:
             self._m = m
         return m
 
-    def degree(self, v: int) -> int:
-        return self.bits[v].bit_count()
-
     def min_degree(self) -> int:
         return min((b.bit_count() for b in self.bits), default=0)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as pairs ``(u, v)`` with ``u < v``."""
@@ -262,9 +245,10 @@ def emit_graph6(g: Graph) -> str:
 def _rows_from_pairs(n: int, pairs: int) -> list[int]:
     """Neighbor rows of the order-n graph whose edge (u, v), u < v, is bit
     ``v(v-1)/2 + u`` of ``pairs``: the column-major pair order (0,1), (0,2),
-    (1,2), (0,3), ... of graph6.  This and :func:`_pairs_from_rows` are the
-    package's one definition of that order; ``invariants.Block.of_pairs``
-    splits the pairs into the same columns, in every lane at once."""
+    (1,2), (0,3), ... of graph6.  This, :func:`_pairs_from_rows` and
+    :func:`_pair_list` are the package's one definition of that order;
+    ``invariants.Block.of_pairs`` splits the pairs into the same columns, in
+    every lane at once."""
     rows = [0] * n
     for v in range(1, n):
         col = pairs & ((1 << v) - 1)
@@ -276,6 +260,12 @@ def _rows_from_pairs(n: int, pairs: int) -> list[int]:
             rows[low.bit_length() - 1] |= vb
             col ^= low
     return rows
+
+
+def _pair_list(n: int) -> list[tuple[int, int]]:
+    """The pairs ``(u, v)``, u < v, of order n in the order of
+    :func:`_rows_from_pairs`: pair e = v(v - 1)/2 + u is ``(u, v)``."""
+    return [(u, v) for v in range(1, n) for u in range(v)]
 
 
 def _pairs_from_rows(rows: Sequence[int]) -> int:
@@ -348,25 +338,6 @@ def all_pairs_distances(g: Graph) -> DistanceData:
         tr[v] = t
         far[v] = frontier
     return DistanceData(n, ecc, tr, far, max(ecc), min(ecc))
-
-
-def is_connected(g: Graph) -> bool:
-    """True when one BFS from vertex 0 reaches everything; K1 and the empty
-    graph count as connected."""
-    if g.n == 0:
-        return True
-    rows = g.bits
-    full = (1 << g.n) - 1
-    seen = frontier = 1
-    while frontier and seen != full:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
 
 
 def complement(g: Graph) -> Graph:

@@ -39,7 +39,7 @@ from itertools import compress
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graphs import DistanceData, Graph, GraphError, _iter_bits, all_pairs_distances
+from .graphs import DistanceData, Graph, GraphError, _iter_bits, _pair_list, all_pairs_distances
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -358,7 +358,7 @@ class Block:
         lanes = Lanes(n, k)
         head = [n + 63] if n < 63 else [126, 63, (n >> 6) + 63, (n & 63) + 63]
         chars = [63 * lanes.ones] * -(-n * (n - 1) // 12)
-        for p, (u, v) in enumerate((u, v) for v in range(1, n) for u in range(v)):
+        for p, (u, v) in enumerate(_pair_list(n)):
             chars[p // 6] += ((rows[v] >> u) & lanes.ones) << (5 - p % 6)
         size, step = len(head) + len(chars) + 1, lanes.width // 8
         buf = bytearray(size * k)

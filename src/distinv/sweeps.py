@@ -8,8 +8,9 @@ Three sweep targets feed the predicate checkers:
   ``graphs._rows_from_pairs``, which the sampler and graph6 share.  The scan
   takes 1,024 consecutive masks at a time (all of them below 10 pairs), mask
   ``base + k`` in lane ``k`` (the kernel's ``Lanes``, 16 bits for n <= 8)
-  of one int per adjacency row: each row is the codec's rows of ``k``,
-  decoded once per scan, or'ed with those of ``base`` spread to every lane.
+  of one int per adjacency row: each row is that of the block of masks
+  ``0..k - 1`` (``Block.of_pairs``, built once per scan), or'ed with the
+  codec's rows of ``base`` spread to every lane.
   Connectivity is a closure from vertex 0 over all lanes at once, at most
   n - 1 rounds of ``reach |= row[u]`` in the lanes whose reach holds u.  The
   lanes whose reach is full are kept in mask order (``Block.keep``, which
@@ -59,8 +60,8 @@ sample-index ranges) that merge associatively, so worker count never changes
 a result.  A chunk is one order and one stream of graphs, filtered and
 counted in one place: a filter is a kernel gate (``FILTERS``) evaluated on
 each generator block, whose ``keep`` makes the block of the kept lanes.
-Every walk over a sweep reads these streams (the enumerators above are
-``iter_sweep`` over one order, and ``fold_sweep`` states the contract), and
+Every walk over a sweep reads these streams (``iter_sweep`` in order,
+``fold_sweep`` by chunks, whose docstring states the contract), and
 ``SweepSpec.validate`` is the only bound check.
 Each generator yields lane-kernel ``Block``s of its own rows, which build a
 ``Graph`` only for a lane whose ``graph(j)`` is called.  A stream has two
@@ -77,7 +78,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _rows_from_pairs, emit_graph6
+from .graphs import Graph, GraphError, _pair_list, _rows_from_pairs, emit_graph6
 from .invariants import LANE_BLOCK, Block, Lanes, gate_words
 
 _M64 = (1 << 64) - 1
@@ -130,18 +131,13 @@ def _stream_key(seed: int, n: int) -> int:
 # exhaustive enumeration
 
 
-def enumerate_connected_graphs(n: int):
-    """Every connected simple graph on n labeled vertices, exactly once."""
-    return iter_sweep(SweepSpec("connected_graphs", n, n))
-
-
 def _connected_graphs_range(n, lo, hi):
     # masks in blocks of 2^b, b = min(pairs, 10): mask base + j sits in lane
     # j of each row, which is row j's lane or'ed with base's rows; one Block
     # of each window's connected lanes, in mask order
     lanes = Lanes(n, 1 << min(n * (n - 1) // 2, 10))
     k, width, lane, ones = lanes.k, lanes.width, lanes.lane, lanes.ones
-    low = [lanes.pack(col) for col in zip(*(_rows_from_pairs(n, j) for j in range(k)))]
+    low = Block.of_pairs(n, list(range(k))).rows
     for base in range(lo & -k, hi, k):
         rows = [r | ones * h for r, h in zip(low, _rows_from_pairs(n, base))]
         # closure from vertex 0: each round adds the rows of reached vertices
@@ -161,19 +157,9 @@ def _connected_graphs_range(n, lo, hi):
         yield Block(n, k, rows).keep(lanes.unpack(ok))
 
 
-def enumerate_trees(n: int):
-    """One representative of every free tree on n vertices.
-
-    Trees are produced from canonical rooted level sequences in decreasing
-    lexicographic order, keeping exactly the height-balanced rootings that
-    represent each free tree once.
-    """
-    return iter_sweep(SweepSpec("trees", n, n))
-
-
 def _tree_levels(n):
     # every canonical level sequence of a free tree on n vertices, in sweep
-    # order; no yielded list is changed afterwards
+    # order (decreasing lexicographic); no yielded list is changed afterwards
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while levels is not None:
         levels = _free_canonical_or_jump(levels)
@@ -349,13 +335,6 @@ class _TreeBlock(Block):
 # diameter-2 rejection sampling
 
 
-def sample_diameter2_graphs(n: int, count: int, seed: int):
-    """``count`` connected diameter-2 graphs of order n, seeded."""
-    return iter_sweep(
-        SweepSpec("diameter2_graphs", n, n, sample_count=count, seed=seed)
-    )
-
-
 def _diam2_stream(seed, n, lo, hi):
     # one Block per block of samples; round j draws attempt j of every sample
     # still pending
@@ -388,11 +367,6 @@ def _diam2_stream(seed, n, lo, hi):
                 yield Block.of(n, lanes[: min(pending) - first])
             raise SweepError("sampling stalled")
         yield Block.of(n, lanes)
-
-
-def _pair_list(n):
-    # pair e = v(v - 1)/2 + u is (u, v), u < v: the order of _rows_from_pairs
-    return [(u, v) for v in range(1, n) for u in range(v)]
 
 
 def _draw_consts(n):

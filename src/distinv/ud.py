@@ -30,13 +30,8 @@ from functools import lru_cache, reduce
 from itertools import compress, count
 from typing import NamedTuple
 
-from .graphs import DistanceData, Graph, GraphError, _iter_bits, all_pairs_distances
+from .graphs import DistanceData, Graph, GraphError, all_pairs_distances
 from .invariants import _Lanes
-
-
-def eccentric_set(dist: DistanceData, v: int) -> tuple[int, ...]:
-    """Vertices at distance exactly ``ecc(v)`` from ``v``, ascending."""
-    return tuple(_iter_bits(dist.far[v]))
 
 
 def is_ud_pair(g: Graph, dist: DistanceData, u: int, v: int) -> bool:

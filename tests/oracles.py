@@ -14,7 +14,8 @@ mask scan's reference decodes and BFS-checks one mask at a time, and a
 sweep filter's reads one graph's queue-BFS table or its degrees.  A report's
 row reference reads avd and avt from their ``Fraction`` properties and
 formats each value on its own; the eccentric sets' transpose is a double
-loop over vertex pairs.
+loop over vertex pairs.  Neighbor lists (``adjacency``) and connectivity
+(``is_connected``, one BFS from vertex 0) are read from ``Graph.bits`` here.
 
 The reference ``hunt`` is the one exception: it is the reference for the
 claim gates and lane blocks of ``theorems.hunt``, so it runs the package's
@@ -40,7 +41,6 @@ from distinv import (
     all_pairs_distances,
     from_edge_list,
     full_report,
-    is_connected,
 )
 from distinv.graphs import _rows_from_pairs
 from distinv.invariants import Block, _Lanes
@@ -48,6 +48,40 @@ from distinv.sweeps import iter_sweep
 from distinv.theorems import UNARY_CHECKS, CheckReport
 
 INF = 1 << 30
+
+
+def bits_of(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbors, ascending, read from ``g.bits``."""
+    return tuple(map(bits_of, g.bits))
+
+
+def is_connected(g: Graph) -> bool:
+    """True when one BFS from vertex 0 reaches everything; K1 and the empty
+    graph count as connected."""
+    if g.n == 0:
+        return True
+    rows = g.bits
+    full = (1 << g.n) - 1
+    seen = frontier = 1
+    while frontier and seen != full:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == full
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:
@@ -74,7 +108,7 @@ def floyd_warshall(g: Graph) -> list[list[int]]:
 def bfs_rows(g: Graph) -> list[list[int]]:
     """The distance table from one queue BFS per source over the neighbor
     lists; INF for an unreachable vertex."""
-    adj = g.adjacency
+    adj = adjacency(g)
     rows = []
     for s in range(g.n):
         row = [INF] * g.n
@@ -120,7 +154,7 @@ def wiener_tree_edgecut(t: Graph) -> int:
     n = t.n
     if n == 0 or t.m != n - 1:
         raise GraphError("not a tree")
-    adj = t.adjacency
+    adj = adjacency(t)
     parent = [-1] * n
     order = [0]
     seen = bytearray(n)
@@ -158,7 +192,7 @@ def tree_canonical_form(g: Graph) -> str:
     n = g.n
     if n == 1:
         return "()"
-    adj = g.adjacency
+    adj = adjacency(g)
     deg = [len(a) for a in adj]
     alive = [True] * n
     remaining = n
@@ -422,7 +456,7 @@ def _self_centered_by_rows(g: Graph) -> bool:
 REFERENCE_FILTERS = {
     "self_centered": _self_centered_by_rows,
     "non_self_centered": lambda g: not _self_centered_by_rows(g),
-    "min_degree_2": lambda g: min(map(len, g.adjacency)) >= 2,
+    "min_degree_2": lambda g: min(map(len, adjacency(g))) >= 2,
 }
 
 
@@ -483,7 +517,7 @@ def gate_holds(gate, rep, g=None) -> bool:
         "diam": rep.diam,
         "nprime": rep.n_universal,
         "self_centered": int(rep.self_centered),
-        "min_degree": None if g is None else min(map(len, g.adjacency)),
+        "min_degree": None if g is None else min(map(len, adjacency(g))),
     }
     return all(
         _GATE_OPS[op](values[column], bound(rep.n) if callable(bound) else bound)

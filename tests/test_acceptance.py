@@ -41,17 +41,15 @@ from distinv import (
     hunt,
     hypercube,
     is_ud_pair,
+    iter_sweep,
     parse_graph6,
     path,
-    sample_diameter2_graphs,
     star,
     thm29_construction,
 )
-from distinv.sweeps import enumerate_trees
 from distinv.theorems import check_l41
-from distinv.ud import eccentric_set
 
-from oracles import diametrical_pairs, floyd_warshall, wiener_tree_edgecut
+from oracles import bits_of, diametrical_pairs, floyd_warshall, wiener_tree_edgecut
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
@@ -183,7 +181,7 @@ def test_criterion_03_tree_edgecut_identity():
     assert wiener_tree_edgecut(complete(1)) == 0
     total = 0
     for n in range(2, 13):
-        for t in enumerate_trees(n):
+        for t in iter_sweep(SweepSpec("trees", n, n)):
             assert wiener_tree_edgecut(t) == full_report(t).wiener
             total += 1
     assert total == 986
@@ -202,7 +200,7 @@ def test_criterion_04_unary_diameter2_claims(unary_hunt):
     lengths = set()
     for g6 in eq:
         g = parse_graph6(g6)
-        assert g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
+        assert g.m == g.n and all(g.bits[v].bit_count() == 2 for v in range(g.n))
         lengths.add(g.n)
     assert lengths == {4, 5}
 
@@ -219,8 +217,9 @@ def test_criterion_05_sampled_diameter2_claims(diam2_hunt_w1):
     assert by_id["P2.4"].hypothesis_hits == 4 * DIAM2_COUNT
     assert elapsed < 600.0
     # reproducibility: the same seed yields the same stream
-    a = [emit_graph6(g) for g in sample_diameter2_graphs(9, 50, DIAM2_SEED)]
-    b = [emit_graph6(g) for g in sample_diameter2_graphs(9, 50, DIAM2_SEED)]
+    spec = SweepSpec("diameter2_graphs", 9, 9, sample_count=50, seed=DIAM2_SEED)
+    a = [emit_graph6(g) for g in iter_sweep(spec)]
+    b = [emit_graph6(g) for g in iter_sweep(spec)]
     assert a == b
 
 
@@ -292,7 +291,7 @@ def test_criterion_06_tree_complement_claim(tree33_hunt_w1):
     }
     tree = parse_graph6(bad.graph_id)
     assert tree.n == 9
-    assert sorted(tree.degree(v) for v in range(9)) == [1] * 7 + [2, 7]
+    assert sorted(tree.bits[v].bit_count() for v in range(9)) == [1] * 7 + [2, 7]
 
     # independent recount: networkx enumerates the trees and computes W, E1
     # for each tree and, where the tree disjunct fails, for its complement
@@ -325,7 +324,7 @@ def test_criterion_07_transmission_gap(unary_hunt, tree_hunt_w1):
 
 def test_criterion_08_ud_trees():
     for n in range(2, 13):
-        for t in enumerate_trees(n):
+        for t in iter_sweep(SweepSpec("trees", n, n)):
             assert find_ud_certificate(t).is_ud
 
 
@@ -376,7 +375,7 @@ def test_criterion_08_ud_hypercube_antipodes(dim):
 
     for v in range(n):
         assert d.ecc[v] == dim
-        assert eccentric_set(d, v) == (v ^ full,)
+        assert bits_of(d.far[v]) == (v ^ full,)
     assert diametrical_pairs(floyd_warshall(g)) == antipodal
     for u in range(n):
         for v in range(u + 1, n):
@@ -414,7 +413,7 @@ def test_criterion_09_pendant_growth_paths():
 def test_criterion_09_pendant_growth_trees():
     gated = 0
     for n in range(2, 11):
-        for t in enumerate_trees(n):
+        for t in iter_sweep(SweepSpec("trees", n, n)):
             rep = full_report(t)
             cert = find_ud_certificate(t)
             if cert.pair is None:
@@ -481,7 +480,7 @@ def test_criterion_12_thm29_construction_grid():
         for n_prime in range(1, n - 1):
             g = thm29_construction(n, n_prime)
             rep = full_report(g)
-            assert sum(1 for v in range(n) if g.degree(v) == n - 1) == n_prime
+            assert sum(1 for v in range(n) if g.bits[v].bit_count() == n - 1) == n_prime
             assert rep.n_universal == n_prime
             assert rep.diam == 2
             assert rep.e2 > rep.wiener

@@ -350,6 +350,26 @@ class TestUdCommand:
         assert main([command, str(f)]) == 0
         assert not pending
 
+    @pytest.mark.parametrize(
+        "command, compute", [("ud", "find_ud_certificate"), ("invariants", "full_report")]
+    )
+    def test_disconnected_lane_takes_no_per_graph_path(
+        self, capsys, monkeypatch, tmp_path, command, compute
+    ):
+        # B? (order 3, no edges) shares its order with two triangles: its
+        # error line comes from the lane kernel's None, with no per-graph call
+        f, ok = tmp_path / "window.g6", tmp_path / "connected.g6"
+        f.write_text("Bw\nB?\nBw\n")
+        ok.write_text("Bw\nBw\n")
+        module = ud_mod if command == "ud" else invariants_mod
+        calls = []
+        real = getattr(module, compute)
+        monkeypatch.setattr(module, compute, lambda *a: calls.append(a) or real(*a))
+        code, out, err = run_cli(capsys, command, str(f))
+        assert code == 2 and not calls
+        assert err == f"error: {f}:2: graph is disconnected\n"
+        assert out == run_cli(capsys, command, str(ok))[1]
+
 
 class _LineCounter:
     rows = 0

@@ -22,18 +22,14 @@ from distinv import (
     SweepSpec,
     all_pairs_distances,
     emit_graph6,
-    enumerate_connected_graphs,
-    enumerate_trees,
     fold_sweep,
     full_report,
-    is_connected,
     iter_sweep,
     parse_sweep_spec,
-    sample_diameter2_graphs,
 )
 from distinv import invariants as invariants_mod
 from distinv import sweeps as sweeps_mod
-from distinv.graphs import _pairs_from_rows, _rows_from_pairs
+from distinv.graphs import _pair_list, _pairs_from_rows, _rows_from_pairs
 from distinv.invariants import LANE_BLOCK, Block, _Lanes, lane_reports, lane_width, unpack_lanes
 from distinv.sweeps import (
     FILTERS,
@@ -49,7 +45,6 @@ from distinv.sweeps import (
     _diam2_stream,
     _draw,
     _draw_consts,
-    _pair_list,
     _pool_size,
     _stream_key,
     _Stream,
@@ -65,6 +60,7 @@ from oracles import (
     connected_graphs_by_mask,
     diam2_attempts,
     diam2_stream_by_attempt,
+    is_connected,
     is_diameter2,
     lanes_of,
     tree_canonical_form,
@@ -91,11 +87,11 @@ def _graph6_list(acc, graphs):
 class TestConnectedEnumeration:
     @pytest.mark.parametrize("n,count", sorted(CONNECTED_COUNTS.items()))
     def test_counts(self, n, count):
-        assert sum(1 for _ in enumerate_connected_graphs(n)) == count
+        assert sum(1 for _ in iter_sweep(SweepSpec("connected_graphs", n, n))) == count
 
     def test_all_yielded_connected_and_distinct(self):
         seen = set()
-        for g in enumerate_connected_graphs(4):
+        for g in iter_sweep(SweepSpec("connected_graphs", 4, 4)):
             assert g.n == 4
             seen.add(g.bits)
         assert len(seen) == 38
@@ -103,7 +99,7 @@ class TestConnectedEnumeration:
     @pytest.mark.parametrize("n", [0, 9])
     def test_bounds(self, n):
         with pytest.raises(SweepError, match="exhaustive connected sweep needs"):
-            list(enumerate_connected_graphs(n))
+            list(iter_sweep(SweepSpec("connected_graphs", n, n)))
 
 
 class TestMaskScan:
@@ -124,7 +120,7 @@ class TestMaskScan:
             ours = list(lanes_of(_connected_graphs_range(n, lo, hi)))
             assert ours == list(connected_graphs_by_mask(n, lo, hi)), (lo, hi)
             whole += ours
-        assert whole == list(enumerate_connected_graphs(n))
+        assert whole == list(iter_sweep(SweepSpec("connected_graphs", n, n)))
 
     @pytest.mark.parametrize("parts", [2, 3, 7])
     def test_chunk_edges_at_order_7(self, parts):
@@ -180,25 +176,25 @@ class TestMaskScan:
 class TestTreeEnumeration:
     @pytest.mark.parametrize("n,count", sorted(TREE_COUNTS.items()))
     def test_counts(self, n, count):
-        assert sum(1 for _ in enumerate_trees(n)) == count
+        assert sum(1 for _ in iter_sweep(SweepSpec("trees", n, n))) == count
 
     def test_counts_large(self):
-        assert sum(1 for _ in enumerate_trees(17)) == 48629
-        assert sum(1 for _ in enumerate_trees(18)) == 123867
+        assert sum(1 for _ in iter_sweep(SweepSpec("trees", 17, 17))) == 48629
+        assert sum(1 for _ in iter_sweep(SweepSpec("trees", 18, 18))) == 123867
 
     def test_yields_trees(self):
-        for t in enumerate_trees(9):
+        for t in iter_sweep(SweepSpec("trees", 9, 9)):
             assert t.m == t.n - 1
             assert all_pairs_distances(t).diam >= 2
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_pairwise_nonisomorphic(self, n):
-        forms = {tree_canonical_form(t) for t in enumerate_trees(n)}
+        forms = {tree_canonical_form(t) for t in iter_sweep(SweepSpec("trees", n, n))}
         assert len(forms) == TREE_COUNTS[n]
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_networkx_up_to_isomorphism(self, n):
-        ours = {tree_canonical_form(t) for t in enumerate_trees(n)}
+        ours = {tree_canonical_form(t) for t in iter_sweep(SweepSpec("trees", n, n))}
         theirs = set()
         for g in nx.nonisomorphic_trees(n):
             edges = [tuple(sorted(e)) for e in g.edges()]
@@ -210,7 +206,7 @@ class TestTreeEnumeration:
     @pytest.mark.parametrize("n", [1, 19])
     def test_bounds(self, n):
         with pytest.raises(SweepError):
-            list(enumerate_trees(n))
+            list(iter_sweep(SweepSpec("trees", n, n)))
 
 
 class TestTreeBlocks:
@@ -285,28 +281,32 @@ class TestTreeBlocks:
 
 class TestDiameter2Sampler:
     def test_postconditions(self):
-        for g in sample_diameter2_graphs(9, 50, 123):
+        spec = SweepSpec("diameter2_graphs", 9, 9, sample_count=50, seed=123)
+        for g in iter_sweep(spec):
             r = full_report(g)
             assert r.diam == 2
             assert r.wiener == r.n * (r.n - 1) - r.m
 
     def test_reproducible_byte_for_byte(self):
-        a = [emit_graph6(g) for g in sample_diameter2_graphs(10, 300, 42)]
-        b = [emit_graph6(g) for g in sample_diameter2_graphs(10, 300, 42)]
+        spec = SweepSpec("diameter2_graphs", 10, 10, sample_count=300, seed=42)
+        a = [emit_graph6(g) for g in iter_sweep(spec)]
+        b = [emit_graph6(g) for g in iter_sweep(spec)]
         assert a == b
 
     def test_seed_changes_stream(self):
-        a = [emit_graph6(g) for g in sample_diameter2_graphs(10, 50, 1)]
-        b = [emit_graph6(g) for g in sample_diameter2_graphs(10, 50, 2)]
+        one = SweepSpec("diameter2_graphs", 10, 10, sample_count=50, seed=1)
+        two = SweepSpec("diameter2_graphs", 10, 10, sample_count=50, seed=2)
+        a = [emit_graph6(g) for g in iter_sweep(one)]
+        b = [emit_graph6(g) for g in iter_sweep(two)]
         assert a != b
 
     def test_domain_errors(self):
         with pytest.raises(SweepError):
-            list(sample_diameter2_graphs(2, 5, 0))
+            list(iter_sweep(SweepSpec("diameter2_graphs", 2, 2, sample_count=5, seed=0)))
         with pytest.raises(SweepError):
-            list(sample_diameter2_graphs(9, 0, 0))
+            list(iter_sweep(SweepSpec("diameter2_graphs", 9, 9, sample_count=0, seed=0)))
         with pytest.raises(SweepError):
-            list(sample_diameter2_graphs(129, 5, 0))
+            list(iter_sweep(SweepSpec("diameter2_graphs", 129, 129, sample_count=5, seed=0)))
 
 
 class TestPackedSampler:
@@ -612,7 +612,7 @@ class TestRunSweep:
         spec = SweepSpec("connected_graphs", 5, 5, filter_name="self_centered")
         count, summary = fold_sweep(spec, _count, operator.add, int)
         direct = 0
-        for g in enumerate_connected_graphs(5):
+        for g in iter_sweep(SweepSpec("connected_graphs", 5, 5)):
             d = all_pairs_distances(g)
             if d.diam == d.rad:
                 direct += 1
@@ -1008,7 +1008,7 @@ class TestWorkerLifecycle:
         # a graph of the second half of order 5's masks, which the second
         # child folds: the same error, naming the same graph, as one worker
         monkeypatch.setattr(sweeps_mod.os, "cpu_count", lambda: 2)
-        target = emit_graph6(list(enumerate_connected_graphs(5))[700])
+        target = emit_graph6(list(iter_sweep(SweepSpec("connected_graphs", 5, 5)))[700])
 
         def fold(acc, graphs):
             for g in graphs:

@@ -42,7 +42,6 @@ from distinv.sweeps import (
     SweepVisitError,
     _Stream,
     _Tally,
-    enumerate_connected_graphs,
     iter_sweep,
     parse_sweep_spec,
 )
@@ -64,7 +63,14 @@ from distinv.theorems import (
     check_t33,
 )
 
-from oracles import block_of, gate_holds, petersen, reference_hunt, tree_from_levels
+from oracles import (
+    adjacency,
+    block_of,
+    gate_holds,
+    petersen,
+    reference_hunt,
+    tree_from_levels,
+)
 
 
 def wheel5():
@@ -195,10 +201,9 @@ class TestP24T25:
     def test_t25_order8_boundary_exploration(self):
         # below the order bar the claim is vacuous; record (not assert) how
         # often the inequality itself fails there
-        from distinv import sample_diameter2_graphs
-
         fails = 0
-        for g in sample_diameter2_graphs(8, 200, 11):
+        spec = SweepSpec("diameter2_graphs", 8, 8, sample_count=200, seed=11)
+        for g in iter_sweep(spec):
             r = full_report(g)
             assert not check_t25(g, rep=r).hypothesis_met
             if not r.wiener > r.e1:
@@ -296,7 +301,7 @@ class TestTreeClaims:
         assert rep.hypothesis_hits == 47
         assert len(rep.counterexamples) == 1
         bad = parse_graph6(rep.counterexamples[0].graph_id)
-        assert sorted(bad.degree(v) for v in range(9)) == [1] * 7 + [2, 7]
+        assert sorted(bad.bits[v].bit_count() for v in range(9)) == [1] * 7 + [2, 7]
 
     def test_t33_holds_for_orders_10_to_12(self):
         (rep,) = hunt(SweepSpec("trees", 10, 12), ["T3.3"])
@@ -528,7 +533,7 @@ class TestHunt:
         lengths = set()
         for g6 in c22.equality_cases:
             g = parse_graph6(g6)
-            assert g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
+            assert g.m == g.n and all(g.bits[v].bit_count() == 2 for v in range(g.n))
             lengths.add(g.n)
         assert lengths == {4, 5}
         assert len(c22.equality_cases) == 3 + 12
@@ -538,7 +543,7 @@ class TestHunt:
         direct = sum(
             1
             for n in (4, 5)
-            for g in enumerate_connected_graphs(n)
+            for g in iter_sweep(SweepSpec("connected_graphs", n, n))
             if all_pairs_distances(g).diam == 2
         )
         assert reports[0].hypothesis_hits == direct
@@ -781,7 +786,7 @@ class TestHuntNamesTheGraphInHand:
         assert graphs[t] != graphs[-1]
 
     def test_disconnected_graph_named_as_on_the_per_graph_path(self, monkeypatch):
-        connected = list(enumerate_connected_graphs(5))[:9]
+        connected = list(iter_sweep(SweepSpec("connected_graphs", 5, 5)))[:9]
         bad = from_edge_list(5, [(0, 1), (2, 3), (3, 4)])
         stream = connected[:4] + [bad] + connected[4:]
         monkeypatch.setattr(
@@ -882,7 +887,7 @@ class TestT33ComplementBlocks:
                     g = block.graph(j)
                     c = complement(g)
                     assert lane == tuple(c.bits)
-                    if max(map(len, g.adjacency)) == n - 1:
+                    if max(map(len, adjacency(g))) == n - 1:
                         # the star's complement is the one disconnected one
                         stars += 1
                         assert comps[j] is None

@@ -13,7 +13,6 @@ from distinv import (
     attach_pendants_at,
     complete,
     cycle,
-    eccentric_set,
     figure1,
     find_ud_certificate,
     from_edge_list,
@@ -28,16 +27,12 @@ from distinv import ud as ud_mod
 from distinv.cli import main
 from distinv.graphs import emit_graph6
 from distinv.invariants import LANE_BLOCK, LANE_MAX_N
-from distinv.sweeps import (
-    enumerate_connected_graphs,
-    enumerate_trees,
-    iter_sweep,
-    parse_sweep_spec,
-)
+from distinv.sweeps import SweepSpec, iter_sweep, parse_sweep_spec
 from distinv.ud import lane_ud_certificates
 
 from oracles import (
     bfs_rows,
+    bits_of,
     block_of,
     diametrical_pairs,
     floyd_warshall,
@@ -51,26 +46,26 @@ from test_invariants import LANE_SETS, MIXED_ORDERS, _by_lanes, _mixed_block
 class TestEccentricSet:
     def test_p4_inner_vertex(self):
         d = all_pairs_distances(path(4))
-        assert eccentric_set(d, 1) == (3,)
+        assert bits_of(d.far[1]) == (3,)
 
     def test_c6_antipode(self):
         d = all_pairs_distances(cycle(6))
         for v in range(6):
-            assert eccentric_set(d, v) == ((v + 3) % 6,)
+            assert bits_of(d.far[v]) == ((v + 3) % 6,)
 
     def test_k5(self):
         d = all_pairs_distances(complete(5))
-        assert eccentric_set(d, 2) == (0, 1, 3, 4)
+        assert bits_of(d.far[2]) == (0, 1, 3, 4)
 
     def test_k1(self):
         d = all_pairs_distances(complete(1))
-        assert eccentric_set(d, 0) == (0,)
+        assert bits_of(d.far[0]) == (0,)
 
     def test_nonempty_everywhere(self):
-        for g in enumerate_connected_graphs(5):
+        for g in iter_sweep(SweepSpec("connected_graphs", 5, 5)):
             d = all_pairs_distances(g)
             for v in range(5):
-                assert eccentric_set(d, v)
+                assert bits_of(d.far[v])
 
 
 class TestDiametricalPairs:
@@ -95,7 +90,7 @@ class TestDiametricalPairs:
         # a graph that is not UD fails at every diametrical pair, in order
         scanned = 0
         for n in range(2, 6):
-            for g in enumerate_connected_graphs(n):
+            for g in iter_sweep(SweepSpec("connected_graphs", n, n)):
                 cert = find_ud_certificate(g)
                 if not cert.is_ud:
                     pairs = diametrical_pairs(floyd_warshall(g))
@@ -105,7 +100,7 @@ class TestDiametricalPairs:
 
     def test_is_ud_pair_accepts_exactly_these_pairs(self):
         for n in range(2, 6):
-            for g in enumerate_connected_graphs(n):
+            for g in iter_sweep(SweepSpec("connected_graphs", n, n)):
                 d = all_pairs_distances(g)
                 pairs = diametrical_pairs(floyd_warshall(g))
                 for u in range(n):
@@ -119,7 +114,7 @@ class TestDiametricalPairs:
 
 class TestIsUdPair:
     def test_tree_diametrical_path_ends(self):
-        for t in enumerate_trees(8):
+        for t in iter_sweep(SweepSpec("trees", 8, 8)):
             d = all_pairs_distances(t)
             for u, v in diametrical_pairs(floyd_warshall(t)):
                 assert is_ud_pair(t, d, u, v)
@@ -129,7 +124,7 @@ class TestIsUdPair:
         d = all_pairs_distances(g)
         assert not is_ud_pair(g, d, 0, 3)
         # vertex 1's sole eccentric vertex is 4
-        assert eccentric_set(d, 1) == (4,)
+        assert bits_of(d.far[1]) == (4,)
 
     def test_hypercube_antipodes_are_not_ud(self):
         # every vertex's eccentric set is exactly its own antipode, so no
@@ -165,7 +160,7 @@ class TestIsUdPair:
 class TestCertificates:
     def test_trees_up_to_10(self):
         for n in range(2, 11):
-            for t in enumerate_trees(n):
+            for t in iter_sweep(SweepSpec("trees", n, n)):
                 assert find_ud_certificate(t).is_ud
 
     def test_a2_certificate(self):
@@ -188,7 +183,7 @@ class TestCertificates:
         assert c2.is_ud and c2.pair == (0, 1)
 
     def test_certificate_pair_valid_when_ud(self):
-        for g in enumerate_connected_graphs(5):
+        for g in iter_sweep(SweepSpec("connected_graphs", 5, 5)):
             cert = find_ud_certificate(g)
             if cert.is_ud and g.n >= 2:
                 d = all_pairs_distances(g)
@@ -205,7 +200,7 @@ class TestCertificates:
         # the structural half of the pendant-growth argument
         cases = [a_k(1), a_k(3), figure1()]
         for n in range(2, 11):
-            cases.extend(enumerate_trees(n))
+            cases.extend(iter_sweep(SweepSpec("trees", n, n)))
         for g in cases:
             cert = find_ud_certificate(g)
             assert cert.is_ud
@@ -382,7 +377,7 @@ class TestLaneScan:
     def test_ud_command_runs_no_per_graph_scan(self, monkeypatch, capsys, tmp_path):
         # every order of the file has at least two graphs, so every graph
         # goes through the lane scan and none through ud_certificate
-        graphs = list(enumerate_connected_graphs(4)) + [complete(1)] * 2
+        graphs = list(iter_sweep(SweepSpec("connected_graphs", 4, 4))) + [complete(1)] * 2
         graphs += list(iter_sweep(parse_sweep_spec("trees:2..9")))
         graphs += list(iter_sweep(parse_sweep_spec("diam2:n=9..10,count=20,seed=5")))
         f = tmp_path / "in.g6"
@@ -430,7 +425,7 @@ class TestTransmissionGap:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_nonnegative_and_equality_biconditional_small(self, n):
-        for g in enumerate_connected_graphs(n):
+        for g in iter_sweep(SweepSpec("connected_graphs", n, n)):
             d = all_pairs_distances(g)
             equality = transmission_gap_equality_set(d.far)
             assert equality == gap_equality_by_rows(floyd_warshall(g))
@@ -441,7 +436,7 @@ class TestTransmissionGap:
 
     def test_trees_up_to_9(self):
         for n in range(2, 10):
-            for t in enumerate_trees(n):
+            for t in iter_sweep(SweepSpec("trees", n, n)):
                 d = all_pairs_distances(t)
                 equality = transmission_gap_equality_set(d.far)
                 assert equality == gap_equality_by_rows(bfs_rows(t))
